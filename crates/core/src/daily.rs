@@ -451,9 +451,7 @@ impl DailyPipeline {
         let outcome = match builder {
             Some(builder) => {
                 let index = builder.finalize();
-                let mut domains: Vec<DomainSym> = index.domains().collect();
-                domains.sort_unstable();
-                self.history.update_domains(domains);
+                self.history.update_domains(index.domains());
                 DayOutcome::Operation(Box::new(DayProduct {
                     day,
                     index,

@@ -94,6 +94,18 @@ impl Investigation {
     }
 }
 
+/// Memoized store encodings of sealed day products, keyed by day.
+pub(crate) type ProductEncodings = Mutex<BTreeMap<Day, Arc<Vec<u8>>>>;
+
+/// Locks the product-encoding cache, recovering a poisoned guard: the cache
+/// is insert-only memoization of immutable products, so a holder that
+/// panicked left every entry valid.
+pub(crate) fn lock_encodings(
+    cache: &ProductEncodings,
+) -> std::sync::MutexGuard<'_, BTreeMap<Day, Arc<Vec<u8>>>> {
+    cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// The unified streaming engine: feed daily [`DayBatch`]es (or stream a day
 /// chunk by chunk through [`Engine::begin_day`]), receive typed
 /// [`DayReport`]s and [`Alert`]s; see the crate docs for the full tour.
@@ -134,8 +146,7 @@ pub struct Engine {
     /// Behind a lock because checkpoints run on `&self`, and `Arc`-shared
     /// so frozen snapshots populate the same cache from their background
     /// write (insert-only for immutable products, so the race is benign).
-    pub(crate) product_encodings:
-        Arc<Mutex<std::collections::BTreeMap<Day, std::sync::Arc<Vec<u8>>>>>,
+    pub(crate) product_encodings: Arc<ProductEncodings>,
     /// Cached handles into the attached metrics registry (see
     /// [`crate::EngineBuilder::metrics`]); pure side-band observability,
     /// never persisted, never consulted by detection.
@@ -180,7 +191,7 @@ impl Engine {
             paths: paths.unwrap_or_default(),
             line_hosts: HostMapper::new(),
             scratch: crate::ingest::ScratchPool::default(),
-            product_encodings: Arc::new(Mutex::new(std::collections::BTreeMap::new())),
+            product_encodings: Arc::default(),
             metrics,
         }
     }
@@ -217,7 +228,7 @@ impl Engine {
             paths,
             line_hosts,
             scratch: crate::ingest::ScratchPool::default(),
-            product_encodings: Arc::new(Mutex::new(std::collections::BTreeMap::new())),
+            product_encodings: Arc::default(),
             metrics,
         }
     }
@@ -368,7 +379,7 @@ impl Engine {
     /// whenever a day's product is (re)inserted so a later checkpoint never
     /// splices stale bytes.
     pub(crate) fn invalidate_product_encoding(&mut self, day: Day) {
-        self.product_encodings.lock().expect("product encoding cache poisoned").remove(&day);
+        lock_encodings(&self.product_encodings).remove(&day);
     }
 
     /// Evicts the oldest retained contact indexes until at most `keep`
@@ -495,11 +506,7 @@ impl Engine {
                 verdict: Verdict::CommandAndControl,
                 iteration: 0,
                 period_secs: c.period_secs,
-                hosts: ctx
-                    .index
-                    .hosts_of(c.domain)
-                    .map(|hs| hs.iter().copied().collect())
-                    .unwrap_or_default(),
+                hosts: ctx.index.hosts_of(c.domain).map(<[HostId]>::to_vec).unwrap_or_default(),
             });
         }
 
@@ -528,11 +535,7 @@ impl Engine {
                     verdict: Verdict::SeedConfirmed,
                     iteration: 0,
                     period_secs: None,
-                    hosts: ctx
-                        .index
-                        .hosts_of(d)
-                        .map(|hs| hs.iter().copied().collect())
-                        .unwrap_or_default(),
+                    hosts: ctx.index.hosts_of(d).map(<[HostId]>::to_vec).unwrap_or_default(),
                 });
             }
             seed_domains.extend(soc_present);
@@ -724,11 +727,7 @@ impl Engine {
             verdict: Verdict::from_reason(d.reason),
             iteration: d.iteration,
             period_secs: None,
-            hosts: ctx
-                .index
-                .hosts_of(d.domain)
-                .map(|hs| hs.iter().copied().collect())
-                .unwrap_or_default(),
+            hosts: ctx.index.hosts_of(d.domain).map(<[HostId]>::to_vec).unwrap_or_default(),
         }
     }
 
@@ -795,8 +794,7 @@ impl Engine {
         ctx: &DayContext<'_>,
         detector: &CcDetector,
     ) -> Result<Vec<CcCandidate>, EngineError> {
-        let mut domains: Vec<DomainSym> = ctx.index.rare_domains().collect();
-        domains.sort_unstable();
+        let domains: Vec<DomainSym> = ctx.index.rare_domains().collect();
 
         let evaluate = |domain: DomainSym| -> Option<CcCandidate> {
             let auto_hosts = detector.automated_hosts(ctx, domain);

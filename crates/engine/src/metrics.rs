@@ -31,8 +31,20 @@ pub(crate) struct EngineMetrics {
     pub(crate) checkpoint: StageTimer,
     /// One snapshot-stream restore.
     pub(crate) restore: StageTimer,
+    /// Per restored block: the four interner tables plus the host map
+    /// (and, once per restore, their reader-snapshot publication).
+    pub(crate) restore_interners: StageTimer,
+    /// Per restored block: destination and user-agent history logs.
+    pub(crate) restore_history: StageTimer,
+    /// Per restored block: day reports and retained contact indexes.
+    pub(crate) restore_products: StageTimer,
     /// One store compaction pass.
     pub(crate) compact: StageTimer,
+    /// Compaction's chain replay into the scratch engine (plus retention
+    /// pruning).
+    pub(crate) compact_replay: StageTimer,
+    /// Compaction's re-freeze and encoding of the folded full block.
+    pub(crate) compact_encode: StageTimer,
     /// The short critical section of one `Engine::freeze` — the only part
     /// of a checkpoint that excludes ingestion. Its own series
     /// (`checkpoint_stall_micros`), since this is exactly the pause an
@@ -74,7 +86,12 @@ impl EngineMetrics {
             bp: stage("bp"),
             checkpoint: stage("checkpoint"),
             restore: stage("restore"),
+            restore_interners: stage("restore_interners"),
+            restore_history: stage("restore_history"),
+            restore_products: stage("restore_products"),
             compact: stage("compact"),
+            compact_replay: stage("compact_replay"),
+            compact_encode: stage("compact_encode"),
             checkpoint_stall: registry.timer(
                 "checkpoint_stall_micros",
                 "Wall time ingestion is excluded while a snapshot freezes",

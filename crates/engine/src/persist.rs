@@ -50,6 +50,15 @@
 //!   the original interners', so records produced against the original
 //!   dataset (or a deterministic regeneration of it) remain valid.
 //!
+//! Restore rebuilds rather than replays where it can: each retained day
+//! decodes straight into the sorted columns a live `DayIndex` holds (one
+//! representation, so a restored day is indistinguishable from — and
+//! re-encodes exactly like — a live one), and the four interners publish
+//! their wait-free reader snapshots once, after the last block, instead of
+//! at every growth step of every block. The
+//! `engine_stage_micros{stage="restore_interners"|"restore_history"|"restore_products"}`
+//! spans say where a restore's time went.
+//!
 //! [`Persistence::restore`]: crate::Persistence::restore
 //!
 //! # Compaction
@@ -57,7 +66,11 @@
 //! [`compact_store`] folds a whole `full + N segments` chain back into a
 //! single full block; [`compact_store_tiered`] folds only the oldest `K`
 //! segments, bounding the pass's replay work by `K` instead of the chain
-//! length (the `compaction_replay_segments` gauge records the bound).
+//! length (the `compaction_replay_segments` gauge records the bound). A
+//! pass is a restore into a scratch engine (`stage="compact_replay"`) plus
+//! a full re-freeze and encode (`stage="compact_encode"`) plus the store
+//! commit; replayed days are already in wire order, so the encode is pure
+//! emission.
 //!
 //! # Crash recovery
 //!
@@ -74,7 +87,7 @@
 //! come from the builder.
 
 use crate::builder::{validate_config, EngineBuilder, EngineConfig};
-use crate::core_loop::Engine;
+use crate::core_loop::{lock_encodings, Engine, ProductEncodings};
 use crate::metrics::EngineMetrics;
 use crate::report::{DayReport, StageCounters};
 use earlybird_core::{BpConfig, CcModel, DailyPipeline, DayProduct, PipelineConfig, SimScorer};
@@ -233,7 +246,7 @@ impl Engine {
         {
             // Prune memoized encodings of evicted days while the engine is
             // quiesced; snapshot writers only ever insert.
-            let mut cache = self.product_encodings.lock().expect("product encoding cache poisoned");
+            let mut cache = lock_encodings(&self.product_encodings);
             cache.retain(|d, _| self.products.contains_key(d));
         }
         let next = PersistCursor {
@@ -287,8 +300,30 @@ impl Engine {
     }
 
     /// Applies one block's state sections (everything after Config/Meta)
-    /// onto this engine.
+    /// onto this engine. Each group of sections records its own
+    /// `engine_stage_micros` span, so a slow restore says which rebuild it
+    /// was spent in.
     fn apply_state_sections<R: Read>(&mut self, block: &mut BlockReader<'_, R>) -> StoreResult<()> {
+        self.apply_interner_sections(block)?;
+        self.apply_history_section(block)?;
+        self.apply_day_sections(block)?;
+
+        let payload = block.section(SectionTag::Sequence)?;
+        let mut d = Decoder::new(&payload, SectionTag::Sequence.name());
+        let sequence = d.varint()?;
+        d.finish()?;
+        if sequence < self.sequence.load(Ordering::SeqCst) {
+            return Err(StoreError::corrupt("alert sequence counter moved backwards"));
+        }
+        self.sequence.store(sequence, Ordering::SeqCst);
+        Ok(())
+    }
+
+    fn apply_interner_sections<R: Read>(
+        &mut self,
+        block: &mut BlockReader<'_, R>,
+    ) -> StoreResult<()> {
+        let _span = self.metrics.restore_interners.start();
         let payload = block.section(SectionTag::Interners)?;
         let mut d = Decoder::new(&payload, SectionTag::Interners.name());
         sections::read_interner_into(&mut d, self.pipeline.raw_interner(), "raw domain")?;
@@ -300,8 +335,14 @@ impl Engine {
         let payload = block.section(SectionTag::Hosts)?;
         let mut d = Decoder::new(&payload, SectionTag::Hosts.name());
         sections::read_host_mapper_into(&mut d, &mut self.line_hosts)?;
-        d.finish()?;
+        d.finish()
+    }
 
+    fn apply_history_section<R: Read>(
+        &mut self,
+        block: &mut BlockReader<'_, R>,
+    ) -> StoreResult<()> {
+        let _span = self.metrics.restore_history.start();
         let payload = block.section(SectionTag::History)?;
         let mut d = Decoder::new(&payload, SectionTag::History.name());
         let (start, domains, days_ingested) = sections::read_domain_history(&mut d)?;
@@ -311,7 +352,17 @@ impl Engine {
                 self.pipeline.history().ordered().len()
             )));
         }
+        // Both logs skip an entry they already hold, so a delta that
+        // repeats one would restore "successfully" with a log shorter than
+        // the chain's watermarks: every entry must have landed.
+        let expected = start + domains.len();
         self.pipeline.restore_history_delta(domains, days_ingested);
+        if self.pipeline.history().ordered().len() != expected {
+            return Err(StoreError::corrupt(format!(
+                "section `{}`: destination-history delta repeats a domain",
+                SectionTag::History.name()
+            )));
+        }
         let (threshold, start, pairs) = sections::read_ua_history(&mut d)?;
         if threshold != self.cfg.pipeline.rare_ua_threshold {
             return Err(StoreError::corrupt(format!(
@@ -325,9 +376,19 @@ impl Engine {
                 self.pipeline.ua_history().pair_log().len()
             )));
         }
+        let expected = start + pairs.len();
         self.pipeline.restore_ua_delta(pairs);
-        d.finish()?;
+        if self.pipeline.ua_history().pair_log().len() != expected {
+            return Err(StoreError::corrupt(format!(
+                "section `{}`: user-agent history delta repeats a (user agent, host) pair",
+                SectionTag::History.name()
+            )));
+        }
+        d.finish()
+    }
 
+    fn apply_day_sections<R: Read>(&mut self, block: &mut BlockReader<'_, R>) -> StoreResult<()> {
+        let _span = self.metrics.restore_products.start();
         let payload = block.section(SectionTag::Reports)?;
         let mut d = Decoder::new(&payload, SectionTag::Reports.name());
         // Mirror of the write-side `StaleSegment` guard: a segment may only
@@ -385,15 +446,6 @@ impl Engine {
                 self.products.pop_first();
             }
         }
-
-        let payload = block.section(SectionTag::Sequence)?;
-        let mut d = Decoder::new(&payload, SectionTag::Sequence.name());
-        let sequence = d.varint()?;
-        d.finish()?;
-        if sequence < self.sequence.load(Ordering::SeqCst) {
-            return Err(StoreError::corrupt("alert sequence counter moved backwards"));
-        }
-        self.sequence.store(sequence, Ordering::SeqCst);
         Ok(())
     }
 }
@@ -433,7 +485,7 @@ pub struct EngineSnapshot {
     products: Vec<(Day, Arc<DayProduct>)>,
     /// The live engine's memoized product encodings (insert-only from
     /// writers; pruned under the freeze critical section).
-    encodings: Arc<std::sync::Mutex<std::collections::BTreeMap<Day, Arc<Vec<u8>>>>>,
+    encodings: Arc<ProductEncodings>,
     sequence: u64,
     metrics: EngineMetrics,
 }
@@ -528,7 +580,7 @@ impl EngineSnapshot {
             // is computed by the first snapshot that ships them and spliced
             // verbatim into every later block that does. Eviction pruning
             // happens at freeze time; here the cache only grows.
-            let mut cache = self.encodings.lock().expect("product encoding cache poisoned");
+            let mut cache = lock_encodings(&self.encodings);
             for (day, product) in &self.products {
                 let bytes = cache.entry(*day).or_insert_with(|| {
                     let mut pe = Encoder::new();
@@ -584,7 +636,7 @@ impl EngineSnapshot {
 /// Typed [`StoreError`]s from the chain replay or the commit; compacting
 /// an empty directory is [`StoreError::Corrupt`].
 pub fn compact_store(dir: &mut StoreDir) -> StoreResult<CompactionReport> {
-    compact_prefix(dir, None)
+    compact_prefix(dir, None, None)
 }
 
 /// Tiered variant of [`compact_store`]: folds only the oldest
@@ -608,10 +660,15 @@ pub fn compact_store_tiered(
     dir: &mut StoreDir,
     fold_segments: usize,
 ) -> StoreResult<CompactionReport> {
-    compact_prefix(dir, Some(fold_segments))
+    compact_prefix(dir, Some(fold_segments), None)
 }
 
-fn compact_prefix(dir: &mut StoreDir, fold: Option<usize>) -> StoreResult<CompactionReport> {
+pub(crate) fn compact_prefix(
+    dir: &mut StoreDir,
+    fold: Option<usize>,
+    metrics: Option<&EngineMetrics>,
+) -> StoreResult<CompactionReport> {
+    let _compact_span = metrics.map(|m| m.compact.start());
     if dir.is_empty() {
         return Err(StoreError::corrupt("cannot compact an empty store: no full snapshot yet"));
     }
@@ -621,18 +678,25 @@ fn compact_prefix(dir: &mut StoreDir, fold: Option<usize>) -> StoreResult<Compac
     let bytes_before = dir.chain_bytes();
     let gc_count_before = dir.gc_failures();
     let gc_names_before = dir.gc_failed_objects().len();
+    let replay_span = metrics.map(|m| m.compact_replay.start());
     let mut scratch =
         EngineBuilder::lanl().restore_impl(None, &mut dir.reader_prefix(replayed)?)?;
     let days_pruned = match dir.config().retention.retain_days {
         Some(keep) => scratch.prune_retained(keep),
         None => 0,
     };
+    drop(replay_span);
     let mut pending = dir.begin(BlockKind::Full)?;
+    let encode_span = metrics.map(|m| m.compact_encode.start());
     let meta = scratch.freeze().write_to(&mut pending)?;
+    drop(encode_span);
     if fold == total {
         dir.commit_full(pending, &meta)?;
     } else {
         dir.commit_fold(pending, &meta, fold)?;
+    }
+    if let Some(m) = metrics {
+        m.compaction_replay.set(replayed as i64);
     }
     Ok(CompactionReport {
         segments_folded: fold,
@@ -765,6 +829,17 @@ impl EngineBuilder {
             }
             engine.apply_state_sections(&mut block)?;
             block.finish()?;
+        }
+
+        // One reader-snapshot publication per interner for the whole
+        // chain, caller-shared interners included: the first day's chunks
+        // hit the wait-free path for every restored string.
+        {
+            let _span = engine.metrics.restore_interners.start();
+            engine.pipeline.raw_interner().publish();
+            engine.pipeline.folded_interner().publish();
+            engine.uas.publish();
+            engine.paths.publish();
         }
 
         // SOC seed symbols were interned at original build time, so they

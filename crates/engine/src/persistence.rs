@@ -36,7 +36,8 @@
 
 use crate::builder::EngineBuilder;
 use crate::core_loop::Engine;
-use crate::persist::{compact_store, compact_store_tiered, EngineSnapshot};
+use crate::metrics::EngineMetrics;
+use crate::persist::{compact_prefix, EngineSnapshot};
 use earlybird_logmodel::DomainInterner;
 use earlybird_store::{
     BlockKind, CheckpointMeta, CompactionReport, StoreDir, StoreError, StoreResult,
@@ -111,7 +112,7 @@ impl SnapshotPolicy {
     }
 
     /// Bound every compaction pass to folding the `fold_segments` oldest
-    /// segments (see [`compact_store_tiered`]).
+    /// segments (see [`crate::compact_store_tiered`]).
     pub fn tier(mut self, fold_segments: usize) -> Self {
         self.compaction_tier = Some(fold_segments);
         self
@@ -190,6 +191,10 @@ struct WorkerState {
     /// The chain has (or will have, once queued commits land) a full
     /// block, so [`SnapshotMode::Auto`] freezes segments from here on.
     chain_started: bool,
+    /// Metric handles of the engine committed most recently, so an
+    /// explicit [`Persistence::compact`] records its spans where that
+    /// engine's do.
+    metrics: Option<EngineMetrics>,
     shutdown: bool,
 }
 
@@ -250,6 +255,7 @@ impl Persistence {
                 busy: false,
                 poisoned: None,
                 chain_started,
+                metrics: None,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -296,6 +302,7 @@ impl Persistence {
         };
         let snapshot = if full { engine.freeze() } else { engine.freeze_day()? };
         state.chain_started = true;
+        state.metrics = Some(snapshot.metrics().clone());
         let cell = Arc::new(CommitCell::default());
         match self.policy.commit {
             CommitMode::Sync => {
@@ -337,14 +344,13 @@ impl Persistence {
     ///
     /// # Errors
     ///
-    /// As for [`compact_store`]; an explicit pass does *not* poison the
+    /// As for [`crate::compact_store`]; an explicit pass does *not* poison the
     /// handle on failure (the chain stays valid).
     pub fn compact(&self) -> StoreResult<CompactionReport> {
+        let metrics = self.shared.lock_state().metrics.clone();
         let mut dir = self.shared.lock_store();
-        match self.policy.compaction_tier.or(dir.config().compaction.fold_segments) {
-            Some(k) => compact_store_tiered(&mut dir, k),
-            None => compact_store(&mut dir),
-        }
+        let fold = self.policy.compaction_tier.or(dir.config().compaction.fold_segments);
+        compact_prefix(&mut dir, fold, metrics.as_ref())
     }
 
     /// The store's manifest generation — the durable acknowledgement
@@ -466,13 +472,8 @@ fn run_commit(
         }
     };
     let compaction = if dir.compaction_due() {
-        let _compact_span = snapshot.metrics().compact.start();
-        let report = match tier.or(dir.config().compaction.fold_segments) {
-            Some(k) => compact_store_tiered(&mut dir, k)?,
-            None => compact_store(&mut dir)?,
-        };
-        snapshot.metrics().compaction_replay.set(report.segments_replayed as i64);
-        Some(report)
+        let fold = tier.or(dir.config().compaction.fold_segments);
+        Some(compact_prefix(&mut dir, fold, Some(snapshot.metrics()))?)
     } else {
         None
     };

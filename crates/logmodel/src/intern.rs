@@ -202,8 +202,23 @@ impl<T> TypedInterner<T> {
     /// order matches insertion order.
     fn maybe_republish(&self, inner: &mut Inner) {
         if inner.snapshot_stale() {
-            inner.published_len = inner.strings.len();
-            self.snap.publish(Arc::new(Snap { map: inner.map.clone() }));
+            self.republish(inner);
+        }
+    }
+
+    fn republish(&self, inner: &mut Inner) {
+        inner.published_len = inner.strings.len();
+        self.snap.publish(Arc::new(Snap { map: inner.map.clone() }));
+    }
+
+    /// Publishes the reader snapshot now if anything landed since the last
+    /// publication — the closing step of a bulk load through
+    /// [`TypedInterner::extend_from_snapshot`], which itself never
+    /// publishes.
+    pub fn publish(&self) {
+        let mut inner = self.inner.write().expect("interner poisoned");
+        if inner.published_len != inner.strings.len() {
+            self.republish(&mut inner);
         }
     }
 
@@ -305,7 +320,11 @@ impl<T> TypedInterner<T> {
     /// The whole batch runs under a single write-lock acquisition with
     /// capacity reserved up front — restore feeds entire table sections
     /// through here, so per-string lock round-trips would dominate the
-    /// decode cost.
+    /// decode cost. For the same reason the reader snapshot is *not*
+    /// republished: a publication clones every key, a restore calls this
+    /// once per block, and no reader exists until it returns. The loader
+    /// calls [`TypedInterner::publish`] once at the end (an interner left
+    /// unpublished still republishes on its next miss).
     pub fn extend_from_snapshot<S: AsRef<str>>(
         &self,
         start: usize,
@@ -332,7 +351,6 @@ impl<T> TypedInterner<T> {
                 break;
             }
         }
-        self.maybe_republish(&mut inner);
         ok
     }
 
@@ -479,6 +497,20 @@ mod tests {
         assert!(!i.extend_from_snapshot(5, ["y"]), "start past the end is a gap");
         assert!(!i.extend_from_snapshot(3, ["a"]), "duplicate would renumber");
         assert_eq!(i.len(), 3, "failed extends leave verified content only");
+    }
+
+    #[test]
+    fn bulk_load_publishes_only_when_told_and_then_everything() {
+        let i = DomainInterner::new();
+        let names: Vec<String> = (0..500).map(|k| format!("d{k}.com")).collect();
+        assert!(i.extend_from_snapshot(0, &names[..300]));
+        assert!(i.extend_from_snapshot(300, &names[300..]));
+        assert!(i.reader().get("d0.com").is_none(), "a bulk load never publishes by itself");
+        i.publish();
+        let reader = i.reader();
+        for (k, name) in names.iter().enumerate() {
+            assert_eq!(reader.get(name), Some(DomainSym::from_raw(k as u32)));
+        }
     }
 
     #[test]

@@ -5,22 +5,35 @@
 //!
 //! This materializes the `dom_host` and `host_rdom` maps of Algorithm 1 plus
 //! every per-day lookup the C&C detector and domain-similarity scorer need.
+//!
+//! A sealed day is immutable, so [`DayIndex`] *is* its sorted plain-data
+//! form: every collection is a sorted key column with a flat value column
+//! ([`Grouped`]) or a key-sorted pair list, looked up by binary search.
+//! That is also the order `earlybird-store` writes a day in, so a checkpoint
+//! is pure emission and a restore decodes each column straight into place —
+//! one in-memory representation behind one checked constructor,
+//! [`DayIndex::from_columns`], which [`DayIndexBuilder::finalize`] feeds
+//! after sorting a live day once and the store feeds as decoded.
 
 use crate::contact::Contact;
 use crate::history::{DomainHistory, UaHistory};
 use crate::rare::RareDomains;
 use earlybird_logmodel::{Day, DomainSym, FastMap, FastSet, HostId, Ipv4, Timestamp};
-use std::collections::BTreeSet;
 
 /// A host→domain edge key.
 pub type EdgeKey = (HostId, DomainSym);
 
-#[derive(Clone, Copy, Debug, Default)]
-struct EdgeHttp {
-    connections: u32,
-    with_referer: u32,
-    with_common_ua: u32,
-    saw_http: bool,
+/// HTTP statistics of one rare-domain edge.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EdgeHttp {
+    /// Connections over the edge.
+    pub connections: u32,
+    /// Connections that carried a Referer header.
+    pub with_referer: u32,
+    /// Connections that used a historically common user agent.
+    pub with_common_ua: u32,
+    /// Whether any connection carried HTTP context at all.
+    pub saw_http: bool,
 }
 
 impl EdgeHttp {
@@ -52,96 +65,208 @@ impl EdgeHttp {
     }
 }
 
-/// Immutable per-day index over one day of reduced [`Contact`]s.
-#[derive(Debug)]
+/// Keys in ascending order, each owning one contiguous run of a flat value
+/// column (the compressed-sparse-row layout): two allocations per
+/// collection instead of one per key, and a lookup is a binary search.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Grouped<K, V> {
+    keys: Vec<K>,
+    /// `starts[i]` is where `keys[i]`'s run begins in `values`; it ends
+    /// where the next key's begins (or at the end of the column).
+    starts: Vec<usize>,
+    values: Vec<V>,
+}
+
+impl<K: Ord + Copy, V> Grouped<K, V> {
+    /// An empty collection with room for `keys` keys.
+    pub fn with_capacity(keys: usize) -> Self {
+        Grouped {
+            keys: Vec::with_capacity(keys),
+            starts: Vec::with_capacity(keys),
+            values: Vec::new(),
+        }
+    }
+
+    /// Opens the next key's (initially empty) run. Keys must be pushed in
+    /// strictly ascending order for lookups to work; [`DayIndex::from_columns`]
+    /// verifies that.
+    pub fn begin_group(&mut self, key: K) {
+        self.keys.push(key);
+        self.starts.push(self.values.len());
+    }
+
+    /// Appends `value` to the run of the key opened last.
+    pub fn push(&mut self, value: V) {
+        debug_assert!(!self.keys.is_empty(), "push before begin_group");
+        self.values.push(value);
+    }
+
+    /// Sorts distinct `(key, value)` pairs and groups them by key.
+    fn from_pairs(mut pairs: Vec<(K, V)>) -> Self
+    where
+        V: Ord,
+    {
+        pairs.sort_unstable();
+        let mut out = Grouped::with_capacity(0);
+        out.values.reserve_exact(pairs.len());
+        for (key, value) in pairs {
+            if out.keys.last() != Some(&key) {
+                out.begin_group(key);
+            }
+            out.values.push(value);
+        }
+        out
+    }
+
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether there are no keys.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The keys, ascending.
+    pub fn keys(&self) -> &[K] {
+        &self.keys
+    }
+
+    fn run(&self, i: usize) -> &[V] {
+        let end = self.starts.get(i + 1).copied().unwrap_or(self.values.len());
+        &self.values[self.starts[i]..end]
+    }
+
+    /// The values of `key`, if present.
+    pub fn get(&self, key: K) -> Option<&[V]> {
+        self.keys.binary_search(&key).ok().map(|i| self.run(i))
+    }
+
+    /// Every `(key, values)` group in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, &[V])> + '_ {
+        self.keys.iter().enumerate().map(|(i, &k)| (k, self.run(i)))
+    }
+
+    /// Whether the keys ascend strictly and every run satisfies `run_ok`.
+    fn is_sorted_with(&self, run_ok: impl Fn(&[V]) -> bool) -> bool {
+        strictly_ascending(&self.keys) && (0..self.keys.len()).all(|i| run_ok(self.run(i)))
+    }
+}
+
+fn strictly_ascending<T: Ord>(xs: &[T]) -> bool {
+    xs.windows(2).all(|w| w[0] < w[1])
+}
+
+fn keys_ascend<K: Ord, V>(pairs: &[(K, V)]) -> bool {
+    pairs.windows(2).all(|w| w[0].0 < w[1].0)
+}
+
+fn lookup<K: Ord + Copy, V>(pairs: &[(K, V)], key: K) -> Option<&V> {
+    pairs.binary_search_by_key(&key, |&(k, _)| k).ok().map(|i| &pairs[i].1)
+}
+
+/// A column handed to [`DayIndex::from_columns`] was not in the order the
+/// index's binary searches rely on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UnsortedColumn(pub &'static str);
+
+impl std::fmt::Display for UnsortedColumn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "day index column `{}` is unsorted or repeats a key", self.0)
+    }
+}
+
+impl std::error::Error for UnsortedColumn {}
+
+/// Immutable per-day index over one day of reduced [`Contact`]s, held as
+/// sorted columns (see the module docs).
+#[derive(Debug, PartialEq, Eq)]
 pub struct DayIndex {
     day: Day,
-    http_available: bool,
-    rare: FastSet<DomainSym>,
     new_count: usize,
-    domain_hosts: FastMap<DomainSym, BTreeSet<HostId>>,
-    host_rare_domains: FastMap<HostId, BTreeSet<DomainSym>>,
-    /// Sorted connection timestamps per rare-domain edge.
-    edge_series: FastMap<EdgeKey, Vec<Timestamp>>,
+    http_available: bool,
+    rare: Vec<DomainSym>,
+    domain_hosts: Grouped<DomainSym, HostId>,
+    /// Ascending connection timestamps per rare-domain edge.
+    edge_series: Grouped<EdgeKey, Timestamp>,
+    /// The domain half of `edge_series`' keys. Those keys sort by
+    /// `(host, domain)`, so one host's rare domains (Algorithm 1's
+    /// `host_rdom`) are a contiguous run of this column.
+    edge_domains: Vec<DomainSym>,
     /// First contact per edge, for **all** domains (timing correlation must
     /// reach seed domains that are not rare).
-    first_contact: FastMap<EdgeKey, Timestamp>,
+    first_contact: Vec<(EdgeKey, Timestamp)>,
     /// Destination IPs per domain, for all domains with known addresses.
-    domain_ips: FastMap<DomainSym, BTreeSet<Ipv4>>,
+    domain_ips: Grouped<DomainSym, Ipv4>,
     /// HTTP statistics per rare-domain edge.
-    edge_http: FastMap<EdgeKey, EdgeHttp>,
-    /// The sorted plain-data form, computed once when the day seals. An
-    /// always-on engine serializes every sealed day exactly once while
-    /// ingest is running, so the ordering work is paid here — at the day
-    /// boundary, where the pipeline already does O(day) finalization —
-    /// instead of inside the checkpoint path. `None` for indexes rebuilt
-    /// from a restored snapshot: those days already live in the store and
-    /// are re-encoded rarely, so keeping a second owned copy would only
-    /// slow restore down.
-    sealed: Option<DayIndexSnapshot>,
+    edge_http: Vec<(EdgeKey, EdgeHttp)>,
 }
 
 impl DayIndex {
-    /// Builds the index for `day` from reduced contacts and the day's rare
-    /// set. `ua_history` classifies user agents as common or rare; pass
-    /// `None` for DNS datasets.
-    ///
-    /// `contacts` must be sorted by timestamp (whole-day reduction
-    /// guarantees this; the assumption is what keeps every per-edge beacon
-    /// series sorted). Out-of-order input would silently corrupt
-    /// beacon-period estimation, so the batch path asserts sortedness in
-    /// debug builds — chunked producers must go through
-    /// [`DayIndexBuilder`], which sorts on finalize instead.
+    /// Builds the index for `day` from reduced contacts (any order) and the
+    /// day's rare set, which must have been extracted from the same
+    /// contacts. `ua_history` classifies user agents as common or rare;
+    /// pass `None` for DNS datasets.
     pub fn build(
         day: Day,
         contacts: &[Contact],
         rare: RareDomains,
         ua_history: Option<&UaHistory>,
     ) -> Self {
-        debug_assert!(
-            contacts.windows(2).all(|w| w[0].ts <= w[1].ts),
-            "DayIndex::build requires timestamp-sorted contacts; \
-             use DayIndexBuilder for out-of-order chunks"
-        );
-        let new_count = rare.new_count();
-        let rare_set: FastSet<DomainSym> = rare.iter().collect();
-        let domain_hosts = rare.domain_hosts().clone();
+        // The threshold is unused: rarity was decided by the caller's sieve.
+        let mut builder = DayIndexBuilder::new(day, usize::MAX);
+        builder.observe(contacts, ua_history, |d| rare.contains(d));
+        let domain_hosts = builder.domain_hosts();
+        builder.seal(domain_hosts, rare.iter().collect(), rare.new_count())
+    }
 
-        let mut host_rare_domains: FastMap<HostId, BTreeSet<DomainSym>> = FastMap::default();
-        let mut edge_series: FastMap<EdgeKey, Vec<Timestamp>> = FastMap::default();
-        let mut first_contact: FastMap<EdgeKey, Timestamp> = FastMap::default();
-        let mut domain_ips: FastMap<DomainSym, BTreeSet<Ipv4>> = FastMap::default();
-        let mut edge_http: FastMap<EdgeKey, EdgeHttp> = FastMap::default();
-
-        for c in contacts {
-            let edge = (c.host, c.domain);
-            first_contact.entry(edge).or_insert(c.ts);
-            if let Some(ip) = c.dest_ip {
-                domain_ips.entry(c.domain).or_default().insert(ip);
-            }
-            if rare_set.contains(&c.domain) {
-                host_rare_domains.entry(c.host).or_default().insert(c.domain);
-                edge_series.entry(edge).or_default().push(c.ts);
-                edge_http.entry(edge).or_default().observe(c, ua_history);
-            }
+    /// The one constructor: takes ownership of already sorted columns.
+    /// [`DayIndexBuilder`] seals a live day through it, and
+    /// `earlybird-store` decodes a restored day's columns straight into the
+    /// `Vec`s handed over here. `rare`, every key column and the per-domain
+    /// host/IP runs must ascend strictly; each edge series must be
+    /// non-decreasing.
+    ///
+    /// # Errors
+    ///
+    /// [`UnsortedColumn`] naming the first column that breaks its order;
+    /// nothing else about the columns is checked, and the accessors of a
+    /// semantically odd index simply reflect it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn from_columns(
+        day: Day,
+        new_count: usize,
+        rare: Vec<DomainSym>,
+        domain_hosts: Grouped<DomainSym, HostId>,
+        edge_series: Grouped<EdgeKey, Timestamp>,
+        first_contact: Vec<(EdgeKey, Timestamp)>,
+        domain_ips: Grouped<DomainSym, Ipv4>,
+        edge_http: Vec<(EdgeKey, EdgeHttp)>,
+    ) -> Result<Self, UnsortedColumn> {
+        let checks = [
+            ("rare", strictly_ascending(&rare)),
+            ("domain_hosts", domain_hosts.is_sorted_with(strictly_ascending)),
+            ("edge_series", edge_series.is_sorted_with(|s| s.windows(2).all(|w| w[0] <= w[1]))),
+            ("first_contact", keys_ascend(&first_contact)),
+            ("domain_ips", domain_ips.is_sorted_with(strictly_ascending)),
+            ("edge_http", keys_ascend(&edge_http)),
+        ];
+        if let Some(&(column, _)) = checks.iter().find(|(_, ok)| !ok) {
+            return Err(UnsortedColumn(column));
         }
-        let http_available = edge_http.values().any(|s| s.saw_http);
-
-        let mut index = DayIndex {
+        Ok(DayIndex {
             day,
-            http_available,
-            rare: rare_set,
             new_count,
+            http_available: edge_http.iter().any(|(_, s)| s.saw_http),
+            rare,
+            edge_domains: edge_series.keys().iter().map(|&(_, d)| d).collect(),
             domain_hosts,
-            host_rare_domains,
             edge_series,
             first_contact,
             domain_ips,
             edge_http,
-            sealed: None,
-        };
-        index.sealed = Some(index.snapshot_uncached());
-        index
+        })
     }
 
     /// The indexed day.
@@ -149,9 +274,9 @@ impl DayIndex {
         self.day
     }
 
-    /// Every domain contacted today (rare or not), unordered.
+    /// Every domain contacted today (rare or not), ascending.
     pub fn domains(&self) -> impl Iterator<Item = DomainSym> + '_ {
-        self.domain_hosts.keys().copied()
+        self.domain_hosts.keys().iter().copied()
     }
 
     /// Whether the underlying dataset carried HTTP context.
@@ -161,10 +286,10 @@ impl DayIndex {
 
     /// Whether `domain` is rare today.
     pub fn is_rare(&self, domain: DomainSym) -> bool {
-        self.rare.contains(&domain)
+        self.rare.binary_search(&domain).is_ok()
     }
 
-    /// The day's rare domains (unordered).
+    /// The day's rare domains, ascending.
     pub fn rare_domains(&self) -> impl Iterator<Item = DomainSym> + '_ {
         self.rare.iter().copied()
     }
@@ -179,34 +304,38 @@ impl DayIndex {
         self.new_count
     }
 
-    /// Distinct hosts contacting `domain` today.
-    pub fn hosts_of(&self, domain: DomainSym) -> Option<&BTreeSet<HostId>> {
-        self.domain_hosts.get(&domain)
+    /// Distinct hosts contacting `domain` today, ascending.
+    pub fn hosts_of(&self, domain: DomainSym) -> Option<&[HostId]> {
+        self.domain_hosts.get(domain)
     }
 
     /// Number of distinct hosts contacting `domain` (the `NoHosts` feature).
     pub fn connectivity(&self, domain: DomainSym) -> usize {
-        self.domain_hosts.get(&domain).map_or(0, BTreeSet::len)
+        self.hosts_of(domain).map_or(0, <[HostId]>::len)
     }
 
-    /// The rare domains `host` visited today (Algorithm 1's `host_rdom`).
-    pub fn rare_domains_of(&self, host: HostId) -> Option<&BTreeSet<DomainSym>> {
-        self.host_rare_domains.get(&host)
+    /// The rare domains `host` visited today (Algorithm 1's `host_rdom`),
+    /// ascending.
+    pub fn rare_domains_of(&self, host: HostId) -> Option<&[DomainSym]> {
+        let keys = self.edge_series.keys();
+        let lo = keys.partition_point(|&(h, _)| h < host);
+        let hi = lo + keys[lo..].partition_point(|&(h, _)| h == host);
+        (lo < hi).then(|| &self.edge_domains[lo..hi])
     }
 
     /// Sorted connection timestamps from `host` to rare `domain`.
     pub fn beacon_series(&self, host: HostId, domain: DomainSym) -> Option<&[Timestamp]> {
-        self.edge_series.get(&(host, domain)).map(Vec::as_slice)
+        self.edge_series.get((host, domain))
     }
 
     /// First contact time from `host` to `domain` (any domain).
     pub fn first_contact(&self, host: HostId, domain: DomainSym) -> Option<Timestamp> {
-        self.first_contact.get(&(host, domain)).copied()
+        lookup(&self.first_contact, (host, domain)).copied()
     }
 
-    /// Destination IPs observed for `domain`.
-    pub fn ips_of(&self, domain: DomainSym) -> Option<&BTreeSet<Ipv4>> {
-        self.domain_ips.get(&domain)
+    /// Destination IPs observed for `domain`, ascending.
+    pub fn ips_of(&self, domain: DomainSym) -> Option<&[Ipv4]> {
+        self.domain_ips.get(domain)
     }
 
     /// Fraction of hosts contacting rare `domain` that never sent a Referer
@@ -230,12 +359,14 @@ impl DayIndex {
     }
 
     fn host_fraction(&self, domain: DomainSym, pred: impl Fn(&EdgeHttp) -> bool) -> Option<f64> {
-        let hosts = self.domain_hosts.get(&domain)?;
+        let hosts = self.hosts_of(domain)?;
         if hosts.is_empty() {
             return None;
         }
-        let matching =
-            hosts.iter().filter(|&&h| self.edge_http.get(&(h, domain)).is_some_and(&pred)).count();
+        let matching = hosts
+            .iter()
+            .filter(|&&h| lookup(&self.edge_http, (h, domain)).is_some_and(&pred))
+            .count();
         Some(matching as f64 / hosts.len() as f64)
     }
 
@@ -244,164 +375,32 @@ impl DayIndex {
         self.edge_series.len()
     }
 
-    /// Decomposes the index into a sorted, plain-data snapshot — the
-    /// persistence hook used by `earlybird-store`. Every collection is
-    /// emitted in key order so encoded bytes are deterministic. Sealed
-    /// indexes return a clone of the precomputed form; encoders should
-    /// prefer borrowing it through [`DayIndex::sealed`].
-    pub fn to_snapshot(&self) -> DayIndexSnapshot {
-        match &self.sealed {
-            Some(snap) => snap.clone(),
-            None => self.snapshot_uncached(),
-        }
+    // -- columns, in the order `earlybird-store` writes them ----------------
+
+    /// Per-domain host sets, by domain.
+    pub fn domain_hosts(&self) -> &Grouped<DomainSym, HostId> {
+        &self.domain_hosts
     }
 
-    /// The snapshot computed at seal time, if this index was built by the
-    /// live pipeline (`None` after [`DayIndex::from_snapshot`]). Encoders
-    /// borrow this so checkpoint serialization under an always-on engine
-    /// does no sorting or cloning.
-    pub fn sealed(&self) -> Option<&DayIndexSnapshot> {
-        self.sealed.as_ref()
+    /// Per-rare-edge timestamp series, by edge.
+    pub fn edge_series(&self) -> &Grouped<EdgeKey, Timestamp> {
+        &self.edge_series
     }
 
-    fn snapshot_uncached(&self) -> DayIndexSnapshot {
-        let mut rare: Vec<DomainSym> = self.rare.iter().copied().collect();
-        rare.sort_unstable();
-        let mut domain_hosts: Vec<(DomainSym, Vec<HostId>)> = self
-            .domain_hosts
-            .iter()
-            .map(|(&d, hosts)| (d, hosts.iter().copied().collect()))
-            .collect();
-        domain_hosts.sort_unstable_by_key(|&(d, _)| d);
-        let mut edge_series: Vec<(EdgeKey, Vec<Timestamp>)> =
-            self.edge_series.iter().map(|(&k, v)| (k, v.clone())).collect();
-        edge_series.sort_unstable_by_key(|&(k, _)| k);
-        let mut first_contact: Vec<(EdgeKey, Timestamp)> =
-            self.first_contact.iter().map(|(&k, &v)| (k, v)).collect();
-        first_contact.sort_unstable_by_key(|&(k, _)| k);
-        let mut domain_ips: Vec<(DomainSym, Vec<Ipv4>)> =
-            self.domain_ips.iter().map(|(&d, ips)| (d, ips.iter().copied().collect())).collect();
-        domain_ips.sort_unstable_by_key(|&(d, _)| d);
-        let mut edge_http: Vec<(EdgeKey, EdgeHttpSnapshot)> = self
-            .edge_http
-            .iter()
-            .map(|(&k, s)| {
-                (
-                    k,
-                    EdgeHttpSnapshot {
-                        connections: s.connections,
-                        with_referer: s.with_referer,
-                        with_common_ua: s.with_common_ua,
-                        saw_http: s.saw_http,
-                    },
-                )
-            })
-            .collect();
-        edge_http.sort_unstable_by_key(|&(k, _)| k);
-        DayIndexSnapshot {
-            day: self.day,
-            new_count: self.new_count,
-            rare,
-            domain_hosts,
-            edge_series,
-            first_contact,
-            domain_ips,
-            edge_http,
-        }
+    /// First contact per edge, by edge.
+    pub fn first_contacts(&self) -> &[(EdgeKey, Timestamp)] {
+        &self.first_contact
     }
 
-    /// Reassembles an index from a restored snapshot, re-deriving the
-    /// host→rare-domain view and the HTTP-availability flag exactly like
-    /// the original constructors did. Never panics: a semantically odd
-    /// snapshot yields an index whose accessors simply reflect it.
-    pub fn from_snapshot(snap: DayIndexSnapshot) -> Self {
-        let rare: FastSet<DomainSym> = snap.rare.into_iter().collect();
-        let domain_hosts: FastMap<DomainSym, BTreeSet<HostId>> = snap
-            .domain_hosts
-            .into_iter()
-            .map(|(d, hosts)| (d, hosts.into_iter().collect()))
-            .collect();
-        let edge_series: FastMap<EdgeKey, Vec<Timestamp>> = snap.edge_series.into_iter().collect();
-        let first_contact: FastMap<EdgeKey, Timestamp> = snap.first_contact.into_iter().collect();
-        let domain_ips: FastMap<DomainSym, BTreeSet<Ipv4>> =
-            snap.domain_ips.into_iter().map(|(d, ips)| (d, ips.into_iter().collect())).collect();
-        let edge_http: FastMap<EdgeKey, EdgeHttp> = snap
-            .edge_http
-            .into_iter()
-            .map(|(k, s)| {
-                (
-                    k,
-                    EdgeHttp {
-                        connections: s.connections,
-                        with_referer: s.with_referer,
-                        with_common_ua: s.with_common_ua,
-                        saw_http: s.saw_http,
-                    },
-                )
-            })
-            .collect();
-        let mut host_rare_domains: FastMap<HostId, BTreeSet<DomainSym>> = FastMap::default();
-        for &domain in &rare {
-            if let Some(hosts) = domain_hosts.get(&domain) {
-                for &host in hosts {
-                    host_rare_domains.entry(host).or_default().insert(domain);
-                }
-            }
-        }
-        let http_available = edge_http.values().any(|s| s.saw_http);
-        DayIndex {
-            day: snap.day,
-            http_available,
-            rare,
-            new_count: snap.new_count,
-            domain_hosts,
-            host_rare_domains,
-            edge_series,
-            first_contact,
-            domain_ips,
-            edge_http,
-            // Restored days stay lazy: they are already persisted and
-            // re-encode only on a rare full rewrite, so an owned second
-            // copy here would just tax the restore path.
-            sealed: None,
-        }
+    /// Destination IPs per domain, by domain.
+    pub fn domain_ips(&self) -> &Grouped<DomainSym, Ipv4> {
+        &self.domain_ips
     }
-}
 
-/// Per-edge HTTP statistics in plain-data form (see
-/// [`DayIndex::to_snapshot`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EdgeHttpSnapshot {
-    /// Connections over the edge.
-    pub connections: u32,
-    /// Connections that carried a Referer header.
-    pub with_referer: u32,
-    /// Connections that used a historically common user agent.
-    pub with_common_ua: u32,
-    /// Whether any connection carried HTTP context at all.
-    pub saw_http: bool,
-}
-
-/// A [`DayIndex`] decomposed into sorted, plain-data collections for
-/// serialization; rebuild with [`DayIndex::from_snapshot`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DayIndexSnapshot {
-    /// The indexed day.
-    pub day: Day,
-    /// New-destination count (pre-unpopularity filter).
-    pub new_count: usize,
-    /// Rare domains, sorted.
-    pub rare: Vec<DomainSym>,
-    /// Per-domain host sets, sorted by domain.
-    pub domain_hosts: Vec<(DomainSym, Vec<HostId>)>,
-    /// Per-rare-edge timestamp series (each ascending), sorted by edge.
-    pub edge_series: Vec<((HostId, DomainSym), Vec<Timestamp>)>,
-    /// First contact per edge, sorted by edge.
-    pub first_contact: Vec<((HostId, DomainSym), Timestamp)>,
-    /// Destination IPs per domain, sorted by domain.
-    pub domain_ips: Vec<(DomainSym, Vec<Ipv4>)>,
-    /// Per-rare-edge HTTP statistics, sorted by edge.
-    pub edge_http: Vec<((HostId, DomainSym), EdgeHttpSnapshot)>,
+    /// Per-rare-edge HTTP statistics, by edge.
+    pub fn edge_http(&self) -> &[(EdgeKey, EdgeHttp)] {
+        &self.edge_http
+    }
 }
 
 /// Incremental constructor of a [`DayIndex`] from contact chunks that may
@@ -412,18 +411,17 @@ pub struct DayIndexSnapshot {
 /// tracks per-edge series and HTTP statistics for every domain that is new
 /// relative to the (frozen, pre-update) [`DomainHistory`], and
 /// [`DayIndexBuilder::finalize`] applies the threshold, prunes domains that
-/// turned popular, and sorts each surviving edge's timestamp series. The
-/// result is identical to [`DayIndex::build`] over the concatenated,
-/// timestamp-sorted day.
+/// turned popular, and sorts everything once into the index's columns.
 #[derive(Debug)]
 pub struct DayIndexBuilder {
     day: Day,
     unpopular_threshold: usize,
     new_domains: FastSet<DomainSym>,
-    domain_hosts: FastMap<DomainSym, BTreeSet<HostId>>,
-    edge_series: FastMap<EdgeKey, Vec<Timestamp>>,
+    /// First contact per edge. Its key set is the day's whole host↔domain
+    /// bipartite graph, which is where the per-domain host sets come from.
     first_contact: FastMap<EdgeKey, Timestamp>,
-    domain_ips: FastMap<DomainSym, BTreeSet<Ipv4>>,
+    edge_series: FastMap<EdgeKey, Vec<Timestamp>>,
+    domain_ips: FastSet<(DomainSym, Ipv4)>,
     edge_http: FastMap<EdgeKey, EdgeHttp>,
 }
 
@@ -440,10 +438,9 @@ impl DayIndexBuilder {
             day,
             unpopular_threshold,
             new_domains: FastSet::default(),
-            domain_hosts: FastMap::default(),
-            edge_series: FastMap::default(),
             first_contact: FastMap::default(),
-            domain_ips: FastMap::default(),
+            edge_series: FastMap::default(),
+            domain_ips: FastSet::default(),
             edge_http: FastMap::default(),
         }
     }
@@ -458,24 +455,25 @@ impl DayIndexBuilder {
         history: &DomainHistory,
         ua_history: Option<&UaHistory>,
     ) {
+        self.observe(contacts, ua_history, |d| history.is_new(d));
+    }
+
+    /// Absorbs contacts, tracking series and HTTP statistics for every
+    /// domain `is_new` accepts.
+    fn observe(
+        &mut self,
+        contacts: &[Contact],
+        ua_history: Option<&UaHistory>,
+        is_new: impl Fn(DomainSym) -> bool,
+    ) {
         for c in contacts {
             let edge = (c.host, c.domain);
-            self.domain_hosts.entry(c.domain).or_default().insert(c.host);
-            match self.first_contact.entry(edge) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    if c.ts < *e.get() {
-                        e.insert(c.ts);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(c.ts);
-                }
-            }
+            self.first_contact.entry(edge).and_modify(|ts| *ts = (*ts).min(c.ts)).or_insert(c.ts);
             if let Some(ip) = c.dest_ip {
-                self.domain_ips.entry(c.domain).or_default().insert(ip);
+                self.domain_ips.insert((c.domain, ip));
             }
             let tracked = self.new_domains.contains(&c.domain)
-                || (history.is_new(c.domain) && self.new_domains.insert(c.domain));
+                || (is_new(c.domain) && self.new_domains.insert(c.domain));
             if tracked {
                 self.edge_series.entry(edge).or_default().push(c.ts);
                 self.edge_http.entry(edge).or_default().observe(c, ua_history);
@@ -496,11 +494,10 @@ impl DayIndexBuilder {
     /// is); hosts and timestamps are untouched.
     pub fn remap_domains(&mut self, map: impl Fn(DomainSym) -> DomainSym) {
         self.new_domains = self.new_domains.drain().map(&map).collect();
-        self.domain_hosts = self.domain_hosts.drain().map(|(d, v)| (map(d), v)).collect();
         self.edge_series = self.edge_series.drain().map(|((h, d), v)| ((h, map(d)), v)).collect();
         self.first_contact =
             self.first_contact.drain().map(|((h, d), v)| ((h, map(d)), v)).collect();
-        self.domain_ips = self.domain_ips.drain().map(|(d, v)| (map(d), v)).collect();
+        self.domain_ips = self.domain_ips.drain().map(|(d, ip)| (map(d), ip)).collect();
         self.edge_http = self.edge_http.drain().map(|((h, d), v)| ((h, map(d)), v)).collect();
     }
 
@@ -519,85 +516,76 @@ impl DayIndexBuilder {
             "merging builders with different thresholds"
         );
         self.new_domains.extend(other.new_domains);
-        for (d, hosts) in other.domain_hosts {
-            self.domain_hosts.entry(d).or_default().extend(hosts);
-        }
         for (edge, series) in other.edge_series {
             self.edge_series.entry(edge).or_default().extend(series);
         }
         for (edge, ts) in other.first_contact {
-            match self.first_contact.entry(edge) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    if ts < *e.get() {
-                        e.insert(ts);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(ts);
-                }
-            }
+            self.first_contact.entry(edge).and_modify(|t| *t = (*t).min(ts)).or_insert(ts);
         }
-        for (d, ips) in other.domain_ips {
-            self.domain_ips.entry(d).or_default().extend(ips);
-        }
+        self.domain_ips.extend(other.domain_ips);
         for (edge, http) in other.edge_http {
             self.edge_http.entry(edge).or_default().merge(http);
         }
     }
 
-    /// Applies the unpopularity threshold, prunes series of new-but-popular
-    /// domains, sorts every surviving edge series, and produces the
+    /// Applies the unpopularity threshold and seals the day into the
     /// immutable [`DayIndex`].
     pub fn finalize(self) -> DayIndex {
-        let DayIndexBuilder {
-            day,
-            unpopular_threshold,
-            new_domains,
-            domain_hosts,
-            mut edge_series,
-            first_contact,
-            domain_ips,
-            mut edge_http,
-        } = self;
-
-        let rare: FastSet<DomainSym> = new_domains
+        let domain_hosts = self.domain_hosts();
+        let rare: FastSet<DomainSym> = self
+            .new_domains
             .iter()
             .copied()
-            .filter(|d| domain_hosts.get(d).is_some_and(|h| h.len() < unpopular_threshold))
+            .filter(|&d| domain_hosts.get(d).is_some_and(|h| h.len() < self.unpopular_threshold))
             .collect();
-        edge_series.retain(|(_, d), _| rare.contains(d));
-        edge_http.retain(|(_, d), _| rare.contains(d));
-        for series in edge_series.values_mut() {
-            // Chunks arrive out of order: restore the sorted invariant every
-            // beacon-period estimator relies on.
-            series.sort_unstable();
-        }
+        let new_count = self.new_domains.len();
+        self.seal(domain_hosts, rare, new_count)
+    }
 
-        let mut host_rare_domains: FastMap<HostId, BTreeSet<DomainSym>> = FastMap::default();
-        for &domain in &rare {
-            if let Some(hosts) = domain_hosts.get(&domain) {
-                for &host in hosts {
-                    host_rare_domains.entry(host).or_default().insert(domain);
-                }
-            }
-        }
-        let http_available = edge_http.values().any(|s| s.saw_http);
+    /// The day's hosts per domain: the edge set, transposed.
+    fn domain_hosts(&self) -> Grouped<DomainSym, HostId> {
+        Grouped::from_pairs(self.first_contact.keys().map(|&(h, d)| (d, h)).collect())
+    }
 
-        let mut index = DayIndex {
-            day,
-            http_available,
+    /// The one place a day is sorted: prunes the series and HTTP statistics
+    /// of tracked domains that turned out popular, orders every edge's
+    /// timestamps (chunks arrive out of order, and every beacon-period
+    /// estimator relies on ascending series), and lays each map out as a
+    /// key-sorted column.
+    fn seal(
+        self,
+        domain_hosts: Grouped<DomainSym, HostId>,
+        rare: FastSet<DomainSym>,
+        new_count: usize,
+    ) -> DayIndex {
+        let is_rare_edge = |&(_, d): &EdgeKey| rare.contains(&d);
+        let mut series: Vec<(EdgeKey, Vec<Timestamp>)> =
+            self.edge_series.into_iter().filter(|(k, _)| is_rare_edge(k)).collect();
+        series.sort_unstable_by_key(|&(k, _)| k);
+        let mut edge_series = Grouped::with_capacity(series.len());
+        for (edge, mut timestamps) in series {
+            timestamps.sort_unstable();
+            edge_series.begin_group(edge);
+            edge_series.values.extend(timestamps);
+        }
+        let mut first_contact: Vec<(EdgeKey, Timestamp)> = self.first_contact.into_iter().collect();
+        first_contact.sort_unstable_by_key(|&(k, _)| k);
+        let mut edge_http: Vec<(EdgeKey, EdgeHttp)> =
+            self.edge_http.into_iter().filter(|(k, _)| is_rare_edge(k)).collect();
+        edge_http.sort_unstable_by_key(|&(k, _)| k);
+        let mut rare: Vec<DomainSym> = rare.iter().copied().collect();
+        rare.sort_unstable();
+        DayIndex::from_columns(
+            self.day,
+            new_count,
             rare,
-            new_count: new_domains.len(),
             domain_hosts,
-            host_rare_domains,
             edge_series,
             first_contact,
-            domain_ips,
+            Grouped::from_pairs(self.domain_ips.into_iter().collect()),
             edge_http,
-            sealed: None,
-        };
-        index.sealed = Some(index.snapshot_uncached());
-        index
+        )
+        .expect("every column was sorted just above")
     }
 }
 
@@ -782,6 +770,7 @@ mod tests {
                 assert_eq!(streamed.rare_domains_of(h), batch.rare_domains_of(h));
             }
         }
+        assert_eq!(streamed, batch, "every column agrees, not just the accessors probed above");
     }
 
     #[test]
@@ -825,6 +814,80 @@ mod tests {
         f.push(3, 3, "x.io", None, Some(HttpContext { ua: None, referer_present: false }));
         f.push(4, 1, "y.io", None, Some(HttpContext { ua: Some(common), referer_present: false }));
         assert_builder_matches_batch(&mut f.contacts, Some(&hist));
+    }
+
+    #[test]
+    fn builder_matches_batch_index_on_an_empty_day() {
+        assert_builder_matches_batch(&mut [], None);
+        let empty = DayIndexBuilder::new(Day::new(3), 10).finalize();
+        assert_eq!(empty.day(), Day::new(3));
+        assert_eq!((empty.rare_count(), empty.new_count(), empty.rare_edge_count()), (0, 0, 0));
+        assert!(empty.rare_domains_of(HostId::new(0)).is_none());
+    }
+
+    #[test]
+    fn rare_domains_of_is_the_hosts_run_of_the_edge_keys() {
+        let mut f = Fixture::new();
+        f.push(1, 2, "b.com", None, None);
+        f.push(2, 1, "c.com", None, None);
+        f.push(3, 2, "a.com", None, None);
+        f.push(4, 7, "a.com", None, None);
+        let idx = f.index(None);
+        let sym = |n: &str| f.domains.get(n).unwrap();
+        let mut of_two = [sym("a.com"), sym("b.com")];
+        of_two.sort_unstable();
+        assert_eq!(idx.rare_domains_of(HostId::new(2)), Some(&of_two[..]));
+        assert_eq!(idx.rare_domains_of(HostId::new(1)), Some(&[sym("c.com")][..]));
+        assert_eq!(idx.rare_domains_of(HostId::new(7)), Some(&[sym("a.com")][..]));
+        for absent in [0, 3, 8] {
+            assert!(idx.rare_domains_of(HostId::new(absent)).is_none());
+        }
+    }
+
+    #[test]
+    fn from_columns_accepts_its_own_columns_and_names_an_unsorted_one() {
+        let mut f = Fixture::new();
+        f.push(10, 1, "a.com", Some(Ipv4::new(5, 5, 5, 1)), None);
+        f.push(20, 2, "a.com", Some(Ipv4::new(5, 5, 5, 2)), None);
+        f.push(30, 2, "b.com", None, None);
+        let idx = f.index(None);
+        let rebuild = |rare: Vec<DomainSym>, first: Vec<(EdgeKey, Timestamp)>| {
+            DayIndex::from_columns(
+                idx.day(),
+                idx.new_count(),
+                rare,
+                idx.domain_hosts().clone(),
+                idx.edge_series().clone(),
+                first,
+                idx.domain_ips().clone(),
+                idx.edge_http().to_vec(),
+            )
+        };
+        let rare: Vec<DomainSym> = idx.rare_domains().collect();
+        assert_eq!(rebuild(rare.clone(), idx.first_contacts().to_vec()).as_ref(), Ok(&idx));
+
+        let mut reversed = rare.clone();
+        reversed.reverse();
+        assert_eq!(rebuild(reversed, idx.first_contacts().to_vec()), Err(UnsortedColumn("rare")));
+        let mut repeated = idx.first_contacts().to_vec();
+        repeated.push(*repeated.last().unwrap());
+        assert_eq!(rebuild(rare, repeated), Err(UnsortedColumn("first_contact")));
+
+        let mut descending = Grouped::with_capacity(1);
+        descending.begin_group((HostId::new(1), DomainSym::from_raw(0)));
+        descending.push(Timestamp::from_secs(9));
+        descending.push(Timestamp::from_secs(3));
+        let err = DayIndex::from_columns(
+            idx.day(),
+            0,
+            Vec::new(),
+            Grouped::with_capacity(0),
+            descending,
+            Vec::new(),
+            Grouped::with_capacity(0),
+            Vec::new(),
+        );
+        assert_eq!(err, Err(UnsortedColumn("edge_series")));
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   and user-agent strings.
 //! * [`rare`] — "new + unpopular" rare-destination extraction.
 //! * [`index`] — the per-day [`DayIndex`] over contacts: host↔domain edges,
-//!   per-edge timestamp series, per-domain IPs and HTTP statistics; built
-//!   whole-day by [`DayIndex::build`] or incrementally from out-of-order
-//!   chunks by [`DayIndexBuilder`].
+//!   per-edge timestamp series, per-domain IPs and HTTP statistics, held as
+//!   sorted columns; built whole-day by [`DayIndex::build`] or incrementally
+//!   from out-of-order chunks by [`DayIndexBuilder`].
 //!
 //! The chunk-level entry points take only `&self` state (the fold memo and
 //! the [`InternalFilter`] verdict cache are internally synchronized), so one
@@ -57,7 +57,7 @@ pub mod reduce;
 pub use contact::{Contact, HttpContext};
 pub use fold::{DomainFolder, FoldTable};
 pub use history::{DomainHistory, UaHistory};
-pub use index::{DayIndex, DayIndexBuilder, DayIndexSnapshot, EdgeHttpSnapshot, EdgeKey};
+pub use index::{DayIndex, DayIndexBuilder, EdgeHttp, EdgeKey, Grouped, UnsortedColumn};
 pub use normalize::{normalize_proxy_chunk, normalize_proxy_day, NormalizationCounts};
 pub use rare::{RareDomains, RareSieve};
 pub use reduce::{

@@ -49,11 +49,6 @@ impl RareDomains {
     pub fn hosts_of(&self, domain: DomainSym) -> Option<&BTreeSet<HostId>> {
         self.domain_hosts.get(&domain)
     }
-
-    /// The full per-domain host map for the day.
-    pub fn domain_hosts(&self) -> &FastMap<DomainSym, BTreeSet<HostId>> {
-        &self.domain_hosts
-    }
 }
 
 /// The rare-destination sieve: combines a [`DomainHistory`] with the

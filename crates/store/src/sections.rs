@@ -1,11 +1,16 @@
 //! Component codecs: how each piece of engine state maps onto the wire.
 //!
 //! These functions encode *hooks* exposed by the substrate crates (interner
-//! snapshots, history logs, day-index snapshots, model parts) rather than
+//! snapshots, history logs, day-index columns, model parts) rather than
 //! private memory layouts, so the binary format stays stable under internal
 //! refactors. Decoders validate every invariant the constructors would
 //! otherwise `assert!` — a corrupt snapshot must surface a typed
 //! [`StoreError`], never a panic.
+//!
+//! A day index is the one structure whose wire order *is* its memory order:
+//! [`write_day_index`] emits a [`DayIndex`]'s sorted columns as they stand
+//! and [`read_day_index`] decodes them straight back into place, so neither
+//! direction sorts, and a restored day re-encodes as cheaply as a live one.
 
 use crate::codec::{Decoder, Encoder};
 use crate::error::{StoreError, StoreResult};
@@ -16,8 +21,8 @@ use earlybird_logmodel::{
     TypedInterner,
 };
 use earlybird_pipeline::{
-    DayIndex, DayIndexSnapshot, DnsReductionCounts, DomainHistory, EdgeHttpSnapshot,
-    NormalizationCounts, ProxyReductionCounts, UaHistory,
+    DayIndex, DnsReductionCounts, DomainHistory, EdgeHttp, EdgeKey, Grouped, NormalizationCounts,
+    ProxyReductionCounts, UaHistory,
 };
 use earlybird_timing::{AutomationDetector, DistanceMetric};
 
@@ -195,36 +200,26 @@ pub fn read_ua_history(
 
 // -- day index --------------------------------------------------------------
 
-/// Writes one retained day's contact index.
+/// Writes one retained day's contact index. A [`DayIndex`] holds its columns
+/// in exactly the order written here — live and restored days alike — so
+/// this is pure emission: no sorting, no cloning.
 pub fn write_day_index(e: &mut Encoder, index: &DayIndex) {
-    // Live indexes carry their sorted form from seal time, so encoding
-    // under a frozen always-on engine is pure emission — no sorting or
-    // cloning here. Restored indexes (rare full rewrites) fall back to
-    // decomposing on the fly.
-    let fallback;
-    let snap = match index.sealed() {
-        Some(snap) => snap,
-        None => {
-            fallback = index.to_snapshot();
-            &fallback
-        }
-    };
-    e.u32v(snap.day.index());
-    e.usizev(snap.new_count);
-    e.usizev(snap.rare.len());
-    for d in &snap.rare {
+    e.u32v(index.day().index());
+    e.usizev(index.new_count());
+    e.usizev(index.rare_count());
+    for d in index.rare_domains() {
         e.u32v(d.raw());
     }
-    e.usizev(snap.domain_hosts.len());
-    for (d, hosts) in &snap.domain_hosts {
+    e.usizev(index.domain_hosts().len());
+    for (d, hosts) in index.domain_hosts().iter() {
         e.u32v(d.raw());
         e.usizev(hosts.len());
         for h in hosts {
             e.u32v(h.index());
         }
     }
-    e.usizev(snap.edge_series.len());
-    for ((h, d), series) in &snap.edge_series {
+    e.usizev(index.edge_series().len());
+    for ((h, d), series) in index.edge_series().iter() {
         e.u32v(h.index());
         e.u32v(d.raw());
         e.usizev(series.len());
@@ -235,22 +230,22 @@ pub fn write_day_index(e: &mut Encoder, index: &DayIndex) {
             prev = ts.as_secs();
         }
     }
-    e.usizev(snap.first_contact.len());
-    for ((h, d), ts) in &snap.first_contact {
+    e.usizev(index.first_contacts().len());
+    for ((h, d), ts) in index.first_contacts() {
         e.u32v(h.index());
         e.u32v(d.raw());
         e.varint(ts.as_secs());
     }
-    e.usizev(snap.domain_ips.len());
-    for (d, ips) in &snap.domain_ips {
+    e.usizev(index.domain_ips().len());
+    for (d, ips) in index.domain_ips().iter() {
         e.u32v(d.raw());
         e.usizev(ips.len());
         for ip in ips {
             e.u32v(ip.to_bits());
         }
     }
-    e.usizev(snap.edge_http.len());
-    for ((h, d), http) in &snap.edge_http {
+    e.usizev(index.edge_http().len());
+    for ((h, d), http) in index.edge_http() {
         e.u32v(h.index());
         e.u32v(d.raw());
         e.u32v(http.connections);
@@ -260,85 +255,78 @@ pub fn write_day_index(e: &mut Encoder, index: &DayIndex) {
     }
 }
 
-/// Reads one retained day's contact index.
+fn read_edge(d: &mut Decoder<'_>) -> StoreResult<EdgeKey> {
+    Ok((HostId::new(d.u32v()?), DomainSym::from_raw(d.u32v()?)))
+}
+
+/// Reads one retained day's contact index, each column straight into the
+/// `Vec` it lives in for the life of the engine. A column whose keys do not
+/// ascend (the order every lookup binary-searches on) is
+/// [`StoreError::Corrupt`], as is any count past the payload.
 pub fn read_day_index(d: &mut Decoder<'_>) -> StoreResult<DayIndex> {
     let day = Day::new(d.u32v()?);
     let new_count = d.usizev()?;
 
     let n = d.seq_len(1)?;
-    let mut rare = Vec::with_capacity(n.min(64 * 1024));
+    let mut rare = Vec::with_capacity(n);
     for _ in 0..n {
         rare.push(DomainSym::from_raw(d.u32v()?));
     }
 
     let n = d.seq_len(2)?;
-    let mut domain_hosts = Vec::with_capacity(n.min(64 * 1024));
+    let mut domain_hosts = Grouped::with_capacity(n);
     for _ in 0..n {
-        let dom = DomainSym::from_raw(d.u32v()?);
-        let k = d.seq_len(1)?;
-        let mut hosts = Vec::with_capacity(k.min(64 * 1024));
-        for _ in 0..k {
-            hosts.push(HostId::new(d.u32v()?));
+        domain_hosts.begin_group(DomainSym::from_raw(d.u32v()?));
+        for _ in 0..d.seq_len(1)? {
+            domain_hosts.push(HostId::new(d.u32v()?));
         }
-        domain_hosts.push((dom, hosts));
     }
 
     let n = d.seq_len(3)?;
-    let mut edge_series = Vec::with_capacity(n.min(64 * 1024));
+    let mut edge_series = Grouped::with_capacity(n);
     for _ in 0..n {
-        let h = HostId::new(d.u32v()?);
-        let dom = DomainSym::from_raw(d.u32v()?);
-        let k = d.seq_len(1)?;
-        let mut series = Vec::with_capacity(k.min(64 * 1024));
+        edge_series.begin_group(read_edge(d)?);
         let mut prev = 0u64;
-        for _ in 0..k {
+        for _ in 0..d.seq_len(1)? {
             // checked_add keeps the decoded series non-decreasing even for
             // hostile input — downstream beacon estimators assert sorted
             // series, and that panic must not be reachable from a snapshot.
-            let secs = prev
+            prev = prev
                 .checked_add(d.varint()?)
                 .ok_or_else(|| StoreError::corrupt("edge series timestamp delta overflows u64"))?;
-            series.push(Timestamp::from_secs(secs));
-            prev = secs;
+            edge_series.push(Timestamp::from_secs(prev));
         }
-        edge_series.push(((h, dom), series));
     }
 
     let n = d.seq_len(3)?;
-    let mut first_contact = Vec::with_capacity(n.min(64 * 1024));
+    let mut first_contact = Vec::with_capacity(n);
     for _ in 0..n {
-        let h = HostId::new(d.u32v()?);
-        let dom = DomainSym::from_raw(d.u32v()?);
-        first_contact.push(((h, dom), Timestamp::from_secs(d.varint()?)));
+        first_contact.push((read_edge(d)?, Timestamp::from_secs(d.varint()?)));
     }
 
     let n = d.seq_len(2)?;
-    let mut domain_ips = Vec::with_capacity(n.min(64 * 1024));
+    let mut domain_ips = Grouped::with_capacity(n);
     for _ in 0..n {
-        let dom = DomainSym::from_raw(d.u32v()?);
-        let k = d.seq_len(1)?;
-        let mut ips = Vec::with_capacity(k.min(64 * 1024));
-        for _ in 0..k {
-            ips.push(Ipv4::from_bits(d.u32v()?));
+        domain_ips.begin_group(DomainSym::from_raw(d.u32v()?));
+        for _ in 0..d.seq_len(1)? {
+            domain_ips.push(Ipv4::from_bits(d.u32v()?));
         }
-        domain_ips.push((dom, ips));
     }
 
     let n = d.seq_len(6)?;
-    let mut edge_http = Vec::with_capacity(n.min(64 * 1024));
+    let mut edge_http = Vec::with_capacity(n);
     for _ in 0..n {
-        let h = HostId::new(d.u32v()?);
-        let dom = DomainSym::from_raw(d.u32v()?);
-        let http = EdgeHttpSnapshot {
+        let edge = read_edge(d)?;
+        let http = EdgeHttp {
             connections: d.u32v()?,
             with_referer: d.u32v()?,
             with_common_ua: d.u32v()?,
             saw_http: d.bool()?,
         };
-        edge_http.push(((h, dom), http));
+        edge_http.push((edge, http));
     }
 
-    Ok(DayIndex::from_snapshot(DayIndexSnapshot {
+    DayIndex::from_columns(
         day,
         new_count,
         rare,
@@ -347,7 +335,8 @@ pub fn read_day_index(d: &mut Decoder<'_>) -> StoreResult<DayIndex> {
         first_contact,
         domain_ips,
         edge_http,
-    }))
+    )
+    .map_err(|e| StoreError::corrupt(e.to_string()))
 }
 
 // -- reduction / normalization counters -------------------------------------

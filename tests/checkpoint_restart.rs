@@ -10,10 +10,11 @@
 //! shims keep producing and reading the exact bytes of the
 //! `freeze()`/`Persistence` path until they are removed.
 
+use earlybird::engine::IngestSource;
 use earlybird::engine::{
     Alert, CheckpointMeta, CollectedAlerts, DayBatch, DayReport, Engine, EngineBuilder, StoreError,
 };
-use earlybird::logmodel::Day;
+use earlybird::logmodel::{format_proxy_line, Day, DomainInterner, ProxyDayLog, TypedInterner};
 use earlybird::synthgen::ac::{AcConfig, AcGenerator, AcWorld};
 use earlybird::synthgen::lanl::{LanlChallenge, LanlConfig, LanlGenerator};
 use earlybird_core::{CcModel, SimScorer};
@@ -260,6 +261,69 @@ fn enterprise_proxy_cold_restart_is_bit_identical() {
     let expected_suffix: Vec<Alert> =
         ref_alerts.snapshot().into_iter().filter(|a| a.day >= split_day).collect();
     assert_eq!(restored_alerts.snapshot(), expected_suffix, "proxy sink sequence");
+}
+
+fn assert_last_string_published<T>(interner: &TypedInterner<T>, what: &str) {
+    let strings = interner.snapshot();
+    let last = strings.last().unwrap_or_else(|| panic!("{what} interner restored empty"));
+    assert_eq!(
+        interner.reader().get(last).map(|sym| sym.raw() as usize),
+        Some(strings.len() - 1),
+        "{what}: the wait-free snapshot must cover the last restored string `{last}`"
+    );
+}
+
+/// The publication contract of restore: over a full block plus a long
+/// segment chain, every interner's wait-free reader snapshot is published
+/// once, after the last block, and so covers the *whole* restored table —
+/// and the next raw-line day is byte-identical to the uninterrupted run.
+#[test]
+fn restore_publishes_each_interner_once_over_the_whole_chain() {
+    const SEGMENTS: usize = 22;
+    let world = AcGenerator::new(AcConfig::tiny()).generate();
+    let ds = &world.dataset;
+    let push = |engine: &mut Engine, day: &ProxyDayLog| -> DayReport {
+        let text: String = day
+            .records
+            .iter()
+            .map(|r| format_proxy_line(r, &ds.domains, &ds.uas, &ds.paths) + "\n")
+            .collect();
+        let mut ingest = engine.begin_day(day.day, IngestSource::Proxy { dhcp: &ds.dhcp });
+        assert!(ingest.push_lines(&text).is_empty(), "{:?} parses cleanly", day.day);
+        ingest.finish()
+    };
+
+    // The engine interns every name itself, from raw lines.
+    let mut live = EngineBuilder::enterprise()
+        .bootstrap_days(2)
+        .auto_investigate(true)
+        .build(Arc::new(DomainInterner::new()), ds.meta.clone())
+        .expect("valid config");
+    let mut chain = Vec::new();
+    push(&mut live, &ds.days[0]);
+    live.freeze().write_to(&mut chain).expect("full block");
+    for day in &ds.days[1..=SEGMENTS] {
+        push(&mut live, day);
+        live.freeze_day().expect("segment freezes").write_to(&mut chain).expect("segment");
+    }
+
+    let raw = Arc::new(DomainInterner::new());
+    let mut restored = EngineBuilder::enterprise()
+        .restore_stream_with_domains(Arc::clone(&raw), &mut chain.as_slice())
+        .expect("chain restores");
+    assert_last_string_published(&raw, "raw domain");
+    assert_last_string_published(restored.folded(), "folded domain");
+    assert_last_string_published(restored.ua_interner(), "user-agent");
+    assert_last_string_published(restored.path_interner(), "path");
+
+    let next = &ds.days[SEGMENTS + 1];
+    let (live_report, restored_report) = (push(&mut live, next), push(&mut restored, next));
+    assert!(live_report.stages.rare_destinations > 0, "the compared day does real work");
+    assert_reports_equal(&restored_report, &live_report, "first day after restore");
+    let (mut live_bytes, mut restored_bytes) = (Vec::new(), Vec::new());
+    live.freeze_day().expect("freezes").write_to(&mut live_bytes).expect("writes");
+    restored.freeze_day().expect("freezes").write_to(&mut restored_bytes).expect("writes");
+    assert_eq!(restored_bytes, live_bytes, "the day's segment is byte-identical");
 }
 
 /// Trained model parameters (regression weights, scaler bounds, WHOIS

@@ -1,14 +1,18 @@
 //! Property tests for the snapshot layer: round-trips over arbitrary
-//! interner contents (unicode, empty strings, 100k+ symbols) and the
-//! guarantee that truncated or corrupted snapshots fail with a typed
-//! [`StoreError`] — never a panic, never a silent misload.
+//! interner contents (unicode, empty strings, 100k+ symbols) and arbitrary
+//! day indexes (by value and by byte), and the guarantee that truncated,
+//! corrupted or hand-crafted snapshots fail with a typed [`StoreError`] —
+//! never a panic, never a silent misload.
 
 use earlybird::engine::{DayBatch, Engine, EngineBuilder, StoreError};
 use earlybird::logmodel::{
     DatasetMeta, Day, DnsDayLog, DnsQuery, DnsRecordType, DomainInterner, HostId, HostKind, Ipv4,
     Symbol, Timestamp,
 };
-use earlybird::store::{sections, Decoder, Encoder};
+use earlybird::pipeline::{
+    Contact, DayIndex, DayIndexBuilder, DomainHistory, HttpContext, RareSieve,
+};
+use earlybird::store::{sections, BlockKind, BlockWriter, Decoder, Encoder, SectionTag};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -46,6 +50,325 @@ proptest! {
         prop_assert_eq!(restored.len(), original.len());
         for (k, s) in original.snapshot().iter().enumerate() {
             prop_assert_eq!(&restored.resolve(Symbol::from_raw(k as u32)), s);
+        }
+    }
+}
+
+fn encode_index(index: &DayIndex) -> Vec<u8> {
+    let mut e = Encoder::new();
+    sections::write_day_index(&mut e, index);
+    e.into_bytes()
+}
+
+fn decode_index(bytes: &[u8]) -> Result<DayIndex, StoreError> {
+    let mut d = Decoder::new(bytes, SectionTag::Products.name());
+    let index = sections::read_day_index(&mut d)?;
+    d.finish()?;
+    Ok(index)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A day built live from arbitrarily ordered, arbitrarily chunked
+    /// contacts (HTTP context, destination IPs, popular-new domains and
+    /// empty days included) equals the whole-day build, and survives the
+    /// wire as the *same value*: decoding yields an index `==` on every
+    /// column, and re-encoding it yields the same bytes.
+    #[test]
+    fn day_index_roundtrips_by_value_and_by_byte(
+        raw in proptest::collection::vec(
+            (0u64..5_000, 0u32..7, 0u32..9, proptest::option::of(0u32..4), 0u8..6),
+            0..60,
+        ),
+        known in proptest::collection::vec(0u32..9, 0..3),
+        chunk in 1usize..9,
+    ) {
+        let contacts: Vec<Contact> = raw
+            .iter()
+            .map(|&(ts, host, domain, ip, http)| Contact {
+                ts: Timestamp::from_secs(ts),
+                host: HostId::new(host),
+                domain: Symbol::from_raw(domain),
+                dest_ip: ip.map(|b| Ipv4::new(198, 51, 100, b as u8)),
+                // 0/1: no HTTP context; otherwise referer × user-agent presence.
+                http: (http >= 2).then(|| HttpContext {
+                    ua: (http >= 4).then(|| Symbol::from_raw(u32::from(http))),
+                    referer_present: http % 2 == 1,
+                }),
+            })
+            .collect();
+        let mut history = DomainHistory::new();
+        history.update_domains(known.iter().map(|&d| Symbol::from_raw(d)));
+
+        let mut builder = DayIndexBuilder::new(Day::new(4), 3);
+        for chunk in contacts.chunks(chunk) {
+            builder.push_contacts(chunk, &history, None);
+        }
+        let live = builder.finalize();
+        let rare = RareSieve::new(3).extract(&contacts, &history);
+        prop_assert_eq!(&DayIndex::build(Day::new(4), &contacts, rare, None), &live);
+
+        let bytes = encode_index(&live);
+        let restored = decode_index(&bytes).expect("a live day decodes");
+        prop_assert_eq!(&restored, &live);
+        prop_assert_eq!(encode_index(&restored), bytes);
+    }
+}
+
+/// A hand-crafted day-index body: the `(day, new_count)` header, `before`
+/// empty columns, whatever `column` writes, then empty columns up to the
+/// format's six (rare, domain_hosts, edge_series, first_contact,
+/// domain_ips, edge_http).
+fn crafted_index(before: usize, column: impl Fn(&mut Encoder)) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.u32v(0); // day
+    e.usizev(0); // new_count
+    (0..before).for_each(|_| e.usizev(0));
+    column(&mut e);
+    (before + 1..6).for_each(|_| e.usizev(0));
+    e.into_bytes()
+}
+
+/// Hand-crafted day indexes that decode field by field but break an order
+/// the index's binary searches rely on — or claim more elements than the
+/// payload holds — are typed `Corrupt`, never a panic or a silent misload.
+#[test]
+fn crafted_day_indexes_are_typed_corrupt() {
+    let well_formed = crafted_index(0, |e| {
+        e.usizev(2);
+        e.u32v(2);
+        e.u32v(5);
+    });
+    assert_eq!(decode_index(&well_formed).expect("the crafting helper is sound").rare_count(), 2);
+
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        (
+            "unsorted rare set",
+            crafted_index(0, |e| {
+                e.usizev(3);
+                [2u32, 5, 3].iter().for_each(|&d| e.u32v(d));
+            }),
+        ),
+        (
+            "repeated domain_hosts key",
+            crafted_index(1, |e| {
+                e.usizev(2);
+                for _ in 0..2 {
+                    e.u32v(7);
+                    e.usizev(1);
+                    e.u32v(0);
+                }
+            }),
+        ),
+        (
+            "unsorted hosts under one domain",
+            crafted_index(1, |e| {
+                e.usizev(1);
+                e.u32v(7);
+                e.usizev(2);
+                e.u32v(4);
+                e.u32v(1);
+            }),
+        ),
+        (
+            "descending edge series",
+            crafted_index(2, |e| {
+                e.usizev(1);
+                e.u32v(1);
+                e.u32v(7);
+                e.usizev(2);
+                e.varint(100);
+                e.varint(50u64.wrapping_sub(100));
+            }),
+        ),
+        (
+            "unsorted edge_series keys",
+            crafted_index(2, |e| {
+                e.usizev(2);
+                for host in [2u32, 1] {
+                    e.u32v(host);
+                    e.u32v(7);
+                    e.usizev(1);
+                    e.varint(100);
+                }
+            }),
+        ),
+        (
+            "repeated first_contact edge",
+            crafted_index(3, |e| {
+                e.usizev(2);
+                for _ in 0..2 {
+                    e.u32v(1);
+                    e.u32v(7);
+                    e.varint(100);
+                }
+            }),
+        ),
+        (
+            "unsorted domain_ips keys",
+            crafted_index(4, |e| {
+                e.usizev(2);
+                for domain in [7u32, 3] {
+                    e.u32v(domain);
+                    e.usizev(1);
+                    e.u32v(0x0A00_0001);
+                }
+            }),
+        ),
+        (
+            "unsorted edge_http keys",
+            crafted_index(5, |e| {
+                e.usizev(2);
+                for host in [3u32, 2] {
+                    e.u32v(host);
+                    e.u32v(7);
+                    (0..3).for_each(|_| e.u32v(1));
+                    e.bool(true);
+                }
+            }),
+        ),
+        (
+            "rare count past the payload",
+            crafted_index(0, |e| {
+                e.usizev(1_000);
+                e.u32v(1);
+            }),
+        ),
+        (
+            "host count past the payload",
+            crafted_index(1, |e| {
+                e.usizev(1);
+                e.u32v(7);
+                e.usizev(1 << 40);
+            }),
+        ),
+    ];
+    for (what, bytes) in &cases {
+        match decode_index(bytes) {
+            Err(StoreError::Corrupt { .. }) => {}
+            other => panic!("{what}: expected a typed Corrupt, got {other:?}"),
+        }
+    }
+
+    // The same defect inside a chain surfaces through a whole-engine restore.
+    let chain = chain_with_crafted_segment(&valid_history_section, &[cases[1].1.clone()]);
+    match try_restore(&chain) {
+        Err(StoreError::Corrupt { context }) => {
+            assert!(context.contains("domain_hosts"), "names the column: {context}")
+        }
+        other => panic!("crafted Products section: expected Corrupt, got {other:?}"),
+    }
+}
+
+/// The fixture's full block with its cross-day log lengths, which a
+/// hand-built segment's history deltas must continue from.
+struct FixtureBase {
+    full_block: &'static [u8],
+    history_len: usize,
+    days_ingested: u32,
+}
+
+fn fixture_base() -> FixtureBase {
+    let pristine = fixture_snapshot();
+    let full_block = &pristine[..full_block_len(pristine)];
+    let engine = try_restore(full_block).expect("the full block restores on its own");
+    assert!(engine.ua_history().pair_log().is_empty(), "a DNS fixture logs no user agents");
+    FixtureBase {
+        full_block,
+        history_len: engine.history().ordered().len(),
+        days_ingested: engine.history().days_ingested(),
+    }
+}
+
+/// A History section that continues the fixture's logs with empty deltas.
+fn valid_history_section(e: &mut Encoder, base: &FixtureBase) {
+    e.usizev(base.history_len);
+    e.usizev(0);
+    e.u32v(base.days_ingested);
+    empty_ua_delta(e);
+}
+
+fn empty_ua_delta(e: &mut Encoder) {
+    e.usizev(10); // the LANL configuration's rare-UA threshold
+    e.usizev(0);
+    e.usizev(0);
+}
+
+/// The fixture's full block followed by a hand-built day segment: empty
+/// deltas everywhere except the History section, which `history` writes
+/// whole, and the Products section, which carries `indexes` verbatim.
+fn chain_with_crafted_segment(
+    history: &dyn Fn(&mut Encoder, &FixtureBase),
+    indexes: &[Vec<u8>],
+) -> Vec<u8> {
+    let base = fixture_base();
+    let mut out = base.full_block.to_vec();
+    let mut block = BlockWriter::begin(&mut out, BlockKind::DaySegment).expect("begins");
+    let mut section = |tag: SectionTag, write: &dyn Fn(&mut Encoder)| {
+        let mut e = Encoder::new();
+        write(&mut e);
+        block.section(tag, e).expect("section writes");
+    };
+    // Four interner deltas and the raw-line host map: `(start 0, none)`.
+    section(SectionTag::Interners, &|e| (0..8).for_each(|_| e.usizev(0)));
+    section(SectionTag::Hosts, &|e| (0..2).for_each(|_| e.usizev(0)));
+    section(SectionTag::History, &|e| history(e, &base));
+    section(SectionTag::Reports, &|e| e.usizev(0));
+    section(SectionTag::Products, &|e| {
+        e.usizev(indexes.len());
+        for index in indexes {
+            (0..3).for_each(|_| e.bool(false)); // no reduction counters
+            e.raw(index);
+        }
+    });
+    section(SectionTag::Sequence, &|e| e.varint(1_000));
+    block.finish().expect("finishes");
+    out
+}
+
+/// Both cross-day logs skip an entry they already hold, so a delta that
+/// repeats one used to restore "successfully" with a log shorter than the
+/// chain's watermarks. Each log now fails the restore, naming its section.
+#[test]
+fn history_deltas_that_repeat_an_entry_are_typed_corrupt() {
+    let control = chain_with_crafted_segment(&valid_history_section, &[]);
+    let engine = try_restore(&control).expect("a well-formed hand-built segment restores");
+    assert_eq!(engine.history().ordered().len(), fixture_base().history_len);
+
+    let repeated_domain = chain_with_crafted_segment(
+        &|e, base| {
+            e.usizev(base.history_len);
+            e.usizev(2);
+            e.u32v(900);
+            e.u32v(900);
+            e.u32v(base.days_ingested);
+            empty_ua_delta(e);
+        },
+        &[],
+    );
+    let repeated_pair = chain_with_crafted_segment(
+        &|e, base| {
+            e.usizev(base.history_len);
+            e.usizev(0);
+            e.u32v(base.days_ingested);
+            e.usizev(10);
+            e.usizev(0);
+            e.usizev(2);
+            for _ in 0..2 {
+                e.u32v(3); // user agent
+                e.u32v(1); // host
+            }
+        },
+        &[],
+    );
+    for (chain, log) in [(repeated_domain, "destination-history"), (repeated_pair, "user-agent")] {
+        match try_restore(&chain) {
+            Err(StoreError::Corrupt { context }) => assert!(
+                context.contains("`history`") && context.contains(log),
+                "names the section and the log: {context}"
+            ),
+            other => panic!("{log} delta with a repeat: expected Corrupt, got {other:?}"),
         }
     }
 }
