@@ -321,8 +321,7 @@ mod tests {
         let seeds = Seeds::from_hosts([HostId::new(1)]);
         let out = belief_propagation(&ctx, Some(&cc), &sim, &seeds, &BpConfig::lanl_default());
 
-        let names: Vec<String> =
-            out.labeled.iter().map(|d| w.folded.resolve(d.domain).to_string()).collect();
+        let names: Vec<String> = out.labeled.iter().map(|d| w.folded.resolve(d.domain)).collect();
         assert!(names.contains(&"rainbow.c3".to_string()), "C&C found: {names:?}");
         assert!(names.contains(&"fluttershy.c3".to_string()));
         assert!(names.contains(&"pinkiepie.c3".to_string()));
@@ -350,8 +349,7 @@ mod tests {
         assert_eq!(seeds.hosts.len(), 2, "both beaconing victims seed H");
 
         let out = belief_propagation(&ctx, Some(&cc), &sim, &seeds, &BpConfig::lanl_default());
-        let detected: Vec<String> =
-            out.detected().map(|d| w.folded.resolve(d.domain).to_string()).collect();
+        let detected: Vec<String> = out.detected().map(|d| w.folded.resolve(d.domain)).collect();
         assert!(detected.contains(&"fluttershy.c3".to_string()), "{detected:?}");
         assert!(detected.contains(&"pinkiepie.c3".to_string()));
         assert!(!detected.contains(&"rainbow.c3".to_string()), "seed not re-counted");

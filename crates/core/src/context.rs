@@ -29,8 +29,7 @@ impl<'a> DayContext<'a> {
         let Some(whois) = self.whois else {
             return self.whois_defaults;
         };
-        let name = self.folded.resolve(domain);
-        match whois.lookup(&name, self.day) {
+        match self.folded.with_str(domain, |name| whois.lookup(name, self.day)) {
             WhoisAnswer::Known { age_days, validity_days } => (age_days, validity_days),
             WhoisAnswer::Unparseable | WhoisAnswer::NotFound => self.whois_defaults,
         }

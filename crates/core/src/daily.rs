@@ -482,8 +482,7 @@ impl DailyPipeline {
             return v;
         }
         drop(cache);
-        let name = self.fold.raw_interner().resolve(raw);
-        let v = name.parse::<Ipv4>().is_ok();
+        let v = self.fold.raw_interner().with_str(raw, |name| name.parse::<Ipv4>().is_ok());
         self.ip_literal_cache.lock().expect("ip-literal cache poisoned").insert(raw, v);
         v
     }

@@ -322,7 +322,7 @@ impl Engine {
     }
 
     /// Resolves a folded domain symbol to its name.
-    pub fn resolve(&self, domain: DomainSym) -> Arc<str> {
+    pub fn resolve(&self, domain: DomainSym) -> String {
         self.pipeline.folded_interner().resolve(domain)
     }
 
@@ -530,7 +530,7 @@ impl Engine {
                     sequence: 0,
                     day,
                     domain: d,
-                    name: ctx.folded.resolve(d).to_string(),
+                    name: ctx.folded.resolve(d),
                     score: 1.0,
                     verdict: Verdict::SeedConfirmed,
                     iteration: 0,
@@ -576,6 +576,15 @@ impl Engine {
             }
         }
         Ok(report)
+    }
+
+    /// Refreshes the `engine_interner_*` series from the four tables — at
+    /// each day finish and once after a restore, the moments they change.
+    pub(crate) fn record_interner_shape(&self) {
+        self.metrics.raw_table.record(self.pipeline.raw_interner());
+        self.metrics.folded_table.record(self.pipeline.folded_interner());
+        self.metrics.ua_table.record(&self.uas);
+        self.metrics.path_table.record(&self.paths);
     }
 
     /// The slim copy retained per day: counters only, so a months-long
@@ -722,7 +731,7 @@ impl Engine {
             sequence: 0,
             day,
             domain: d.domain,
-            name: ctx.folded.resolve(d.domain).to_string(),
+            name: ctx.folded.resolve(d.domain),
             score: d.score,
             verdict: Verdict::from_reason(d.reason),
             iteration: d.iteration,
@@ -804,7 +813,7 @@ impl Engine {
             let score = detector.score_with(ctx, domain, &auto_hosts);
             Some(CcCandidate {
                 domain,
-                name: ctx.folded.resolve(domain).to_string(),
+                name: ctx.folded.resolve(domain),
                 score,
                 auto_hosts: auto_hosts.len(),
                 period_secs: auto_hosts.first().map(|(_, ev)| ev.period),

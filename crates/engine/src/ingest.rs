@@ -430,6 +430,7 @@ impl Engine {
             let _profile_span = self.metrics.profile.start();
             self.pipeline.finish_day(accum)
         };
+        self.record_interner_shape();
         match outcome {
             DayOutcome::Bootstrap { dns_counts, proxy_counts, norm_counts } => {
                 report.dns_counts = dns_counts;

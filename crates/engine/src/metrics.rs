@@ -7,8 +7,30 @@
 //! hands every tenant the same one, labeled per tenant) and is
 //! snapshot-readable while the engine runs.
 
+use earlybird_logmodel::TypedInterner;
 use earlybird_obs::{Counter, Gauge, MetricsRegistry, StageTimer};
 use std::sync::Arc;
+
+/// The data-shape series of one interner table
+/// (`engine_interner_*{table=...}`): the variables that explain a slow
+/// restore or a large tenant.
+#[derive(Clone, Debug)]
+pub(crate) struct InternerShape {
+    symbols: Gauge,
+    bytes: Gauge,
+    publications: Counter,
+}
+
+impl InternerShape {
+    /// Brings the series up to the table's current state. The counter
+    /// mirrors the table's own monotone publication count, so it is
+    /// advanced by whatever it is behind.
+    pub(crate) fn record<T>(&self, table: &TypedInterner<T>) {
+        self.symbols.set(table.len() as i64);
+        self.bytes.set(table.byte_len() as i64);
+        self.publications.add(table.publications().saturating_sub(self.publications.get()));
+    }
+}
 
 /// One engine's handles into its [`MetricsRegistry`]: per-stage wall-time
 /// timers on `engine_stage_micros{stage=...}` plus the ingest counters.
@@ -54,6 +76,12 @@ pub(crate) struct EngineMetrics {
     /// (`compaction_replay_segments`) — bounded by `1 + K` under a tiered
     /// trigger.
     pub(crate) compaction_replay: Gauge,
+    /// Size of the raw-domain, folded-domain, user-agent and path tables,
+    /// set at each day finish and once after a restore.
+    pub(crate) raw_table: InternerShape,
+    pub(crate) folded_table: InternerShape,
+    pub(crate) ua_table: InternerShape,
+    pub(crate) path_table: InternerShape,
     /// Raw records accepted into open days (replays excluded).
     pub(crate) records: Counter,
     /// Unparseable raw log lines.
@@ -68,17 +96,44 @@ impl EngineMetrics {
     pub(crate) fn new(registry: Arc<MetricsRegistry>, labels: &[(String, String)]) -> Self {
         let extra: Vec<(&str, &str)> =
             labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-        let stage = |name: &'static str| {
+        let labeled = |key: &'static str, value: &'static str| {
             let mut l: Vec<(&str, &str)> = Vec::with_capacity(extra.len() + 1);
-            l.push(("stage", name));
+            l.push((key, value));
             l.extend(extra.iter().copied());
+            l
+        };
+        let stage = |name: &'static str| {
             registry.timer(
                 "engine_stage_micros",
                 "Wall time per engine pipeline stage in microseconds",
-                &l,
+                &labeled("stage", name),
             )
         };
+        let table = |name: &'static str| {
+            let l = labeled("table", name);
+            InternerShape {
+                symbols: registry.gauge(
+                    "engine_interner_symbols",
+                    "Distinct strings held by an interner table",
+                    &l,
+                ),
+                bytes: registry.gauge(
+                    "engine_interner_bytes",
+                    "Bytes an interner table holds: string bytes, offsets and hash index",
+                    &l,
+                ),
+                publications: registry.counter(
+                    "engine_interner_publications_total",
+                    "Reader-snapshot publications of an interner table (each copies the table)",
+                    &l,
+                ),
+            }
+        };
         EngineMetrics {
+            raw_table: table("raw"),
+            folded_table: table("folded"),
+            ua_table: table("ua"),
+            path_table: table("path"),
             parse: stage("parse"),
             reduce: stage("reduce"),
             profile: stage("profile"),

@@ -15,7 +15,8 @@
 //!
 //! * [`Engine::freeze`] / [`Engine::freeze_day`] capture the persistable
 //!   state into an owned [`EngineSnapshot`] under a **short critical
-//!   section** (interner/history tails are `Arc`-shared pointer copies;
+//!   section** (an interner tail is one copy of the bytes interned since
+//!   the last block plus their offsets, a history tail a slice copy;
 //!   retained day indexes ride as `Arc<DayProduct>` clones). Its wall time
 //!   is the `checkpoint_stall_micros` series — the only pause an always-on
 //!   deployment sees.
@@ -92,7 +93,8 @@ use crate::metrics::EngineMetrics;
 use crate::report::{DayReport, StageCounters};
 use earlybird_core::{BpConfig, CcModel, DailyPipeline, DayProduct, PipelineConfig, SimScorer};
 use earlybird_logmodel::{
-    Day, DomainInterner, DomainSym, HostId, HostMapper, Ipv4, PathInterner, UaInterner, UaSym,
+    Day, DomainInterner, DomainSym, HostId, HostMapper, Ipv4, PathInterner, StrArena, UaInterner,
+    UaSym,
 };
 use earlybird_pipeline::{DomainHistory, UaHistory};
 use earlybird_store::{
@@ -213,10 +215,10 @@ impl Engine {
         } else {
             (None, None)
         };
-        let raw = (cursor.raw, self.pipeline.raw_interner().snapshot_tail(cursor.raw));
-        let folded = (cursor.folded, self.pipeline.folded_interner().snapshot_tail(cursor.folded));
-        let uas = (cursor.uas, self.uas.snapshot_tail(cursor.uas));
-        let paths = (cursor.paths, self.paths.snapshot_tail(cursor.paths));
+        let raw = (cursor.raw, self.pipeline.raw_interner().tail(cursor.raw));
+        let folded = (cursor.folded, self.pipeline.folded_interner().tail(cursor.folded));
+        let uas = (cursor.uas, self.uas.tail(cursor.uas));
+        let paths = (cursor.paths, self.paths.tail(cursor.paths));
         let mut ips = self.line_hosts.snapshot_ips();
         let hosts = (cursor.hosts, ips.split_off(cursor.hosts.min(ips.len())));
         let order = self.pipeline.history().ordered();
@@ -456,7 +458,8 @@ impl Engine {
 /// The snapshot borrows nothing from the engine, so it can move to a
 /// background thread (`EngineSnapshot: Send`) and serialize while
 /// ingestion continues. Freezing is cheap: interner and history tails are
-/// `Arc`-shared pointer copies, retained day indexes ride as
+/// flat copies of what was appended since the last block (a day's names
+/// are kilobytes), retained day indexes ride as
 /// `Arc<DayProduct>` clones of the engine's own immutable products, and
 /// the memoized product-encoding cache is *shared* with the live engine,
 /// so a day's index is encoded at most once across every snapshot that
@@ -472,10 +475,10 @@ pub struct EngineSnapshot {
     config_bytes: Option<Vec<u8>>,
     meta_bytes: Option<Vec<u8>>,
     /// Interner tails as `(start, strings)` watermark deltas.
-    raw: (usize, Vec<Arc<str>>),
-    folded: (usize, Vec<Arc<str>>),
-    uas: (usize, Vec<Arc<str>>),
-    paths: (usize, Vec<Arc<str>>),
+    raw: (usize, StrArena),
+    folded: (usize, StrArena),
+    uas: (usize, StrArena),
+    paths: (usize, StrArena),
     hosts: (usize, Vec<Ipv4>),
     /// `(start, tail, days_ingested)` of the destination history log.
     history: (usize, Vec<DomainSym>, u32),
@@ -841,6 +844,7 @@ impl EngineBuilder {
             engine.uas.publish();
             engine.paths.publish();
         }
+        engine.record_interner_shape();
 
         // SOC seed symbols were interned at original build time, so they
         // already exist in the restored folded namespace; re-interning

@@ -290,18 +290,17 @@ impl ShardWorker {
     /// Rewrites every shard-local folded symbol onto the canonical table
     /// and surrenders the shard's accumulation for the merge.
     fn into_partial(mut self, base_len: usize, canonical: &DomainInterner) -> ShardDayPartial {
-        let local = self.fold.folded_interner();
-        let local_len = local.len();
-        if local_len > base_len {
-            // Shard-local tail symbols are dense in [base_len, local_len):
-            // resolve each by name into the canonical table. The sequential
-            // warm-up folded every record the shard saw, so lookups cannot
-            // miss.
-            let tail: Vec<DomainSym> = (base_len..local_len)
-                .map(|i| {
-                    let name = local.resolve(DomainSym::from_raw(i as u32));
+        // Shard-local tail symbols are dense from `base_len` up.
+        let minted = self.fold.folded_interner().tail(base_len);
+        if !minted.is_empty() {
+            // Look each one up by name in the canonical table. The
+            // sequential warm-up folded every record the shard saw, so
+            // lookups cannot miss.
+            let tail: Vec<DomainSym> = minted
+                .iter()
+                .map(|name| {
                     canonical
-                        .get(&name)
+                        .get(name)
                         .expect("canonical fold warm-up covers every shard-local name")
                 })
                 .collect();

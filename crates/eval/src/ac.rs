@@ -200,7 +200,7 @@ impl<'a> AcHarness<'a> {
                 let mut names: BTreeSet<String> = BTreeSet::new();
                 for (_day, dom, score) in &self.cc_scores {
                     if *score >= t {
-                        names.insert(self.engine.resolve(*dom).to_string());
+                        names.insert(self.engine.resolve(*dom));
                     }
                 }
                 self.tally(t, names)
@@ -237,7 +237,7 @@ impl<'a> AcHarness<'a> {
                         )
                         .expect("retained day");
                     for d in &report.outcome.labeled {
-                        names.insert(self.engine.resolve(d.domain).to_string());
+                        names.insert(self.engine.resolve(d.domain));
                     }
                 }
                 self.tally(ts, names)
@@ -265,7 +265,7 @@ impl<'a> AcHarness<'a> {
                         )
                         .expect("retained day");
                     for d in report.outcome.detected() {
-                        names.insert(self.engine.resolve(d.domain).to_string());
+                        names.insert(self.engine.resolve(d.domain));
                     }
                 }
                 self.tally(ts, names)
@@ -325,7 +325,7 @@ impl<'a> AcHarness<'a> {
             .labeled
             .iter()
             .map(|d| {
-                let name = self.engine.resolve(d.domain).to_string();
+                let name = self.engine.resolve(d.domain);
                 let cat = self.categorize(&name);
                 (name, d.reason, d.score, cat)
             })

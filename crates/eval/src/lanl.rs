@@ -192,7 +192,7 @@ impl<'a> LanlRun<'a> {
                         self.engine.automated_pairs_sweep(day, &automation).expect("retained day");
                     let in_testing = testing_days.contains(&day);
                     for (h, d, _) in pairs {
-                        let name = self.engine.resolve(d).to_string();
+                        let name = self.engine.resolve(d);
                         let key = (h.index(), name);
                         if truth_train.contains(&key) {
                             row.malicious_pairs_training += 1;

@@ -474,8 +474,8 @@ pub fn format_proxy_line(
         r.method,
         r.status,
         paths.resolve(r.url_path),
-        r.user_agent.map_or("-".to_string(), |u| uas.resolve(u).to_string()),
-        r.referer.map_or("-".to_string(), |d| domains.resolve(d).to_string()),
+        r.user_agent.map_or("-".to_string(), |u| uas.resolve(u)),
+        r.referer.map_or("-".to_string(), |d| domains.resolve(d)),
     )
 }
 
@@ -706,7 +706,7 @@ mod tests {
             "5\t60\t10.0.0.9\tnews.nbc.com\t93.184.216.34\tPOST\t404\t/submit\t-\tgoogle.com";
         let r = parse_proxy_line(line, &domains, &uas, &paths).unwrap();
         assert!(r.user_agent.is_none());
-        assert_eq!(&*domains.resolve(r.referer.unwrap()), "google.com");
+        assert_eq!(domains.resolve(r.referer.unwrap()), "google.com");
         assert_eq!(format_proxy_line(&r, &domains, &uas, &paths), line);
     }
 

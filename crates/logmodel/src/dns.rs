@@ -103,6 +103,6 @@ mod tests {
             answer: Some(Ipv4::new(191, 146, 166, 145)),
         };
         assert_eq!(q.qtype, DnsRecordType::A);
-        assert_eq!(&*domains.resolve(q.qname), "rainbow.c3");
+        assert_eq!(domains.resolve(q.qname), "rainbow.c3");
     }
 }

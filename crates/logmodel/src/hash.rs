@@ -16,6 +16,16 @@
 //!   already-admitted telemetry, not attacker-chosen strings aimed at a
 //!   public hash table; the flooding-resistance SipHash buys is not needed
 //!   on this path.
+//!
+//! The interner string tables (`crate::intern`) use the hash one step more
+//! directly: they hash a name's bytes once with `hash_str` and key a
+//! `Prehashed` (pass-through) map by that `u64`, so the map stores no
+//! strings and a copy of it re-hashes nothing. Names *are* strings from the
+//! wire, and the note above still holds because the hash is never trusted
+//! as identity: every probe is verified against the stored bytes, so two
+//! names engineered to share all 64 bits cost each other one extra probe —
+//! never a wrong symbol — and flooding one chain costs the flooder a
+//! distinct admitted log line per step.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -84,6 +94,41 @@ impl Hasher for FastHasher {
         self.hash
     }
 }
+
+/// The [`FastHasher`] hash of a string's bytes, computed once by the caller
+/// and then used *as* the key of a [`PrehashedState`] map — how the interner
+/// string tables index their arena.
+#[inline]
+pub(crate) fn hash_str(s: &str) -> u64 {
+    let mut h = FastHasher::default();
+    h.write(s.as_bytes());
+    h.finish()
+}
+
+/// A pass-through hasher for maps whose `u64` keys are already hashes.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Prehashed {
+    hash: u64,
+}
+
+impl Hasher for Prehashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("prehashed maps are keyed by u64 only");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.hash = v;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// `BuildHasher` state for [`Prehashed`].
+pub(crate) type PrehashedState = BuildHasherDefault<Prehashed>;
 
 /// `BuildHasher` state for [`FastHasher`] (zero-sized, deterministic).
 pub type FastState = BuildHasherDefault<FastHasher>;

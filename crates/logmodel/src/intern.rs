@@ -1,20 +1,30 @@
-//! Type-safe string interning.
+//! Type-safe string interning over one arena string table.
 //!
 //! Enterprise logs repeat the same domain names, user-agent strings, and URL
 //! paths millions of times; interning collapses them to 4-byte symbols. The
-//! interner is append-only and internally synchronized, so datasets can share
-//! one interner across analysis threads.
+//! detector's first filter is "never seen before", so an interner only ever
+//! grows — it is the one piece of engine state that does. Each one is
+//! therefore a single append-only [`StrArena`] (every string's bytes back to
+//! back in one buffer, plus one `u32` end offset per string) under a hash
+//! index of `Copy` entries: a string costs its bytes, an offset and an index
+//! slot, never an allocation of its own. Bulk loads reserve once and append,
+//! a copy of the table (the wait-free reader snapshot, a
+//! [`fork`](TypedInterner::fork)) is three buffer copies with no re-hash,
+//! and dropping one frees three buffers.
 //!
-//! [`Symbol<T>`] is parameterized by a tag type so that a [`DomainSym`] can
-//! never be confused with a [`UaSym`] at compile time (C-NEWTYPE).
+//! The interner is internally synchronized, so datasets can share one across
+//! analysis threads. [`Symbol<T>`] is parameterized by a tag type so that a
+//! [`DomainSym`] can never be confused with a [`UaSym`] at compile time
+//! (C-NEWTYPE).
 
-use crate::hash::FastMap;
+use crate::hash::{hash_str, PrehashedState};
 use crate::published::Published;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Tag for domain-name symbols.
 #[derive(Debug)]
@@ -104,39 +114,199 @@ impl<T> fmt::Debug for Symbol<T> {
     }
 }
 
+/// Strings stored back to back in one buffer, addressed by position.
+///
+/// This is an interner's storage, and — cut at a watermark by
+/// [`TypedInterner::tail`] — the form in which a frozen snapshot carries
+/// the strings interned since the last checkpoint.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct StrArena {
+    bytes: String,
+    /// `ends[k]` is the offset in `bytes` one past string `k`; string `k`
+    /// starts where string `k - 1` ends.
+    ends: Vec<u32>,
+}
+
+impl StrArena {
+    /// Number of strings held.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether no strings are held.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// String `k`, or `None` past the end.
+    pub fn get(&self, k: usize) -> Option<&str> {
+        let range = self.range(k)?;
+        Some(&self.bytes[range])
+    }
+
+    /// Every string, in position order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let s = &self.bytes[start..end as usize];
+            start = end as usize;
+            s
+        })
+    }
+
+    /// The offset at which string `k` starts (`k <= len`).
+    fn start_of(&self, k: usize) -> u32 {
+        k.checked_sub(1).map_or(0, |prev| self.ends[prev])
+    }
+
+    fn range(&self, k: usize) -> Option<std::ops::Range<usize>> {
+        let end = *self.ends.get(k)?;
+        Some(self.start_of(k) as usize..end as usize)
+    }
+
+    /// Whether string `k` exists and equals `s` — a byte comparison against
+    /// the buffer, without the `str` boundary checks slicing would add.
+    #[inline]
+    fn holds(&self, k: usize, s: &str) -> bool {
+        self.range(k).is_some_and(|r| self.bytes.as_bytes()[r] == *s.as_bytes())
+    }
+
+    fn reserve(&mut self, strings: usize, bytes: usize) {
+        self.ends.reserve(strings);
+        self.bytes.reserve(bytes);
+    }
+
+    fn push(&mut self, s: &str) {
+        // Invariant: offsets are `u32`, so one table holds under 4 GiB of
+        // distinct names — checked before anything is appended.
+        let end = u32::try_from(self.bytes.len() + s.len()).expect("interner arena exceeds 4 GiB");
+        self.bytes.push_str(s);
+        self.ends.push(end);
+    }
+
+    /// Drops every string from position `len` onward.
+    fn truncate(&mut self, len: usize) {
+        if len < self.ends.len() {
+            self.bytes.truncate(self.start_of(len) as usize);
+            self.ends.truncate(len);
+        }
+    }
+
+    /// A copy of the strings from position `start` onward (empty when
+    /// `start` is past the end): one copy of their bytes and one pass
+    /// rebasing their offsets.
+    fn tail(&self, start: usize) -> StrArena {
+        if start >= self.ends.len() {
+            return StrArena::default();
+        }
+        let base = self.start_of(start);
+        StrArena {
+            bytes: self.bytes[base as usize..].to_owned(),
+            ends: self.ends[start..].iter().map(|end| end - base).collect(),
+        }
+    }
+}
+
+/// Step between successive index keys tried for one string. Odd, so the
+/// sequence visits every `u64` before repeating.
+const REPROBE: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The one string table: an arena plus an index from a string's 64-bit
+/// hash to its position.
+///
+/// The index never stores or compares strings. A lookup hashes once, finds
+/// the candidate position, and verifies it against the arena bytes; two
+/// distinct strings with the same 64-bit hash are told apart by that
+/// comparison, and the later one lives at `hash + REPROBE` (and so on) —
+/// deterministic, so equal insertion orders give equal tables. Entries are
+/// `Copy`, which makes cloning the whole table three buffer copies.
+#[derive(Clone, Default)]
+struct StrTable {
+    strs: StrArena,
+    index: HashMap<u64, u32, PrehashedState>,
+}
+
+impl StrTable {
+    #[inline]
+    fn get(&self, s: &str) -> Option<u32> {
+        let mut key = hash_str(s);
+        loop {
+            let &at = self.index.get(&key)?;
+            if self.strs.holds(at as usize, s) {
+                return Some(at);
+            }
+            key = key.wrapping_add(REPROBE);
+        }
+    }
+
+    /// The position of `s`, appending it if absent; the flag says whether
+    /// it was appended.
+    fn intern(&mut self, s: &str) -> (u32, bool) {
+        let mut key = hash_str(s);
+        loop {
+            match self.index.entry(key) {
+                Entry::Occupied(slot) if self.strs.holds(*slot.get() as usize, s) => {
+                    return (*slot.get(), false);
+                }
+                Entry::Occupied(_) => key = key.wrapping_add(REPROBE),
+                Entry::Vacant(slot) => {
+                    // Invariant: symbols are `u32`, so one table holds at
+                    // most 2^32 distinct names.
+                    let at = u32::try_from(self.strs.len()).expect("interner full");
+                    self.strs.push(s);
+                    slot.insert(at);
+                    return (at, true);
+                }
+            }
+        }
+    }
+
+    fn reserve(&mut self, strings: usize, bytes: usize) {
+        self.strs.reserve(strings, bytes);
+        self.index.reserve(strings);
+    }
+
+    /// Removes every string from position `len` onward, newest first: a
+    /// string's probe sequence only ever steps over entries older than it,
+    /// so unwinding in reverse insertion order leaves every surviving
+    /// sequence intact.
+    fn truncate(&mut self, len: usize) {
+        for at in (len..self.strs.len()).rev() {
+            let s = self.strs.get(at).expect("position below len");
+            let mut key = hash_str(s);
+            while self.index.get(&key).is_some_and(|&found| found as usize != at) {
+                key = key.wrapping_add(REPROBE);
+            }
+            self.index.remove(&key);
+        }
+        self.strs.truncate(len);
+    }
+
+    /// Bytes held: arena, offsets, and the index at its current capacity.
+    fn byte_len(&self) -> usize {
+        self.strs.bytes.len()
+            + self.strs.ends.len() * std::mem::size_of::<u32>()
+            + self.index.capacity() * (std::mem::size_of::<(u64, u32)>() + 1)
+    }
+}
+
 #[derive(Default)]
 struct Inner {
-    map: FastMap<Arc<str>, u32>,
-    strings: Vec<Arc<str>>,
-    /// Interner length at the last snapshot publication.
+    table: StrTable,
+    /// Table length at the last snapshot publication.
     published_len: usize,
+    /// Reader-snapshot publications so far.
+    publications: u64,
 }
 
 impl Inner {
-    /// Interns under the write lock (the caller holds it).
-    fn intern_locked(&mut self, s: &str) -> u32 {
-        if let Some(&raw) = self.map.get(s) {
-            return raw;
-        }
-        let raw = u32::try_from(self.strings.len()).expect("interner full");
-        let arc: Arc<str> = Arc::from(s);
-        self.strings.push(Arc::clone(&arc));
-        self.map.insert(arc, raw);
-        raw
-    }
-
     /// Whether enough strings landed since the last publication to justify
-    /// rebuilding the snapshot. Geometric growth (an eighth of the
+    /// copying the table again. Geometric growth (an eighth of the
     /// published size, floor 64) keeps total republication work linear in
     /// the final table size.
     fn snapshot_stale(&self) -> bool {
-        self.strings.len() >= self.published_len + (self.published_len / 8).max(64)
+        self.table.strs.len() >= self.published_len + (self.published_len / 8).max(64)
     }
-}
-
-/// The immutable lookup table a [`Published`] cell hands to readers.
-struct Snap {
-    map: FastMap<Arc<str>, u32>,
 }
 
 /// A lock-free read handle over an interner's published snapshot.
@@ -147,7 +317,7 @@ struct Snap {
 /// interned since publication simply miss; batch the misses and resolve
 /// them once per chunk with [`TypedInterner::intern_batch`].
 pub struct InternerReader<T> {
-    snap: Arc<Snap>,
+    snap: Arc<StrTable>,
     _tag: PhantomData<fn() -> T>,
 }
 
@@ -157,13 +327,13 @@ impl<T> InternerReader<T> {
     /// live table.
     #[inline]
     pub fn get(&self, s: &str) -> Option<Symbol<T>> {
-        self.snap.map.get(s).map(|&raw| Symbol::new(raw))
+        self.snap.get(s).map(Symbol::new)
     }
 }
 
 impl<T> fmt::Debug for InternerReader<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("InternerReader").field("len", &self.snap.map.len()).finish()
+        f.debug_struct("InternerReader").field("len", &self.snap.strs.len()).finish()
     }
 }
 
@@ -178,23 +348,39 @@ impl<T> fmt::Debug for InternerReader<T> {
 /// let a = i.intern("nbc.com");
 /// let b = i.intern("nbc.com");
 /// assert_eq!(a, b);
-/// assert_eq!(&*i.resolve(a), "nbc.com");
+/// assert_eq!(i.resolve(a), "nbc.com");
 /// assert_eq!(i.len(), 1);
 /// ```
 pub struct TypedInterner<T> {
     inner: RwLock<Inner>,
-    snap: Published<Snap>,
+    snap: Published<StrTable>,
     _tag: PhantomData<fn() -> T>,
 }
 
 impl<T> TypedInterner<T> {
     /// Creates an empty interner.
     pub fn new() -> Self {
+        Self::from_inner(Inner::default())
+    }
+
+    fn from_inner(inner: Inner) -> Self {
         TypedInterner {
-            inner: RwLock::new(Inner::default()),
-            snap: Published::new(Snap { map: FastMap::default() }),
+            inner: RwLock::new(inner),
+            snap: Published::new(StrTable::default()),
             _tag: PhantomData,
         }
+    }
+
+    // A thread that panicked while holding the lock leaves the table valid:
+    // it is append-only and each append is complete (capacity checked, then
+    // bytes, offset, index entry) before the guard is released, so the
+    // poison flag carries no information and later callers carry on.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Republishes the reader snapshot if enough strings landed since the
@@ -207,8 +393,9 @@ impl<T> TypedInterner<T> {
     }
 
     fn republish(&self, inner: &mut Inner) {
-        inner.published_len = inner.strings.len();
-        self.snap.publish(Arc::new(Snap { map: inner.map.clone() }));
+        inner.published_len = inner.table.strs.len();
+        inner.publications += 1;
+        self.snap.publish(Arc::new(inner.table.clone()));
     }
 
     /// Publishes the reader snapshot now if anything landed since the last
@@ -216,8 +403,8 @@ impl<T> TypedInterner<T> {
     /// [`TypedInterner::extend_from_snapshot`], which itself never
     /// publishes.
     pub fn publish(&self) {
-        let mut inner = self.inner.write().expect("interner poisoned");
-        if inner.published_len != inner.strings.len() {
+        let mut inner = self.write();
+        if inner.published_len != inner.table.strs.len() {
             self.republish(&mut inner);
         }
     }
@@ -231,11 +418,11 @@ impl<T> TypedInterner<T> {
     /// Interns `s`, returning its symbol. Repeated calls with equal strings
     /// return equal symbols.
     pub fn intern(&self, s: &str) -> Symbol<T> {
-        if let Some(&raw) = self.inner.read().expect("interner poisoned").map.get(s) {
+        if let Some(raw) = self.read().table.get(s) {
             return Symbol::new(raw);
         }
-        let mut inner = self.inner.write().expect("interner poisoned");
-        let raw = inner.intern_locked(s);
+        let mut inner = self.write();
+        let (raw, _) = inner.table.intern(s);
         self.maybe_republish(&mut inner);
         Symbol::new(raw)
     }
@@ -248,37 +435,43 @@ impl<T> TypedInterner<T> {
         if strs.is_empty() {
             return Vec::new();
         }
-        let mut inner = self.inner.write().expect("interner poisoned");
-        let out = strs.iter().map(|s| Symbol::new(inner.intern_locked(s))).collect();
+        let mut inner = self.write();
+        let out = strs.iter().map(|s| Symbol::new(inner.table.intern(s).0)).collect();
         self.maybe_republish(&mut inner);
         out
     }
 
     /// Looks up a string without interning it.
     pub fn get(&self, s: &str) -> Option<Symbol<T>> {
-        self.inner.read().expect("interner poisoned").map.get(s).map(|&raw| Symbol::new(raw))
+        self.read().table.get(s).map(Symbol::new)
     }
 
-    /// Resolves a symbol back to its string.
+    /// Resolves a symbol back to its string, as an owned copy. Per-name hot
+    /// callers borrow it instead through [`TypedInterner::with_str`].
     ///
     /// # Panics
     ///
     /// Panics if `sym` was produced by a different interner and is out of
     /// range for this one.
-    pub fn resolve(&self, sym: Symbol<T>) -> Arc<str> {
-        Arc::clone(
-            self.inner
-                .read()
-                .expect("interner poisoned")
-                .strings
-                .get(sym.raw as usize)
-                .expect("symbol from foreign interner"),
-        )
+    pub fn resolve(&self, sym: Symbol<T>) -> String {
+        self.with_str(sym, str::to_owned)
+    }
+
+    /// Runs `f` on the string behind `sym`, borrowed from the table — no
+    /// copy. The interner's read lock is held while `f` runs, so `f` must
+    /// not intern into *this* interner.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sym` was produced by a different interner and is out of
+    /// range for this one.
+    pub fn with_str<R>(&self, sym: Symbol<T>, f: impl FnOnce(&str) -> R) -> R {
+        f(self.read().table.strs.get(sym.raw as usize).expect("symbol from foreign interner"))
     }
 
     /// Number of distinct strings interned.
     pub fn len(&self) -> usize {
-        self.inner.read().expect("interner poisoned").strings.len()
+        self.read().table.strs.len()
     }
 
     /// Whether no strings have been interned yet.
@@ -286,19 +479,26 @@ impl<T> TypedInterner<T> {
         self.len() == 0
     }
 
-    /// Snapshot of all interned strings, indexed by raw symbol.
-    pub fn snapshot(&self) -> Vec<Arc<str>> {
-        self.inner.read().expect("interner poisoned").strings.clone()
+    /// Bytes the live table holds: string bytes, offsets, and the hash
+    /// index at its current capacity. (A published reader snapshot is a
+    /// second copy of up to the same size.)
+    pub fn byte_len(&self) -> usize {
+        self.read().table.byte_len()
     }
 
-    /// Snapshot of only the strings interned at or after raw symbol
-    /// `start` (empty when `start` is past the end). An incremental
-    /// freeze captures its delta through this without cloning — and
-    /// refcount-churning — the whole table, which keeps the checkpoint
-    /// stall O(day) instead of O(history).
-    pub fn snapshot_tail(&self, start: usize) -> Vec<Arc<str>> {
-        let inner = self.inner.read().expect("interner poisoned");
-        inner.strings.get(start..).map(<[Arc<str>]>::to_vec).unwrap_or_default()
+    /// How many times the reader snapshot has been republished — each one
+    /// a copy of the whole table.
+    pub fn publications(&self) -> u64 {
+        self.read().publications
+    }
+
+    /// A copy of the strings interned at or after raw symbol `start`
+    /// (empty when `start` is past the end), indexed from zero. An
+    /// incremental freeze captures its delta through this by copying the
+    /// tail's bytes, which keeps the checkpoint stall O(day) instead of
+    /// O(history).
+    pub fn tail(&self, start: usize) -> StrArena {
+        self.read().table.strs.tail(start)
     }
 
     /// Applies a restored snapshot slice beginning at symbol index
@@ -309,49 +509,43 @@ impl<T> TypedInterner<T> {
     /// The interner may already hold content — e.g. a dataset-shared
     /// interner passed back to a restore — as long as it agrees with the
     /// snapshot: indexes below the current length are *verified* against
-    /// the existing strings, indexes at or beyond it are interned and must
+    /// the existing strings, indexes at or beyond it are appended and must
     /// land on their recorded number.
     ///
     /// Returns `false` when `start` would leave a numbering gap, an
     /// existing string disagrees with the snapshot, or a string is a
     /// duplicate of one interned at a different index (either of which
-    /// would silently renumber symbols).
+    /// would silently renumber symbols). The call is all-or-nothing: on
+    /// `false` the interner holds exactly what it held before, so a caller
+    /// that shares it keeps minting the symbols it would have.
     ///
-    /// The whole batch runs under a single write-lock acquisition with
-    /// capacity reserved up front — restore feeds entire table sections
-    /// through here, so per-string lock round-trips would dominate the
-    /// decode cost. For the same reason the reader snapshot is *not*
-    /// republished: a publication clones every key, a restore calls this
-    /// once per block, and no reader exists until it returns. The loader
-    /// calls [`TypedInterner::publish`] once at the end (an interner left
-    /// unpublished still republishes on its next miss).
-    pub fn extend_from_snapshot<S: AsRef<str>>(
-        &self,
-        start: usize,
-        strings: impl IntoIterator<Item = S>,
-    ) -> bool {
-        let mut inner = self.inner.write().expect("interner poisoned");
-        if start > inner.strings.len() {
+    /// The whole batch runs under a single write-lock acquisition with the
+    /// arena, offsets and index reserved once up front — restore feeds
+    /// entire table sections through here, so the per-string cost is a
+    /// hash, a probe and a byte copy. The reader snapshot is *not*
+    /// republished: a publication copies the whole table, a restore calls
+    /// this once per block, and no reader exists until it returns. The
+    /// loader calls [`TypedInterner::publish`] once at the end (an interner
+    /// left unpublished still republishes on its next miss).
+    pub fn extend_from_snapshot<S: AsRef<str>>(&self, start: usize, strings: &[S]) -> bool {
+        let mut inner = self.write();
+        let table = &mut inner.table;
+        let len = table.strs.len();
+        if start > len {
             return false;
         }
-        let iter = strings.into_iter();
-        let additional = (start + iter.size_hint().0).saturating_sub(inner.strings.len());
-        inner.strings.reserve(additional);
-        inner.map.reserve(additional);
-        let mut ok = true;
-        for (k, s) in iter.enumerate() {
-            let (idx, s) = (start + k, s.as_ref());
-            if idx < inner.strings.len() {
-                if &*inner.strings[idx] != s {
-                    ok = false;
-                    break;
-                }
-            } else if inner.intern_locked(s) as usize != idx {
-                ok = false;
-                break;
+        let (known, fresh) = strings.split_at((len - start).min(strings.len()));
+        if !known.iter().enumerate().all(|(k, s)| table.strs.holds(start + k, s.as_ref())) {
+            return false;
+        }
+        table.reserve(fresh.len(), fresh.iter().map(|s| s.as_ref().len()).sum());
+        for s in fresh {
+            if !table.intern(s.as_ref()).1 {
+                table.truncate(len);
+                return false;
             }
         }
-        ok
+        true
     }
 
     /// A private copy of this interner: same strings, same numbering, new
@@ -364,17 +558,9 @@ impl<T> TypedInterner<T> {
     /// republishes once enough new strings land); [`TypedInterner::intern`]
     /// and [`TypedInterner::get`] see the full table immediately.
     pub fn fork(&self) -> Self {
-        let inner = self.inner.read().expect("interner poisoned");
-        let forked = Inner {
-            map: inner.map.clone(),
-            strings: inner.strings.clone(),
-            published_len: inner.strings.len(),
-        };
-        TypedInterner {
-            inner: RwLock::new(forked),
-            snap: Published::new(Snap { map: FastMap::default() }),
-            _tag: PhantomData,
-        }
+        let table = self.read().table.clone();
+        let published_len = table.strs.len();
+        Self::from_inner(Inner { table, published_len, publications: 0 })
     }
 }
 
@@ -393,6 +579,10 @@ impl<T> fmt::Debug for TypedInterner<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::FastHasher;
+    use proptest::prelude::*;
+    use std::collections::{HashMap as StdMap, HashSet};
+    use std::sync::Barrier;
 
     #[test]
     fn intern_is_idempotent() {
@@ -409,7 +599,8 @@ mod tests {
     fn resolve_returns_original() {
         let i = UaInterner::new();
         let s = i.intern("Mozilla/5.0 (X11; Linux)");
-        assert_eq!(&*i.resolve(s), "Mozilla/5.0 (X11; Linux)");
+        assert_eq!(i.resolve(s), "Mozilla/5.0 (X11; Linux)");
+        assert_eq!(i.with_str(s, str::len), 24);
     }
 
     #[test]
@@ -422,13 +613,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_preserves_order() {
+    fn tail_preserves_order_from_any_watermark() {
         let i = DomainInterner::new();
-        let a = i.intern("a");
-        let b = i.intern("b");
-        let snap = i.snapshot();
-        assert_eq!(&*snap[a.raw() as usize], "a");
-        assert_eq!(&*snap[b.raw() as usize], "b");
+        for s in ["a", "", "çà.example", "b"] {
+            i.intern(s);
+        }
+        assert_eq!(i.tail(0).iter().collect::<Vec<_>>(), ["a", "", "çà.example", "b"]);
+        let tail = i.tail(2);
+        assert_eq!(tail.len(), 2);
+        assert_eq!(tail.get(0), Some("çà.example"));
+        assert_eq!(tail.get(1), Some("b"));
+        assert_eq!(tail.get(2), None);
+        assert!(i.tail(4).is_empty());
+        assert!(i.tail(9).is_empty(), "a watermark past the end is an empty tail");
     }
 
     #[test]
@@ -471,6 +668,8 @@ mod tests {
                 assert_eq!(sym, *expected, "snapshot symbols agree with the live table");
             }
         }
+        assert!(i.publications() >= 1);
+        assert!(i.byte_len() > 200 * "d0.com".len());
     }
 
     #[test]
@@ -490,13 +689,35 @@ mod tests {
         let i = DomainInterner::new();
         i.intern("a");
         i.intern("b");
-        assert!(i.extend_from_snapshot(1, ["b", "c"]), "overlap verifies, tail appends");
+        assert!(i.extend_from_snapshot(1, &["b", "c"]), "overlap verifies, tail appends");
         assert_eq!(i.len(), 3);
-        assert_eq!(&*i.resolve(DomainSym::from_raw(2)), "c");
-        assert!(!i.extend_from_snapshot(0, ["x"]), "existing string disagrees");
-        assert!(!i.extend_from_snapshot(5, ["y"]), "start past the end is a gap");
-        assert!(!i.extend_from_snapshot(3, ["a"]), "duplicate would renumber");
-        assert_eq!(i.len(), 3, "failed extends leave verified content only");
+        assert_eq!(i.resolve(DomainSym::from_raw(2)), "c");
+        assert!(!i.extend_from_snapshot(0, &["x"]), "existing string disagrees");
+        assert!(!i.extend_from_snapshot(5, &["y"]), "start past the end is a gap");
+        assert!(!i.extend_from_snapshot(3, &["a"]), "duplicate would renumber");
+        assert_eq!(i.len(), 3);
+    }
+
+    #[test]
+    fn failed_extend_leaves_nothing_behind() {
+        let i = DomainInterner::new();
+        i.intern("a");
+        i.intern("b");
+        let before = i.tail(0);
+        // Each batch appends fresh strings before reaching the one that
+        // fails: a duplicate of an older string, a duplicate within the
+        // batch, and a verified overlap followed by a duplicate.
+        assert!(!i.extend_from_snapshot(2, &["c", "d", "a"]));
+        assert!(!i.extend_from_snapshot(2, &["c", "d", "c"]));
+        assert!(!i.extend_from_snapshot(1, &["b", "c", "b"]));
+        assert_eq!(i.tail(0), before, "all-or-nothing: no string from a failed batch remains");
+        for gone in ["c", "d"] {
+            assert_eq!(i.get(gone), None);
+        }
+        assert_eq!(i.intern("e").raw(), 2, "the next symbol is the next dense number");
+        assert_eq!(i.intern("c").raw(), 3);
+        assert!(i.extend_from_snapshot(2, &["e", "c", "d"]), "and a good batch still lands");
+        assert_eq!(i.get("d"), Some(DomainSym::from_raw(4)));
     }
 
     #[test]
@@ -506,7 +727,9 @@ mod tests {
         assert!(i.extend_from_snapshot(0, &names[..300]));
         assert!(i.extend_from_snapshot(300, &names[300..]));
         assert!(i.reader().get("d0.com").is_none(), "a bulk load never publishes by itself");
+        assert_eq!(i.publications(), 0);
         i.publish();
+        assert_eq!(i.publications(), 1);
         let reader = i.reader();
         for (k, name) in names.iter().enumerate() {
             assert_eq!(reader.get(name), Some(DomainSym::from_raw(k as u32)));
@@ -520,7 +743,7 @@ mod tests {
         let f = i.fork();
         assert_eq!(f.len(), 1);
         assert_eq!(f.get("a.com"), Some(a));
-        assert_eq!(&*f.resolve(a), "a.com");
+        assert_eq!(f.resolve(a), "a.com");
         let local = f.intern("new.com");
         assert_eq!(local.raw(), 1, "fork continues the shared numbering");
         assert!(i.get("new.com").is_none(), "fork growth is private");
@@ -536,5 +759,281 @@ mod tests {
         assert_eq!(json, s.raw().to_string());
         let back: DomainSym = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
+    }
+
+    /// `n` distinct 16-byte ASCII strings engineered to share one 64-bit
+    /// hash. `FastHasher` folds a string in 8 bytes at a time, so whatever
+    /// a different first word does to the state, a chosen second word
+    /// cancels; roughly one candidate in 256 comes out all-ASCII.
+    fn colliders(n: usize) -> Vec<String> {
+        let after = |word: [u8; 8]| {
+            let mut h = FastHasher::default();
+            h.write_u64(u64::from_le_bytes(word));
+            h.finish().rotate_left(5)
+        };
+        let target = after(*b"collide0") ^ u64::from_le_bytes(*b".example");
+        let mut out = vec!["collide0.example".to_owned()];
+        for k in 0u64.. {
+            if out.len() == n {
+                break;
+            }
+            let first: [u8; 8] = format!("{k:08}").into_bytes().try_into().unwrap();
+            let second = (target ^ after(first)).to_le_bytes();
+            if second.is_ascii() {
+                out.push(String::from_utf8([first, second].concat()).unwrap());
+            }
+        }
+        for s in &out {
+            assert_eq!(hash_str(s), hash_str(&out[0]), "{s:?} must collide");
+        }
+        assert_eq!(out.iter().collect::<HashSet<_>>().len(), n);
+        out
+    }
+
+    #[test]
+    fn full_hash_collisions_get_distinct_symbols() {
+        let names = colliders(4);
+        let (stranger, interned) = names.split_last().unwrap();
+        let i = DomainInterner::new();
+        let syms: Vec<DomainSym> = interned.iter().map(|s| i.intern(s)).collect();
+        assert_eq!(syms.iter().map(|s| s.raw()).collect::<Vec<_>>(), [0, 1, 2]);
+        i.publish();
+        let reader = i.reader();
+        for (name, &sym) in interned.iter().zip(&syms) {
+            assert_eq!(i.intern(name), sym, "re-interning a collider finds it");
+            assert_eq!(i.get(name), Some(sym));
+            assert_eq!(reader.get(name), Some(sym));
+            assert_eq!(i.resolve(sym), *name);
+        }
+        assert_eq!(i.get(stranger), None, "a never-interned collider misses");
+        assert_eq!(reader.get(stranger), None);
+        assert_eq!(i.len(), 3);
+
+        // Rolling back a failed bulk load unwinds a probe chain newest
+        // first: the survivors still hit, the removed one misses.
+        assert!(!i.extend_from_snapshot(3, &[stranger.as_str(), interned[0].as_str()]));
+        assert_eq!(i.get(stranger), None);
+        for (name, &sym) in interned.iter().zip(&syms) {
+            assert_eq!(i.get(name), Some(sym));
+        }
+        assert_eq!(i.intern(stranger).raw(), 3);
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_wedge_the_interner() {
+        let i = DomainInterner::new();
+        let a = i.intern("before.com");
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = i.inner.write().unwrap();
+                    panic!("ingest thread dies holding the interner");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(i.inner.is_poisoned());
+        assert_eq!(i.get("before.com"), Some(a));
+        assert_eq!(i.resolve(a), "before.com");
+        assert_eq!(i.intern("after.com").raw(), 1);
+        assert_eq!(i.intern_batch(&["after.com", "later.com"]).len(), 2);
+        assert!(i.extend_from_snapshot(3, &["bulk.com"]));
+        i.publish();
+        assert_eq!(i.reader().get("bulk.com"), Some(DomainSym::from_raw(3)));
+        assert_eq!(i.fork().len(), i.len());
+        assert_eq!(i.tail(0).len(), 4);
+    }
+
+    /// Writers intern overlapping sets while readers keep re-acquiring the
+    /// published snapshot. A barrier releases all threads at once; the
+    /// checks are on what each thread was *told*, so any interleaving that
+    /// hands out a wrong, duplicate or not-yet-valid symbol fails.
+    #[test]
+    fn many_threads_agree_on_one_dense_numbering() {
+        const WRITERS: usize = 4;
+        const READERS: usize = 4;
+        const NAMES: usize = 3_000;
+        let name = |k: usize| format!("host{k}.zone{}.example", k % 7);
+        let i = DomainInterner::new();
+        let start = Barrier::new(WRITERS + READERS);
+        let told: Vec<Vec<(usize, u32)>> = std::thread::scope(|scope| {
+            let mut threads = Vec::new();
+            for w in 0..WRITERS {
+                let (i, start) = (&i, &start);
+                threads.push(scope.spawn(move || {
+                    start.wait();
+                    let mut told = Vec::new();
+                    // Each writer covers three quarters of the names, from
+                    // its own offset: every name has several writers.
+                    let mine: Vec<usize> =
+                        (0..NAMES * 3 / 4).map(|k| (k + w * NAMES / WRITERS) % NAMES).collect();
+                    for chunk in mine.chunks(37) {
+                        if chunk[0] % 2 == 0 {
+                            let owned: Vec<String> = chunk.iter().map(|&k| name(k)).collect();
+                            let strs: Vec<&str> = owned.iter().map(String::as_str).collect();
+                            let syms = i.intern_batch(&strs);
+                            told.extend(chunk.iter().zip(syms).map(|(&k, s)| (k, s.raw())));
+                        } else {
+                            told.extend(chunk.iter().map(|&k| (k, i.intern(&name(k)).raw())));
+                        }
+                    }
+                    told
+                }));
+            }
+            for r in 0..READERS {
+                let (i, start) = (&i, &start);
+                threads.push(scope.spawn(move || {
+                    start.wait();
+                    let mut told = Vec::new();
+                    for round in 0..60 {
+                        let reader = i.reader();
+                        // Read after acquisition: the snapshot was cut at
+                        // or before this length.
+                        let bound = i.len();
+                        for k in (r + round..NAMES).step_by(11) {
+                            if let Some(sym) = reader.get(&name(k)) {
+                                assert!(
+                                    (sym.raw() as usize) < bound,
+                                    "reader saw symbol {} with only {bound} interned",
+                                    sym.raw()
+                                );
+                                told.push((k, sym.raw()));
+                            }
+                        }
+                    }
+                    told
+                }));
+            }
+            threads.into_iter().map(|t| t.join().expect("no thread panicked")).collect()
+        });
+
+        assert_eq!(i.len(), NAMES);
+        let all = i.tail(0);
+        assert_eq!(all.iter().collect::<HashSet<_>>().len(), NAMES, "no string numbered twice");
+        let mut number_of: StdMap<usize, u32> = StdMap::new();
+        for (k, raw) in told.into_iter().flatten() {
+            assert_eq!(all.get(raw as usize), Some(name(k).as_str()), "symbol {raw} resolves");
+            assert_eq!(*number_of.entry(k).or_insert(raw), raw, "one number per string");
+        }
+        assert_eq!(number_of.len(), NAMES, "every name was handed out");
+    }
+
+    /// The strings the model test draws from: empty, multi-byte, and few
+    /// enough that sequences are full of duplicates.
+    const POOL: [&str; 10] =
+        ["", "a", "b", "nbc.com", "news.nbc.com", "çà.example", "🦀.rs", "é", "e\u{301}", "\0"];
+
+    /// The reference the model test runs beside: strings by number, and
+    /// numbers by string.
+    #[derive(Default)]
+    struct Model {
+        strings: Vec<String>,
+        numbers: StdMap<String, u32>,
+    }
+
+    impl Model {
+        fn intern(&mut self, s: &str) -> u32 {
+            if let Some(&n) = self.numbers.get(s) {
+                return n;
+            }
+            let n = self.strings.len() as u32;
+            self.strings.push(s.to_owned());
+            self.numbers.insert(s.to_owned(), n);
+            n
+        }
+
+        /// Whether `extend_from_snapshot(start, batch)` must succeed, and
+        /// if so, applies it.
+        fn extend(&mut self, start: usize, batch: &[&str]) -> bool {
+            let len = self.strings.len();
+            if start > len {
+                return false;
+            }
+            let mut fresh = HashSet::new();
+            for (k, s) in batch.iter().enumerate() {
+                let ok = match self.strings.get(start + k) {
+                    Some(held) => held == s,
+                    None => !self.numbers.contains_key(*s) && fresh.insert(*s),
+                };
+                if !ok {
+                    return false;
+                }
+            }
+            for s in batch.iter().skip(len - start) {
+                self.intern(s);
+            }
+            true
+        }
+    }
+
+    fn assert_matches_model(i: &DomainInterner, model: &Model) {
+        assert_eq!(i.len(), model.strings.len());
+        assert_eq!(i.tail(0).iter().collect::<Vec<_>>(), model.strings, "first-seen, dense");
+        let reader = i.reader();
+        for s in POOL {
+            let expected = model.numbers.get(s).map(|&n| DomainSym::from_raw(n));
+            assert_eq!(i.get(s), expected);
+            if let Some(sym) = reader.get(s) {
+                assert_eq!(Some(sym), expected, "a reader may trail, never lie");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn any_operation_sequence_matches_the_model(
+            ops in proptest::collection::vec(
+                (0u8..6, proptest::collection::vec(0usize..POOL.len(), 0..6), 0usize..8),
+                0..40,
+            )
+        ) {
+            let i = DomainInterner::new();
+            let mut model = Model::default();
+            for (op, picks, hint) in ops {
+                let batch: Vec<&str> = picks.iter().map(|&p| POOL[p]).collect();
+                // A watermark anywhere from zero to one past the end.
+                let at = hint % (model.strings.len() + 2);
+                match op {
+                    0 => {
+                        for s in &batch {
+                            prop_assert_eq!(i.intern(s).raw(), model.intern(s));
+                        }
+                    }
+                    1 => {
+                        let syms = i.intern_batch(&batch);
+                        let expected: Vec<u32> = batch.iter().map(|s| model.intern(s)).collect();
+                        prop_assert_eq!(syms.iter().map(|s| s.raw()).collect::<Vec<_>>(), expected);
+                    }
+                    2 => prop_assert_eq!(i.extend_from_snapshot(at, &batch), model.extend(at, &batch)),
+                    3 => {
+                        i.publish();
+                        let reader = i.reader();
+                        for (s, &n) in &model.numbers {
+                            prop_assert_eq!(reader.get(s), Some(DomainSym::from_raw(n)));
+                        }
+                    }
+                    4 => {
+                        let fork = i.fork();
+                        assert_matches_model(&fork, &model);
+                        fork.intern("only in the fork");
+                        prop_assert_eq!(i.get("only in the fork"), None);
+                    }
+                    _ => {
+                        let tail = i.tail(at);
+                        let expected = model.strings.get(at..).unwrap_or_default();
+                        prop_assert_eq!(tail.iter().collect::<Vec<_>>(), expected);
+                        let head = &model.strings[..at.min(model.strings.len())];
+                        let rebuilt = DomainInterner::new();
+                        prop_assert!(rebuilt.extend_from_snapshot(0, head));
+                        let strs: Vec<&str> = tail.iter().collect();
+                        prop_assert!(rebuilt.extend_from_snapshot(head.len(), &strs));
+                        prop_assert_eq!(rebuilt.tail(0), i.tail(0));
+                    }
+                }
+                assert_matches_model(&i, &model);
+            }
+        }
     }
 }

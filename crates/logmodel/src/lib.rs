@@ -16,7 +16,7 @@
 //!
 //! let domains = DomainInterner::new();
 //! let evil = domains.intern("update.badcdn.info");
-//! assert_eq!(&*domains.resolve(evil), "update.badcdn.info");
+//! assert_eq!(domains.resolve(evil), "update.badcdn.info");
 //!
 //! let ts = Timestamp::from_day_secs(Day::new(3), 3_600);
 //! assert_eq!(ts.day(), Day::new(3));
@@ -53,8 +53,8 @@ pub use hash::{FastHasher, FastMap, FastSet, FastState};
 pub use host::{HostId, HostKind};
 pub use http::{HttpMethod, HttpStatus, ProxyRecord};
 pub use intern::{
-    DomainInterner, DomainSym, DomainTag, InternerReader, PathInterner, PathSym, PathTag, Symbol,
-    TypedInterner, UaInterner, UaSym, UaTag,
+    DomainInterner, DomainSym, DomainTag, InternerReader, PathInterner, PathSym, PathTag, StrArena,
+    Symbol, TypedInterner, UaInterner, UaSym, UaTag,
 };
 pub use ip::{Ipv4, ParseIpv4Error, Subnet16, Subnet24};
 pub use published::Published;

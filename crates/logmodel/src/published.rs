@@ -16,7 +16,7 @@
 //! cost is amortized over the tens of thousands of records in a chunk.
 
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// An atomically swappable immutable snapshot. See the module docs.
 pub struct Published<T> {
@@ -31,14 +31,19 @@ impl<T> Published<T> {
 
     /// The current snapshot. Hold the returned `Arc` for the duration of a
     /// chunk and look up through it; reacquire per chunk, not per record.
+    ///
+    /// A poisoned cell is read through: the only write is
+    /// [`publish`](Published::publish) swapping one whole `Arc` for another,
+    /// so the slot holds a complete snapshot whether or not a thread
+    /// panicked around it.
     pub fn load(&self) -> Arc<T> {
-        Arc::clone(&self.cell.read().expect("published cell poisoned"))
+        Arc::clone(&self.cell.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Replaces the snapshot. Readers that already loaded the previous
     /// snapshot keep reading it unharmed.
     pub fn publish(&self, value: Arc<T>) {
-        *self.cell.write().expect("published cell poisoned") = value;
+        *self.cell.write().unwrap_or_else(PoisonError::into_inner) = value;
     }
 }
 
@@ -59,6 +64,24 @@ mod tests {
         cell.publish(Arc::new(vec![1, 2, 3]));
         assert_eq!(*old, vec![1], "held snapshots are undisturbed");
         assert_eq!(*cell.load(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_wedge_the_cell() {
+        let cell = Published::new(1u32);
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = cell.cell.write().unwrap();
+                    panic!("publisher dies holding the cell");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(cell.cell.is_poisoned());
+        assert_eq!(*cell.load(), 1, "the last complete snapshot is still served");
+        cell.publish(Arc::new(2));
+        assert_eq!(*cell.load(), 2);
     }
 
     #[test]

@@ -114,8 +114,8 @@ impl FoldTable {
     /// Slow path: resolve + intern under the write lock, then maybe
     /// republish the snapshot.
     fn fold_miss(&self, raw_sym: DomainSym, idx: usize) -> DomainSym {
-        let name = self.raw.resolve(raw_sym);
-        let folded_sym = self.folded.intern(fold_domain(&name, self.level));
+        let folded_sym =
+            self.raw.with_str(raw_sym, |name| self.folded.intern(fold_domain(name, self.level)));
         let mut live = self.live.write().expect("fold cache poisoned");
         if live.vec.len() <= idx {
             live.vec.resize(idx + 1, UNFOLDED);
@@ -150,7 +150,7 @@ impl FoldTable {
     }
 
     /// Resolves a *folded* symbol to its name.
-    pub fn folded_name(&self, sym: DomainSym) -> Arc<str> {
+    pub fn folded_name(&self, sym: DomainSym) -> String {
         self.folded.resolve(sym)
     }
 }
@@ -198,7 +198,7 @@ mod tests {
         let fc = t.fold(c);
         assert_eq!(fa, fb, "same second-level entity");
         assert_ne!(fa, fc);
-        assert_eq!(&*t.folded_name(fa), "nbc.com");
+        assert_eq!(t.folded_name(fa), "nbc.com");
         assert_eq!(t.fold(a), fa, "memoized");
     }
 
@@ -208,7 +208,7 @@ mod tests {
         let a = raw.intern("x.sub.rainbow.c3");
         let t = FoldTable::new(Arc::clone(&raw), 3);
         let fa = t.fold(a);
-        assert_eq!(&*t.folded_name(fa), "sub.rainbow.c3");
+        assert_eq!(t.folded_name(fa), "sub.rainbow.c3");
     }
 
     #[test]

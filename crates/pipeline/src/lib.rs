@@ -40,7 +40,7 @@
 //! let sym = raw.intern("news.nbc.com");
 //! let mut fold = FoldTable::new(Arc::clone(&raw), 2);
 //! let folded = fold.fold(sym);
-//! assert_eq!(&*fold.folded_interner().resolve(folded), "nbc.com");
+//! assert_eq!(fold.folded_interner().resolve(folded), "nbc.com");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -16,8 +16,8 @@
 use crate::contact::{Contact, HttpContext};
 use crate::fold::FoldTable;
 use earlybird_logmodel::{
-    DatasetMeta, DnsDayLog, DnsQuery, DnsRecordType, DomainSym, FastSet, HostKind, ProxyRecord,
-    Published,
+    DatasetMeta, DnsDayLog, DnsQuery, DnsRecordType, DomainInterner, DomainSym, FastSet, HostKind,
+    ProxyRecord, Published,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, RwLock};
@@ -105,9 +105,9 @@ impl InternalFilter {
     }
 
     /// Whether the raw symbol `raw_sym` names an internal destination;
-    /// `resolve` supplies the name on a cache miss (once per distinct
-    /// symbol).
-    pub fn is_internal_sym(&self, raw_sym: DomainSym, resolve: impl FnOnce() -> String) -> bool {
+    /// `names` (the interner that minted it) is consulted on a cache miss,
+    /// once per distinct symbol.
+    pub fn is_internal_sym(&self, raw_sym: DomainSym, names: &DomainInterner) -> bool {
         if self.trivial {
             return false;
         }
@@ -120,7 +120,7 @@ impl InternalFilter {
                 }
             }
         }
-        let internal = self.cfg.is_internal(&resolve());
+        let internal = names.with_str(raw_sym, |name| self.cfg.is_internal(name));
         let mut live = self.live.write().expect("internal filter poisoned");
         if live.vec.len() <= idx {
             live.vec.resize(idx + 1, UNJUDGED);
@@ -149,14 +149,14 @@ pub struct InternalJudge<'f> {
 
 impl InternalJudge<'_> {
     /// Whether `raw_sym` names an internal destination, consulting the
-    /// pinned snapshot first; `resolve` supplies the name on a full miss.
-    pub fn is_internal(&self, raw_sym: DomainSym, resolve: impl FnOnce() -> String) -> bool {
+    /// pinned snapshot first; `names` supplies the name on a full miss.
+    pub fn is_internal(&self, raw_sym: DomainSym, names: &DomainInterner) -> bool {
         if self.filter.trivial {
             return false;
         }
         match self.snap.get(raw_sym.raw() as usize) {
             Some(&v) if v != UNJUDGED => v == INTERNAL,
-            _ => self.filter.is_internal_sym(raw_sym, resolve),
+            _ => self.filter.is_internal_sym(raw_sym, names),
         }
     }
 }
@@ -228,7 +228,7 @@ pub fn reduce_dns_chunk(
             continue;
         }
         out.records_a_only += 1;
-        if judge.is_internal(q.qname, || fold.raw_interner().resolve(q.qname).to_string()) {
+        if judge.is_internal(q.qname, fold.raw_interner()) {
             continue;
         }
         out.domains_after_internal.insert(folded);
@@ -266,7 +266,7 @@ pub fn reduce_proxy_chunk(
         let host = rec.host.expect("proxy records must be normalized before reduction");
         let folded = folder.fold(rec.domain);
         out.domains_all.insert(folded);
-        if judge.is_internal(rec.domain, || fold.raw_interner().resolve(rec.domain).to_string()) {
+        if judge.is_internal(rec.domain, fold.raw_interner()) {
             continue;
         }
         out.domains_after_internal.insert(folded);
@@ -496,18 +496,17 @@ mod tests {
         let external = raw.intern("nbc.com");
         let filter =
             InternalFilter::new(ReductionConfig { internal_suffixes: vec!["corp.local".into()] });
-        let mut resolves = 0;
         for _ in 0..3 {
-            assert!(filter.is_internal_sym(internal, || {
-                resolves += 1;
-                raw.resolve(internal).to_string()
-            }));
-            assert!(!filter.is_internal_sym(external, || {
-                resolves += 1;
-                raw.resolve(external).to_string()
-            }));
+            assert!(filter.is_internal_sym(internal, &raw));
+            assert!(!filter.is_internal_sym(external, &raw));
         }
-        assert_eq!(resolves, 2, "each distinct symbol is classified once");
+        // A table that numbers the same two names the other way round is
+        // never consulted: each distinct symbol was classified once.
+        let swapped = DomainInterner::new();
+        swapped.intern("nbc.com");
+        swapped.intern("mail.corp.local");
+        assert!(filter.is_internal_sym(internal, &swapped));
+        assert!(!filter.is_internal_sym(external, &swapped));
     }
 
     #[test]
@@ -608,9 +607,9 @@ mod tests {
         assert_eq!(counts.domains_all, 3);
         assert_eq!(counts.domains_after_internal_filter, 2);
         assert_eq!(contacts.len(), 2);
-        let evil = contacts.iter().find(|c| &*fold.folded_name(c.domain) == "evil.ru").unwrap();
+        let evil = contacts.iter().find(|c| fold.folded_name(c.domain) == "evil.ru").unwrap();
         assert!(!evil.http.unwrap().referer_present);
-        let nbc = contacts.iter().find(|c| &*fold.folded_name(c.domain) == "nbc.com").unwrap();
+        let nbc = contacts.iter().find(|c| fold.folded_name(c.domain) == "nbc.com").unwrap();
         assert!(nbc.http.unwrap().referer_present);
     }
 

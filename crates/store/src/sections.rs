@@ -1,7 +1,7 @@
 //! Component codecs: how each piece of engine state maps onto the wire.
 //!
 //! These functions encode *hooks* exposed by the substrate crates (interner
-//! snapshots, history logs, day-index columns, model parts) rather than
+//! tails, history logs, day-index columns, model parts) rather than
 //! private memory layouts, so the binary format stays stable under internal
 //! refactors. Decoders validate every invariant the constructors would
 //! otherwise `assert!` — a corrupt snapshot must surface a typed
@@ -17,7 +17,7 @@ use crate::error::{StoreError, StoreResult};
 use earlybird_features::{AdditiveScorer, FeatureScaler, Fit, RegressionModel};
 use earlybird_intel::{Registration, WhoisRegistry};
 use earlybird_logmodel::{
-    DatasetMeta, Day, DomainSym, HostId, HostKind, HostMapper, Ipv4, Symbol, Timestamp,
+    DatasetMeta, Day, DomainSym, HostId, HostKind, HostMapper, Ipv4, StrArena, Symbol, Timestamp,
     TypedInterner,
 };
 use earlybird_pipeline::{
@@ -28,20 +28,13 @@ use earlybird_timing::{AutomationDetector, DistanceMetric};
 
 // -- interners --------------------------------------------------------------
 
-/// Writes the interner strings from `start` onward (`start = 0` for a full
-/// snapshot, the persist cursor for a delta).
-pub fn write_interner_slice<T>(e: &mut Encoder, interner: &TypedInterner<T>, start: usize) {
-    let strings = interner.snapshot();
-    let tail = strings.get(start..).unwrap_or(&[]);
-    write_interner_tail(e, start, tail);
-}
-
-/// Writes an interner tail captured earlier by a frozen snapshot —
-/// byte-identical to [`write_interner_slice`] over the same state.
-pub fn write_interner_tail(e: &mut Encoder, start: usize, tail: &[std::sync::Arc<str>]) {
+/// Writes an interner tail — the strings from symbol `start` onward
+/// (`start = 0` for a full snapshot, the persist cursor for a delta), as
+/// captured by `TypedInterner::tail`.
+pub fn write_interner_tail(e: &mut Encoder, start: usize, tail: &StrArena) {
     e.usizev(start);
     e.usizev(tail.len());
-    for s in tail {
+    for s in tail.iter() {
         e.str(s);
     }
 }
@@ -62,13 +55,14 @@ pub fn read_interner_into<T>(
     }
     let count = d.seq_len(1)?;
     // Borrow every string straight out of the payload: the interner copies
-    // each one exactly once (into its `Arc<str>` table), and the whole batch
-    // lands under a single write-lock acquisition.
+    // each one exactly once (onto the end of its arena, reserved for the
+    // whole block up front), and the batch lands — or, if any string is
+    // wrong, none of it does — under a single write-lock acquisition.
     let mut strings: Vec<&str> = Vec::with_capacity(count.min(64 * 1024));
     for _ in 0..count {
         strings.push(d.str_ref()?);
     }
-    if !interner.extend_from_snapshot(start, strings) {
+    if !interner.extend_from_snapshot(start, &strings) {
         return Err(StoreError::corrupt(format!(
             "{what} interner snapshot disagrees with existing contents \
              (duplicate or misnumbered symbols)"
@@ -643,16 +637,13 @@ mod tests {
             i.intern(s);
         }
         let mut e = Encoder::new();
-        write_interner_slice(&mut e, &i, 0);
+        write_interner_tail(&mut e, 0, &i.tail(0));
         let bytes = e.into_bytes();
         let restored = TypedInterner::<earlybird_logmodel::DomainTag>::new();
         let mut d = Decoder::new(&bytes, SectionTag::Interners.name());
         read_interner_into(&mut d, &restored, "raw").unwrap();
         d.finish().unwrap();
-        assert_eq!(restored.len(), i.len());
-        for (k, s) in i.snapshot().iter().enumerate() {
-            assert_eq!(&restored.resolve(Symbol::from_raw(k as u32)), s);
-        }
+        assert_eq!(restored.tail(0), i.tail(0));
     }
 
     #[test]
@@ -661,7 +652,7 @@ mod tests {
         i.intern("a");
         i.intern("b");
         let mut e = Encoder::new();
-        write_interner_slice(&mut e, &i, 1);
+        write_interner_tail(&mut e, 1, &i.tail(1));
         let bytes = e.into_bytes();
         // Applying a delta that starts at 1 onto an empty interner fails.
         let fresh = TypedInterner::<earlybird_logmodel::DomainTag>::new();
@@ -676,7 +667,7 @@ mod tests {
         let mut d = Decoder::new(&bytes, "interners");
         read_interner_into(&mut d, &fresh, "raw").unwrap();
         assert_eq!(fresh.len(), 2);
-        assert_eq!(&*fresh.resolve(Symbol::from_raw(1)), "b");
+        assert_eq!(fresh.resolve(Symbol::from_raw(1)), "b");
     }
 
     #[test]

@@ -14,7 +14,9 @@ use earlybird::engine::IngestSource;
 use earlybird::engine::{
     Alert, CheckpointMeta, CollectedAlerts, DayBatch, DayReport, Engine, EngineBuilder, StoreError,
 };
-use earlybird::logmodel::{format_proxy_line, Day, DomainInterner, ProxyDayLog, TypedInterner};
+use earlybird::logmodel::{
+    format_proxy_line, Day, DomainInterner, ProxyDayLog, Symbol, TypedInterner,
+};
 use earlybird::synthgen::ac::{AcConfig, AcGenerator, AcWorld};
 use earlybird::synthgen::lanl::{LanlChallenge, LanlConfig, LanlGenerator};
 use earlybird_core::{CcModel, SimScorer};
@@ -264,11 +266,12 @@ fn enterprise_proxy_cold_restart_is_bit_identical() {
 }
 
 fn assert_last_string_published<T>(interner: &TypedInterner<T>, what: &str) {
-    let strings = interner.snapshot();
-    let last = strings.last().unwrap_or_else(|| panic!("{what} interner restored empty"));
+    let len = interner.len();
+    assert!(len > 0, "{what} interner restored empty");
+    let last = &interner.resolve(Symbol::from_raw(len as u32 - 1));
     assert_eq!(
         interner.reader().get(last).map(|sym| sym.raw() as usize),
-        Some(strings.len() - 1),
+        Some(len - 1),
         "{what}: the wait-free snapshot must cover the last restored string `{last}`"
     );
 }

@@ -106,8 +106,7 @@ fn one_engine_ingests_mixed_dns_and_proxy_days() {
     let day0: Vec<&str> = report0.detections().map(|c| c.name.as_str()).collect();
     assert_eq!(day0, ["cc.alpha.c3"], "DNS-day C&C detection");
     let outcome0 = report0.outcome.as_ref().expect("auto-investigation ran");
-    let labeled0: Vec<String> =
-        outcome0.labeled.iter().map(|d| engine.resolve(d.domain).to_string()).collect();
+    let labeled0: Vec<String> = outcome0.labeled.iter().map(|d| engine.resolve(d.domain)).collect();
     assert!(labeled0.contains(&"drop.alpha.c3".to_string()), "{labeled0:?}");
     assert!(!labeled0.contains(&"fine.noise.c3".to_string()));
     assert_eq!(

@@ -84,10 +84,11 @@ fn service_cycle_moves_every_counter_family() {
     // Uninstrumented library reference: a disabled registry records no
     // wall time at all, so agreement here proves instrumentation is pure
     // side-band.
+    let ref_raw = Arc::new(DomainInterner::new());
     let mut reference = spec()
         .builder()
         .metrics(Arc::new(MetricsRegistry::disabled()))
-        .build(Arc::new(DomainInterner::new()), spec().dataset_meta().unwrap())
+        .build(Arc::clone(&ref_raw), spec().dataset_meta().unwrap())
         .expect("valid spec");
     let mut ref_reports = Vec::new();
     for (day, text) in &days {
@@ -162,6 +163,19 @@ fn service_cycle_moves_every_counter_family() {
         }
         assert_eq!(get("engine_records_total{tenant=\"acme\"}"), records_pushed as f64);
         assert_eq!(get("engine_parse_errors_total{tenant=\"acme\"}"), f64::from(N_DAYS));
+        // The data-shape series say how big each string table is: the
+        // daemon's engine interned the same lines the reference did.
+        let table = |family: &str, table: &str| {
+            get(&format!("engine_interner_{family}{{table=\"{table}\",tenant=\"acme\"}}"))
+        };
+        assert_eq!(table("symbols", "raw"), ref_raw.len() as f64, "{context}");
+        assert_eq!(table("symbols", "folded"), reference.folded().len() as f64, "{context}");
+        let name_bytes: usize = ref_raw.tail(0).iter().map(str::len).sum();
+        assert!(table("bytes", "raw") > name_bytes as f64, "{context}: names, offsets, index");
+        for name in ["raw", "folded", "ua", "path"] {
+            assert!(table("publications_total", name) >= 0.0, "{context}: family present");
+        }
+        assert_eq!(table("symbols", "ua") + table("symbols", "path"), 0.0, "{context}: DNS only");
         // ...and the store series carry the backend label. Tenant
         // creation commits the registration snapshot, then one commit
         // per finished day.

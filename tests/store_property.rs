@@ -39,7 +39,7 @@ proptest! {
             original.intern(&string_from(points));
         }
         let mut e = Encoder::new();
-        sections::write_interner_slice(&mut e, &original, 0);
+        sections::write_interner_tail(&mut e, 0, &original.tail(0));
         let bytes = e.into_bytes();
 
         let restored = DomainInterner::new();
@@ -48,10 +48,34 @@ proptest! {
         d.finish().unwrap();
 
         prop_assert_eq!(restored.len(), original.len());
-        for (k, s) in original.snapshot().iter().enumerate() {
-            prop_assert_eq!(&restored.resolve(Symbol::from_raw(k as u32)), s);
+        for (k, s) in original.tail(0).iter().enumerate() {
+            prop_assert_eq!(restored.resolve(Symbol::from_raw(k as u32)), s);
         }
     }
+}
+
+/// The interner section's bytes are pinned: these literals were produced by
+/// the encoder as it stood before the string tables became arenas, for the
+/// same strings — a full table and a delta from watermark 2.
+#[test]
+fn interner_section_bytes_are_unchanged() {
+    let interner = DomainInterner::new();
+    for s in ["nbc.com", "", "çà.example", "🦀.rs", "a"] {
+        interner.intern(s);
+    }
+    let encode = |start: usize| {
+        let mut e = Encoder::new();
+        sections::write_interner_tail(&mut e, start, &interner.tail(start));
+        e.into_bytes()
+    };
+    let delta: [u8; 23] = [
+        12, 195, 167, 195, 160, 46, 101, 120, 97, 109, 112, 108, 101, // "çà.example"
+        7, 240, 159, 166, 128, 46, 114, 115, // "🦀.rs"
+        1, 97, // "a"
+    ];
+    let full_head: [u8; 11] = [0, 5, 7, 110, 98, 99, 46, 99, 111, 109, 0];
+    assert_eq!(encode(0), [&full_head[..], &delta[..]].concat());
+    assert_eq!(encode(2), [&[2, 3][..], &delta[..]].concat());
 }
 
 fn encode_index(index: &DayIndex) -> Vec<u8> {
@@ -252,7 +276,11 @@ fn crafted_day_indexes_are_typed_corrupt() {
     }
 
     // The same defect inside a chain surfaces through a whole-engine restore.
-    let chain = chain_with_crafted_segment(&valid_history_section, &[cases[1].1.clone()]);
+    let chain = chain_with_crafted_segment(
+        &empty_interner_deltas,
+        &valid_history_section,
+        &[cases[1].1.clone()],
+    );
     match try_restore(&chain) {
         Err(StoreError::Corrupt { context }) => {
             assert!(context.contains("domain_hosts"), "names the column: {context}")
@@ -295,10 +323,17 @@ fn empty_ua_delta(e: &mut Encoder) {
     e.usizev(0);
 }
 
+/// Four interner deltas of `(start 0, none)`.
+fn empty_interner_deltas(e: &mut Encoder) {
+    (0..8).for_each(|_| e.usizev(0));
+}
+
 /// The fixture's full block followed by a hand-built day segment: empty
-/// deltas everywhere except the History section, which `history` writes
-/// whole, and the Products section, which carries `indexes` verbatim.
+/// deltas everywhere except the Interners and History sections, which
+/// `interners` and `history` write whole, and the Products section, which
+/// carries `indexes` verbatim.
 fn chain_with_crafted_segment(
+    interners: &dyn Fn(&mut Encoder),
     history: &dyn Fn(&mut Encoder, &FixtureBase),
     indexes: &[Vec<u8>],
 ) -> Vec<u8> {
@@ -310,8 +345,8 @@ fn chain_with_crafted_segment(
         write(&mut e);
         block.section(tag, e).expect("section writes");
     };
-    // Four interner deltas and the raw-line host map: `(start 0, none)`.
-    section(SectionTag::Interners, &|e| (0..8).for_each(|_| e.usizev(0)));
+    section(SectionTag::Interners, interners);
+    // The raw-line host map: `(start 0, none)`.
     section(SectionTag::Hosts, &|e| (0..2).for_each(|_| e.usizev(0)));
     section(SectionTag::History, &|e| history(e, &base));
     section(SectionTag::Reports, &|e| e.usizev(0));
@@ -332,11 +367,12 @@ fn chain_with_crafted_segment(
 /// chain's watermarks. Each log now fails the restore, naming its section.
 #[test]
 fn history_deltas_that_repeat_an_entry_are_typed_corrupt() {
-    let control = chain_with_crafted_segment(&valid_history_section, &[]);
+    let control = chain_with_crafted_segment(&empty_interner_deltas, &valid_history_section, &[]);
     let engine = try_restore(&control).expect("a well-formed hand-built segment restores");
     assert_eq!(engine.history().ordered().len(), fixture_base().history_len);
 
     let repeated_domain = chain_with_crafted_segment(
+        &empty_interner_deltas,
         &|e, base| {
             e.usizev(base.history_len);
             e.usizev(2);
@@ -348,6 +384,7 @@ fn history_deltas_that_repeat_an_entry_are_typed_corrupt() {
         &[],
     );
     let repeated_pair = chain_with_crafted_segment(
+        &empty_interner_deltas,
         &|e, base| {
             e.usizev(base.history_len);
             e.usizev(0);
@@ -371,6 +408,47 @@ fn history_deltas_that_repeat_an_entry_are_typed_corrupt() {
             other => panic!("{log} delta with a repeat: expected Corrupt, got {other:?}"),
         }
     }
+}
+
+/// A restore that shares the caller's raw interner must not leave names
+/// from a block it rejects in it: a raw delta of `[fresh, duplicate]` used
+/// to intern the fresh name before failing on the duplicate, shifting every
+/// symbol the caller minted afterwards and failing a retry from a good
+/// chain with a spurious disagreement.
+#[test]
+fn a_rejected_interner_delta_leaves_the_shared_interner_untouched() {
+    let base = fixture_base();
+    let restore_sharing = |shared: &Arc<DomainInterner>, bytes: &[u8]| {
+        EngineBuilder::lanl().restore_stream_with_domains(Arc::clone(shared), &mut &bytes[..])
+    };
+    let shared = Arc::new(DomainInterner::new());
+    restore_sharing(&shared, base.full_block).expect("the full block restores");
+    let before = shared.tail(0);
+    let held = before.get(0).expect("the fixture interned names").to_owned();
+
+    let chain = chain_with_crafted_segment(
+        &|e| {
+            e.usizev(before.len());
+            e.usizev(2);
+            e.str("fresh.example");
+            e.str(&held);
+            (0..6).for_each(|_| e.usizev(0));
+        },
+        &valid_history_section,
+        &[],
+    );
+    match restore_sharing(&shared, &chain) {
+        Err(StoreError::Corrupt { context }) => {
+            assert!(context.contains("raw domain interner"), "names the table: {context}")
+        }
+        other => panic!("duplicate in a raw delta: expected Corrupt, got {other:?}"),
+    }
+    assert_eq!(shared.tail(0), before, "nothing from the rejected block remains");
+    assert_eq!(shared.get("fresh.example"), None);
+    assert_eq!(shared.intern("minted.later.example").raw() as usize, before.len());
+
+    let good = chain_with_crafted_segment(&empty_interner_deltas, &valid_history_section, &[]);
+    restore_sharing(&shared, &good).expect("a retry from a good chain succeeds");
 }
 
 /// 100k+ symbols — including empty and unicode names — survive a full
