@@ -57,17 +57,6 @@ checkpoint_stall_ms bounds the freeze critical section itself; measured
 stalls sit near 1ms, and the 25ms ceiling only trips if freezing stops
 being O(day) (e.g. someone reintroduces a full-table clone).
 
-The sharded ingest arm has its own within-file contract: on a smoke run
-with at least SHARDED_MIN_CORES cores, sharded_ingest_rec_s (a 4-shard
-ShardedEngine over the same world) must reach SHARDED_SPEEDUP_MIN times
-ingest_records_per_sec from the same report — partitioned parallel
-reduction is the point of the sharding tier, and both numbers come from
-one run on one machine so the ratio is noise-resistant. On a runner with
-fewer cores the parallel shards cannot beat one engine by construction,
-so the ratio is printed as informational (the report's cpu_cores field
-says which regime the reading came from). shard_merge_ms is always
-informational: it is lower-is-better and small compared to reduction.
-
 Schema changes: a gated metric missing from the *fresh* reading is a hard
 failure — it means perf_smoke silently stopped measuring something the
 gate promises to watch. A metric missing only from the *baseline* is
@@ -93,11 +82,6 @@ OBS_OVERHEAD_MAX_PCT = 3.0
 CHECKPOINT_INGEST_RATIO_MIN = 0.70
 CHECKPOINT_STALL_MAX_MS = 25.0
 
-# Within-file floor on the sharded-vs-single ingest speedup, applied only
-# when the smoke ran with at least SHARDED_MIN_CORES cores (see docstring).
-SHARDED_SPEEDUP_MIN = 1.5
-SHARDED_MIN_CORES = 4
-
 # Higher-is-better metrics stable enough to gate (see module docstring).
 GATED = [
     "ingest_records_per_sec",
@@ -107,14 +91,12 @@ GATED = [
     "checkpoint_mb_per_sec",
     "restore_mb_per_sec",
     "ingest_while_checkpoint_rec_s",
-    "sharded_ingest_rec_s",
     "compaction_mb_per_sec",
     "backend_put_mb_s",
 ]
 
 # Reported for the trajectory, never gated (noise-dominated; see docstring).
 INFORMATIONAL = [
-    "shard_merge_ms",
     "serve_ingest_rec_s",
     "serve_query_p50_ms",
 ]
@@ -185,21 +167,6 @@ def main(argv):
             failures.append("checkpoint_stall_ms")
     else:
         print(f"  SKIP {'checkpoint_stall_ms':28s} absent from fresh reading")
-
-    # Sharded speedup contract: within-file ratio, enforced only on a
-    # multi-core smoke (see docstring).
-    if "sharded_ingest_rec_s" in fresh and "ingest_records_per_sec" in fresh:
-        speedup = fresh["sharded_ingest_rec_s"] / fresh["ingest_records_per_sec"]
-        cores = fresh.get("cpu_cores", 0)
-        if cores >= SHARDED_MIN_CORES:
-            verdict = "ok" if speedup >= SHARDED_SPEEDUP_MIN else "FAIL"
-            print(f"  {verdict:4s} {'sharded_speedup':28s} {speedup:>14,.2f}x "
-                  f"(floor {SHARDED_SPEEDUP_MIN:.1f}x on {cores} cores)")
-            if verdict == "FAIL":
-                failures.append("sharded_speedup")
-        else:
-            print(f"  info {'sharded_speedup':28s} {speedup:>14,.2f}x "
-                  f"(not gated: {cores} core(s) < {SHARDED_MIN_CORES})")
 
     if failures:
         print(f"perf gate FAILED: {', '.join(failures)} fell outside "

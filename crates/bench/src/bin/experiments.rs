@@ -9,32 +9,89 @@
 //!                             #   table1 table2 table3 fig2 fig3 fig4 fig5
 //!                             #   fig6a fig6b fig6c fig7 fig8 regression
 //!                             #   evasion)
+//!
+//! An unknown experiment name or option prints the usage text on stderr
+//! and exits with status 2.
 
 use earlybird_eval::evasion::{evasion_study, JITTER_LEVELS};
 use earlybird_eval::lanl::{table2_grid, LanlRun};
 use earlybird_eval::report::{cdf_points, render_table};
 use earlybird_eval::{AcHarness, Fig6Row, Rates};
 use earlybird_synthgen::lanl::CHALLENGE_SCHEDULE;
+use std::path::PathBuf;
+
+/// Every experiment this binary runs.
+const EXPERIMENTS: [&str; 14] = [
+    "table1",
+    "table2",
+    "table3",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6a",
+    "fig6b",
+    "fig6c",
+    "fig7",
+    "fig8",
+    "regression",
+    "evasion",
+];
+
+fn usage() -> String {
+    format!(
+        "usage: experiments [--small] [--json DIR] [[--]EXPERIMENT ...]\n\
+         experiments (none named: run them all): {}",
+        EXPERIMENTS.join(" ")
+    )
+}
+
+/// The parsed command line.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    /// Test-scale worlds instead of full-scale ones.
+    small: bool,
+    /// Where to write JSON artifacts, if anywhere.
+    json_dir: Option<PathBuf>,
+    /// The experiments named; empty means all.
+    wanted: Vec<&'static str>,
+}
+
+/// Parses the arguments after the program name. An experiment may be
+/// named with or without a leading `--`; anything that is neither a known
+/// option nor a known experiment is an error.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut out = Args::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--small" => out.small = true,
+            "--json" => {
+                let dir = args.next().ok_or("--json needs a directory")?;
+                out.json_dir = Some(PathBuf::from(dir));
+            }
+            other => {
+                let name = other.trim_start_matches("--");
+                let &known = EXPERIMENTS
+                    .iter()
+                    .find(|&&e| e == name)
+                    .ok_or_else(|| format!("unknown experiment or option {other:?}"))?;
+                out.wanted.push(known);
+            }
+        }
+    }
+    Ok(out)
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let small = args.iter().any(|a| a == "--small");
-    let json_dir: Option<std::path::PathBuf> = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Args { small, json_dir, wanted } = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}\n{}", usage());
+        std::process::exit(2);
+    });
     if let Some(dir) = &json_dir {
         std::fs::create_dir_all(dir).expect("create JSON output dir");
     }
-    let consumed_by_json: Vec<usize> =
-        args.iter().position(|a| a == "--json").map(|i| vec![i, i + 1]).unwrap_or_default();
-    let wanted: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| *a != "--small" && !consumed_by_json.contains(i))
-        .map(|(_, a)| a.trim_start_matches("--"))
-        .collect();
     let want = |name: &str| wanted.is_empty() || wanted.contains(&name);
     let dump = |name: &str, value: &dyn erased::Dump| {
         if let Some(dir) = &json_dir {
@@ -463,4 +520,43 @@ fn case_study(harness: &AcHarness<'_>, hints: bool) {
         println!("  {score:+.2}  {name:<40} {category}  via {reason:?}");
     }
     println!("\nDOT graph:\n{}", study.dot);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn no_arguments_run_everything_at_full_scale() {
+        assert_eq!(parse(&[]), Ok(Args::default()));
+    }
+
+    #[test]
+    fn options_and_names_parse_in_any_order() {
+        let args = parse(&["--fig2", "--small", "table3", "--json", "out"]).unwrap();
+        assert!(args.small);
+        assert_eq!(args.json_dir, Some(PathBuf::from("out")));
+        assert_eq!(args.wanted, ["fig2", "table3"]);
+    }
+
+    #[test]
+    fn every_listed_experiment_is_accepted() {
+        for name in EXPERIMENTS {
+            assert_eq!(parse(&[name]).unwrap().wanted, [name]);
+            assert_eq!(parse(&[&format!("--{name}")]).unwrap().wanted, [name]);
+        }
+    }
+
+    #[test]
+    fn unknown_names_and_options_are_rejected() {
+        for bad in [&["--fgi2"][..], &["table9"], &["--small", "fig2", "--verbose"], &[""]] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains("unknown experiment"), "{bad:?}: {err}");
+        }
+        assert_eq!(parse(&["--json"]), Err("--json needs a directory".into()));
+    }
 }

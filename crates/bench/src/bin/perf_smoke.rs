@@ -1,7 +1,6 @@
 //! Machine-readable perf smoke pass for CI: measures ingest throughput,
-//! the sharded-ingest A/B ([`ShardedEngine`] over `SHARD_COUNT` parallel
-//! shards vs the single-engine path), the metrics-instrumentation
-//! overhead on that hot path, parse-only and interning microbenches,
+//! the metrics-instrumentation overhead on that hot path, parse-only and
+//! interning microbenches,
 //! checkpoint/restore bandwidth, the always-on cycle (ingest rate while
 //! background checkpoints commit underneath, plus the freeze-stall
 //! ceiling), store-compaction bandwidth, raw backend put bandwidth, and
@@ -11,10 +10,8 @@
 //! The checked-in `ci/BENCH_10.json` is the baseline the perf gate
 //! (`ci/perf_gate.py`) compares against (`ci/BENCH_4.json` through
 //! `ci/BENCH_9.json` are earlier PRs' readings, kept for the
-//! trajectory). The report records `cpu_cores` so the gate can tell a
-//! multi-core smoke (where the sharded speedup contract applies) from a
-//! constrained single-core runner (where parallel shards cannot beat one
-//! engine and the ratio is informational).
+//! trajectory). The report records `cpu_cores`, the regime a reading came
+//! from.
 //!
 //! Record counts are read back from the attached [`MetricsRegistry`]
 //! (`engine_records_total`, `serve_ingest_records_total`) and
@@ -36,7 +33,7 @@
 
 use earlybird_engine::{
     compact_store, DayBatch, Engine, EngineBuilder, LifecycleConfig, LocalFsBackend, MemBackend,
-    MetricsRegistry, ObjectStore, Persistence, ShardedEngine, SnapshotPolicy, StoreDir,
+    MetricsRegistry, ObjectStore, Persistence, SnapshotPolicy, StoreDir,
 };
 use earlybird_logmodel::{parse_dns_span, DomainInterner, ParsedChunk};
 use earlybird_serve::{ServeClient, Server, ServerConfig, TenantSpec};
@@ -229,61 +226,6 @@ fn intern_hits() -> f64 {
 /// Alternating enabled/disabled ingest passes for the overhead reading.
 const OVERHEAD_RUNS: usize = 4;
 
-/// Shards in the sharded ingest arm — the "4-thread smoke" the perf
-/// gate's speedup contract is written against.
-const SHARD_COUNT: usize = 4;
-
-/// Timed runs of the sharded ingest arm.
-const SHARD_RUNS: usize = 4;
-
-fn fresh_sharded(challenge: &LanlChallenge, registry: Arc<MetricsRegistry>) -> ShardedEngine {
-    EngineBuilder::lanl()
-        .metrics(registry)
-        .build_sharded(
-            Arc::clone(&challenge.dataset.domains),
-            challenge.dataset.meta.clone(),
-            SHARD_COUNT,
-        )
-        .expect("valid sharded config")
-}
-
-/// The sharded A/B arm: the same full-world ingest as the throughput
-/// measurement, but through a [`ShardedEngine`] partitioning each day by
-/// internal host across [`SHARD_COUNT`] parallel shards (deterministic
-/// merge included — the report is byte-identical to the single-engine
-/// one, which `tests/shard_equivalence.rs` proves). Timing runs use a
-/// disabled registry so the reading is comparable with
-/// `ingest_records_per_sec`; one extra instrumented run reads the mean
-/// per-day merge wall time off the sharded engine's own
-/// `engine_stage_micros{stage="shard_merge"}` series. Returns
-/// `(sharded records/s, mean merge ms per day)`.
-fn sharded_ingest(challenge: &LanlChallenge, total_records: u64) -> (f64, f64) {
-    let mut sharded_secs = f64::INFINITY;
-    for _ in 0..SHARD_RUNS {
-        let mut engine = fresh_sharded(challenge, Arc::new(MetricsRegistry::disabled()));
-        let started = Instant::now();
-        for day in &challenge.dataset.days {
-            engine.ingest_day(DayBatch::Dns(day));
-        }
-        sharded_secs = sharded_secs.min(started.elapsed().as_secs_f64());
-    }
-
-    let registry = Arc::new(MetricsRegistry::new());
-    let mut engine = fresh_sharded(challenge, Arc::clone(&registry));
-    for day in &challenge.dataset.days {
-        engine.ingest_day(DayBatch::Dns(day));
-    }
-    let merge =
-        registry.snapshot().histogram_totals("engine_stage_micros", &[("stage", "shard_merge")]);
-    assert_eq!(
-        merge.count,
-        challenge.dataset.days.len() as u64,
-        "one shard merge per ingested day"
-    );
-    let shard_merge_ms = merge.sum as f64 / 1e3 / merge.count.max(1) as f64;
-    (total_records as f64 / sharded_secs, shard_merge_ms)
-}
-
 /// Runs of the always-on ingest-under-checkpoint measurement.
 const CHECKPOINT_RUNS: usize = 4;
 
@@ -364,9 +306,6 @@ fn main() {
     let ingest_records_per_sec = total_records as f64 / disabled_secs;
     let obs_overhead_pct = (enabled_secs - disabled_secs) / disabled_secs * 100.0;
 
-    // Sharded A/B: the same world through a 4-shard ShardedEngine.
-    let (sharded_ingest_rec_s, shard_merge_ms) = sharded_ingest(&challenge, total_records);
-
     // Hot-path microbenches: parse-only span throughput and interner
     // hit-path lookups (new in schema v4).
     let (parse_lines_per_sec, parse_mb_per_sec) = parse_only();
@@ -434,8 +373,6 @@ fn main() {
          \"cpu_cores\": {cpu_cores},\n  \
          \"ingest_records\": {registry_records},\n  \
          \"ingest_records_per_sec\": {ingest_records_per_sec:.0},\n  \
-         \"sharded_ingest_rec_s\": {sharded_ingest_rec_s:.0},\n  \
-         \"shard_merge_ms\": {shard_merge_ms:.3},\n  \
          \"obs_overhead_pct\": {obs_overhead_pct:.2},\n  \
          \"parse_lines_per_sec\": {parse_lines_per_sec:.0},\n  \
          \"parse_mb_per_sec\": {parse_mb_per_sec:.1},\n  \

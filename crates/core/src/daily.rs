@@ -1,37 +1,35 @@
 //! Daily pipeline orchestration: the "operation" loop of §III-E.
 //!
-//! [`DailyPipeline`] owns the cross-day state — domain/UA histories, the
-//! fold table, the rare sieve — and turns each raw day batch into a
+//! [`DailyPipeline`] owns the cross-day state — domain/UA histories and the
+//! fold table — and turns each day's records into a
 //! [`DayProduct`]: the reduced contacts indexed for detection, plus every
 //! per-step counter the Fig. 2 reproduction needs. Bootstrap days only feed
 //! the histories; operation days are compared against the profiles *before*
 //! the profiles are updated.
 //!
-//! Ingestion is streaming-first: [`DailyPipeline::begin_dns_day`] /
+//! Chunks are the only way in: [`DailyPipeline::begin_dns_day`] /
 //! [`DailyPipeline::begin_proxy_day`] open a [`DayAccum`] that absorbs the
 //! day chunk by chunk ("updated incrementally daily" over logs too large to
 //! materialize, §III-E), and [`DailyPipeline::finish_day`] seals it into a
 //! [`DayOutcome`]. Chunk reduction borrows the pipeline immutably and is
 //! thread-safe, so a caller may reduce disjoint chunks on parallel workers
 //! (see [`DailyPipeline::reduce_dns_records`]) and absorb the results in
-//! order; the whole-day `bootstrap_*` / `process_*` methods remain as the
-//! single-chunk reference path.
+//! order with [`DailyPipeline::absorb_chunk`].
 
 use crate::context::DayContext;
 use earlybird_intel::WhoisRegistry;
 use earlybird_logmodel::{
-    DatasetMeta, Day, DhcpLog, DnsDayLog, DnsQuery, DomainInterner, DomainSym, HostId, Ipv4,
-    ProxyDayLog, ProxyRecord, UaSym,
+    DatasetMeta, Day, DhcpLog, DnsQuery, DomainInterner, DomainSym, HostId, Ipv4, ProxyRecord,
+    UaSym,
 };
 use earlybird_pipeline::{
-    normalize_proxy_chunk, normalize_proxy_day, reduce_dns_chunk, reduce_dns_day,
-    reduce_proxy_chunk, reduce_proxy_day, ChunkReduction, DayIndex, DayIndexBuilder, DayReducer,
-    DnsReductionCounts, DomainHistory, FoldTable, InternalFilter, NormalizationCounts,
-    ProxyReductionCounts, RareSieve, ReductionConfig, UaHistory,
+    normalize_proxy_chunk, reduce_dns_chunk, reduce_proxy_chunk, ChunkReduction, DayIndex,
+    DayIndexBuilder, DayReducer, DnsReductionCounts, DomainHistory, FoldTable, InternalFilter,
+    NormalizationCounts, ProxyReductionCounts, ReductionConfig, UaHistory,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Pipeline configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -93,15 +91,14 @@ impl DayProduct {
 /// Cross-day pipeline state.
 ///
 /// Internal plumbing: callers should drive the daily cycle through
-/// `earlybird-engine`'s `Engine::ingest_day` instead of calling the
-/// `bootstrap_*` / `process_*` methods directly.
+/// `earlybird-engine`'s `Engine::begin_day` (or its `Engine::ingest_day`
+/// wrapper) instead of calling the chunk methods directly.
 #[derive(Debug)]
 pub struct DailyPipeline {
     cfg: PipelineConfig,
     fold: FoldTable,
     history: DomainHistory,
     ua_history: UaHistory,
-    sieve: RareSieve,
     ip_literal_cache: Mutex<HashMap<DomainSym, bool>>,
 }
 
@@ -113,7 +110,6 @@ impl DailyPipeline {
             fold: FoldTable::new(raw, cfg.fold_level),
             history: DomainHistory::new(),
             ua_history: UaHistory::new(cfg.rare_ua_threshold),
-            sieve: RareSieve::new(cfg.unpopular_threshold),
             ip_literal_cache: Mutex::new(HashMap::new()),
         }
     }
@@ -126,8 +122,8 @@ impl DailyPipeline {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is invalid (zero fold level or thresholds); the
-    /// engine validates restored configurations before calling this.
+    /// Panics if `cfg` has a zero fold level; the engine validates restored
+    /// configurations before calling this.
     pub fn from_restored(
         raw: Arc<DomainInterner>,
         folded: Arc<DomainInterner>,
@@ -140,7 +136,6 @@ impl DailyPipeline {
             fold: FoldTable::from_interners(raw, folded, cfg.fold_level),
             history,
             ua_history,
-            sieve: RareSieve::new(cfg.unpopular_threshold),
             ip_literal_cache: Mutex::new(HashMap::new()),
         }
     }
@@ -185,76 +180,6 @@ impl DailyPipeline {
         &self.ua_history
     }
 
-    /// Ingests a bootstrap DNS day: reduction + history update, no
-    /// detection.
-    pub fn bootstrap_dns_day(&mut self, day: &DnsDayLog, meta: &DatasetMeta) -> DnsReductionCounts {
-        let cfg = ReductionConfig::from_meta(meta);
-        let (contacts, counts) = reduce_dns_day(day, meta, &self.fold, &cfg);
-        self.history.update(&contacts);
-        self.ua_history.update(&contacts);
-        counts
-    }
-
-    /// Ingests a bootstrap proxy day.
-    pub fn bootstrap_proxy_day(
-        &mut self,
-        day: &ProxyDayLog,
-        dhcp: &DhcpLog,
-        meta: &DatasetMeta,
-    ) -> (NormalizationCounts, ProxyReductionCounts) {
-        let (normalized, norm_counts) =
-            normalize_proxy_day(day, dhcp, |r| self.is_ip_literal(r.domain));
-        let cfg = ReductionConfig::from_meta(meta);
-        let (contacts, counts) = reduce_proxy_day(&normalized, meta, &self.fold, &cfg);
-        self.history.update(&contacts);
-        self.ua_history.update(&contacts);
-        (norm_counts, counts)
-    }
-
-    /// Processes an operation DNS day: reduce, extract rares against the
-    /// *pre-update* history, index, then update the profiles.
-    pub fn process_dns_day(&mut self, day: &DnsDayLog, meta: &DatasetMeta) -> DayProduct {
-        let cfg = ReductionConfig::from_meta(meta);
-        let (contacts, counts) = reduce_dns_day(day, meta, &self.fold, &cfg);
-        let rare = self.sieve.extract(&contacts, &self.history);
-        let index = DayIndex::build(day.day, &contacts, rare, Some(&self.ua_history));
-        self.history.update(&contacts);
-        self.ua_history.update(&contacts);
-        DayProduct {
-            day: day.day,
-            index,
-            folded: Arc::clone(self.fold.folded_interner()),
-            dns_counts: Some(counts),
-            proxy_counts: None,
-            norm_counts: None,
-        }
-    }
-
-    /// Processes an operation proxy day.
-    pub fn process_proxy_day(
-        &mut self,
-        day: &ProxyDayLog,
-        dhcp: &DhcpLog,
-        meta: &DatasetMeta,
-    ) -> DayProduct {
-        let (normalized, norm_counts) =
-            normalize_proxy_day(day, dhcp, |r| self.is_ip_literal(r.domain));
-        let cfg = ReductionConfig::from_meta(meta);
-        let (contacts, counts) = reduce_proxy_day(&normalized, meta, &self.fold, &cfg);
-        let rare = self.sieve.extract(&contacts, &self.history);
-        let index = DayIndex::build(day.day, &contacts, rare, Some(&self.ua_history));
-        self.history.update(&contacts);
-        self.ua_history.update(&contacts);
-        DayProduct {
-            day: day.day,
-            index,
-            folded: Arc::clone(self.fold.folded_interner()),
-            dns_counts: None,
-            proxy_counts: Some(counts),
-            norm_counts: Some(norm_counts),
-        }
-    }
-
     // -- streaming ingestion ----------------------------------------------
 
     /// The raw-name interner the pipeline folds from (needed by callers
@@ -263,10 +188,10 @@ impl DailyPipeline {
         self.fold.raw_interner()
     }
 
-    /// Opens a streaming DNS day. Push chunks with
-    /// [`DailyPipeline::push_dns_chunk`] (or reduce them on parallel workers
-    /// via [`DailyPipeline::reduce_dns_records`] and absorb in order), then
-    /// seal with [`DailyPipeline::finish_day`].
+    /// Opens a streaming DNS day. Reduce chunks (on parallel workers if
+    /// wanted) with [`DailyPipeline::reduce_dns_records`], absorb them in
+    /// order with [`DailyPipeline::absorb_chunk`], then seal with
+    /// [`DailyPipeline::finish_day`].
     pub fn begin_dns_day(&self, day: Day, meta: &DatasetMeta, bootstrap: bool) -> DayAccum {
         self.begin_day(day, meta, bootstrap, DaySource::Dns)
     }
@@ -290,7 +215,7 @@ impl DailyPipeline {
             raw_records: 0,
             filter: InternalFilter::new(ReductionConfig::from_meta(meta)),
             reducer: DayReducer::new(),
-            builder: (!bootstrap).then(|| DayIndexBuilder::new(day, self.sieve.threshold())),
+            builder: (!bootstrap).then(|| DayIndexBuilder::new(day, self.cfg.unpopular_threshold)),
             day_domains: HashSet::new(),
             ua_pairs: HashSet::new(),
             norm: NormalizationCounts::default(),
@@ -376,58 +301,9 @@ impl DailyPipeline {
         }
     }
 
-    /// Merges one shard's day-long accumulation into the canonical
-    /// [`DayAccum`] — the deterministic-merge hook behind
-    /// `earlybird-engine`'s `ShardedEngine`. The caller must already have
-    /// remapped every domain symbol in the partial onto the canonical
-    /// folded interner (see [`DayReducer::remap_domains`] /
-    /// [`DayIndexBuilder::remap_domains`]); this method only unions.
-    ///
-    /// Merging is commutative over host-partitioned shards, but callers
-    /// merge in shard order anyway so any future order-sensitive state
-    /// stays deterministic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partial disagrees with the accumulator on bootstrap
-    /// mode (one carries an index builder, the other does not).
-    pub fn absorb_shard_partial(&self, accum: &mut DayAccum, partial: ShardDayPartial) {
-        accum.reducer.merge(partial.reducer);
-        accum.ua_pairs.extend(partial.ua_pairs);
-        match (&mut accum.builder, partial.builder) {
-            (Some(canonical), Some(local)) => canonical.merge(local),
-            (None, None) => accum.day_domains.extend(partial.day_domains),
-            _ => panic!("shard partial disagrees with the day's bootstrap mode"),
-        }
-    }
-
-    /// Sequential convenience: reduce + absorb one chunk of DNS queries.
-    pub fn push_dns_chunk(&self, accum: &mut DayAccum, queries: &[DnsQuery], meta: &DatasetMeta) {
-        accum.raw_records += queries.len();
-        let chunk = self.reduce_dns_records(accum, queries, meta);
-        self.absorb_chunk(accum, chunk);
-    }
-
-    /// Sequential convenience: normalize + reduce + absorb one chunk of raw
-    /// proxy records.
-    pub fn push_proxy_chunk(
-        &self,
-        accum: &mut DayAccum,
-        records: &[ProxyRecord],
-        dhcp: &DhcpLog,
-        meta: &DatasetMeta,
-    ) {
-        accum.raw_records += records.len();
-        let (normalized, counts) = self.normalize_proxy_records(records, dhcp);
-        accum.merge_norm(&counts);
-        let chunk = self.reduce_proxy_records(accum, &normalized, meta);
-        self.absorb_chunk(accum, chunk);
-    }
-
     /// Seals a streamed day: finalizes the index (operation days), then —
     /// and only then — folds the day's destinations and user agents into the
-    /// cross-day histories, exactly like the whole-day path ("updated at the
-    /// end of each day", §IV-A).
+    /// cross-day histories ("updated at the end of each day", §IV-A).
     pub fn finish_day(&mut self, accum: DayAccum) -> DayOutcome {
         let DayAccum {
             day,
@@ -477,14 +353,18 @@ impl DailyPipeline {
     /// Whether a raw destination "domain" is an IP literal (§IV-A drops
     /// those); memoized per symbol.
     fn is_ip_literal(&self, raw: DomainSym) -> bool {
-        let cache = self.ip_literal_cache.lock().expect("ip-literal cache poisoned");
-        if let Some(&v) = cache.get(&raw) {
+        if let Some(&v) = self.ip_literal_cache().get(&raw) {
             return v;
         }
-        drop(cache);
         let v = self.fold.raw_interner().with_str(raw, |name| name.parse::<Ipv4>().is_ok());
-        self.ip_literal_cache.lock().expect("ip-literal cache poisoned").insert(raw, v);
+        self.ip_literal_cache().insert(raw, v);
         v
+    }
+
+    // The cache only ever gains verdicts of a pure function, each inserted
+    // whole, so a holder that panicked left it valid.
+    fn ip_literal_cache(&self) -> MutexGuard<'_, HashMap<DomainSym, bool>> {
+        self.ip_literal_cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -550,28 +430,6 @@ impl DayAccum {
     }
 }
 
-/// One shard's contribution to a streamed day, accumulated against a
-/// shard-local folded interner and handed to
-/// [`DailyPipeline::absorb_shard_partial`] after its domain symbols are
-/// remapped onto the canonical table.
-///
-/// Mirrors the per-shard slice of [`DayAccum`]: reduction counters, the
-/// index builder (operation days) or deferred history domains (bootstrap
-/// days), and the deferred `(UA, host)` observations. Normalization
-/// counters are absent — the sharded proxy path merges those at span level
-/// via [`DayAccum::merge_norm`], in arrival order.
-#[derive(Debug)]
-pub struct ShardDayPartial {
-    /// The shard's reduction counters.
-    pub reducer: DayReducer,
-    /// The shard's index builder (`None` on bootstrap days).
-    pub builder: Option<DayIndexBuilder>,
-    /// Deferred history domains (bootstrap days only).
-    pub day_domains: HashSet<DomainSym>,
-    /// Deferred `(UA, host)` observations.
-    pub ua_pairs: HashSet<(UaSym, HostId)>,
-}
-
 /// What [`DailyPipeline::finish_day`] produced: profile-only counters for a
 /// bootstrap day, or the full detector-facing [`DayProduct`] for an
 /// operation day.
@@ -594,7 +452,34 @@ pub enum DayOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use earlybird_logmodel::DnsDayLog;
     use earlybird_synthgen::lanl::{LanlConfig, LanlGenerator};
+
+    /// Streams one DNS day through the chunk API the engine drives:
+    /// `begin_dns_day`, then per chunk `reduce_dns_records` + `absorb_chunk`,
+    /// then `finish_day`.
+    fn ingest_dns_day(
+        pipeline: &mut DailyPipeline,
+        day: &DnsDayLog,
+        meta: &DatasetMeta,
+        bootstrap: bool,
+    ) -> DayOutcome {
+        let mut accum = pipeline.begin_dns_day(day.day, meta, bootstrap);
+        for chunk in day.queries.chunks(97) {
+            accum.count_raw_records(chunk.len());
+            let reduced = pipeline.reduce_dns_records(&accum, chunk, meta);
+            pipeline.absorb_chunk(&mut accum, reduced);
+        }
+        assert_eq!(accum.records_in(), day.queries.len());
+        pipeline.finish_day(accum)
+    }
+
+    fn operation_product(outcome: DayOutcome) -> Box<DayProduct> {
+        match outcome {
+            DayOutcome::Operation(product) => product,
+            DayOutcome::Bootstrap { .. } => panic!("operation day expected"),
+        }
+    }
 
     #[test]
     fn bootstrap_then_operation_classifies_rares() {
@@ -605,16 +490,27 @@ mod tests {
             DailyPipeline::new(Arc::clone(&challenge.dataset.domains), PipelineConfig::lanl());
 
         for day in &challenge.dataset.days[..5] {
-            pipeline.bootstrap_dns_day(day, meta);
+            let outcome = ingest_dns_day(&mut pipeline, day, meta, true);
+            assert!(matches!(outcome, DayOutcome::Bootstrap { dns_counts: Some(_), .. }));
         }
         assert!(pipeline.history().len() > 50, "history populated");
+        assert_eq!(pipeline.history().days_ingested(), 5);
 
-        let product = pipeline.process_dns_day(&challenge.dataset.days[5], meta);
+        let product = operation_product(ingest_dns_day(
+            &mut pipeline,
+            &challenge.dataset.days[5],
+            meta,
+            false,
+        ));
         assert!(product.index.rare_count() > 0, "fresh domains appear daily");
         let counts = product.dns_counts.unwrap();
+        assert_eq!(counts.records_all, challenge.dataset.days[5].queries.len());
         assert!(counts.domains_all >= counts.domains_after_internal_filter);
         assert!(counts.domains_after_internal_filter >= counts.domains_after_server_filter);
         assert!(product.index.rare_count() <= counts.domains_after_server_filter);
+        for rare in product.index.rare_domains() {
+            assert!(!pipeline.history().is_new(rare), "the day's rares join the history at seal");
+        }
     }
 
     #[test]
@@ -628,10 +524,11 @@ mod tests {
         let campaign = &challenge.campaigns[0];
         for day in &challenge.dataset.days {
             if day.day < campaign.day {
-                pipeline.bootstrap_dns_day(day, meta);
+                ingest_dns_day(&mut pipeline, day, meta, true);
             }
         }
-        let product = pipeline.process_dns_day(challenge.dataset.day(campaign.day).unwrap(), meta);
+        let day = challenge.dataset.day(campaign.day).unwrap();
+        let product = operation_product(ingest_dns_day(&mut pipeline, day, meta, false));
         for name in campaign.answer_domains() {
             let sym = pipeline.folded_interner().get(name).expect("campaign domain indexed");
             assert!(product.index.is_rare(sym), "{name} must be rare on its campaign day");
@@ -645,66 +542,15 @@ mod tests {
         let meta = &challenge.dataset.meta;
         let mut pipeline =
             DailyPipeline::new(Arc::clone(&challenge.dataset.domains), PipelineConfig::lanl());
-        let product = pipeline.process_dns_day(&challenge.dataset.days[0], meta);
+        let product = operation_product(ingest_dns_day(
+            &mut pipeline,
+            &challenge.dataset.days[0],
+            meta,
+            false,
+        ));
         let ctx = product.context(None, (123.0, 456.0));
         let any = product.index.rare_domains().next().expect("some rare domain");
         assert_eq!(ctx.whois_features(any), (123.0, 456.0));
-    }
-
-    #[test]
-    fn streamed_day_matches_batch_day() {
-        let gen = LanlGenerator::new(LanlConfig::tiny());
-        let challenge = gen.generate();
-        let meta = &challenge.dataset.meta;
-
-        let mut batch =
-            DailyPipeline::new(Arc::clone(&challenge.dataset.domains), PipelineConfig::lanl());
-        let mut streamed =
-            DailyPipeline::new(Arc::clone(&challenge.dataset.domains), PipelineConfig::lanl());
-
-        for (i, day) in challenge.dataset.days[..6].iter().enumerate() {
-            let bootstrap = i < 5;
-            let batch_counts = if bootstrap {
-                batch.bootstrap_dns_day(day, meta)
-            } else {
-                let product = batch.process_dns_day(day, meta);
-                product.dns_counts.unwrap()
-            };
-
-            let mut accum = streamed.begin_dns_day(day.day, meta, bootstrap);
-            for chunk in day.queries.chunks(97) {
-                streamed.push_dns_chunk(&mut accum, chunk, meta);
-            }
-            assert_eq!(accum.records_in(), day.queries.len());
-            match streamed.finish_day(accum) {
-                DayOutcome::Bootstrap { dns_counts, .. } => {
-                    assert!(bootstrap);
-                    assert_eq!(dns_counts.unwrap(), batch_counts);
-                }
-                DayOutcome::Operation(product) => {
-                    assert!(!bootstrap);
-                    assert_eq!(product.dns_counts.unwrap(), batch_counts);
-                    assert!(product.index.rare_count() > 0);
-                }
-            }
-            assert_eq!(streamed.history().len(), batch.history().len(), "day {i}");
-            assert_eq!(streamed.history().days_ingested(), batch.history().days_ingested());
-        }
-
-        // The operation day's rare sets agree between the two paths.
-        let day = &challenge.dataset.days[6];
-        let batch_product = batch.process_dns_day(day, meta);
-        let mut accum = streamed.begin_dns_day(day.day, meta, false);
-        streamed.push_dns_chunk(&mut accum, &day.queries, meta);
-        let DayOutcome::Operation(stream_product) = streamed.finish_day(accum) else {
-            panic!("operation day expected");
-        };
-        let mut batch_rare: Vec<DomainSym> = batch_product.index.rare_domains().collect();
-        let mut stream_rare: Vec<DomainSym> = stream_product.index.rare_domains().collect();
-        batch_rare.sort_unstable();
-        stream_rare.sort_unstable();
-        assert_eq!(batch_rare, stream_rare);
-        assert_eq!(batch_product.index.new_count(), stream_product.index.new_count());
     }
 
     #[test]
@@ -716,5 +562,27 @@ mod tests {
         let a = pipeline.intern_seed("deep.sub.rainbow.c3");
         let b = pipeline.intern_seed("sub.rainbow.c3");
         assert_eq!(a, b, "seeds fold to the pipeline's level");
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_wedge_the_ip_literal_cache() {
+        let raw = Arc::new(DomainInterner::new());
+        let literal = raw.intern("8.8.8.8");
+        let name = raw.intern("nbc.com");
+        let pipeline = DailyPipeline::new(Arc::clone(&raw), PipelineConfig::enterprise());
+        assert!(pipeline.is_ip_literal(literal));
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = pipeline.ip_literal_cache.lock().unwrap();
+                    panic!("normalize worker dies holding the ip-literal cache");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(pipeline.ip_literal_cache.is_poisoned());
+        assert!(pipeline.is_ip_literal(literal), "cached verdict survives");
+        assert!(!pipeline.is_ip_literal(name), "fresh verdicts still land");
+        assert_eq!(pipeline.ip_literal_cache().len(), 2);
     }
 }

@@ -53,7 +53,7 @@ pub use bp::{
 };
 pub use cc::{automated_pairs_with, CcDetection, CcDetector, CcModel};
 pub use context::DayContext;
-pub use daily::{DailyPipeline, DayAccum, DayOutcome, DayProduct, PipelineConfig, ShardDayPartial};
+pub use daily::{DailyPipeline, DayAccum, DayOutcome, DayProduct, PipelineConfig};
 pub use extract::{cc_features, min_interval_to_malicious, sim_features};
 pub use similarity::SimScorer;
 pub use train::{train_cc_model, train_sim_model, whois_defaults, CcSample, SimSample};

@@ -299,28 +299,6 @@ impl EngineBuilder {
         Ok(Engine::from_parts(self.cfg, self.sinks, raw, meta, self.uas, self.paths, metrics))
     }
 
-    /// [`EngineBuilder::build`] wrapped in a [`crate::ShardedEngine`] with
-    /// `shards` host-partitioned reduction lanes; results are byte-identical
-    /// to the plain engine for any shard count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InvalidConfig`] for out-of-range knobs or a
-    /// zero shard count.
-    pub fn build_sharded(
-        self,
-        raw: Arc<DomainInterner>,
-        meta: DatasetMeta,
-        shards: usize,
-    ) -> Result<crate::ShardedEngine, EngineError> {
-        if shards == 0 {
-            return Err(EngineError::InvalidConfig(
-                "a sharded engine needs at least one shard".into(),
-            ));
-        }
-        Ok(crate::ShardedEngine::new(self.build(raw, meta)?, shards))
-    }
-
     /// Registers the engine's metric handles against the attached registry
     /// (or a private enabled one when none was attached).
     pub(crate) fn make_metrics(

@@ -3,20 +3,22 @@
 //! The paper's histories are "updated incrementally daily" over billions of
 //! log lines (§III-E, §IV-A) — no enterprise deployment can afford to
 //! materialize a whole day of parsed records before work starts.
-//! [`DayIngest`] is the constant-memory alternative to
-//! [`crate::DayBatch`]-based ingestion: open a day with
-//! [`Engine::begin_day`], feed it any mix of [`DayIngest::push_lines`] /
-//! [`DayIngest::push_dns_records`] / [`DayIngest::push_proxy_records`]
-//! spans in any chunking, and seal it with [`DayIngest::finish`] to run the
-//! unchanged detection tail (C&C scoring, alerting, belief propagation).
+//! [`DayIngest`] is the engine's one ingest path, in constant memory: open
+//! a day with [`Engine::begin_day`], feed it any mix of
+//! [`DayIngest::push_lines`] / [`DayIngest::push_dns_records`] /
+//! [`DayIngest::push_proxy_records`] spans in any chunking, and seal it
+//! with [`DayIngest::finish`] to run the detection tail (C&C scoring,
+//! alerting, belief propagation). `Engine::ingest_day` pushes a parsed day
+//! as one span.
 //!
-//! Each pushed span is split across the engine's worker pool: parsing and
-//! chunk reduction run in parallel, while the two order-sensitive steps —
-//! host-id assignment for raw DNS lines and first-fold interning of domain
-//! names — run sequentially in arrival order, which makes every result
-//! (alerts, counters, candidate ordering, sink sequence) independent of how
-//! the day was chunked. `Engine::ingest_day` is itself a wrapper that
-//! pushes the whole batch as one span.
+//! Each pushed span is split across the engine's `parallelism(n)` workers,
+//! the only parallel mechanism ingest has: parsing and chunk reduction run
+//! in parallel, while the two order-sensitive steps — host-id assignment
+//! for raw DNS lines and first-fold interning of domain names — run
+//! sequentially in arrival order, which makes every result — alerts,
+//! counters, candidate ordering, sink sequence, and every checkpoint byte
+//! but the recorded worker count — independent of how the day was chunked
+//! and of the worker count.
 
 use crate::builder::EngineError;
 use crate::core_loop::Engine;
@@ -27,7 +29,7 @@ use earlybird_logmodel::{
     ParsedChunk, ProxyRecord,
 };
 use earlybird_pipeline::NormalizationCounts;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Upper bound on pooled scratch buffers (spare capacity beyond this is
@@ -47,8 +49,15 @@ pub(crate) struct ScratchPool {
 }
 
 impl ScratchPool {
+    // A holder that panicked left a list of buffers, each either whole or
+    // about to be cleared before reuse, so the poison flag carries no
+    // information.
+    fn lock<T>(pool: &Mutex<Vec<ParsedChunk<T>>>) -> MutexGuard<'_, Vec<ParsedChunk<T>>> {
+        pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn take<T>(pool: &Mutex<Vec<ParsedChunk<T>>>, n: usize) -> Vec<ParsedChunk<T>> {
-        let mut pool = pool.lock().expect("scratch pool poisoned");
+        let mut pool = Self::lock(pool);
         let keep = pool.len().saturating_sub(n);
         let mut out: Vec<ParsedChunk<T>> = pool.drain(keep..).collect();
         out.resize_with(n, ParsedChunk::default);
@@ -56,7 +65,7 @@ impl ScratchPool {
     }
 
     fn give<T>(pool: &Mutex<Vec<ParsedChunk<T>>>, bufs: Vec<ParsedChunk<T>>) {
-        let mut pool = pool.lock().expect("scratch pool poisoned");
+        let mut pool = Self::lock(pool);
         for mut buf in bufs {
             if pool.len() >= SCRATCH_POOL_CAP {
                 break;
@@ -66,19 +75,19 @@ impl ScratchPool {
         }
     }
 
-    pub(crate) fn take_dns(&self, n: usize) -> Vec<ParsedChunk<DnsQuery>> {
+    fn take_dns(&self, n: usize) -> Vec<ParsedChunk<DnsQuery>> {
         Self::take(&self.dns, n)
     }
 
-    pub(crate) fn give_dns(&self, bufs: Vec<ParsedChunk<DnsQuery>>) {
+    fn give_dns(&self, bufs: Vec<ParsedChunk<DnsQuery>>) {
         Self::give(&self.dns, bufs)
     }
 
-    pub(crate) fn take_proxy(&self, n: usize) -> Vec<ParsedChunk<ProxyRecord>> {
+    fn take_proxy(&self, n: usize) -> Vec<ParsedChunk<ProxyRecord>> {
         Self::take(&self.proxy, n)
     }
 
-    pub(crate) fn give_proxy(&self, bufs: Vec<ParsedChunk<ProxyRecord>>) {
+    fn give_proxy(&self, bufs: Vec<ParsedChunk<ProxyRecord>>) {
         Self::give(&self.proxy, bufs)
     }
 }
@@ -97,7 +106,7 @@ pub enum IngestSource<'a> {
 }
 
 impl IngestSource<'_> {
-    pub(crate) fn is_dns(&self) -> bool {
+    fn is_dns(&self) -> bool {
         matches!(self, IngestSource::Dns)
     }
 }
@@ -400,22 +409,6 @@ impl DayIngest<'_, '_> {
             replay.duplicate = true;
             return Ok(replay);
         };
-        engine.seal_streamed_day(day, accum, parse_errors, started)
-    }
-}
-
-impl Engine {
-    /// Seals a fully accumulated streamed day: `finish_day` under the
-    /// profile timer, then either the bootstrap bookkeeping or the
-    /// detection tail. The shared back half of [`DayIngest::try_finish`]
-    /// and the sharded merge path in [`crate::shard`].
-    pub(crate) fn seal_streamed_day(
-        &mut self,
-        day: Day,
-        accum: DayAccum,
-        parse_errors: usize,
-        started: Instant,
-    ) -> Result<DayReport, EngineError> {
         let mut report = DayReport {
             day,
             bootstrap: accum.bootstrap(),
@@ -427,21 +420,21 @@ impl Engine {
             ..DayReport::default()
         };
         let outcome = {
-            let _profile_span = self.metrics.profile.start();
-            self.pipeline.finish_day(accum)
+            let _profile_span = engine.metrics.profile.start();
+            engine.pipeline.finish_day(accum)
         };
-        self.record_interner_shape();
+        engine.record_interner_shape();
         match outcome {
             DayOutcome::Bootstrap { dns_counts, proxy_counts, norm_counts } => {
                 report.dns_counts = dns_counts;
                 report.proxy_counts = proxy_counts;
                 report.norm_counts = norm_counts;
-                self.fill_reduction_counters(&mut report);
+                engine.fill_reduction_counters(&mut report);
                 report.stages.wall_micros = started.elapsed().as_micros() as u64;
-                self.reports.insert(day, Engine::counters_only(&report));
+                engine.reports.insert(day, Engine::counters_only(&report));
                 Ok(report)
             }
-            DayOutcome::Operation(product) => self.run_detection_tail(report, *product, started),
+            DayOutcome::Operation(product) => engine.run_detection_tail(report, *product, started),
         }
     }
 }
@@ -508,7 +501,7 @@ fn reduce_proxy_spans(
 /// Splits a span into at most `workers` contiguous shards of at least
 /// `chunk_records` items each (short spans stay whole — thread spawn would
 /// dominate).
-pub(crate) fn shard_spans<T>(items: &[T], workers: usize, chunk_records: usize) -> Vec<&[T]> {
+fn shard_spans<T>(items: &[T], workers: usize, chunk_records: usize) -> Vec<&[T]> {
     if items.is_empty() {
         return Vec::new();
     }
@@ -518,10 +511,7 @@ pub(crate) fn shard_spans<T>(items: &[T], workers: usize, chunk_records: usize) 
 
 /// Maps `f` over the shards on scoped threads, preserving shard order; a
 /// single shard runs inline.
-pub(crate) fn map_shards<T: Sync, R: Send>(
-    shards: &[&[T]],
-    f: impl Fn(&[T]) -> R + Sync,
-) -> Vec<R> {
+fn map_shards<T: Sync, R: Send>(shards: &[&[T]], f: impl Fn(&[T]) -> R + Sync) -> Vec<R> {
     if shards.len() <= 1 {
         return shards.iter().map(|shard| f(shard)).collect();
     }
@@ -534,7 +524,7 @@ pub(crate) fn map_shards<T: Sync, R: Send>(
 
 /// Runs `f` over `(shard, scratch-buffer)` pairs on scoped threads (one
 /// buffer per shard, mutated in place); a single pair runs inline.
-pub(crate) fn parse_shards<T: Sync, B: Send>(
+fn parse_shards<T: Sync, B: Send>(
     shards: &[&[T]],
     bufs: &mut [B],
     f: impl Fn(&[T], &mut B) + Sync,
@@ -584,5 +574,26 @@ mod tests {
         let sums = map_shards(&shards, |s| s.iter().sum::<u32>());
         let expected: Vec<u32> = shards.iter().map(|s| s.iter().sum()).collect();
         assert_eq!(sums, expected);
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_wedge_the_scratch_pool() {
+        let pool = ScratchPool::default();
+        pool.give_dns(pool.take_dns(2));
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = pool.dns.lock().unwrap();
+                    panic!("parse worker dies holding the scratch pool");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(pool.dns.is_poisoned());
+        let bufs = pool.take_dns(3);
+        assert_eq!(bufs.len(), 3);
+        assert!(bufs.iter().all(|b| b.records.is_empty() && b.errors.is_empty()));
+        pool.give_dns(bufs);
+        assert_eq!(pool.take_dns(1).len(), 1);
     }
 }

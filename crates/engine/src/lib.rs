@@ -11,14 +11,15 @@
 //!   C&C model, similarity scorer, belief-propagation limits, WHOIS
 //!   registry and defaults, SOC hint seeds, parallelism, alert sinks) into
 //!   one validated [`EngineConfig`].
-//! * [`Engine::begin_day`] opens a streaming [`DayIngest`] handle: push raw
-//!   log lines ([`DayIngest::push_lines`]) or parsed records in chunks of
-//!   any size — parsing and reduction fan out across the engine's worker
-//!   pool while memory stays bounded by the chunk size — then
-//!   [`DayIngest::finish`] runs the detection tail. [`DayBatch`] +
-//!   [`Engine::ingest_day`] remain as a one-call wrapper over the same
-//!   path, parallelizing per-domain C&C scoring across a sharded thread
-//!   pool and returning a typed [`DayReport`] with per-stage counters.
+//! * [`Engine::begin_day`] opens a streaming [`DayIngest`] handle — the
+//!   one way a day is ingested: push raw log lines
+//!   ([`DayIngest::push_lines`]) or parsed records in chunks of any size —
+//!   parsing and reduction fan out across the engine's
+//!   [`EngineBuilder::parallelism`] workers while memory stays bounded by
+//!   the chunk size — then [`DayIngest::finish`] runs the detection tail,
+//!   scoring rare domains on the same workers, and returns a typed
+//!   [`DayReport`] with per-stage counters. [`DayBatch`] +
+//!   [`Engine::ingest_day`] push a whole parsed day as one span.
 //! * Typed [`Alert`]s flow through pluggable [`AlertSink`]s (collecting,
 //!   JSON-lines, callback) in a deterministic order.
 //! * [`Engine::investigate`] runs belief propagation for any hint mode
@@ -46,10 +47,6 @@
 //!   staging and a conditional manifest swap. Raw byte streams without a
 //!   managed directory read back through
 //!   [`EngineBuilder::restore_stream`].
-//! * [`ShardedEngine`] partitions a day's traffic by internal host across
-//!   N parallel inner shards and merges them deterministically: any shard
-//!   count — including one — produces byte-identical reports, alerts, and
-//!   checkpoints.
 //! * Observability rides along the whole cycle: per-stage wall-time
 //!   histograms (`engine_stage_micros{stage=parse|reduce|profile|cc|bp|
 //!   checkpoint|restore|compact}`), ingest counters, and checkpoint
@@ -87,7 +84,6 @@ mod metrics;
 mod persist;
 mod persistence;
 mod report;
-mod shard;
 mod train;
 
 pub use alert::{
@@ -109,4 +105,3 @@ pub use persistence::{
     CommitHandle, CommitMode, CommitOutcome, Persistence, SnapshotMode, SnapshotPolicy,
 };
 pub use report::{CcCandidate, DayReport, InvestigationReport, StageCounters, TrainingReport};
-pub use shard::{shard_of, ShardedDayIngest, ShardedEngine};

@@ -8,9 +8,8 @@
 //! back in one buffer, plus one `u32` end offset per string) under a hash
 //! index of `Copy` entries: a string costs its bytes, an offset and an index
 //! slot, never an allocation of its own. Bulk loads reserve once and append,
-//! a copy of the table (the wait-free reader snapshot, a
-//! [`fork`](TypedInterner::fork)) is three buffer copies with no re-hash,
-//! and dropping one frees three buffers.
+//! a copy of the table (the wait-free reader snapshot) is three buffer
+//! copies with no re-hash, and dropping one frees three buffers.
 //!
 //! The interner is internally synchronized, so datasets can share one across
 //! analysis threads. [`Symbol<T>`] is parameterized by a tag type so that a
@@ -360,12 +359,8 @@ pub struct TypedInterner<T> {
 impl<T> TypedInterner<T> {
     /// Creates an empty interner.
     pub fn new() -> Self {
-        Self::from_inner(Inner::default())
-    }
-
-    fn from_inner(inner: Inner) -> Self {
         TypedInterner {
-            inner: RwLock::new(inner),
+            inner: RwLock::new(Inner::default()),
             snap: Published::new(StrTable::default()),
             _tag: PhantomData,
         }
@@ -547,21 +542,6 @@ impl<T> TypedInterner<T> {
         }
         true
     }
-
-    /// A private copy of this interner: same strings, same numbering, new
-    /// identity. Shard-local interning uses this — each shard forks the
-    /// canonical table at day start, interns against its copy with zero
-    /// cross-shard contention, and the merge remaps any locally minted
-    /// tail symbols back by name.
-    ///
-    /// The fork starts with an empty published read snapshot (it
-    /// republishes once enough new strings land); [`TypedInterner::intern`]
-    /// and [`TypedInterner::get`] see the full table immediately.
-    pub fn fork(&self) -> Self {
-        let table = self.read().table.clone();
-        let published_len = table.strs.len();
-        Self::from_inner(Inner { table, published_len, publications: 0 })
-    }
 }
 
 impl<T> Default for TypedInterner<T> {
@@ -737,21 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_preserves_numbering_and_diverges_privately() {
-        let i = DomainInterner::new();
-        let a = i.intern("a.com");
-        let f = i.fork();
-        assert_eq!(f.len(), 1);
-        assert_eq!(f.get("a.com"), Some(a));
-        assert_eq!(f.resolve(a), "a.com");
-        let local = f.intern("new.com");
-        assert_eq!(local.raw(), 1, "fork continues the shared numbering");
-        assert!(i.get("new.com").is_none(), "fork growth is private");
-        let canon = i.intern("other.com");
-        assert_eq!(canon.raw(), 1, "original numbering unaffected by the fork");
-    }
-
-    #[test]
     fn serde_roundtrip_is_transparent() {
         let i = DomainInterner::new();
         let s = i.intern("roundtrip.net");
@@ -840,7 +805,6 @@ mod tests {
         assert!(i.extend_from_snapshot(3, &["bulk.com"]));
         i.publish();
         assert_eq!(i.reader().get("bulk.com"), Some(DomainSym::from_raw(3)));
-        assert_eq!(i.fork().len(), i.len());
         assert_eq!(i.tail(0).len(), 4);
     }
 
@@ -985,7 +949,7 @@ mod tests {
         #[test]
         fn any_operation_sequence_matches_the_model(
             ops in proptest::collection::vec(
-                (0u8..6, proptest::collection::vec(0usize..POOL.len(), 0..6), 0usize..8),
+                (0u8..5, proptest::collection::vec(0usize..POOL.len(), 0..6), 0usize..8),
                 0..40,
             )
         ) {
@@ -1013,12 +977,6 @@ mod tests {
                         for (s, &n) in &model.numbers {
                             prop_assert_eq!(reader.get(s), Some(DomainSym::from_raw(n)));
                         }
-                    }
-                    4 => {
-                        let fork = i.fork();
-                        assert_matches_model(&fork, &model);
-                        fork.intern("only in the fork");
-                        prop_assert_eq!(i.get("only in the fork"), None);
                     }
                     _ => {
                         let tail = i.tail(at);

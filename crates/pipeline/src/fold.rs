@@ -5,7 +5,7 @@
 //! dataset, we conservatively fold to third-level domains" (§IV-A).
 
 use earlybird_logmodel::{fold_domain, DomainInterner, DomainSym, Published};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Sentinel marking a raw symbol whose fold has not been computed yet.
 const UNFOLDED: u32 = u32::MAX;
@@ -101,7 +101,7 @@ impl FoldTable {
     pub fn fold(&self, raw_sym: DomainSym) -> DomainSym {
         let idx = raw_sym.raw() as usize;
         {
-            let live = self.live.read().expect("fold cache poisoned");
+            let live = self.live.read().unwrap_or_else(PoisonError::into_inner);
             if let Some(&f) = live.vec.get(idx) {
                 if f != UNFOLDED {
                     return DomainSym::from_raw(f);
@@ -116,7 +116,9 @@ impl FoldTable {
     fn fold_miss(&self, raw_sym: DomainSym, idx: usize) -> DomainSym {
         let folded_sym =
             self.raw.with_str(raw_sym, |name| self.folded.intern(fold_domain(name, self.level)));
-        let mut live = self.live.write().expect("fold cache poisoned");
+        // A holder that panicked left every cell either unfolded or holding
+        // its one pure fold, so the poison flag carries no information.
+        let mut live = self.live.write().unwrap_or_else(PoisonError::into_inner);
         if live.vec.len() <= idx {
             live.vec.resize(idx + 1, UNFOLDED);
         }
@@ -242,6 +244,28 @@ mod tests {
         let stale = t.folder();
         let late = raw.intern("late.arrival.net");
         assert_eq!(stale.fold(late), t.fold(late));
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_wedge_the_fold_memo() {
+        let raw = Arc::new(DomainInterner::new());
+        let a = raw.intern("news.nbc.com");
+        let b = raw.intern("video.nbc.com");
+        let t = FoldTable::new(Arc::clone(&raw), 2);
+        let fa = t.fold(a);
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = t.live.write().unwrap();
+                    panic!("reduce worker dies holding the fold memo");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(t.live.is_poisoned());
+        assert_eq!(t.fold(a), fa, "memoized fold survives");
+        assert_eq!(t.fold(b), fa, "fresh folds still land");
+        assert_eq!(t.folder().fold(b), fa);
     }
 
     #[test]

@@ -37,15 +37,6 @@ pub struct EdgeHttp {
 }
 
 impl EdgeHttp {
-    /// Combines statistics accumulated for the same edge by independent
-    /// builders (shard merge). Counters add; HTTP visibility is sticky.
-    fn merge(&mut self, other: EdgeHttp) {
-        self.connections += other.connections;
-        self.with_referer += other.with_referer;
-        self.with_common_ua += other.with_common_ua;
-        self.saw_http |= other.saw_http;
-    }
-
     fn observe(&mut self, contact: &Contact, ua_history: Option<&UaHistory>) {
         self.connections += 1;
         if let Some(http) = &contact.http {
@@ -485,47 +476,6 @@ impl DayIndexBuilder {
     /// dominant memory cost, useful for monitoring long streams.
     pub fn tracked_edge_count(&self) -> usize {
         self.edge_series.len()
-    }
-
-    /// Rewrites every domain symbol through `map` — the shard-merge hook
-    /// that moves a builder keyed by a shard-local folded interner onto the
-    /// canonical table. `map` must be injective over the symbols present
-    /// (interners are bijective name↔symbol, so a name-based remap always
-    /// is); hosts and timestamps are untouched.
-    pub fn remap_domains(&mut self, map: impl Fn(DomainSym) -> DomainSym) {
-        self.new_domains = self.new_domains.drain().map(&map).collect();
-        self.edge_series = self.edge_series.drain().map(|((h, d), v)| ((h, map(d)), v)).collect();
-        self.first_contact =
-            self.first_contact.drain().map(|((h, d), v)| ((h, map(d)), v)).collect();
-        self.domain_ips = self.domain_ips.drain().map(|(d, ip)| (map(d), ip)).collect();
-        self.edge_http = self.edge_http.drain().map(|((h, d), v)| ((h, map(d)), v)).collect();
-    }
-
-    /// Folds another builder for the same day into this one. Partitioning by
-    /// host makes the edge-keyed maps disjoint in practice, but every merge
-    /// is written as a true union (append series, min first-contact, summed
-    /// HTTP counters) so the result is correct for any split.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the builders disagree on the day or threshold.
-    pub fn merge(&mut self, other: DayIndexBuilder) {
-        assert_eq!(self.day, other.day, "merging builders for different days");
-        assert_eq!(
-            self.unpopular_threshold, other.unpopular_threshold,
-            "merging builders with different thresholds"
-        );
-        self.new_domains.extend(other.new_domains);
-        for (edge, series) in other.edge_series {
-            self.edge_series.entry(edge).or_default().extend(series);
-        }
-        for (edge, ts) in other.first_contact {
-            self.first_contact.entry(edge).and_modify(|t| *t = (*t).min(ts)).or_insert(ts);
-        }
-        self.domain_ips.extend(other.domain_ips);
-        for (edge, http) in other.edge_http {
-            self.edge_http.entry(edge).or_default().merge(http);
-        }
     }
 
     /// Applies the unpopularity threshold and seals the day into the

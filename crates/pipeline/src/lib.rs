@@ -21,8 +21,9 @@
 //! * [`rare`] — "new + unpopular" rare-destination extraction.
 //! * [`index`] — the per-day [`DayIndex`] over contacts: host↔domain edges,
 //!   per-edge timestamp series, per-domain IPs and HTTP statistics, held as
-//!   sorted columns; built whole-day by [`DayIndex::build`] or incrementally
-//!   from out-of-order chunks by [`DayIndexBuilder`].
+//!   sorted columns; built incrementally from out-of-order chunks by
+//!   [`DayIndexBuilder`] (or from a contact list by [`DayIndex::build`],
+//!   which test fixtures use).
 //!
 //! The chunk-level entry points take only `&self` state (the fold memo and
 //! the [`InternalFilter`] verdict cache are internally synchronized), so one
@@ -58,10 +59,9 @@ pub use contact::{Contact, HttpContext};
 pub use fold::{DomainFolder, FoldTable};
 pub use history::{DomainHistory, UaHistory};
 pub use index::{DayIndex, DayIndexBuilder, EdgeHttp, EdgeKey, Grouped, UnsortedColumn};
-pub use normalize::{normalize_proxy_chunk, normalize_proxy_day, NormalizationCounts};
+pub use normalize::{normalize_proxy_chunk, NormalizationCounts};
 pub use rare::{RareDomains, RareSieve};
 pub use reduce::{
-    reduce_dns_chunk, reduce_dns_day, reduce_proxy_chunk, reduce_proxy_day, ChunkReduction,
-    DayReducer, DnsReductionCounts, InternalFilter, InternalJudge, ProxyReductionCounts,
-    ReductionConfig,
+    reduce_dns_chunk, reduce_proxy_chunk, ChunkReduction, DayReducer, DnsReductionCounts,
+    InternalFilter, InternalJudge, ProxyReductionCounts, ReductionConfig,
 };

@@ -5,13 +5,13 @@
 //! hostnames (by parsing the DHCP and VPN logs collected by the
 //! organization) ... We do not consider destinations that are IP addresses."
 
-use earlybird_logmodel::{DhcpLog, ProxyDayLog, ProxyRecord};
+use earlybird_logmodel::{DhcpLog, ProxyRecord};
 use serde::{Deserialize, Serialize};
 
 /// Per-day normalization statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NormalizationCounts {
-    /// Records in the raw day batch.
+    /// Raw records seen.
     pub input: usize,
     /// Records surviving normalization.
     pub output: usize,
@@ -38,7 +38,7 @@ impl NormalizationCounts {
 ///
 /// Records that already carry a resolved `host` are passed through without a
 /// lease lookup. The output preserves the chunk's record order (streaming
-/// consumers never need a sorted day; [`normalize_proxy_day`] sorts).
+/// consumers never need a sorted day).
 pub fn normalize_proxy_chunk(
     records: &[ProxyRecord],
     dhcp: &DhcpLog,
@@ -72,24 +72,12 @@ pub fn normalize_proxy_chunk(
     (out, counts)
 }
 
-/// Normalizes one whole day of proxy records (a single-chunk wrapper over
-/// [`normalize_proxy_chunk`]); the output is sorted by UTC timestamp.
-pub fn normalize_proxy_day(
-    day: &ProxyDayLog,
-    dhcp: &DhcpLog,
-    is_ip_literal: impl Fn(&ProxyRecord) -> bool,
-) -> (Vec<ProxyRecord>, NormalizationCounts) {
-    let (mut out, counts) = normalize_proxy_chunk(&day.records, dhcp, is_ip_literal);
-    out.sort_by_key(|r| r.ts_local);
-    (out, counts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use earlybird_logmodel::{
-        Day, DhcpLease, DomainInterner, HostId, HttpMethod, HttpStatus, Ipv4, PathInterner,
-        Timestamp, TzOffset,
+        DhcpLease, DomainInterner, HostId, HttpMethod, HttpStatus, Ipv4, PathInterner, Timestamp,
+        TzOffset,
     };
 
     fn record(
@@ -131,11 +119,8 @@ mod tests {
         let ip = Ipv4::new(10, 0, 0, 9);
         let mut dhcp = DhcpLog::new();
         dhcp.add(lease(ip, 7, 0, 100_000));
-        let day = ProxyDayLog {
-            day: Day::new(0),
-            records: vec![record(&domains, &paths, 7_200, 60, ip, "nbc.com")],
-        };
-        let (out, counts) = normalize_proxy_day(&day, &dhcp, |_| false);
+        let records = [record(&domains, &paths, 7_200, 60, ip, "nbc.com")];
+        let (out, counts) = normalize_proxy_chunk(&records, &dhcp, |_| false);
         assert_eq!(counts.output, 1);
         assert_eq!(out[0].host, Some(HostId::new(7)));
         // UTC-1h applied, offset reset.
@@ -148,11 +133,8 @@ mod tests {
         let domains = DomainInterner::new();
         let paths = PathInterner::new();
         let dhcp = DhcpLog::new();
-        let day = ProxyDayLog {
-            day: Day::new(0),
-            records: vec![record(&domains, &paths, 100, 0, Ipv4::new(10, 0, 0, 1), "nbc.com")],
-        };
-        let (out, counts) = normalize_proxy_day(&day, &dhcp, |_| false);
+        let records = [record(&domains, &paths, 100, 0, Ipv4::new(10, 0, 0, 1), "nbc.com")];
+        let (out, counts) = normalize_proxy_chunk(&records, &dhcp, |_| false);
         assert!(out.is_empty());
         assert_eq!(counts.dropped_unresolvable, 1);
     }
@@ -164,12 +146,9 @@ mod tests {
         let ip = Ipv4::new(10, 0, 0, 9);
         let mut dhcp = DhcpLog::new();
         dhcp.add(lease(ip, 7, 0, 1_000));
-        let day = ProxyDayLog {
-            day: Day::new(0),
-            records: vec![record(&domains, &paths, 10, 0, ip, "8.8.8.8")],
-        };
-        let domains_ref = day.records[0].domain;
-        let (out, counts) = normalize_proxy_day(&day, &dhcp, |r| {
+        let records = [record(&domains, &paths, 10, 0, ip, "8.8.8.8")];
+        let domains_ref = records[0].domain;
+        let (out, counts) = normalize_proxy_chunk(&records, &dhcp, |r| {
             r.domain == domains_ref // pretend the resolver flagged it
         });
         assert!(out.is_empty());
@@ -183,25 +162,34 @@ mod tests {
         let dhcp = DhcpLog::new(); // empty — would fail lease resolution
         let mut rec = record(&domains, &paths, 10, 0, Ipv4::new(10, 0, 0, 2), "nbc.com");
         rec.host = Some(HostId::new(3));
-        let day = ProxyDayLog { day: Day::new(0), records: vec![rec] };
-        let (out, counts) = normalize_proxy_day(&day, &dhcp, |_| false);
+        let (out, counts) = normalize_proxy_chunk(&[rec], &dhcp, |_| false);
         assert_eq!(counts.output, 1);
         assert_eq!(out[0].host, Some(HostId::new(3)));
     }
 
     #[test]
-    fn output_is_sorted_by_utc() {
+    fn output_keeps_record_order_and_merged_counts_add_up() {
         let domains = DomainInterner::new();
         let paths = PathInterner::new();
         let ip = Ipv4::new(10, 0, 0, 9);
         let mut dhcp = DhcpLog::new();
         dhcp.add(lease(ip, 7, 0, 1_000_000));
         // Two records whose local order differs from UTC order because of
-        // different collector timezones.
+        // different collector timezones, then one unresolvable source.
         let r1 = record(&domains, &paths, 10_000, 300, ip, "a.com"); // UTC 10_000-18_000 -> early
         let r2 = record(&domains, &paths, 9_000, -60, ip, "b.com"); // UTC 9_000+3_600 = 12_600
-        let day = ProxyDayLog { day: Day::new(0), records: vec![r2, r1] };
-        let (out, _) = normalize_proxy_day(&day, &dhcp, |_| false);
-        assert!(out[0].ts_local <= out[1].ts_local);
+        let r3 = record(&domains, &paths, 9_500, 0, Ipv4::new(10, 0, 0, 1), "c.com");
+        let (out, counts) = normalize_proxy_chunk(&[r2, r1, r3], &dhcp, |_| false);
+        assert_eq!(out.iter().map(|r| r.domain).collect::<Vec<_>>(), [r2.domain, r1.domain]);
+        assert_eq!(out[0].ts_local, Timestamp::from_secs(12_600));
+        assert!(out[0].ts_local > out[1].ts_local, "chunks are not sorted");
+
+        // A day's counters are the merge of its chunks'.
+        let mut merged = NormalizationCounts::default();
+        for chunk in [&[r2][..], &[r1, r3][..]] {
+            merged.merge(&normalize_proxy_chunk(chunk, &dhcp, |_| false).1);
+        }
+        assert_eq!(merged, counts);
+        assert_eq!((counts.input, counts.output, counts.dropped_unresolvable), (3, 2, 1));
     }
 }

@@ -75,11 +75,6 @@ impl RareSieve {
         RareSieve::new(10)
     }
 
-    /// The unpopularity threshold.
-    pub fn threshold(&self) -> usize {
-        self.unpopular_threshold
-    }
-
     /// Extracts the rare destinations of a day of contacts, relative to
     /// `history` (which must **not** yet include this day).
     pub fn extract(&self, contacts: &[Contact], history: &DomainHistory) -> RareDomains {

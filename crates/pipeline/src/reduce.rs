@@ -9,18 +9,16 @@
 //! day totals. Both chunk reducers take `&self` state only (the
 //! [`FoldTable`] memo and the [`InternalFilter`] verdict cache are
 //! internally synchronized), so disjoint chunks of one day can be reduced on
-//! parallel workers. The whole-day [`reduce_dns_day`] / [`reduce_proxy_day`]
-//! entry points are thin wrappers that feed a single chunk through the same
-//! machinery and sort the surviving contacts by timestamp.
+//! parallel workers.
 
 use crate::contact::{Contact, HttpContext};
 use crate::fold::FoldTable;
 use earlybird_logmodel::{
-    DatasetMeta, DnsDayLog, DnsQuery, DnsRecordType, DomainInterner, DomainSym, FastSet, HostKind,
+    DatasetMeta, DnsQuery, DnsRecordType, DomainInterner, DomainSym, FastSet, HostKind,
     ProxyRecord, Published,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Configuration of the reduction filters.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -113,7 +111,7 @@ impl InternalFilter {
         }
         let idx = raw_sym.raw() as usize;
         {
-            let live = self.live.read().expect("internal filter poisoned");
+            let live = self.live.read().unwrap_or_else(PoisonError::into_inner);
             if let Some(&v) = live.vec.get(idx) {
                 if v != UNJUDGED {
                     return v == INTERNAL;
@@ -121,7 +119,9 @@ impl InternalFilter {
             }
         }
         let internal = names.with_str(raw_sym, |name| self.cfg.is_internal(name));
-        let mut live = self.live.write().expect("internal filter poisoned");
+        // A holder that panicked left every cell either unjudged or holding
+        // its one pure verdict, so the poison flag carries no information.
+        let mut live = self.live.write().unwrap_or_else(PoisonError::into_inner);
         if live.vec.len() <= idx {
             live.vec.resize(idx + 1, UNJUDGED);
         }
@@ -323,28 +323,6 @@ impl DayReducer {
         self.records
     }
 
-    /// Rewrites every distinct-domain set through `map` — the shard-merge
-    /// hook that moves counters keyed by a shard-local folded interner onto
-    /// the canonical table. `map` must be injective over the symbols present
-    /// (a name-based interner remap always is), so cardinalities and hence
-    /// the reported counts are preserved.
-    pub fn remap_domains(&mut self, map: impl Fn(DomainSym) -> DomainSym) {
-        self.domains_all = self.domains_all.drain().map(&map).collect();
-        self.domains_after_internal = self.domains_after_internal.drain().map(&map).collect();
-        self.domains_after_server = self.domains_after_server.drain().map(&map).collect();
-    }
-
-    /// Folds another reducer's totals into this one: record tallies add,
-    /// distinct-domain sets union. Used by the shard merge, where each
-    /// partition reduced a disjoint slice of the day.
-    pub fn merge(&mut self, other: DayReducer) {
-        self.records += other.records;
-        self.records_a_only += other.records_a_only;
-        self.domains_all.extend(other.domains_all);
-        self.domains_after_internal.extend(other.domains_after_internal);
-        self.domains_after_server.extend(other.domains_after_server);
-    }
-
     /// The day's DNS counters (valid when DNS chunks were pushed).
     pub fn dns_counts(&self) -> DnsReductionCounts {
         DnsReductionCounts {
@@ -367,55 +345,34 @@ impl DayReducer {
     }
 }
 
-/// Reduces one day of DNS logs to [`Contact`]s.
-///
-/// Applies, in order: A-record restriction, internal-namespace filter,
-/// internal-server source filter; folds surviving names through `fold`. The
-/// returned contacts are sorted by timestamp.
-pub fn reduce_dns_day(
-    day: &DnsDayLog,
-    meta: &DatasetMeta,
-    fold: &FoldTable,
-    cfg: &ReductionConfig,
-) -> (Vec<Contact>, DnsReductionCounts) {
-    let filter = InternalFilter::new(cfg.clone());
-    let chunk = reduce_dns_chunk(&day.queries, meta, fold, &filter);
-    let mut reducer = DayReducer::new();
-    reducer.push_chunk(&chunk);
-    let mut contacts = chunk.contacts;
-    contacts.sort_by_key(|c| c.ts);
-    (contacts, reducer.dns_counts())
-}
-
-/// Reduces one day of *normalized* proxy records (see
-/// [`crate::normalize::normalize_proxy_day`]) to [`Contact`]s.
-///
-/// # Panics
-///
-/// Panics if a record has no resolved host (normalization must run first).
-pub fn reduce_proxy_day(
-    records: &[ProxyRecord],
-    meta: &DatasetMeta,
-    fold: &FoldTable,
-    cfg: &ReductionConfig,
-) -> (Vec<Contact>, ProxyReductionCounts) {
-    let filter = InternalFilter::new(cfg.clone());
-    let chunk = reduce_proxy_chunk(records, meta, fold, &filter);
-    let mut reducer = DayReducer::new();
-    reducer.push_chunk(&chunk);
-    let mut contacts = chunk.contacts;
-    contacts.sort_by_key(|c| c.ts);
-    (contacts, reducer.proxy_counts())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use earlybird_logmodel::{
-        Day, DnsQuery, DomainInterner, HostId, HttpMethod, HttpStatus, Ipv4, PathInterner,
-        Timestamp, TzOffset,
+        DnsQuery, DomainInterner, HostId, HttpMethod, HttpStatus, Ipv4, PathInterner, Timestamp,
+        TzOffset,
     };
     use std::sync::Arc;
+
+    /// Reduces `queries` in chunks of `chunk` records against one fresh
+    /// filter, merging the counters the way a day's accumulator does;
+    /// contacts come back in record order.
+    fn reduce_dns(
+        queries: &[DnsQuery],
+        meta: &DatasetMeta,
+        fold: &FoldTable,
+        chunk: usize,
+    ) -> (Vec<Contact>, DnsReductionCounts) {
+        let filter = InternalFilter::new(ReductionConfig::from_meta(meta));
+        let mut reducer = DayReducer::new();
+        let mut contacts = Vec::new();
+        for span in queries.chunks(chunk) {
+            let reduced = reduce_dns_chunk(span, meta, fold, &filter);
+            reducer.push_chunk(&reduced);
+            contacts.extend(reduced.contacts);
+        }
+        (contacts, reducer.dns_counts())
+    }
 
     fn meta_with_server(n: u32, server: u32) -> DatasetMeta {
         let mut kinds = vec![HostKind::Workstation; n as usize];
@@ -449,20 +406,16 @@ mod tests {
     #[test]
     fn dns_reduction_filters_in_paper_order() {
         let raw = Arc::new(DomainInterner::new());
-        let day = DnsDayLog {
-            day: Day::new(0),
-            queries: vec![
-                dns_query(&raw, 1, 0, "www.nbc.com", DnsRecordType::A),
-                dns_query(&raw, 2, 0, "mail.corp.local", DnsRecordType::A), // internal
-                dns_query(&raw, 3, 1, "evil.ru", DnsRecordType::A),         // server source
-                dns_query(&raw, 4, 0, "txt.example.org", DnsRecordType::Txt), // non-A
-                dns_query(&raw, 5, 2, "cdn.nbc.com", DnsRecordType::A),
-            ],
-        };
+        let queries = vec![
+            dns_query(&raw, 1, 0, "www.nbc.com", DnsRecordType::A),
+            dns_query(&raw, 2, 0, "mail.corp.local", DnsRecordType::A), // internal
+            dns_query(&raw, 3, 1, "evil.ru", DnsRecordType::A),         // server source
+            dns_query(&raw, 4, 0, "txt.example.org", DnsRecordType::Txt), // non-A
+            dns_query(&raw, 5, 2, "cdn.nbc.com", DnsRecordType::A),
+        ];
         let meta = meta_with_server(3, 1);
         let fold = FoldTable::new(Arc::clone(&raw), 2);
-        let cfg = ReductionConfig::from_meta(&meta);
-        let (contacts, counts) = reduce_dns_day(&day, &meta, &fold, &cfg);
+        let (contacts, counts) = reduce_dns(&queries, &meta, &fold, queries.len());
 
         assert_eq!(counts.records_all, 5);
         assert_eq!(counts.records_a_only, 4);
@@ -510,7 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_reduction_matches_whole_day() {
+    fn chunked_reduction_matches_one_chunk() {
         let raw = Arc::new(DomainInterner::new());
         let mut queries = Vec::new();
         for i in 0..60u32 {
@@ -524,23 +477,13 @@ mod tests {
         }
         queries.push(dns_query(&raw, 99, 0, "x.corp.local", DnsRecordType::A));
         let meta = meta_with_server(5, 2);
-        let cfg = ReductionConfig::from_meta(&meta);
 
         let fold_a = FoldTable::new(Arc::clone(&raw), 2);
-        let day = DnsDayLog { day: Day::new(0), queries: queries.clone() };
-        let (whole_contacts, whole_counts) = reduce_dns_day(&day, &meta, &fold_a, &cfg);
+        let (whole_contacts, whole_counts) = reduce_dns(&queries, &meta, &fold_a, queries.len());
 
         let fold_b = FoldTable::new(Arc::clone(&raw), 2);
-        let filter = InternalFilter::new(cfg.clone());
-        let mut reducer = DayReducer::new();
-        let mut contacts = Vec::new();
-        for chunk in queries.chunks(7) {
-            let red = reduce_dns_chunk(chunk, &meta, &fold_b, &filter);
-            reducer.push_chunk(&red);
-            contacts.extend(red.contacts);
-        }
-        contacts.sort_by_key(|c| c.ts);
-        assert_eq!(reducer.dns_counts(), whole_counts);
+        let (contacts, counts) = reduce_dns(&queries, &meta, &fold_b, 7);
+        assert_eq!(counts, whole_counts);
         assert_eq!(contacts, whole_contacts);
     }
 
@@ -558,11 +501,9 @@ mod tests {
             ));
         }
         queries.push(dns_query(&raw, 99, 0, "x.corp.local", DnsRecordType::A));
-        let day = DnsDayLog { day: Day::new(0), queries };
         let meta = meta_with_server(5, 2);
         let fold = FoldTable::new(Arc::clone(&raw), 2);
-        let cfg = ReductionConfig::from_meta(&meta);
-        let (_, c) = reduce_dns_day(&day, &meta, &fold, &cfg);
+        let (_, c) = reduce_dns(&queries, &meta, &fold, 16);
         assert!(c.domains_all >= c.domains_after_internal_filter);
         assert!(c.domains_after_internal_filter >= c.domains_after_server_filter);
         assert!(c.records_all >= c.records_a_only);
@@ -602,10 +543,15 @@ mod tests {
         ];
         let meta = meta_with_server(2, 1);
         let fold = FoldTable::new(Arc::clone(&raw), 2);
-        let cfg = ReductionConfig::from_meta(&meta);
-        let (contacts, counts) = reduce_proxy_day(&recs, &meta, &fold, &cfg);
+        let filter = InternalFilter::new(ReductionConfig::from_meta(&meta));
+        let reduced = reduce_proxy_chunk(&recs, &meta, &fold, &filter);
+        let mut reducer = DayReducer::new();
+        reducer.push_chunk(&reduced);
+        let counts = reducer.proxy_counts();
+        assert_eq!(counts.records_all, 3);
         assert_eq!(counts.domains_all, 3);
         assert_eq!(counts.domains_after_internal_filter, 2);
+        let contacts = reduced.contacts;
         assert_eq!(contacts.len(), 2);
         let evil = contacts.iter().find(|c| fold.folded_name(c.domain) == "evil.ru").unwrap();
         assert!(!evil.http.unwrap().referer_present);
@@ -622,7 +568,30 @@ mod tests {
         rec.host = None;
         let meta = meta_with_server(2, 1);
         let fold = FoldTable::new(Arc::clone(&raw), 2);
-        let cfg = ReductionConfig::default();
-        let _ = reduce_proxy_day(&[rec], &meta, &fold, &cfg);
+        let filter = InternalFilter::new(ReductionConfig::default());
+        let _ = reduce_proxy_chunk(&[rec], &meta, &fold, &filter);
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_wedge_the_internal_filter() {
+        let raw = DomainInterner::new();
+        let internal = raw.intern("mail.corp.local");
+        let external = raw.intern("nbc.com");
+        let filter =
+            InternalFilter::new(ReductionConfig { internal_suffixes: vec!["corp.local".into()] });
+        assert!(filter.is_internal_sym(internal, &raw));
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = filter.live.write().unwrap();
+                    panic!("reduce worker dies holding the verdict cache");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(filter.live.is_poisoned());
+        assert!(filter.is_internal_sym(internal, &raw), "cached verdict survives");
+        assert!(!filter.is_internal_sym(external, &raw), "fresh verdicts still land");
+        assert!(!filter.judge().is_internal(external, &raw));
     }
 }

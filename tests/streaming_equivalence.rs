@@ -1,10 +1,15 @@
 //! Chunk-split equivalence of the streaming ingest path: for *any* way of
 //! splitting a day into `begin_day` + `push_*` chunks — including raw-line
 //! pushes and parallel worker counts — the resulting [`DayReport`]s, alert
-//! streams, and retained engine state must be identical to `ingest_day`
-//! over the whole batch.
+//! streams, and retained engine state (down to the checkpoint bytes) must
+//! be identical to `ingest_day` over the whole batch, and a checkpoint
+//! taken under one worker count must restore and continue identically
+//! under another.
 
-use earlybird::engine::{DayBatch, DayReport, Engine, EngineBuilder, IngestSource, Investigation};
+use earlybird::engine::{
+    DayBatch, DayReport, Engine, EngineBuilder, IngestSource, Investigation, LifecycleConfig,
+    MemBackend, Persistence, SnapshotPolicy, StoreDir,
+};
 use earlybird::logmodel::{
     format_dns_line, DatasetMeta, Day, DnsDayLog, DnsQuery, DnsRecordType, HostId, HostKind, Ipv4,
     Timestamp,
@@ -67,6 +72,16 @@ fn build_queries(
     queries
 }
 
+/// The strongest state-equality probe available: every interner, profile,
+/// retained index, report and cursor lands in the full-snapshot bytes. The
+/// engine configuration, worker count included, is serialized too, so only
+/// engines built with the same knobs can compare equal.
+fn checkpoint_bytes(engine: &Engine) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    engine.freeze().write_to(&mut bytes).expect("frozen view serializes");
+    bytes
+}
+
 fn meta_for(n_hosts: u32) -> DatasetMeta {
     DatasetMeta {
         n_hosts,
@@ -101,7 +116,8 @@ proptest! {
 
     /// For arbitrary chunk splits of the same day, `begin_day` + `push_dns_records`
     /// + `finish` must reproduce `ingest_day` exactly: counters, candidates,
-    /// alerts (including sink sequence order), and BP outcome.
+    /// alerts (including sink sequence order), BP outcome, and the full
+    /// checkpoint bytes of a whole-batch engine with the same knobs.
     #[test]
     fn chunked_pushes_match_whole_batch(
         raw in proptest::collection::vec((0u64..86_400, 0u32..12, 0u8..16), 1..200),
@@ -135,6 +151,16 @@ proptest! {
         assert_reports_equal(&stream_report, &batch_report, "proptest day");
         prop_assert_eq!(stream_alerts.snapshot(), batch_alerts.snapshot());
         prop_assert_eq!(stream_engine.history().len(), batch_engine.history().len());
+
+        // Byte level: the same day pushed whole into an engine with the
+        // streaming engine's knobs leaves identical state behind.
+        let (mut whole_engine, _) = engine_for(&domains, &meta, parallelism, chunk_records);
+        whole_engine.ingest_day(DayBatch::Dns(&day_log));
+        prop_assert_eq!(
+            checkpoint_bytes(&stream_engine),
+            checkpoint_bytes(&whole_engine),
+            "checkpoint bytes must not depend on the chunk split"
+        );
 
         // Post-hoc investigation over the retained day agrees too.
         let by_stream = stream_engine.investigate(Day::new(0), Investigation::no_hint());
@@ -186,6 +212,68 @@ fn lanl_challenge_streams_identically() {
             .unwrap();
         assert_eq!(a.outcome, b.outcome, "campaign 3/{}", campaign.march_day);
     }
+}
+
+/// Restart across worker counts: a multi-day stream checkpointed day by
+/// day under `parallelism(3)`, restored through [`Persistence`] under
+/// `parallelism(1)` and continued, matches an uninterrupted
+/// `parallelism(1)` run — every report, the whole alert sequence, and the
+/// final checkpoint bytes.
+#[test]
+fn checkpoint_under_one_worker_count_restores_under_another() {
+    let challenge = LanlGenerator::new(LanlConfig::tiny()).generate();
+    let meta = &challenge.dataset.meta;
+    let domains = &challenge.dataset.domains;
+    let days = &challenge.dataset.days;
+    let cut = (meta.bootstrap_days as usize + 2).min(days.len() - 2);
+    let stream = |engine: &mut Engine, day: &DnsDayLog| {
+        let mut ingest = engine.begin_day(day.day, IngestSource::Dns);
+        for span in day.queries.chunks(777) {
+            ingest.push_dns_records(span);
+        }
+        ingest.finish()
+    };
+
+    let (mut reference, reference_alerts) = engine_for(domains, meta, 1, 64);
+    let reference_reports: Vec<DayReport> =
+        days.iter().map(|day| stream(&mut reference, day)).collect();
+
+    let dir = StoreDir::create_with(MemBackend::new(), LifecycleConfig::default())
+        .expect("create mem store");
+    let store = Persistence::new(dir, SnapshotPolicy::default());
+    let (mut before, before_alerts) = engine_for(domains, meta, 3, 64);
+    let mut reports = Vec::new();
+    for day in &days[..=cut] {
+        reports.push(stream(&mut before, day));
+        store.commit(&before).expect("freeze").wait().expect("sync commit");
+    }
+    drop(before);
+
+    let sink = CollectingSink::new();
+    let after_alerts = sink.handle();
+    let builder = EngineBuilder::lanl()
+        .parallelism(1)
+        .parallel_threshold(1)
+        .ingest_chunk_records(64)
+        .sink(sink);
+    let mut after =
+        store.restore_with_domains(Arc::clone(domains), builder).expect("chain restores");
+    for day in &days[cut + 1..] {
+        reports.push(stream(&mut after, day));
+    }
+
+    for (restarted, uninterrupted) in reports.iter().zip(&reference_reports) {
+        assert_reports_equal(restarted, uninterrupted, &format!("day {:?}", uninterrupted.day));
+    }
+    let mut alerts = before_alerts.snapshot();
+    alerts.extend(after_alerts.snapshot());
+    assert!(!alerts.is_empty(), "campaigns must alert");
+    assert_eq!(alerts, reference_alerts.snapshot());
+    assert_eq!(
+        checkpoint_bytes(&after),
+        checkpoint_bytes(&reference),
+        "a restart under another worker count must not change a single checkpoint byte"
+    );
 }
 
 /// Proxy days (normalization + DHCP resolution + HTTP context) stream
