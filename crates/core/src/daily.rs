@@ -11,25 +11,27 @@
 //! [`DailyPipeline::begin_proxy_day`] open a [`DayAccum`] that absorbs the
 //! day chunk by chunk ("updated incrementally daily" over logs too large to
 //! materialize, §III-E), and [`DailyPipeline::finish_day`] seals it into a
-//! [`DayOutcome`]. Chunk reduction borrows the pipeline immutably and is
-//! thread-safe, so a caller may reduce disjoint chunks on parallel workers
-//! (see [`DailyPipeline::reduce_dns_records`]) and absorb the results in
-//! order with [`DailyPipeline::absorb_chunk`].
+//! [`DayOutcome`]. Each pushed span goes through two sequential steps that
+//! take the pipeline mutably — [`DailyPipeline::admit_names`] judges every
+//! name minted since the last span, [`DailyPipeline::warm_dns_folds`] folds
+//! the span in record order — after which normalization and chunk
+//! reduction only read plain tables, so a caller may run disjoint chunks on
+//! parallel workers (see [`DailyPipeline::reduce_dns_records`]) and absorb
+//! the results in order with [`DailyPipeline::absorb_chunk`].
 
 use crate::context::DayContext;
 use earlybird_intel::WhoisRegistry;
 use earlybird_logmodel::{
-    DatasetMeta, Day, DhcpLog, DnsQuery, DomainInterner, DomainSym, HostId, Ipv4, ProxyRecord,
-    UaSym,
+    DatasetMeta, Day, DhcpLog, DnsQuery, DomainInterner, DomainSym, HostId, ProxyRecord, UaSym,
 };
 use earlybird_pipeline::{
     normalize_proxy_chunk, reduce_dns_chunk, reduce_proxy_chunk, ChunkReduction, DayIndex,
-    DayIndexBuilder, DayReducer, DnsReductionCounts, DomainHistory, FoldTable, InternalFilter,
+    DayIndexBuilder, DayReducer, DnsReductionCounts, DomainHistory, FoldTable, NameVerdicts,
     NormalizationCounts, ProxyReductionCounts, ReductionConfig, UaHistory,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Pipeline configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -97,28 +99,32 @@ impl DayProduct {
 pub struct DailyPipeline {
     cfg: PipelineConfig,
     fold: FoldTable,
+    /// Internal-namespace and IP-literal verdicts per raw name, judged
+    /// against the dataset's fixed internal suffixes.
+    verdicts: NameVerdicts,
     history: DomainHistory,
     ua_history: UaHistory,
-    ip_literal_cache: Mutex<HashMap<DomainSym, bool>>,
 }
 
 impl DailyPipeline {
     /// Creates a pipeline over the dataset's raw-name interner.
-    pub fn new(raw: Arc<DomainInterner>, cfg: PipelineConfig) -> Self {
-        DailyPipeline {
+    pub fn new(raw: Arc<DomainInterner>, cfg: PipelineConfig, meta: &DatasetMeta) -> Self {
+        Self::from_restored(
+            raw,
+            Arc::new(DomainInterner::new()),
             cfg,
-            fold: FoldTable::new(raw, cfg.fold_level),
-            history: DomainHistory::new(),
-            ua_history: UaHistory::new(cfg.rare_ua_threshold),
-            ip_literal_cache: Mutex::new(HashMap::new()),
-        }
+            meta,
+            DomainHistory::new(),
+            UaHistory::new(cfg.rare_ua_threshold),
+        )
     }
 
     /// Reassembles a pipeline from checkpointed state — the persistence
-    /// hook used by `earlybird-store` via the engine's restore path. The
-    /// fold memo and IP-literal caches start empty and are rebuilt lazily;
+    /// hook used by `earlybird-store` via the engine's restore path. Neither
+    /// per-name table is checkpointed: the first push after a restore
+    /// judges every restored name and refolds every name it carries, and
     /// because `folded` already holds every folded name in its original
-    /// numbering, re-folding reproduces identical symbols.
+    /// numbering, refolding reproduces identical symbols.
     ///
     /// # Panics
     ///
@@ -128,15 +134,16 @@ impl DailyPipeline {
         raw: Arc<DomainInterner>,
         folded: Arc<DomainInterner>,
         cfg: PipelineConfig,
+        meta: &DatasetMeta,
         history: DomainHistory,
         ua_history: UaHistory,
     ) -> Self {
         DailyPipeline {
             cfg,
             fold: FoldTable::from_interners(raw, folded, cfg.fold_level),
+            verdicts: NameVerdicts::new(ReductionConfig::from_meta(meta)),
             history,
             ua_history,
-            ip_literal_cache: Mutex::new(HashMap::new()),
         }
     }
 
@@ -188,47 +195,48 @@ impl DailyPipeline {
         self.fold.raw_interner()
     }
 
-    /// Opens a streaming DNS day. Reduce chunks (on parallel workers if
-    /// wanted) with [`DailyPipeline::reduce_dns_records`], absorb them in
-    /// order with [`DailyPipeline::absorb_chunk`], then seal with
+    /// Opens a streaming DNS day. Admit each span's names with
+    /// [`DailyPipeline::admit_names`] and fold it with
+    /// [`DailyPipeline::warm_dns_folds`], reduce its chunks (on parallel
+    /// workers if wanted) with [`DailyPipeline::reduce_dns_records`], absorb
+    /// them in order with [`DailyPipeline::absorb_chunk`], then seal with
     /// [`DailyPipeline::finish_day`].
-    pub fn begin_dns_day(&self, day: Day, meta: &DatasetMeta, bootstrap: bool) -> DayAccum {
-        self.begin_day(day, meta, bootstrap, DaySource::Dns)
+    pub fn begin_dns_day(&self, day: Day, bootstrap: bool) -> DayAccum {
+        self.begin_day(day, bootstrap, DaySource::Dns)
     }
 
     /// Opens a streaming proxy day (see [`DailyPipeline::begin_dns_day`]).
-    pub fn begin_proxy_day(&self, day: Day, meta: &DatasetMeta, bootstrap: bool) -> DayAccum {
-        self.begin_day(day, meta, bootstrap, DaySource::Proxy)
+    pub fn begin_proxy_day(&self, day: Day, bootstrap: bool) -> DayAccum {
+        self.begin_day(day, bootstrap, DaySource::Proxy)
     }
 
-    fn begin_day(
-        &self,
-        day: Day,
-        meta: &DatasetMeta,
-        bootstrap: bool,
-        source: DaySource,
-    ) -> DayAccum {
+    fn begin_day(&self, day: Day, bootstrap: bool, source: DaySource) -> DayAccum {
         DayAccum {
             day,
             bootstrap,
             source,
             raw_records: 0,
-            filter: InternalFilter::new(ReductionConfig::from_meta(meta)),
             reducer: DayReducer::new(),
             builder: (!bootstrap).then(|| DayIndexBuilder::new(day, self.cfg.unpopular_threshold)),
-            day_domains: HashSet::new(),
             ua_pairs: HashSet::new(),
             norm: NormalizationCounts::default(),
         }
     }
 
-    /// Pre-interns the folded name of every query **sequentially, in record
-    /// order** so that a subsequent parallel reduction of the same records
-    /// performs only read-side cache hits. This is what keeps folded-symbol
-    /// numbering deterministic (and therefore chunk-split invariant): the
-    /// first fold of each name always happens here, in arrival order, never
-    /// in a worker race.
-    pub fn warm_dns_folds(&self, queries: &[DnsQuery]) {
+    /// Judges every raw name interned since the last call — by whoever
+    /// interned it — against the dataset's internal suffixes and as an IP
+    /// literal. Call it before normalizing or reducing a span: those steps
+    /// read the verdicts of the span's destinations. Interns nothing.
+    pub fn admit_names(&mut self) {
+        self.verdicts.admit(self.fold.raw_interner());
+    }
+
+    /// Folds every query's name **sequentially, in record order**, so that
+    /// a subsequent parallel reduction of the same records only reads the
+    /// memo. This is what keeps folded-symbol numbering deterministic (and
+    /// therefore chunk-split invariant): the first fold of each name always
+    /// happens here, in arrival order, never in a worker race.
+    pub fn warm_dns_folds(&mut self, queries: &[DnsQuery]) {
         for q in queries {
             self.fold.fold(q.qname);
         }
@@ -236,53 +244,49 @@ impl DailyPipeline {
 
     /// Sequential fold warm-up for normalized proxy records (see
     /// [`DailyPipeline::warm_dns_folds`]).
-    pub fn warm_proxy_folds(&self, records: &[ProxyRecord]) {
+    pub fn warm_proxy_folds(&mut self, records: &[ProxyRecord]) {
         for r in records {
             self.fold.fold(r.domain);
         }
     }
 
-    /// Reduces one chunk of DNS queries against the accumulator's per-day
-    /// filter state. Takes `&self` and `&DayAccum` only, so disjoint chunks
-    /// may run on parallel workers — call [`DailyPipeline::warm_dns_folds`]
+    /// Reduces one chunk of DNS queries. Takes `&self` only, so disjoint
+    /// chunks may run on parallel workers — call
+    /// [`DailyPipeline::admit_names`] and [`DailyPipeline::warm_dns_folds`]
     /// over the full record span first, and absorb every result in chunk
     /// order with [`DailyPipeline::absorb_chunk`].
-    pub fn reduce_dns_records(
-        &self,
-        accum: &DayAccum,
-        queries: &[DnsQuery],
-        meta: &DatasetMeta,
-    ) -> ChunkReduction {
-        reduce_dns_chunk(queries, meta, &self.fold, &accum.filter)
+    pub fn reduce_dns_records(&self, queries: &[DnsQuery], meta: &DatasetMeta) -> ChunkReduction {
+        reduce_dns_chunk(queries, meta, &self.fold, &self.verdicts)
     }
 
     /// Normalizes one chunk of raw proxy records (UTC conversion, DHCP/VPN
     /// lease resolution, IP-literal filtering), preserving record order.
-    /// Thread-safe; merge the counters with [`DayAccum::merge_norm`] in
-    /// chunk order.
+    /// Read-only, so chunks may run on parallel workers once the span's
+    /// names are admitted; merge the counters with
+    /// [`DayAccum::merge_norm`] in chunk order.
     pub fn normalize_proxy_records(
         &self,
         records: &[ProxyRecord],
         dhcp: &DhcpLog,
     ) -> (Vec<ProxyRecord>, NormalizationCounts) {
-        normalize_proxy_chunk(records, dhcp, |r| self.is_ip_literal(r.domain))
+        normalize_proxy_chunk(records, dhcp, &self.verdicts)
     }
 
     /// Reduces one chunk of *normalized* proxy records (the parallel-worker
-    /// counterpart of [`DailyPipeline::reduce_dns_records`]).
+    /// counterpart of [`DailyPipeline::reduce_dns_records`]; warm the folds
+    /// with [`DailyPipeline::warm_proxy_folds`] first).
     pub fn reduce_proxy_records(
         &self,
-        accum: &DayAccum,
         records: &[ProxyRecord],
         meta: &DatasetMeta,
     ) -> ChunkReduction {
-        reduce_proxy_chunk(records, meta, &self.fold, &accum.filter)
+        reduce_proxy_chunk(records, meta, &self.fold, &self.verdicts)
     }
 
-    /// Merges a reduced chunk into the day: counters into the
-    /// [`DayReducer`], `(UA, host)` observations into the deferred
+    /// Merges a reduced chunk into the day: counters and surviving domains
+    /// into the [`DayReducer`], `(UA, host)` observations into the deferred
     /// user-agent update, and contacts into the [`DayIndexBuilder`]
-    /// (operation days) or the deferred history set (bootstrap days).
+    /// (operation days only).
     ///
     /// Chunks must be absorbed in push order for deterministic counters —
     /// the index itself is order-independent.
@@ -293,11 +297,8 @@ impl DailyPipeline {
                 accum.ua_pairs.insert((ua, c.host));
             }
         }
-        match &mut accum.builder {
-            Some(builder) => {
-                builder.push_contacts(&chunk.contacts, &self.history, Some(&self.ua_history));
-            }
-            None => accum.day_domains.extend(chunk.contacts.iter().map(|c| c.domain)),
+        if let Some(builder) = &mut accum.builder {
+            builder.push_contacts(&chunk.contacts, &self.history, Some(&self.ua_history));
         }
     }
 
@@ -310,10 +311,8 @@ impl DailyPipeline {
             bootstrap: _,
             source,
             raw_records: _,
-            filter: _,
             reducer,
             builder,
-            day_domains,
             ua_pairs,
             norm,
         } = accum;
@@ -338,7 +337,10 @@ impl DailyPipeline {
                 }))
             }
             None => {
-                let mut domains: Vec<DomainSym> = day_domains.into_iter().collect();
+                // A bootstrap day's destinations are exactly the domains
+                // that survived every reduction filter.
+                let mut domains: Vec<DomainSym> =
+                    reducer.domains_after_server().iter().copied().collect();
                 domains.sort_unstable();
                 self.history.update_domains(domains);
                 DayOutcome::Bootstrap { dns_counts, proxy_counts, norm_counts }
@@ -349,23 +351,6 @@ impl DailyPipeline {
         self.ua_history.update_pairs(pairs);
         outcome
     }
-
-    /// Whether a raw destination "domain" is an IP literal (§IV-A drops
-    /// those); memoized per symbol.
-    fn is_ip_literal(&self, raw: DomainSym) -> bool {
-        if let Some(&v) = self.ip_literal_cache().get(&raw) {
-            return v;
-        }
-        let v = self.fold.raw_interner().with_str(raw, |name| name.parse::<Ipv4>().is_ok());
-        self.ip_literal_cache().insert(raw, v);
-        v
-    }
-
-    // The cache only ever gains verdicts of a pure function, each inserted
-    // whole, so a holder that panicked left it valid.
-    fn ip_literal_cache(&self) -> MutexGuard<'_, HashMap<DomainSym, bool>> {
-        self.ip_literal_cache.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// Which log source a streamed day carries.
@@ -375,24 +360,21 @@ enum DaySource {
     Proxy,
 }
 
-/// In-flight state of one streamed day: per-day reduction filter and
-/// counters, the incremental index builder (operation days), and the
-/// deferred history/user-agent updates applied at
-/// [`DailyPipeline::finish_day`].
+/// In-flight state of one streamed day: reduction counters, the
+/// incremental index builder (operation days), and the deferred
+/// user-agent update applied at [`DailyPipeline::finish_day`].
 ///
-/// A `DayAccum` holds no borrow of the pipeline, so the caller can keep
-/// pushing chunks while sharing the pipeline immutably with reduction
-/// workers.
+/// A `DayAccum` holds no borrow of the pipeline, so between chunks the
+/// caller can take the pipeline mutably for a span's sequential steps and
+/// share it immutably with reduction workers.
 #[derive(Debug)]
 pub struct DayAccum {
     day: Day,
     bootstrap: bool,
     source: DaySource,
     raw_records: usize,
-    filter: InternalFilter,
     reducer: DayReducer,
     builder: Option<DayIndexBuilder>,
-    day_domains: HashSet<DomainSym>,
     ua_pairs: HashSet<(UaSym, HostId)>,
     norm: NormalizationCounts,
 }
@@ -452,26 +434,41 @@ pub enum DayOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use earlybird_logmodel::DnsDayLog;
+    use earlybird_logmodel::{DnsDayLog, DnsRecordType, Ipv4, Timestamp};
     use earlybird_synthgen::lanl::{LanlConfig, LanlGenerator};
 
     /// Streams one DNS day through the chunk API the engine drives:
-    /// `begin_dns_day`, then per chunk `reduce_dns_records` + `absorb_chunk`,
-    /// then `finish_day`.
+    /// `begin_dns_day`, then per span of `span` records `admit_names` +
+    /// `warm_dns_folds`, then per chunk `reduce_dns_records` +
+    /// `absorb_chunk`, then `finish_day`.
+    fn ingest_dns_day_in_spans(
+        pipeline: &mut DailyPipeline,
+        day: &DnsDayLog,
+        meta: &DatasetMeta,
+        bootstrap: bool,
+        span: usize,
+    ) -> DayOutcome {
+        let mut accum = pipeline.begin_dns_day(day.day, bootstrap);
+        for span in day.queries.chunks(span) {
+            accum.count_raw_records(span.len());
+            pipeline.admit_names();
+            pipeline.warm_dns_folds(span);
+            for chunk in span.chunks(97) {
+                let reduced = pipeline.reduce_dns_records(chunk, meta);
+                pipeline.absorb_chunk(&mut accum, reduced);
+            }
+        }
+        assert_eq!(accum.records_in(), day.queries.len());
+        pipeline.finish_day(accum)
+    }
+
     fn ingest_dns_day(
         pipeline: &mut DailyPipeline,
         day: &DnsDayLog,
         meta: &DatasetMeta,
         bootstrap: bool,
     ) -> DayOutcome {
-        let mut accum = pipeline.begin_dns_day(day.day, meta, bootstrap);
-        for chunk in day.queries.chunks(97) {
-            accum.count_raw_records(chunk.len());
-            let reduced = pipeline.reduce_dns_records(&accum, chunk, meta);
-            pipeline.absorb_chunk(&mut accum, reduced);
-        }
-        assert_eq!(accum.records_in(), day.queries.len());
-        pipeline.finish_day(accum)
+        ingest_dns_day_in_spans(pipeline, day, meta, bootstrap, usize::MAX)
     }
 
     fn operation_product(outcome: DayOutcome) -> Box<DayProduct> {
@@ -481,13 +478,16 @@ mod tests {
         }
     }
 
+    fn lanl_pipeline(raw: &Arc<DomainInterner>, meta: &DatasetMeta) -> DailyPipeline {
+        DailyPipeline::new(Arc::clone(raw), PipelineConfig::lanl(), meta)
+    }
+
     #[test]
     fn bootstrap_then_operation_classifies_rares() {
         let gen = LanlGenerator::new(LanlConfig::tiny());
         let challenge = gen.generate();
         let meta = &challenge.dataset.meta;
-        let mut pipeline =
-            DailyPipeline::new(Arc::clone(&challenge.dataset.domains), PipelineConfig::lanl());
+        let mut pipeline = lanl_pipeline(&challenge.dataset.domains, meta);
 
         for day in &challenge.dataset.days[..5] {
             let outcome = ingest_dns_day(&mut pipeline, day, meta, true);
@@ -518,8 +518,7 @@ mod tests {
         let gen = LanlGenerator::new(LanlConfig::tiny());
         let challenge = gen.generate();
         let meta = &challenge.dataset.meta;
-        let mut pipeline =
-            DailyPipeline::new(Arc::clone(&challenge.dataset.domains), PipelineConfig::lanl());
+        let mut pipeline = lanl_pipeline(&challenge.dataset.domains, meta);
 
         let campaign = &challenge.campaigns[0];
         for day in &challenge.dataset.days {
@@ -540,8 +539,7 @@ mod tests {
         let gen = LanlGenerator::new(LanlConfig::tiny());
         let challenge = gen.generate();
         let meta = &challenge.dataset.meta;
-        let mut pipeline =
-            DailyPipeline::new(Arc::clone(&challenge.dataset.domains), PipelineConfig::lanl());
+        let mut pipeline = lanl_pipeline(&challenge.dataset.domains, meta);
         let product = operation_product(ingest_dns_day(
             &mut pipeline,
             &challenge.dataset.days[0],
@@ -557,32 +555,76 @@ mod tests {
     fn seed_interning_folds() {
         let gen = LanlGenerator::new(LanlConfig::tiny());
         let challenge = gen.generate();
-        let pipeline =
-            DailyPipeline::new(Arc::clone(&challenge.dataset.domains), PipelineConfig::lanl());
+        let pipeline = lanl_pipeline(&challenge.dataset.domains, &challenge.dataset.meta);
         let a = pipeline.intern_seed("deep.sub.rainbow.c3");
         let b = pipeline.intern_seed("sub.rainbow.c3");
         assert_eq!(a, b, "seeds fold to the pipeline's level");
     }
 
     #[test]
-    fn a_panic_under_the_lock_does_not_wedge_the_ip_literal_cache() {
+    fn folded_numbering_is_the_same_for_one_span_and_many() {
+        let gen = LanlGenerator::new(LanlConfig::tiny());
+        let challenge = gen.generate();
+        let meta = &challenge.dataset.meta;
+        let days = &challenge.dataset.days[..3];
+        let run = |span: usize| {
+            let mut pipeline = lanl_pipeline(&challenge.dataset.domains, meta);
+            for day in days {
+                ingest_dns_day_in_spans(&mut pipeline, day, meta, true, span);
+            }
+            (pipeline.folded_interner().tail(0), pipeline.history().ordered().to_vec())
+        };
+        let whole = run(usize::MAX);
+        assert!(!whole.0.is_empty());
+        for span in [1, 13, 500] {
+            assert_eq!(run(span), whole, "span of {span} records");
+        }
+    }
+
+    #[test]
+    fn a_name_interned_after_admission_is_judged_on_the_next_push() {
         let raw = Arc::new(DomainInterner::new());
-        let literal = raw.intern("8.8.8.8");
-        let name = raw.intern("nbc.com");
-        let pipeline = DailyPipeline::new(Arc::clone(&raw), PipelineConfig::enterprise());
-        assert!(pipeline.is_ip_literal(literal));
-        let panicked = std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    let _guard = pipeline.ip_literal_cache.lock().unwrap();
-                    panic!("normalize worker dies holding the ip-literal cache");
-                })
-                .join()
-        });
-        assert!(panicked.is_err());
-        assert!(pipeline.ip_literal_cache.is_poisoned());
-        assert!(pipeline.is_ip_literal(literal), "cached verdict survives");
-        assert!(!pipeline.is_ip_literal(name), "fresh verdicts still land");
-        assert_eq!(pipeline.ip_literal_cache().len(), 2);
+        let meta = DatasetMeta {
+            n_hosts: 2,
+            host_kinds: vec![earlybird_logmodel::HostKind::Workstation; 2],
+            internal_suffixes: vec![".corp.local".into()],
+            bootstrap_days: 0,
+            total_days: 1,
+        };
+        let query = |name: &str| DnsQuery {
+            ts: Timestamp::from_secs(5),
+            src: HostId::new(0),
+            src_ip: Ipv4::new(10, 0, 0, 1),
+            qname: raw.intern(name),
+            qtype: DnsRecordType::A,
+            answer: Some(Ipv4::new(93, 1, 2, 3)),
+        };
+        let mut pipeline =
+            DailyPipeline::new(Arc::clone(&raw), PipelineConfig::enterprise(), &meta);
+        let mut accum = pipeline.begin_dns_day(Day::new(0), true);
+        let mut push = |pipeline: &mut DailyPipeline, span: &[DnsQuery]| {
+            pipeline.admit_names();
+            pipeline.warm_dns_folds(span);
+            let reduced = pipeline.reduce_dns_records(span, &meta);
+            pipeline.absorb_chunk(&mut accum, reduced);
+        };
+        push(&mut pipeline, &[query("www.nbc.com"), query("mail.corp.local")]);
+        // Interned between pushes, as a caller-shared interner may be.
+        let late = [query("wiki.corp.local"), query("cdn.evil.ru")];
+        push(&mut pipeline, &late);
+        let DayOutcome::Bootstrap { dns_counts: Some(counts), .. } = pipeline.finish_day(accum)
+        else {
+            panic!("bootstrap DNS day expected");
+        };
+        assert_eq!(counts.domains_all, 3, "nbc.com, corp.local, evil.ru");
+        assert_eq!(counts.domains_after_internal_filter, 2, "both corp.local names dropped");
+        let history: Vec<String> = pipeline
+            .history()
+            .ordered()
+            .iter()
+            .map(|&d| pipeline.folded_interner().resolve(d))
+            .collect();
+        assert_eq!(history.len(), 2);
+        assert!(history.iter().all(|name| name != "corp.local"), "{history:?}");
     }
 }

@@ -29,11 +29,12 @@
 //!
 //! ```
 //! use earlybird_core::daily::{DailyPipeline, PipelineConfig};
-//! use earlybird_logmodel::DomainInterner;
+//! use earlybird_logmodel::{DatasetMeta, DomainInterner};
 //! use std::sync::Arc;
 //!
 //! let raw = Arc::new(DomainInterner::new());
-//! let pipeline = DailyPipeline::new(Arc::clone(&raw), PipelineConfig::enterprise());
+//! let meta = DatasetMeta::default();
+//! let pipeline = DailyPipeline::new(Arc::clone(&raw), PipelineConfig::enterprise(), &meta);
 //! assert_eq!(pipeline.config().fold_level, 2);
 //! ```
 

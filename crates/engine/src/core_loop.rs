@@ -173,7 +173,7 @@ impl Engine {
         paths: Option<Arc<PathInterner>>,
         metrics: EngineMetrics,
     ) -> Self {
-        let pipeline = DailyPipeline::new(raw, cfg.pipeline);
+        let pipeline = DailyPipeline::new(raw, cfg.pipeline, &meta);
         let soc_seed_syms = cfg.soc_seed_domains.iter().map(|n| pipeline.intern_seed(n)).collect();
         let sinks = sinks.into_iter().enumerate().collect();
         Engine {

@@ -12,13 +12,17 @@
 //! as one span.
 //!
 //! Each pushed span is split across the engine's `parallelism(n)` workers,
-//! the only parallel mechanism ingest has: parsing and chunk reduction run
-//! in parallel, while the two order-sensitive steps — host-id assignment
-//! for raw DNS lines and first-fold interning of domain names — run
-//! sequentially in arrival order, which makes every result — alerts,
-//! counters, candidate ordering, sink sequence, and every checkpoint byte
-//! but the recorded worker count — independent of how the day was chunked
-//! and of the worker count.
+//! the only parallel mechanism ingest has. Parsing, proxy normalization and
+//! chunk reduction run in parallel and take no lock: every per-name
+//! decision they need is plain data written beforehand by a sequential
+//! step with `&mut Engine`. The sequential steps, in arrival order, are
+//! host-id assignment for raw DNS lines, name admission (internal and
+//! IP-literal verdicts for names interned since the last span), the fold
+//! warm-up (first-fold interning of folded names, in record order), and
+//! the in-order absorb of each chunk. That order makes every result —
+//! alerts, counters, candidate ordering, sink sequence, and every
+//! checkpoint byte but the recorded worker count — independent of how the
+//! day was chunked and of the worker count.
 
 use crate::builder::EngineError;
 use crate::core_loop::Engine;
@@ -28,7 +32,7 @@ use earlybird_logmodel::{
     parse_dns_span, parse_proxy_span, payload_line, Day, DhcpLog, DnsQuery, ParseLogError,
     ParsedChunk, ProxyRecord,
 };
-use earlybird_pipeline::NormalizationCounts;
+use earlybird_obs::Span;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -181,10 +185,8 @@ impl Engine {
         } else {
             let bootstrap = day.index() < self.bootstrap_days();
             Some(match source {
-                IngestSource::Dns => self.pipeline.begin_dns_day(day, &self.meta, bootstrap),
-                IngestSource::Proxy { .. } => {
-                    self.pipeline.begin_proxy_day(day, &self.meta, bootstrap)
-                }
+                IngestSource::Dns => self.pipeline.begin_dns_day(day, bootstrap),
+                IngestSource::Proxy { .. } => self.pipeline.begin_proxy_day(day, bootstrap),
             })
         };
         let state = DayState { day, dns: source.is_dns(), accum, parse_errors: 0, started };
@@ -256,12 +258,9 @@ impl DayIngest<'_, '_> {
     pub fn push_dns_records(&mut self, records: &[DnsQuery]) {
         assert!(self.source.is_dns(), "DNS records pushed into a proxy-source day");
         let Some(accum) = &mut self.state.accum else { return };
-        accum.count_raw_records(records.len());
-        let engine = &*self.engine;
-        engine.metrics.records.add(records.len() as u64);
-        let _reduce_span = engine.metrics.reduce.start();
-        let shards = shard_spans(records, engine.cfg.parallelism, engine.cfg.ingest_chunk_records);
-        reduce_dns_spans(engine, accum, &shards);
+        let cfg = &self.engine.cfg;
+        let shards = shard_spans(records, cfg.parallelism, cfg.ingest_chunk_records);
+        reduce_dns_spans(self.engine, accum, &shards);
     }
 
     /// Pushes a span of raw proxy records (normalization — UTC conversion,
@@ -276,12 +275,9 @@ impl DayIngest<'_, '_> {
             panic!("proxy records pushed into a DNS-source day");
         };
         let Some(accum) = &mut self.state.accum else { return };
-        accum.count_raw_records(records.len());
-        let engine = &*self.engine;
-        engine.metrics.records.add(records.len() as u64);
-        let _reduce_span = engine.metrics.reduce.start();
-        let shards = shard_spans(records, engine.cfg.parallelism, engine.cfg.ingest_chunk_records);
-        reduce_proxy_spans(engine, accum, &shards, dhcp);
+        let cfg = &self.engine.cfg;
+        let shards = shard_spans(records, cfg.parallelism, cfg.ingest_chunk_records);
+        reduce_proxy_spans(self.engine, accum, &shards, dhcp);
     }
 
     /// Pushes a block of raw log lines in the tab-separated interchange
@@ -327,17 +323,12 @@ impl DayIngest<'_, '_> {
                     errors.append(&mut chunk.errors);
                 }
                 parse_span.finish();
-                let total: usize = chunks.iter().map(|c| c.records.len()).sum();
                 let spans: Vec<&[DnsQuery]> = chunks.iter().map(|c| c.records.as_slice()).collect();
-                let engine = &*self.engine;
                 if let Some(accum) = &mut self.state.accum {
-                    accum.count_raw_records(total);
-                    engine.metrics.records.add(total as u64);
-                    let _reduce_span = engine.metrics.reduce.start();
-                    reduce_dns_spans(engine, accum, &spans);
+                    reduce_dns_spans(self.engine, accum, &spans);
                 }
                 drop(spans);
-                engine.scratch.give_dns(chunks);
+                self.engine.scratch.give_dns(chunks);
             }
             IngestSource::Proxy { dhcp } => {
                 let engine = &*self.engine;
@@ -356,17 +347,13 @@ impl DayIngest<'_, '_> {
                     errors.append(&mut chunk.errors);
                 }
                 parse_span.finish();
-                let total: usize = chunks.iter().map(|c| c.records.len()).sum();
                 let spans: Vec<&[ProxyRecord]> =
                     chunks.iter().map(|c| c.records.as_slice()).collect();
                 if let Some(accum) = &mut self.state.accum {
-                    accum.count_raw_records(total);
-                    engine.metrics.records.add(total as u64);
-                    let _reduce_span = engine.metrics.reduce.start();
-                    reduce_proxy_spans(engine, accum, &spans, dhcp);
+                    reduce_proxy_spans(self.engine, accum, &spans, dhcp);
                 }
                 drop(spans);
-                engine.scratch.give_proxy(chunks);
+                self.engine.scratch.give_proxy(chunks);
             }
         }
         errors.sort_by_key(|(lineno, _)| *lineno);
@@ -439,63 +426,73 @@ impl DayIngest<'_, '_> {
     }
 }
 
-/// Reduces pre-sharded DNS spans: sequential fold warm-up in span order
-/// (folded-symbol numbering must never race), parallel chunk reduction, and
-/// in-order absorption.
-fn reduce_dns_spans(engine: &Engine, accum: &mut DayAccum, spans: &[&[DnsQuery]]) {
-    let reductions = if spans.len() > 1 {
-        // First folds must happen in record order, not in a worker race, so
-        // folded-symbol numbering (and thus every tie-break downstream) is
-        // chunk-split invariant.
-        for span in spans {
-            engine.pipeline.warm_dns_folds(span);
-        }
-        let accum = &*accum;
-        map_shards(spans, |shard| engine.pipeline.reduce_dns_records(accum, shard, &engine.meta))
-    } else {
-        spans
-            .iter()
-            .map(|shard| engine.pipeline.reduce_dns_records(accum, shard, &engine.meta))
-            .collect()
-    };
+/// Counts and reduces one pushed span of DNS queries, pre-split into
+/// worker shards: sequential name admission and fold warm-up in record
+/// order (folded-symbol numbering must never race), parallel chunk
+/// reduction, in-order absorption.
+fn reduce_dns_spans(engine: &mut Engine, accum: &mut DayAccum, spans: &[&[DnsQuery]]) {
+    let _reduce_span = begin_reduce(engine, accum, spans);
+    let names_span = engine.metrics.reduce_names.start();
+    for span in spans {
+        engine.pipeline.warm_dns_folds(span);
+    }
+    names_span.finish();
+    let engine = &*engine;
+    let chunk_span = engine.metrics.reduce_chunk.start();
+    let reductions =
+        map_shards(spans, |span| engine.pipeline.reduce_dns_records(span, &engine.meta));
+    chunk_span.finish();
+    let _absorb_span = engine.metrics.reduce_absorb.start();
     for chunk in reductions {
         engine.pipeline.absorb_chunk(accum, chunk);
     }
 }
 
-/// Reduces pre-sharded raw proxy spans: parallel normalization, in-order
-/// counter merge and fold warm-up, parallel reduction, in-order absorption.
+/// Counts and reduces one pushed span of raw proxy records, pre-split into
+/// worker shards: sequential name admission, parallel normalization and
+/// in-order counter merge, sequential fold warm-up over the surviving
+/// records, parallel chunk reduction, in-order absorption.
 fn reduce_proxy_spans(
-    engine: &Engine,
+    engine: &mut Engine,
     accum: &mut DayAccum,
     spans: &[&[ProxyRecord]],
     dhcp: &DhcpLog,
 ) {
-    let normalized: Vec<(Vec<ProxyRecord>, NormalizationCounts)> =
-        map_shards(spans, |shard| engine.pipeline.normalize_proxy_records(shard, dhcp));
+    let _reduce_span = begin_reduce(engine, accum, spans);
+    let normalize_span = engine.metrics.reduce_normalize.start();
+    let shared = &*engine;
+    let normalized = map_shards(spans, |span| shared.pipeline.normalize_proxy_records(span, dhcp));
     for (_, counts) in &normalized {
         accum.merge_norm(counts);
     }
-    if normalized.len() > 1 {
-        for (recs, _) in &normalized {
-            engine.pipeline.warm_proxy_folds(recs);
-        }
+    normalize_span.finish();
+    let names_span = engine.metrics.reduce_names.start();
+    for (records, _) in &normalized {
+        engine.pipeline.warm_proxy_folds(records);
     }
+    names_span.finish();
+    let engine = &*engine;
     let norm_spans: Vec<&[ProxyRecord]> = normalized.iter().map(|(r, _)| r.as_slice()).collect();
-    let reductions = if norm_spans.len() > 1 {
-        let accum = &*accum;
-        map_shards(&norm_spans, |span| {
-            engine.pipeline.reduce_proxy_records(accum, span, &engine.meta)
-        })
-    } else {
-        norm_spans
-            .iter()
-            .map(|span| engine.pipeline.reduce_proxy_records(accum, span, &engine.meta))
-            .collect()
-    };
+    let chunk_span = engine.metrics.reduce_chunk.start();
+    let reductions =
+        map_shards(&norm_spans, |span| engine.pipeline.reduce_proxy_records(span, &engine.meta));
+    chunk_span.finish();
+    let _absorb_span = engine.metrics.reduce_absorb.start();
     for chunk in reductions {
         engine.pipeline.absorb_chunk(accum, chunk);
     }
+}
+
+/// Tallies a pushed span's records, starts its `reduce` stage span, and
+/// admits every name interned since the last push.
+fn begin_reduce<T>(engine: &mut Engine, accum: &mut DayAccum, spans: &[&[T]]) -> Span {
+    let records: usize = spans.iter().map(|span| span.len()).sum();
+    accum.count_raw_records(records);
+    engine.metrics.records.add(records as u64);
+    let reduce_span = engine.metrics.reduce.start();
+    let _names_span = engine.metrics.reduce_names.start();
+    engine.pipeline.admit_names();
+    reduce_span
 }
 
 /// Splits a span into at most `workers` contiguous shards of at least

@@ -41,8 +41,20 @@ pub(crate) struct EngineMetrics {
     registry: Arc<MetricsRegistry>,
     /// Raw-line parsing + sequential host-id assignment.
     pub(crate) parse: StageTimer,
-    /// Chunked reduction (normalization, folding, per-chunk reduce, absorb).
+    /// Chunked reduction (normalization, folding, per-chunk reduce, absorb);
+    /// the four `reduce_*` stages below break it down.
     pub(crate) reduce: StageTimer,
+    /// Sequential per-span name work, observed twice per push: admission
+    /// (verdicts for newly interned names), then the record-order fold
+    /// warm-up (which for proxy spans follows normalization).
+    pub(crate) reduce_names: StageTimer,
+    /// Parallel proxy normalization (DHCP attribution, UTC, IP-literal
+    /// drop) plus the in-order merge of its counters.
+    pub(crate) reduce_normalize: StageTimer,
+    /// Parallel per-chunk reduction.
+    pub(crate) reduce_chunk: StageTimer,
+    /// Sequential in-order absorb of each chunk's contacts and counters.
+    pub(crate) reduce_absorb: StageTimer,
     /// Day finalization: index seal + profile/history fold + rare sieve.
     pub(crate) profile: StageTimer,
     /// C&C scoring over the day's rare domains.
@@ -136,6 +148,10 @@ impl EngineMetrics {
             path_table: table("path"),
             parse: stage("parse"),
             reduce: stage("reduce"),
+            reduce_names: stage("reduce_names"),
+            reduce_normalize: stage("reduce_normalize"),
+            reduce_chunk: stage("reduce_chunk"),
+            reduce_absorb: stage("reduce_absorb"),
             profile: stage("profile"),
             cc: stage("cc"),
             bp: stage("bp"),

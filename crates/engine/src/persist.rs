@@ -808,6 +808,7 @@ impl EngineBuilder {
             raw.unwrap_or_else(|| Arc::new(DomainInterner::new())),
             Arc::new(DomainInterner::new()),
             cfg.pipeline,
+            &meta,
             DomainHistory::new(),
             UaHistory::new(cfg.pipeline.rare_ua_threshold),
         );

@@ -4,43 +4,30 @@
 //! folded to nbc.com) ... Since domain names are anonymized in the LANL
 //! dataset, we conservatively fold to third-level domains" (§IV-A).
 
-use earlybird_logmodel::{fold_domain, DomainInterner, DomainSym, Published};
-use std::sync::{Arc, PoisonError, RwLock};
+use earlybird_logmodel::{fold_domain, DomainInterner, DomainSym};
+use std::sync::Arc;
 
 /// Sentinel marking a raw symbol whose fold has not been computed yet.
 const UNFOLDED: u32 = u32::MAX;
-
-/// The mutable half of the fold memo: a dense array indexed by raw symbol.
-#[derive(Debug, Default)]
-struct FoldCache {
-    /// `vec[raw.raw()]` is the folded symbol's raw id, or [`UNFOLDED`].
-    vec: Vec<u32>,
-    /// Entries filled so far (drives the republish threshold).
-    filled: usize,
-    /// `filled` at the last snapshot publication.
-    published: usize,
-}
 
 /// Memoized folding from raw domain symbols to folded domain symbols.
 ///
 /// The folded names live in their own [`DomainInterner`] so the rest of the
 /// pipeline never mixes raw and folded symbols by accident. The memo is a
-/// dense `Vec<u32>` indexed by the raw symbol id; a read-mostly snapshot of
-/// it is republished geometrically through a [`Published`] cell, so chunk
-/// workers that grab a [`DomainFolder`] handle resolve repeat domains with a
-/// plain array load — no lock, no hash. Misses fall back to the internally
-/// synchronized live cache, so one `FoldTable` can still be shared by
-/// parallel reduction workers; note that concurrent *first* folds of
-/// distinct names make folded-symbol numbering racy — streaming callers that
-/// need deterministic numbering warm the cache sequentially first (see
-/// `earlybird-core`'s `DailyPipeline`).
+/// dense `Vec<u32>` indexed by the raw symbol id. It is written only by
+/// [`FoldTable::fold`], which takes `&mut self`: the owner folds every
+/// record of a pushed span once, sequentially and in record order, so the
+/// first fold of each name — the one that mints its folded symbol — never
+/// races and folded-symbol numbering does not depend on how the span was
+/// split. Parallel reduction workers then share the table immutably and
+/// read the memo with [`FoldTable::folded`], a plain array load.
 #[derive(Debug)]
 pub struct FoldTable {
     raw: Arc<DomainInterner>,
     folded: Arc<DomainInterner>,
     level: usize,
-    live: RwLock<FoldCache>,
-    snap: Published<Vec<u32>>,
+    /// `memo[raw.raw()]` is the folded symbol's raw id, or [`UNFOLDED`].
+    memo: Vec<u32>,
 }
 
 impl FoldTable {
@@ -50,20 +37,14 @@ impl FoldTable {
     ///
     /// Panics if `level` is zero.
     pub fn new(raw: Arc<DomainInterner>, level: usize) -> Self {
-        assert!(level > 0, "fold level must be positive");
-        FoldTable {
-            raw,
-            folded: Arc::new(DomainInterner::new()),
-            level,
-            live: RwLock::new(FoldCache::default()),
-            snap: Published::new(Vec::new()),
-        }
+        Self::from_interners(raw, Arc::new(DomainInterner::new()), level)
     }
 
     /// Reassembles a fold table from restored interners (the persistence
-    /// hook used by `earlybird-store`). The memo cache starts empty and is
-    /// rebuilt lazily; because `folded` already holds every folded name in
-    /// its original numbering, re-folding reproduces identical symbols.
+    /// hook used by `earlybird-store`). The memo starts empty and is
+    /// refilled by the next warm pass; because `folded` already holds every
+    /// folded name in its original numbering, re-folding reproduces
+    /// identical symbols.
     ///
     /// # Panics
     ///
@@ -74,13 +55,7 @@ impl FoldTable {
         level: usize,
     ) -> Self {
         assert!(level > 0, "fold level must be positive");
-        FoldTable {
-            raw,
-            folded,
-            level,
-            live: RwLock::new(FoldCache::default()),
-            snap: Published::new(Vec::new()),
-        }
+        FoldTable { raw, folded, level, memo: Vec::new() }
     }
 
     /// The fold level (2 for enterprise data, 3 for anonymized LANL names).
@@ -88,51 +63,28 @@ impl FoldTable {
         self.level
     }
 
-    /// A per-chunk folding handle over the current memo snapshot.
-    ///
-    /// Acquire one per chunk of work: repeat folds hit the snapshot with a
-    /// lock-free array load, and only first-time folds touch the shared
-    /// table.
-    pub fn folder(&self) -> DomainFolder<'_> {
-        DomainFolder { table: self, snap: self.snap.load() }
-    }
-
-    /// Folds a raw symbol, memoizing the mapping.
-    pub fn fold(&self, raw_sym: DomainSym) -> DomainSym {
-        let idx = raw_sym.raw() as usize;
-        {
-            let live = self.live.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some(&f) = live.vec.get(idx) {
-                if f != UNFOLDED {
-                    return DomainSym::from_raw(f);
-                }
-            }
+    /// Folds a raw symbol, minting its folded symbol on first sight.
+    pub fn fold(&mut self, raw_sym: DomainSym) -> DomainSym {
+        if let Some(folded) = self.folded(raw_sym) {
+            return folded;
         }
-        self.fold_miss(raw_sym, idx)
-    }
-
-    /// Slow path: resolve + intern under the write lock, then maybe
-    /// republish the snapshot.
-    fn fold_miss(&self, raw_sym: DomainSym, idx: usize) -> DomainSym {
         let folded_sym =
             self.raw.with_str(raw_sym, |name| self.folded.intern(fold_domain(name, self.level)));
-        // A holder that panicked left every cell either unfolded or holding
-        // its one pure fold, so the poison flag carries no information.
-        let mut live = self.live.write().unwrap_or_else(PoisonError::into_inner);
-        if live.vec.len() <= idx {
-            live.vec.resize(idx + 1, UNFOLDED);
+        let idx = raw_sym.raw() as usize;
+        if self.memo.len() <= idx {
+            self.memo.resize(idx + 1, UNFOLDED);
         }
-        if live.vec[idx] == UNFOLDED {
-            live.vec[idx] = folded_sym.raw();
-            live.filled += 1;
-        }
-        // Geometric republish: amortizes the O(n) snapshot clone to O(1)
-        // per newly folded name.
-        if live.filled >= live.published + (live.published / 8).max(64) {
-            live.published = live.filled;
-            self.snap.publish(Arc::new(live.vec.clone()));
-        }
+        self.memo[idx] = folded_sym.raw();
         folded_sym
+    }
+
+    /// The memoized fold of `raw_sym`, or `None` if [`FoldTable::fold`]
+    /// has not seen it yet.
+    pub fn folded(&self, raw_sym: DomainSym) -> Option<DomainSym> {
+        match self.memo.get(raw_sym.raw() as usize) {
+            Some(&f) if f != UNFOLDED => Some(DomainSym::from_raw(f)),
+            _ => None,
+        }
     }
 
     /// Interns an already-folded name directly (used when seeding from IOC
@@ -157,33 +109,6 @@ impl FoldTable {
     }
 }
 
-/// A per-chunk handle over a [`FoldTable`] memo snapshot.
-///
-/// Folds of already-seen raw symbols are a lock-free array load; unseen
-/// symbols fall back to the shared table (and land in a future snapshot).
-/// The snapshot is pinned at construction — drop the handle and take a new
-/// one per chunk.
-#[derive(Debug)]
-pub struct DomainFolder<'t> {
-    table: &'t FoldTable,
-    snap: Arc<Vec<u32>>,
-}
-
-impl DomainFolder<'_> {
-    /// Folds a raw symbol, consulting the pinned snapshot first.
-    pub fn fold(&self, raw_sym: DomainSym) -> DomainSym {
-        match self.snap.get(raw_sym.raw() as usize) {
-            Some(&f) if f != UNFOLDED => DomainSym::from_raw(f),
-            _ => self.table.fold(raw_sym),
-        }
-    }
-
-    /// The underlying fold table.
-    pub fn table(&self) -> &FoldTable {
-        self.table
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,7 +119,7 @@ mod tests {
         let a = raw.intern("news.nbc.com");
         let b = raw.intern("video.nbc.com");
         let c = raw.intern("evil.ru");
-        let t = FoldTable::new(Arc::clone(&raw), 2);
+        let mut t = FoldTable::new(Arc::clone(&raw), 2);
         let fa = t.fold(a);
         let fb = t.fold(b);
         let fc = t.fold(c);
@@ -202,13 +127,41 @@ mod tests {
         assert_ne!(fa, fc);
         assert_eq!(t.folded_name(fa), "nbc.com");
         assert_eq!(t.fold(a), fa, "memoized");
+        assert_eq!(t.folded_interner().len(), 2, "a repeat fold mints nothing");
+    }
+
+    #[test]
+    fn folded_is_none_until_warmed() {
+        let raw = Arc::new(DomainInterner::new());
+        let a = raw.intern("news.nbc.com");
+        let b = raw.intern("evil.ru");
+        let mut t = FoldTable::new(Arc::clone(&raw), 2);
+        assert_eq!(t.folded(a), None, "nothing folded yet");
+        let fa = t.fold(a);
+        assert_eq!(t.folded(a), Some(fa));
+        assert_eq!(t.folded(b), None, "a lower symbol stays unwarmed");
+        let late = raw.intern("late.arrival.net");
+        assert_eq!(t.folded(late), None, "a symbol past the memo's end");
+        assert_eq!(t.folded_interner().len(), 1, "reading never mints");
+    }
+
+    #[test]
+    fn numbering_follows_first_fold_order() {
+        let raw = Arc::new(DomainInterner::new());
+        let a = raw.intern("a.first.com");
+        let b = raw.intern("b.second.com");
+        let mut t = FoldTable::new(Arc::clone(&raw), 2);
+        // Folded in the reverse of raw order: folded numbering follows the
+        // folds, not the raw interner.
+        assert_eq!(t.fold(b).raw(), 0);
+        assert_eq!(t.fold(a).raw(), 1);
     }
 
     #[test]
     fn third_level_for_anonymized_names() {
         let raw = Arc::new(DomainInterner::new());
         let a = raw.intern("x.sub.rainbow.c3");
-        let t = FoldTable::new(Arc::clone(&raw), 3);
+        let mut t = FoldTable::new(Arc::clone(&raw), 3);
         let fa = t.fold(a);
         assert_eq!(t.folded_name(fa), "sub.rainbow.c3");
     }
@@ -217,7 +170,7 @@ mod tests {
     fn intern_folded_matches_fold_of_same_entity() {
         let raw = Arc::new(DomainInterner::new());
         let a = raw.intern("www.ramdo.org");
-        let t = FoldTable::new(Arc::clone(&raw), 2);
+        let mut t = FoldTable::new(Arc::clone(&raw), 2);
         let via_fold = t.fold(a);
         let via_seed = t.intern_folded("ramdo.org");
         assert_eq!(via_fold, via_seed);
@@ -226,46 +179,19 @@ mod tests {
     }
 
     #[test]
-    fn folder_handle_agrees_with_table() {
+    fn restored_table_refolds_to_the_same_symbols() {
         let raw = Arc::new(DomainInterner::new());
-        let t = FoldTable::new(Arc::clone(&raw), 2);
-        // Enough distinct names to cross the republish threshold.
-        let syms: Vec<_> =
-            (0..200).map(|i| raw.intern(&format!("h{i}.site{}.com", i % 50))).collect();
-        let direct: Vec<_> = syms.iter().map(|&s| t.fold(s)).collect();
-        // A fresh handle sees a published snapshot covering most entries;
-        // every fold must agree with the table regardless of snapshot hits.
-        let folder = t.folder();
-        for (i, &s) in syms.iter().enumerate() {
-            assert_eq!(folder.fold(s), direct[i]);
+        let syms: Vec<_> = ["x.b.com", "y.a.com", "z.b.com"].map(|n| raw.intern(n)).into();
+        let mut live = FoldTable::new(Arc::clone(&raw), 2);
+        let folds: Vec<_> = syms.iter().map(|&s| live.fold(s)).collect();
+        let mut restored =
+            FoldTable::from_interners(Arc::clone(&raw), Arc::clone(live.folded_interner()), 2);
+        assert_eq!(restored.folded(syms[0]), None, "the memo is not restored");
+        // Any order: every folded name already holds its number.
+        for (&s, &f) in syms.iter().zip(&folds).rev() {
+            assert_eq!(restored.fold(s), f);
         }
-        // A stale handle taken before new names appeared still folds them
-        // correctly via the fallback path.
-        let stale = t.folder();
-        let late = raw.intern("late.arrival.net");
-        assert_eq!(stale.fold(late), t.fold(late));
-    }
-
-    #[test]
-    fn a_panic_under_the_lock_does_not_wedge_the_fold_memo() {
-        let raw = Arc::new(DomainInterner::new());
-        let a = raw.intern("news.nbc.com");
-        let b = raw.intern("video.nbc.com");
-        let t = FoldTable::new(Arc::clone(&raw), 2);
-        let fa = t.fold(a);
-        let panicked = std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    let _guard = t.live.write().unwrap();
-                    panic!("reduce worker dies holding the fold memo");
-                })
-                .join()
-        });
-        assert!(panicked.is_err());
-        assert!(t.live.is_poisoned());
-        assert_eq!(t.fold(a), fa, "memoized fold survives");
-        assert_eq!(t.fold(b), fa, "fresh folds still land");
-        assert_eq!(t.folder().fold(b), fa);
+        assert_eq!(restored.folded_interner().len(), 2);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   anonymized LANL names) with a dedicated folded-name interner.
 //! * [`reduce`] — A-record / internal-query / internal-server filters with
 //!   the per-step distinct-domain counters that Fig. 2 plots, built from
-//!   thread-safe chunk reducers ([`reduce_dns_chunk`] /
-//!   [`reduce_proxy_chunk`]) whose partial counters a [`DayReducer`] merges
-//!   into day totals.
+//!   chunk reducers ([`reduce_dns_chunk`] / [`reduce_proxy_chunk`]) whose
+//!   partial counters a [`DayReducer`] merges into day totals, and the
+//!   per-name [`NameVerdicts`] table both filters read.
 //! * [`history`] — incrementally updated histories of external destinations
 //!   and user-agent strings.
 //! * [`rare`] — "new + unpopular" rare-destination extraction.
@@ -25,10 +25,12 @@
 //!   [`DayIndexBuilder`] (or from a contact list by [`DayIndex::build`],
 //!   which test fixtures use).
 //!
-//! The chunk-level entry points take only `&self` state (the fold memo and
-//! the [`InternalFilter`] verdict cache are internally synchronized), so one
-//! day's chunks can be reduced on parallel workers while a single-threaded
-//! owner merges counters and index state in chunk order.
+//! Every per-name decision — a name's fold, whether it is internal, whether
+//! it is an IP literal — is plain data: the single-threaded owner fills the
+//! [`FoldTable`] memo and the [`NameVerdicts`] table in a sequential pass
+//! over each pushed span, then the chunk-level entry points read them
+//! through shared references, with no lock, on parallel workers. The owner
+//! merges counters and index state back in chunk order.
 //!
 //! # Example
 //!
@@ -40,7 +42,9 @@
 //! let raw = Arc::new(DomainInterner::new());
 //! let sym = raw.intern("news.nbc.com");
 //! let mut fold = FoldTable::new(Arc::clone(&raw), 2);
+//! assert_eq!(fold.folded(sym), None, "workers read only warmed folds");
 //! let folded = fold.fold(sym);
+//! assert_eq!(fold.folded(sym), Some(folded));
 //! assert_eq!(fold.folded_interner().resolve(folded), "nbc.com");
 //! ```
 
@@ -56,12 +60,12 @@ pub mod rare;
 pub mod reduce;
 
 pub use contact::{Contact, HttpContext};
-pub use fold::{DomainFolder, FoldTable};
+pub use fold::FoldTable;
 pub use history::{DomainHistory, UaHistory};
 pub use index::{DayIndex, DayIndexBuilder, EdgeHttp, EdgeKey, Grouped, UnsortedColumn};
 pub use normalize::{normalize_proxy_chunk, NormalizationCounts};
 pub use rare::{RareDomains, RareSieve};
 pub use reduce::{
     reduce_dns_chunk, reduce_proxy_chunk, ChunkReduction, DayReducer, DnsReductionCounts,
-    InternalFilter, InternalJudge, ProxyReductionCounts, ReductionConfig,
+    NameVerdicts, ProxyReductionCounts, ReductionConfig,
 };

@@ -5,6 +5,7 @@
 //! hostnames (by parsing the DHCP and VPN logs collected by the
 //! organization) ... We do not consider destinations that are IP addresses."
 
+use crate::reduce::NameVerdicts;
 use earlybird_logmodel::{DhcpLog, ProxyRecord};
 use serde::{Deserialize, Serialize};
 
@@ -38,16 +39,21 @@ impl NormalizationCounts {
 ///
 /// Records that already carry a resolved `host` are passed through without a
 /// lease lookup. The output preserves the chunk's record order (streaming
-/// consumers never need a sorted day).
+/// consumers never need a sorted day). `verdicts` is only read, so disjoint
+/// chunks may run on parallel workers.
+///
+/// # Panics
+///
+/// Panics if a destination was not admitted to `verdicts` first.
 pub fn normalize_proxy_chunk(
     records: &[ProxyRecord],
     dhcp: &DhcpLog,
-    is_ip_literal: impl Fn(&ProxyRecord) -> bool,
+    verdicts: &NameVerdicts,
 ) -> (Vec<ProxyRecord>, NormalizationCounts) {
     let mut counts = NormalizationCounts { input: records.len(), ..Default::default() };
     let mut out = Vec::with_capacity(records.len());
     for rec in records {
-        if is_ip_literal(rec) {
+        if verdicts.is_ip_literal(rec.domain) {
             counts.dropped_ip_literal += 1;
             continue;
         }
@@ -75,6 +81,7 @@ pub fn normalize_proxy_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reduce::ReductionConfig;
     use earlybird_logmodel::{
         DhcpLease, DomainInterner, HostId, HttpMethod, HttpStatus, Ipv4, PathInterner, Timestamp,
         TzOffset,
@@ -103,6 +110,13 @@ mod tests {
         }
     }
 
+    /// The verdicts of every name `domains` holds.
+    fn admitted(domains: &DomainInterner) -> NameVerdicts {
+        let mut verdicts = NameVerdicts::new(ReductionConfig::default());
+        verdicts.admit(domains);
+        verdicts
+    }
+
     fn lease(ip: Ipv4, host: u32, start: u64, end: u64) -> DhcpLease {
         DhcpLease {
             ip,
@@ -120,7 +134,7 @@ mod tests {
         let mut dhcp = DhcpLog::new();
         dhcp.add(lease(ip, 7, 0, 100_000));
         let records = [record(&domains, &paths, 7_200, 60, ip, "nbc.com")];
-        let (out, counts) = normalize_proxy_chunk(&records, &dhcp, |_| false);
+        let (out, counts) = normalize_proxy_chunk(&records, &dhcp, &admitted(&domains));
         assert_eq!(counts.output, 1);
         assert_eq!(out[0].host, Some(HostId::new(7)));
         // UTC-1h applied, offset reset.
@@ -134,7 +148,7 @@ mod tests {
         let paths = PathInterner::new();
         let dhcp = DhcpLog::new();
         let records = [record(&domains, &paths, 100, 0, Ipv4::new(10, 0, 0, 1), "nbc.com")];
-        let (out, counts) = normalize_proxy_chunk(&records, &dhcp, |_| false);
+        let (out, counts) = normalize_proxy_chunk(&records, &dhcp, &admitted(&domains));
         assert!(out.is_empty());
         assert_eq!(counts.dropped_unresolvable, 1);
     }
@@ -146,12 +160,12 @@ mod tests {
         let ip = Ipv4::new(10, 0, 0, 9);
         let mut dhcp = DhcpLog::new();
         dhcp.add(lease(ip, 7, 0, 1_000));
-        let records = [record(&domains, &paths, 10, 0, ip, "8.8.8.8")];
-        let domains_ref = records[0].domain;
-        let (out, counts) = normalize_proxy_chunk(&records, &dhcp, |r| {
-            r.domain == domains_ref // pretend the resolver flagged it
-        });
-        assert!(out.is_empty());
+        let records = [
+            record(&domains, &paths, 10, 0, ip, "8.8.8.8"),
+            record(&domains, &paths, 11, 0, ip, "8.8.8.8.nip.io"),
+        ];
+        let (out, counts) = normalize_proxy_chunk(&records, &dhcp, &admitted(&domains));
+        assert_eq!(out.iter().map(|r| r.domain).collect::<Vec<_>>(), [records[1].domain]);
         assert_eq!(counts.dropped_ip_literal, 1);
     }
 
@@ -162,7 +176,7 @@ mod tests {
         let dhcp = DhcpLog::new(); // empty — would fail lease resolution
         let mut rec = record(&domains, &paths, 10, 0, Ipv4::new(10, 0, 0, 2), "nbc.com");
         rec.host = Some(HostId::new(3));
-        let (out, counts) = normalize_proxy_chunk(&[rec], &dhcp, |_| false);
+        let (out, counts) = normalize_proxy_chunk(&[rec], &dhcp, &admitted(&domains));
         assert_eq!(counts.output, 1);
         assert_eq!(out[0].host, Some(HostId::new(3)));
     }
@@ -179,7 +193,8 @@ mod tests {
         let r1 = record(&domains, &paths, 10_000, 300, ip, "a.com"); // UTC 10_000-18_000 -> early
         let r2 = record(&domains, &paths, 9_000, -60, ip, "b.com"); // UTC 9_000+3_600 = 12_600
         let r3 = record(&domains, &paths, 9_500, 0, Ipv4::new(10, 0, 0, 1), "c.com");
-        let (out, counts) = normalize_proxy_chunk(&[r2, r1, r3], &dhcp, |_| false);
+        let verdicts = admitted(&domains);
+        let (out, counts) = normalize_proxy_chunk(&[r2, r1, r3], &dhcp, &verdicts);
         assert_eq!(out.iter().map(|r| r.domain).collect::<Vec<_>>(), [r2.domain, r1.domain]);
         assert_eq!(out[0].ts_local, Timestamp::from_secs(12_600));
         assert!(out[0].ts_local > out[1].ts_local, "chunks are not sorted");
@@ -187,7 +202,7 @@ mod tests {
         // A day's counters are the merge of its chunks'.
         let mut merged = NormalizationCounts::default();
         for chunk in [&[r2][..], &[r1, r3][..]] {
-            merged.merge(&normalize_proxy_chunk(chunk, &dhcp, |_| false).1);
+            merged.merge(&normalize_proxy_chunk(chunk, &dhcp, &verdicts).1);
         }
         assert_eq!(merged, counts);
         assert_eq!((counts.input, counts.output, counts.dropped_unresolvable), (3, 2, 1));

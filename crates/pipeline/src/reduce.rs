@@ -6,19 +6,19 @@
 //! once: [`reduce_dns_chunk`] / [`reduce_proxy_chunk`] turn any consecutive
 //! slice of a day's records into a [`ChunkReduction`] (contacts plus partial
 //! counters), and a [`DayReducer`] merges the per-chunk counters into the
-//! day totals. Both chunk reducers take `&self` state only (the
-//! [`FoldTable`] memo and the [`InternalFilter`] verdict cache are
-//! internally synchronized), so disjoint chunks of one day can be reduced on
-//! parallel workers.
+//! day totals. The chunk reducers only read plain per-name tables — the
+//! [`FoldTable`] memo and the [`NameVerdicts`] flags, both filled by their
+//! owner in a sequential pass before the chunks are handed out — so
+//! disjoint chunks of one day can be reduced on parallel workers without
+//! taking a lock.
 
 use crate::contact::{Contact, HttpContext};
 use crate::fold::FoldTable;
 use earlybird_logmodel::{
-    DatasetMeta, DnsQuery, DnsRecordType, DomainInterner, DomainSym, FastSet, HostKind,
-    ProxyRecord, Published,
+    DatasetMeta, DnsQuery, DnsRecordType, DomainInterner, DomainSym, FastSet, HostKind, Ipv4,
+    ProxyRecord,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, PoisonError, RwLock};
 
 /// Configuration of the reduction filters.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -29,9 +29,19 @@ pub struct ReductionConfig {
 }
 
 impl ReductionConfig {
-    /// Builds the config from dataset metadata.
+    /// Builds the config from dataset metadata. Each suffix loses one
+    /// leading `.` (`.corp.local` is a common way to write `corp.local`),
+    /// and empty suffixes are dropped rather than matching every name that
+    /// ends in a dot.
     pub fn from_meta(meta: &DatasetMeta) -> Self {
-        ReductionConfig { internal_suffixes: meta.internal_suffixes.clone() }
+        let internal_suffixes = meta
+            .internal_suffixes
+            .iter()
+            .map(|s| s.strip_prefix('.').unwrap_or(s))
+            .filter(|s| !s.is_empty())
+            .map(str::to_owned)
+            .collect();
+        ReductionConfig { internal_suffixes }
     }
 
     /// Whether `name` falls under an internal suffix (on a label boundary).
@@ -45,119 +55,67 @@ impl ReductionConfig {
     }
 }
 
-/// Verdict-cache cell values: unknown / classified external / internal.
-const UNJUDGED: u8 = 0;
-const EXTERNAL: u8 = 1;
-const INTERNAL: u8 = 2;
+/// Verdict bit: the name is under an internal suffix.
+const INTERNAL: u8 = 1;
+/// Verdict bit: the name is an IPv4 literal (§IV-A drops those).
+const IP_LITERAL: u8 = 2;
 
-/// The mutable half of the verdict memo, dense over raw symbol ids.
-#[derive(Debug, Default)]
-struct VerdictCache {
-    vec: Vec<u8>,
-    filled: usize,
-    published: usize,
-}
-
-/// Memoized internal-namespace classifier.
+/// The per-name reduction verdicts — internal namespace, IP literal — as a
+/// dense byte table indexed by raw [`DomainSym`].
 ///
-/// The suffix scan in [`ReductionConfig::is_internal`] is linear in the
-/// number of configured suffixes and was previously re-run for every record;
-/// enterprise days repeat the same destinations millions of times, so the
-/// filter caches the verdict per raw [`DomainSym`] and classifies each
-/// distinct domain at most once. Verdicts live in a dense `Vec<u8>` indexed
-/// by the raw symbol id, with a read-mostly snapshot republished through a
-/// [`Published`] cell: chunk workers take an [`InternalJudge`] handle and
-/// classify repeat domains with a plain array load. Misses fall back to the
-/// internally synchronized live cache, so the filter remains shareable
-/// across parallel chunk-reduction workers. When no internal suffixes are
-/// configured every verdict is trivially "external" and the cache is
-/// bypassed entirely.
+/// Both verdicts are pure functions of the name and of the fixed
+/// [`ReductionConfig`], so each distinct name is judged exactly once: the
+/// owner calls [`NameVerdicts::admit`] sequentially before handing a span's
+/// records to workers, which extends the table over every name the
+/// interner minted since the last admission (whoever interned it). Workers
+/// share the table immutably; a lookup is one array load. Admission never
+/// interns, so it cannot affect any symbol numbering.
 #[derive(Debug)]
-pub struct InternalFilter {
+pub struct NameVerdicts {
     cfg: ReductionConfig,
-    trivial: bool,
-    live: RwLock<VerdictCache>,
-    snap: Published<Vec<u8>>,
+    flags: Vec<u8>,
 }
 
-impl InternalFilter {
-    /// Wraps a reduction config with an empty verdict cache.
+impl NameVerdicts {
+    /// An empty table judging names against `cfg`.
     pub fn new(cfg: ReductionConfig) -> Self {
-        let trivial = cfg.internal_suffixes.is_empty();
-        InternalFilter {
-            cfg,
-            trivial,
-            live: RwLock::new(VerdictCache::default()),
-            snap: Published::new(Vec::new()),
-        }
+        NameVerdicts { cfg, flags: Vec::new() }
     }
 
-    /// The wrapped configuration.
-    pub fn config(&self) -> &ReductionConfig {
-        &self.cfg
+    /// Judges every name `names` holds beyond the table's end.
+    pub fn admit(&mut self, names: &DomainInterner) {
+        if names.len() == self.flags.len() {
+            return;
+        }
+        let fresh = names.tail(self.flags.len());
+        let cfg = &self.cfg;
+        self.flags.extend(fresh.iter().map(|name| {
+            let internal = if cfg.is_internal(name) { INTERNAL } else { 0 };
+            let literal = if name.parse::<Ipv4>().is_ok() { IP_LITERAL } else { 0 };
+            internal | literal
+        }));
     }
 
-    /// A per-chunk classification handle over the current verdict snapshot.
-    pub fn judge(&self) -> InternalJudge<'_> {
-        InternalJudge { filter: self, snap: self.snap.load() }
+    /// Whether `sym` names an internal destination.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sym` was minted after the last [`NameVerdicts::admit`].
+    pub fn is_internal(&self, sym: DomainSym) -> bool {
+        self.flags(sym) & INTERNAL != 0
     }
 
-    /// Whether the raw symbol `raw_sym` names an internal destination;
-    /// `names` (the interner that minted it) is consulted on a cache miss,
-    /// once per distinct symbol.
-    pub fn is_internal_sym(&self, raw_sym: DomainSym, names: &DomainInterner) -> bool {
-        if self.trivial {
-            return false;
-        }
-        let idx = raw_sym.raw() as usize;
-        {
-            let live = self.live.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some(&v) = live.vec.get(idx) {
-                if v != UNJUDGED {
-                    return v == INTERNAL;
-                }
-            }
-        }
-        let internal = names.with_str(raw_sym, |name| self.cfg.is_internal(name));
-        // A holder that panicked left every cell either unjudged or holding
-        // its one pure verdict, so the poison flag carries no information.
-        let mut live = self.live.write().unwrap_or_else(PoisonError::into_inner);
-        if live.vec.len() <= idx {
-            live.vec.resize(idx + 1, UNJUDGED);
-        }
-        if live.vec[idx] == UNJUDGED {
-            live.vec[idx] = if internal { INTERNAL } else { EXTERNAL };
-            live.filled += 1;
-        }
-        if live.filled >= live.published + (live.published / 8).max(64) {
-            live.published = live.filled;
-            self.snap.publish(Arc::new(live.vec.clone()));
-        }
-        internal
+    /// Whether `sym` names an IP literal rather than a domain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sym` was minted after the last [`NameVerdicts::admit`].
+    pub fn is_ip_literal(&self, sym: DomainSym) -> bool {
+        self.flags(sym) & IP_LITERAL != 0
     }
-}
 
-/// A per-chunk handle over an [`InternalFilter`] verdict snapshot.
-///
-/// Already-classified symbols are answered with a lock-free array load;
-/// unknown symbols fall back to the shared filter.
-#[derive(Debug)]
-pub struct InternalJudge<'f> {
-    filter: &'f InternalFilter,
-    snap: Arc<Vec<u8>>,
-}
-
-impl InternalJudge<'_> {
-    /// Whether `raw_sym` names an internal destination, consulting the
-    /// pinned snapshot first; `names` supplies the name on a full miss.
-    pub fn is_internal(&self, raw_sym: DomainSym, names: &DomainInterner) -> bool {
-        if self.filter.trivial {
-            return false;
-        }
-        match self.snap.get(raw_sym.raw() as usize) {
-            Some(&v) if v != UNJUDGED => v == INTERNAL,
-            _ => self.filter.is_internal_sym(raw_sym, names),
-        }
+    fn flags(&self, sym: DomainSym) -> u8 {
+        *self.flags.get(sym.raw() as usize).expect("names are admitted before reduction")
     }
 }
 
@@ -210,25 +168,28 @@ pub struct ChunkReduction {
     pub domains_after_server: FastSet<DomainSym>,
 }
 
-/// Reduces one chunk of DNS queries; thread-safe over shared `fold` /
-/// `filter` state, so disjoint chunks may run on parallel workers.
+/// Reduces one chunk of DNS queries. `fold` must already hold every
+/// query's fold and `verdicts` every query's name; both are only read, so
+/// disjoint chunks may run on parallel workers.
+///
+/// # Panics
+///
+/// Panics if a query's name was not folded or admitted first.
 pub fn reduce_dns_chunk(
     queries: &[DnsQuery],
     meta: &DatasetMeta,
     fold: &FoldTable,
-    filter: &InternalFilter,
+    verdicts: &NameVerdicts,
 ) -> ChunkReduction {
     let mut out = ChunkReduction { records: queries.len(), ..ChunkReduction::default() };
-    let folder = fold.folder();
-    let judge = filter.judge();
     for q in queries {
-        let folded = folder.fold(q.qname);
+        let folded = fold.folded(q.qname).expect("names are folded before reduction");
         out.domains_all.insert(folded);
         if q.qtype != DnsRecordType::A {
             continue;
         }
         out.records_a_only += 1;
-        if judge.is_internal(q.qname, fold.raw_interner()) {
+        if verdicts.is_internal(q.qname) {
             continue;
         }
         out.domains_after_internal.insert(folded);
@@ -248,25 +209,25 @@ pub fn reduce_dns_chunk(
 }
 
 /// Reduces one chunk of *normalized* proxy records (see
-/// [`crate::normalize`]); thread-safe like [`reduce_dns_chunk`].
+/// [`crate::normalize`]); read-only over `fold` and `verdicts` like
+/// [`reduce_dns_chunk`].
 ///
 /// # Panics
 ///
-/// Panics if a record has no resolved host (normalization must run first).
+/// Panics if a record has no resolved host (normalization must run first),
+/// or if its destination was not folded or admitted first.
 pub fn reduce_proxy_chunk(
     records: &[ProxyRecord],
     meta: &DatasetMeta,
     fold: &FoldTable,
-    filter: &InternalFilter,
+    verdicts: &NameVerdicts,
 ) -> ChunkReduction {
     let mut out = ChunkReduction { records: records.len(), ..ChunkReduction::default() };
-    let folder = fold.folder();
-    let judge = filter.judge();
     for rec in records {
         let host = rec.host.expect("proxy records must be normalized before reduction");
-        let folded = folder.fold(rec.domain);
+        let folded = fold.folded(rec.domain).expect("names are folded before reduction");
         out.domains_all.insert(folded);
-        if judge.is_internal(rec.domain, fold.raw_interner()) {
+        if verdicts.is_internal(rec.domain) {
             continue;
         }
         out.domains_after_internal.insert(folded);
@@ -318,6 +279,12 @@ impl DayReducer {
         self.domains_after_server.extend(&chunk.domains_after_server);
     }
 
+    /// The day's distinct folded domains that survived every filter —
+    /// exactly the domains of the contacts the pushed chunks carried.
+    pub fn domains_after_server(&self) -> &FastSet<DomainSym> {
+        &self.domains_after_server
+    }
+
     /// Records pushed so far.
     pub fn records(&self) -> usize {
         self.records
@@ -349,25 +316,34 @@ impl DayReducer {
 mod tests {
     use super::*;
     use earlybird_logmodel::{
-        DnsQuery, DomainInterner, HostId, HttpMethod, HttpStatus, Ipv4, PathInterner, Timestamp,
-        TzOffset,
+        DnsQuery, DomainInterner, HostId, HttpMethod, HttpStatus, PathInterner, Timestamp, TzOffset,
     };
     use std::sync::Arc;
 
-    /// Reduces `queries` in chunks of `chunk` records against one fresh
-    /// filter, merging the counters the way a day's accumulator does;
-    /// contacts come back in record order.
+    /// Admits and folds `queries` sequentially, the way a day's owner does
+    /// before handing chunks to workers.
+    fn prepare(queries: &[DnsQuery], meta: &DatasetMeta, fold: &mut FoldTable) -> NameVerdicts {
+        let mut verdicts = NameVerdicts::new(ReductionConfig::from_meta(meta));
+        verdicts.admit(fold.raw_interner());
+        for q in queries {
+            fold.fold(q.qname);
+        }
+        verdicts
+    }
+
+    /// Reduces `queries` in chunks of `chunk` records, merging the counters
+    /// the way a day's accumulator does; contacts come back in record order.
     fn reduce_dns(
         queries: &[DnsQuery],
         meta: &DatasetMeta,
-        fold: &FoldTable,
+        fold: &mut FoldTable,
         chunk: usize,
     ) -> (Vec<Contact>, DnsReductionCounts) {
-        let filter = InternalFilter::new(ReductionConfig::from_meta(meta));
+        let verdicts = prepare(queries, meta, fold);
         let mut reducer = DayReducer::new();
         let mut contacts = Vec::new();
         for span in queries.chunks(chunk) {
-            let reduced = reduce_dns_chunk(span, meta, fold, &filter);
+            let reduced = reduce_dns_chunk(span, meta, fold, &verdicts);
             reducer.push_chunk(&reduced);
             contacts.extend(reduced.contacts);
         }
@@ -414,8 +390,8 @@ mod tests {
             dns_query(&raw, 5, 2, "cdn.nbc.com", DnsRecordType::A),
         ];
         let meta = meta_with_server(3, 1);
-        let fold = FoldTable::new(Arc::clone(&raw), 2);
-        let (contacts, counts) = reduce_dns(&queries, &meta, &fold, queries.len());
+        let mut fold = FoldTable::new(Arc::clone(&raw), 2);
+        let (contacts, counts) = reduce_dns(&queries, &meta, &mut fold, queries.len());
 
         assert_eq!(counts.records_all, 5);
         assert_eq!(counts.records_a_only, 4);
@@ -443,23 +419,51 @@ mod tests {
     }
 
     #[test]
-    fn internal_filter_memoizes_per_symbol() {
+    fn from_meta_normalizes_leading_dots_and_empty_suffixes() {
+        let cfg_for = |suffixes: &[&str]| {
+            let mut meta = meta_with_server(1, 0);
+            meta.internal_suffixes = suffixes.iter().map(|s| s.to_string()).collect();
+            ReductionConfig::from_meta(&meta)
+        };
+        for suffix in ["corp.local", ".corp.local"] {
+            let cfg = cfg_for(&[suffix]);
+            assert!(cfg.is_internal("corp.local"), "{suffix}");
+            assert!(cfg.is_internal("mail.corp.local"), "{suffix}");
+            assert!(!cfg.is_internal("evilcorp.local"), "{suffix}: no label boundary");
+            assert!(!cfg.is_internal("nbc.com"), "{suffix}");
+        }
+        let cfg = cfg_for(&["", "."]);
+        assert!(cfg.internal_suffixes.is_empty(), "empty suffixes are dropped");
+        assert!(!cfg.is_internal("nbc.com."), "an empty suffix matches nothing");
+        assert!(!cfg.is_internal(""));
+    }
+
+    #[test]
+    fn verdicts_cover_names_interned_since_the_last_admission() {
         let raw = DomainInterner::new();
         let internal = raw.intern("mail.corp.local");
         let external = raw.intern("nbc.com");
-        let filter =
-            InternalFilter::new(ReductionConfig { internal_suffixes: vec!["corp.local".into()] });
-        for _ in 0..3 {
-            assert!(filter.is_internal_sym(internal, &raw));
-            assert!(!filter.is_internal_sym(external, &raw));
-        }
-        // A table that numbers the same two names the other way round is
-        // never consulted: each distinct symbol was classified once.
-        let swapped = DomainInterner::new();
-        swapped.intern("nbc.com");
-        swapped.intern("mail.corp.local");
-        assert!(filter.is_internal_sym(internal, &swapped));
-        assert!(!filter.is_internal_sym(external, &swapped));
+        let mut verdicts =
+            NameVerdicts::new(ReductionConfig { internal_suffixes: vec!["corp.local".into()] });
+        verdicts.admit(&raw);
+        assert!(verdicts.is_internal(internal));
+        assert!(!verdicts.is_internal(external));
+        assert!(!verdicts.is_ip_literal(external));
+
+        let literal = raw.intern("8.8.8.8");
+        let late = raw.intern("wiki.corp.local");
+        verdicts.admit(&raw);
+        assert!(verdicts.is_ip_literal(literal) && !verdicts.is_internal(literal));
+        assert!(verdicts.is_internal(late) && !verdicts.is_ip_literal(late));
+        assert_eq!(raw.len(), 4, "admission interns nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "admitted")]
+    fn an_unadmitted_name_is_an_invariant_violation() {
+        let raw = DomainInterner::new();
+        let verdicts = NameVerdicts::new(ReductionConfig::default());
+        let _ = verdicts.is_internal(raw.intern("nbc.com"));
     }
 
     #[test]
@@ -478,11 +482,12 @@ mod tests {
         queries.push(dns_query(&raw, 99, 0, "x.corp.local", DnsRecordType::A));
         let meta = meta_with_server(5, 2);
 
-        let fold_a = FoldTable::new(Arc::clone(&raw), 2);
-        let (whole_contacts, whole_counts) = reduce_dns(&queries, &meta, &fold_a, queries.len());
+        let mut fold_a = FoldTable::new(Arc::clone(&raw), 2);
+        let (whole_contacts, whole_counts) =
+            reduce_dns(&queries, &meta, &mut fold_a, queries.len());
 
-        let fold_b = FoldTable::new(Arc::clone(&raw), 2);
-        let (contacts, counts) = reduce_dns(&queries, &meta, &fold_b, 7);
+        let mut fold_b = FoldTable::new(Arc::clone(&raw), 2);
+        let (contacts, counts) = reduce_dns(&queries, &meta, &mut fold_b, 7);
         assert_eq!(counts, whole_counts);
         assert_eq!(contacts, whole_contacts);
     }
@@ -502,8 +507,8 @@ mod tests {
         }
         queries.push(dns_query(&raw, 99, 0, "x.corp.local", DnsRecordType::A));
         let meta = meta_with_server(5, 2);
-        let fold = FoldTable::new(Arc::clone(&raw), 2);
-        let (_, c) = reduce_dns(&queries, &meta, &fold, 16);
+        let mut fold = FoldTable::new(Arc::clone(&raw), 2);
+        let (_, c) = reduce_dns(&queries, &meta, &mut fold, 16);
         assert!(c.domains_all >= c.domains_after_internal_filter);
         assert!(c.domains_after_internal_filter >= c.domains_after_server_filter);
         assert!(c.records_all >= c.records_a_only);
@@ -542,9 +547,13 @@ mod tests {
             proxy_record(&raw, &paths, 3, 0, "wiki.corp.local", None),
         ];
         let meta = meta_with_server(2, 1);
-        let fold = FoldTable::new(Arc::clone(&raw), 2);
-        let filter = InternalFilter::new(ReductionConfig::from_meta(&meta));
-        let reduced = reduce_proxy_chunk(&recs, &meta, &fold, &filter);
+        let mut fold = FoldTable::new(Arc::clone(&raw), 2);
+        let mut verdicts = NameVerdicts::new(ReductionConfig::from_meta(&meta));
+        verdicts.admit(&raw);
+        for rec in &recs {
+            fold.fold(rec.domain);
+        }
+        let reduced = reduce_proxy_chunk(&recs, &meta, &fold, &verdicts);
         let mut reducer = DayReducer::new();
         reducer.push_chunk(&reduced);
         let counts = reducer.proxy_counts();
@@ -557,6 +566,9 @@ mod tests {
         assert!(!evil.http.unwrap().referer_present);
         let nbc = contacts.iter().find(|c| fold.folded_name(c.domain) == "nbc.com").unwrap();
         assert!(nbc.http.unwrap().referer_present);
+        let survivors: Vec<_> = contacts.iter().map(|c| c.domain).collect();
+        assert!(survivors.iter().all(|d| reducer.domains_after_server().contains(d)));
+        assert_eq!(reducer.domains_after_server().len(), 2);
     }
 
     #[test]
@@ -567,31 +579,22 @@ mod tests {
         let mut rec = proxy_record(&raw, &paths, 1, 0, "a.com", None);
         rec.host = None;
         let meta = meta_with_server(2, 1);
-        let fold = FoldTable::new(Arc::clone(&raw), 2);
-        let filter = InternalFilter::new(ReductionConfig::default());
-        let _ = reduce_proxy_chunk(&[rec], &meta, &fold, &filter);
+        let mut fold = FoldTable::new(Arc::clone(&raw), 2);
+        fold.fold(rec.domain);
+        let mut verdicts = NameVerdicts::new(ReductionConfig::default());
+        verdicts.admit(&raw);
+        let _ = reduce_proxy_chunk(&[rec], &meta, &fold, &verdicts);
     }
 
     #[test]
-    fn a_panic_under_the_lock_does_not_wedge_the_internal_filter() {
-        let raw = DomainInterner::new();
-        let internal = raw.intern("mail.corp.local");
-        let external = raw.intern("nbc.com");
-        let filter =
-            InternalFilter::new(ReductionConfig { internal_suffixes: vec!["corp.local".into()] });
-        assert!(filter.is_internal_sym(internal, &raw));
-        let panicked = std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    let _guard = filter.live.write().unwrap();
-                    panic!("reduce worker dies holding the verdict cache");
-                })
-                .join()
-        });
-        assert!(panicked.is_err());
-        assert!(filter.live.is_poisoned());
-        assert!(filter.is_internal_sym(internal, &raw), "cached verdict survives");
-        assert!(!filter.is_internal_sym(external, &raw), "fresh verdicts still land");
-        assert!(!filter.judge().is_internal(external, &raw));
+    #[should_panic(expected = "folded")]
+    fn reduction_requires_warmed_folds() {
+        let raw = Arc::new(DomainInterner::new());
+        let queries = [dns_query(&raw, 1, 0, "www.nbc.com", DnsRecordType::A)];
+        let meta = meta_with_server(2, 1);
+        let fold = FoldTable::new(Arc::clone(&raw), 2);
+        let mut verdicts = NameVerdicts::new(ReductionConfig::from_meta(&meta));
+        verdicts.admit(&raw);
+        let _ = reduce_dns_chunk(&queries, &meta, &fold, &verdicts);
     }
 }

@@ -14,11 +14,12 @@
 #[allow(dead_code)]
 mod support;
 
-use earlybird::engine::{IngestSource, MemBackend, MetricsRegistry};
+use earlybird::engine::{EngineBuilder, IngestSource, MemBackend, MetricsRegistry};
 use earlybird::logmodel::{
     format_dns_line, Day, DnsQuery, DnsRecordType, DomainInterner, HostId, Ipv4, Timestamp,
 };
 use earlybird::serve::{ServeClient, Server, ServerConfig, TenantLimits, TenantSpec};
+use earlybird::synthgen::ac::{AcConfig, AcGenerator};
 use std::sync::Arc;
 use support::Backend;
 
@@ -156,11 +157,27 @@ fn service_cycle_moves_every_counter_family() {
         assert_eq!(get("serve_requests_inflight"), 1.0);
         assert_eq!(get("serve_connections_active"), 1.0);
         // Engine stages ran under the tenant's label...
-        for stage in ["parse", "reduce", "profile", "checkpoint"] {
-            let count =
-                get(&format!("engine_stage_micros_count{{stage=\"{stage}\",tenant=\"acme\"}}"));
-            assert!(count >= f64::from(N_DAYS), "{context}: stage {stage} ran each day: {count}");
+        let stage = |family: &str, stage: &str| {
+            get(&format!("engine_stage_micros_{family}{{stage=\"{stage}\",tenant=\"acme\"}}"))
+        };
+        for name in [
+            "parse",
+            "reduce",
+            "reduce_names",
+            "reduce_chunk",
+            "reduce_absorb",
+            "profile",
+            "checkpoint",
+        ] {
+            let count = stage("count", name);
+            assert!(count >= f64::from(N_DAYS), "{context}: stage {name} ran each day: {count}");
         }
+        // ...the reduce breakdown never exceeds the stage it breaks down,
+        // and a DNS-only tenant normalizes nothing.
+        let parts: f64 =
+            ["reduce_names", "reduce_chunk", "reduce_absorb"].iter().map(|n| stage("sum", n)).sum();
+        assert!(parts <= stage("sum", "reduce"), "{context}: {parts} within the reduce stage");
+        assert_eq!(stage("count", "reduce_normalize"), 0.0, "{context}: DNS only");
         assert_eq!(get("engine_records_total{tenant=\"acme\"}"), records_pushed as f64);
         assert_eq!(get("engine_parse_errors_total{tenant=\"acme\"}"), f64::from(N_DAYS));
         // The data-shape series say how big each string table is: the
@@ -262,4 +279,37 @@ fn slow_ops_endpoint_drains_exactly_once() {
     client.shutdown().expect("graceful shutdown");
     drop(client);
     handle.join();
+}
+
+/// The reduce stage's breakdown covers a proxy push: name admission and
+/// fold warm-up, normalization, the parallel chunk pass and the in-order
+/// absorb each observe, and together they stay within `stage="reduce"`.
+#[test]
+fn reduce_stages_break_down_a_proxy_push() {
+    let world = AcGenerator::new(AcConfig::tiny()).generate();
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut engine = EngineBuilder::enterprise()
+        .parallelism(2)
+        .parallel_threshold(1)
+        .ingest_chunk_records(64)
+        .metrics(Arc::clone(&registry))
+        .build(Arc::clone(&world.dataset.domains), world.dataset.meta.clone())
+        .expect("valid config");
+    let day = &world.dataset.days[0];
+    let mut ingest = engine.begin_day(day.day, IngestSource::Proxy { dhcp: &world.dataset.dhcp });
+    ingest.push_proxy_records(&day.records);
+    ingest.finish();
+
+    let snap = registry.snapshot();
+    let totals = |name: &str| snap.histogram_totals("engine_stage_micros", &[("stage", name)]);
+    assert_eq!(totals("reduce").count, 1, "one push");
+    assert_eq!(totals("reduce_names").count, 2, "admission, then the warm-up");
+    for name in ["reduce_normalize", "reduce_chunk", "reduce_absorb"] {
+        assert_eq!(totals(name).count, 1, "stage {name} observed once per push");
+    }
+    let parts: u64 = ["reduce_names", "reduce_normalize", "reduce_chunk", "reduce_absorb"]
+        .iter()
+        .map(|name| totals(name).sum)
+        .sum();
+    assert!(parts <= totals("reduce").sum, "{parts} µs within the reduce stage");
 }

@@ -12,9 +12,9 @@ use earlybird::engine::{
 };
 use earlybird::logmodel::{
     format_dns_line, DatasetMeta, Day, DnsDayLog, DnsQuery, DnsRecordType, HostId, HostKind, Ipv4,
-    Timestamp,
+    ProxyDayLog, Timestamp,
 };
-use earlybird::synthgen::ac::{AcConfig, AcGenerator};
+use earlybird::synthgen::ac::{AcConfig, AcGenerator, AcWorld};
 use earlybird::synthgen::lanl::{LanlConfig, LanlGenerator};
 use earlybird_engine::CollectingSink;
 use proptest::prelude::*;
@@ -276,12 +276,53 @@ fn checkpoint_under_one_worker_count_restores_under_another() {
     );
 }
 
+/// An AC world's metadata with each internal suffix written with a leading
+/// dot, as a tenant spec may write it.
+fn dotted_meta(world: &AcWorld) -> DatasetMeta {
+    let mut meta = world.dataset.meta.clone();
+    meta.internal_suffixes = meta.internal_suffixes.iter().map(|s| format!(".{s}")).collect();
+    meta
+}
+
+/// An AC world's proxy days salted with records every reduction filter
+/// must drop: IP-literal destinations, names under the internal suffix
+/// (fresh ones each day, so later pushes judge names no earlier push saw),
+/// and sources no DHCP lease covers.
+fn salted_proxy_days(world: &AcWorld, days: usize) -> Vec<ProxyDayLog> {
+    let domains = &world.dataset.domains;
+    let internal = world.dataset.meta.internal_suffixes[0].as_str();
+    world.dataset.days[..days]
+        .iter()
+        .map(|day| {
+            let mut records = Vec::with_capacity(day.records.len() + day.records.len() / 20);
+            for (i, rec) in day.records.iter().enumerate() {
+                records.push(*rec);
+                let mut salt = *rec;
+                match i % 60 {
+                    0 => salt.domain = domains.intern(&format!("203.0.113.{}", i % 7)),
+                    20 => {
+                        let name = format!("svc{}.day{}.{internal}", i % 5, day.day.index());
+                        salt.domain = domains.intern(&name);
+                    }
+                    40 => salt.src_ip = Ipv4::new(198, 18, 0, (i % 250) as u8),
+                    _ => continue,
+                }
+                records.push(salt);
+            }
+            ProxyDayLog { day: day.day, records }
+        })
+        .collect()
+}
+
 /// Proxy days (normalization + DHCP resolution + HTTP context) stream
-/// identically as well.
+/// identically as well — reports, alerts, and the checkpoint bytes of an
+/// engine with the same knobs that took each day whole — with every
+/// normalization and reduction filter firing.
 #[test]
 fn proxy_days_stream_identically() {
     let world = AcGenerator::new(AcConfig::tiny()).generate();
-    let meta = &world.dataset.meta;
+    let meta = &dotted_meta(&world);
+    let dhcp = &world.dataset.dhcp;
 
     let build = |parallelism: usize, chunk: usize| {
         let sink = CollectingSink::new();
@@ -298,22 +339,109 @@ fn proxy_days_stream_identically() {
     };
     let (mut batch_engine, batch_alerts) = build(1, 1 << 20);
     let (mut stream_engine, stream_alerts) = build(4, 50);
+    let (mut whole_engine, _) = build(4, 50);
 
     // Cover the bootstrap/operation boundary plus several operation days.
     let last = (meta.bootstrap_days + 6).min(meta.total_days) as usize;
-    for day in &world.dataset.days[..last] {
-        let batch_report =
-            batch_engine.ingest_day(DayBatch::Proxy { day, dhcp: &world.dataset.dhcp });
-        let mut ingest =
-            stream_engine.begin_day(day.day, IngestSource::Proxy { dhcp: &world.dataset.dhcp });
+    let (mut ip_literals, mut unresolvable, mut internal) = (0, 0, 0);
+    for day in &salted_proxy_days(&world, last) {
+        let batch_report = batch_engine.ingest_day(DayBatch::Proxy { day, dhcp });
+        whole_engine.ingest_day(DayBatch::Proxy { day, dhcp });
+        let mut ingest = stream_engine.begin_day(day.day, IngestSource::Proxy { dhcp });
         for span in day.records.chunks(311) {
             ingest.push_proxy_records(span);
         }
         let stream_report = ingest.finish();
         assert_reports_equal(&stream_report, &batch_report, &format!("proxy day {:?}", day.day));
+        let norm = stream_report.norm_counts.expect("proxy day");
+        let counts = stream_report.proxy_counts.expect("proxy day");
+        ip_literals += norm.dropped_ip_literal;
+        unresolvable += norm.dropped_unresolvable;
+        internal += counts.domains_all - counts.domains_after_internal_filter;
     }
+    assert!(ip_literals > 0, "IP-literal destinations were dropped");
+    assert!(unresolvable > 0, "unresolvable sources were dropped");
+    assert!(internal > 0, "internal-suffix names were dropped");
     assert_eq!(stream_alerts.snapshot(), batch_alerts.snapshot());
     assert_eq!(stream_engine.ua_history().len(), batch_engine.ua_history().len());
+    assert_eq!(
+        checkpoint_bytes(&stream_engine),
+        checkpoint_bytes(&whole_engine),
+        "checkpoint bytes must not depend on the chunk split"
+    );
+}
+
+/// The proxy twin of
+/// [`checkpoint_under_one_worker_count_restores_under_another`]: the fold
+/// memo and the per-name verdicts are not checkpointed, so the restored
+/// engine rebuilds both from the restored interner on its first push — and
+/// must land on the same reports, alerts and checkpoint bytes as an
+/// uninterrupted run.
+#[test]
+fn proxy_checkpoint_under_one_worker_count_restores_under_another() {
+    let world = AcGenerator::new(AcConfig::tiny()).generate();
+    let meta = &dotted_meta(&world);
+    let dhcp = &world.dataset.dhcp;
+    let domains = &world.dataset.domains;
+    let last = (meta.bootstrap_days + 4).min(meta.total_days) as usize;
+    let days = salted_proxy_days(&world, last);
+    let cut = meta.bootstrap_days as usize;
+    let builder = |parallelism: usize, sink: CollectingSink| {
+        EngineBuilder::enterprise()
+            .parallelism(parallelism)
+            .parallel_threshold(1)
+            .ingest_chunk_records(64)
+            .auto_investigate(true)
+            .sink(sink)
+    };
+    let stream = |engine: &mut Engine, day: &ProxyDayLog| {
+        let mut ingest = engine.begin_day(day.day, IngestSource::Proxy { dhcp });
+        for span in day.records.chunks(500) {
+            ingest.push_proxy_records(span);
+        }
+        ingest.finish()
+    };
+
+    let sink = CollectingSink::new();
+    let reference_alerts = sink.handle();
+    let mut reference =
+        builder(1, sink).build(Arc::clone(domains), meta.clone()).expect("valid config");
+    let reference_reports: Vec<DayReport> =
+        days.iter().map(|day| stream(&mut reference, day)).collect();
+
+    let dir = StoreDir::create_with(MemBackend::new(), LifecycleConfig::default())
+        .expect("create mem store");
+    let store = Persistence::new(dir, SnapshotPolicy::default());
+    let sink = CollectingSink::new();
+    let before_alerts = sink.handle();
+    let mut before = builder(3, sink).build(Arc::clone(domains), meta.clone()).expect("valid");
+    let mut reports = Vec::new();
+    for day in &days[..=cut] {
+        reports.push(stream(&mut before, day));
+        store.commit(&before).expect("freeze").wait().expect("sync commit");
+    }
+    drop(before);
+
+    let sink = CollectingSink::new();
+    let after_alerts = sink.handle();
+    let mut after =
+        store.restore_with_domains(Arc::clone(domains), builder(1, sink)).expect("chain restores");
+    for day in &days[cut + 1..] {
+        reports.push(stream(&mut after, day));
+    }
+
+    assert_eq!(reports.len(), reference_reports.len());
+    for (restarted, uninterrupted) in reports.iter().zip(&reference_reports) {
+        assert_reports_equal(restarted, uninterrupted, &format!("day {:?}", uninterrupted.day));
+    }
+    let mut alerts = before_alerts.snapshot();
+    alerts.extend(after_alerts.snapshot());
+    assert_eq!(alerts, reference_alerts.snapshot());
+    assert_eq!(
+        checkpoint_bytes(&after),
+        checkpoint_bytes(&reference),
+        "a restart under another worker count must not change a single checkpoint byte"
+    );
 }
 
 /// Raw-line ingestion matches record ingestion: same records, same report,
