@@ -35,7 +35,7 @@
 //!   `earlybird-store` crate.
 //! * For a long-running service, the [`Persistence`] facade drives a
 //!   manifest-managed [`StoreDir`] behind one [`SnapshotPolicy`]:
-//!   full-vs-segment selection, sync or background commits awaited
+//!   automatic full-vs-segment selection, sync or background commits awaited
 //!   through a [`CommitHandle`], automatic chain folding on a
 //!   [`CompactionTrigger`] (whole-chain [`compact_store`] or bounded
 //!   [`compact_store_tiered`]), retention GC past
@@ -101,7 +101,5 @@ pub use earlybird_store::{
 };
 pub use ingest::{DayIngest, DayState, IngestSource};
 pub use persist::{compact_store, compact_store_tiered, EngineSnapshot};
-pub use persistence::{
-    CommitHandle, CommitMode, CommitOutcome, Persistence, SnapshotMode, SnapshotPolicy,
-};
+pub use persistence::{CommitHandle, CommitMode, CommitOutcome, Persistence, SnapshotPolicy};
 pub use report::{CcCandidate, DayReport, InvestigationReport, StageCounters, TrainingReport};

@@ -5,15 +5,16 @@
 //! point, [`Persistence::commit`]:
 //!
 //! 1. the engine's state is frozen into an [`crate::EngineSnapshot`]
-//!    under a short critical section ([`Engine::freeze`] /
-//!    [`Engine::freeze_day`], per the policy's [`SnapshotMode`]);
+//!    under a short critical section — a full [`Engine::freeze`] while
+//!    the chain is empty, an O(day) [`Engine::freeze_day`] segment after
+//!    that;
 //! 2. the frozen view serializes and commits through the store —
 //!    inline ([`CommitMode::Sync`]) or on the handle's background worker
 //!    thread ([`CommitMode::Background`]), where ingestion continues
 //!    while the bytes travel;
 //! 3. if the store's compaction trigger has fired, the chain is folded —
-//!    whole-chain, or only its oldest `K` segments when a tier is set
-//!    ([`SnapshotPolicy::tier`] or the trigger's own `fold_segments`).
+//!    whole-chain, or only its oldest `K` segments when the trigger's
+//!    `fold_segments` is set.
 //!
 //! Every commit returns a [`CommitHandle`]; [`CommitHandle::wait`] blocks
 //! until the bytes are durable and yields the [`CommitOutcome`] — this is
@@ -46,19 +47,6 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-/// Which snapshot a [`Persistence::commit`] freezes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SnapshotMode {
-    /// Full snapshot when the chain is empty (first commit), O(day)
-    /// segment afterwards — the daily-cycle default.
-    #[default]
-    Auto,
-    /// Always a full snapshot (replaces the whole chain).
-    Full,
-    /// Always a day segment (errors on an empty chain at commit time).
-    Day,
-}
-
 /// Where a [`Persistence::commit`] serializes and commits the frozen
 /// snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -71,50 +59,22 @@ pub enum CommitMode {
     Background,
 }
 
-/// How a [`Persistence`] handle snapshots, commits, and compacts.
+/// How a [`Persistence`] handle commits. Compaction follows the store's
+/// own [`crate::CompactionTrigger`].
 ///
-/// Construct fluently: `SnapshotPolicy::default().background().tier(4)`
-/// is the always-on daily cycle — auto full/segment, commits off-thread,
-/// compaction bounded to folding the 4 oldest segments per pass.
+/// `SnapshotPolicy::default()` commits inline;
+/// `SnapshotPolicy::default().background()` is the always-on daily cycle,
+/// committing off-thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SnapshotPolicy {
-    /// Full snapshot vs day segment vs automatic.
-    pub mode: SnapshotMode,
     /// Inline vs background commit.
     pub commit: CommitMode,
-    /// Fold at most this many oldest segments per compaction pass,
-    /// overriding the store trigger's `fold_segments`; `None` defers to
-    /// the trigger (whole-chain when that is also `None`).
-    pub compaction_tier: Option<usize>,
 }
 
 impl SnapshotPolicy {
-    /// Always freeze full snapshots ([`SnapshotMode::Full`]).
-    pub fn full() -> Self {
-        SnapshotPolicy { mode: SnapshotMode::Full, ..SnapshotPolicy::default() }
-    }
-
-    /// Always freeze day segments ([`SnapshotMode::Day`]).
-    pub fn day() -> Self {
-        SnapshotPolicy { mode: SnapshotMode::Day, ..SnapshotPolicy::default() }
-    }
-
     /// Commit on the background worker ([`CommitMode::Background`]).
     pub fn background(mut self) -> Self {
         self.commit = CommitMode::Background;
-        self
-    }
-
-    /// Commit inline ([`CommitMode::Sync`], the default).
-    pub fn sync(mut self) -> Self {
-        self.commit = CommitMode::Sync;
-        self
-    }
-
-    /// Bound every compaction pass to folding the `fold_segments` oldest
-    /// segments (see [`crate::compact_store_tiered`]).
-    pub fn tier(mut self, fold_segments: usize) -> Self {
-        self.compaction_tier = Some(fold_segments);
         self
     }
 }
@@ -178,7 +138,6 @@ impl CommitCell {
 
 struct Job {
     snapshot: EngineSnapshot,
-    tier: Option<usize>,
     cell: Arc<CommitCell>,
 }
 
@@ -189,7 +148,7 @@ struct WorkerState {
     /// Display of the failure that poisoned the handle, if any.
     poisoned: Option<String>,
     /// The chain has (or will have, once queued commits land) a full
-    /// block, so [`SnapshotMode::Auto`] freezes segments from here on.
+    /// block, so commits freeze day segments from here on.
     chain_started: bool,
     /// Metric handles of the engine committed most recently, so an
     /// explicit [`Persistence::compact`] records its spans where that
@@ -275,14 +234,10 @@ impl Persistence {
         Persistence { shared, policy, worker }
     }
 
-    /// The policy this handle was built with.
-    pub fn policy(&self) -> SnapshotPolicy {
-        self.policy
-    }
-
-    /// Freezes the engine per the policy's [`SnapshotMode`] (a short
-    /// critical section — ingestion resumes immediately after), then
-    /// serializes and commits the frozen view per its [`CommitMode`].
+    /// Freezes the engine — in full while the chain is empty, otherwise
+    /// its newest day as a segment (a short critical section — ingestion
+    /// resumes immediately after), then serializes and commits the frozen
+    /// view per the policy's [`CommitMode`].
     /// Await the returned [`CommitHandle`] for durability.
     ///
     /// # Errors
@@ -295,26 +250,17 @@ impl Persistence {
         if let Some(why) = &state.poisoned {
             return Err(StoreError::PersistencePoisoned { context: why.clone() });
         }
-        let full = match self.policy.mode {
-            SnapshotMode::Full => true,
-            SnapshotMode::Day => false,
-            SnapshotMode::Auto => !state.chain_started,
-        };
-        let snapshot = if full { engine.freeze() } else { engine.freeze_day()? };
+        let snapshot = if state.chain_started { engine.freeze_day()? } else { engine.freeze() };
         state.chain_started = true;
         state.metrics = Some(snapshot.metrics().clone());
         let cell = Arc::new(CommitCell::default());
         match self.policy.commit {
             CommitMode::Sync => {
                 drop(state);
-                cell.fill(run_commit(&self.shared, &snapshot, self.policy.compaction_tier));
+                cell.fill(run_commit(&self.shared, &snapshot));
             }
             CommitMode::Background => {
-                state.queue.push_back(Job {
-                    snapshot,
-                    tier: self.policy.compaction_tier,
-                    cell: Arc::clone(&cell),
-                });
+                state.queue.push_back(Job { snapshot, cell: Arc::clone(&cell) });
                 drop(state);
                 self.shared.work.notify_all();
             }
@@ -340,7 +286,7 @@ impl Persistence {
     }
 
     /// Runs one compaction pass right now (regardless of the trigger),
-    /// folding per the policy tier / store trigger.
+    /// folding as many segments as the trigger's `fold_segments` allows.
     ///
     /// # Errors
     ///
@@ -349,7 +295,7 @@ impl Persistence {
     pub fn compact(&self) -> StoreResult<CompactionReport> {
         let metrics = self.shared.lock_state().metrics.clone();
         let mut dir = self.shared.lock_store();
-        let fold = self.policy.compaction_tier.or(dir.config().compaction.fold_segments);
+        let fold = dir.config().compaction.fold_segments;
         compact_prefix(&mut dir, fold, metrics.as_ref())
     }
 
@@ -434,7 +380,7 @@ fn worker_loop(shared: &Shared) {
             // A failed predecessor already broke the cursor/chain
             // agreement; later frozen snapshots must not land on top.
             Some(why) => Err(StoreError::PersistencePoisoned { context: why }),
-            None => run_commit(shared, &job.snapshot, job.tier),
+            None => run_commit(shared, &job.snapshot),
         };
         job.cell.fill(result);
         let mut state = shared.lock_state();
@@ -448,11 +394,7 @@ fn worker_loop(shared: &Shared) {
 /// due. Block-side failures poison the handle (the engine's cursor is
 /// already past the frozen bytes); compaction failures do not (the chain
 /// is valid with or without the fold).
-fn run_commit(
-    shared: &Shared,
-    snapshot: &EngineSnapshot,
-    tier: Option<usize>,
-) -> StoreResult<CommitOutcome> {
+fn run_commit(shared: &Shared, snapshot: &EngineSnapshot) -> StoreResult<CommitOutcome> {
     let mut dir = shared.lock_store();
     let kind = snapshot.kind();
     let committed = (|| {
@@ -472,7 +414,7 @@ fn run_commit(
         }
     };
     let compaction = if dir.compaction_due() {
-        let fold = tier.or(dir.config().compaction.fold_segments);
+        let fold = dir.config().compaction.fold_segments;
         Some(compact_prefix(&mut dir, fold, Some(snapshot.metrics()))?)
     } else {
         None
@@ -486,18 +428,7 @@ mod tests {
 
     #[test]
     fn policy_constructors_compose() {
-        let p = SnapshotPolicy::default();
-        assert_eq!(p.mode, SnapshotMode::Auto);
-        assert_eq!(p.commit, CommitMode::Sync);
-        assert_eq!(p.compaction_tier, None);
-
-        let p = SnapshotPolicy::full().background().tier(4);
-        assert_eq!(p.mode, SnapshotMode::Full);
-        assert_eq!(p.commit, CommitMode::Background);
-        assert_eq!(p.compaction_tier, Some(4));
-
-        let p = SnapshotPolicy::day().background().sync();
-        assert_eq!(p.mode, SnapshotMode::Day);
-        assert_eq!(p.commit, CommitMode::Sync);
+        assert_eq!(SnapshotPolicy::default().commit, CommitMode::Sync);
+        assert_eq!(SnapshotPolicy::default().background().commit, CommitMode::Background);
     }
 }

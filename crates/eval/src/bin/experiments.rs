@@ -17,7 +17,8 @@ use earlybird_eval::evasion::{evasion_study, JITTER_LEVELS};
 use earlybird_eval::lanl::{table2_grid, LanlRun};
 use earlybird_eval::report::{cdf_points, render_table};
 use earlybird_eval::{AcHarness, Fig6Row, Rates};
-use earlybird_synthgen::lanl::CHALLENGE_SCHEDULE;
+use earlybird_synthgen::ac::{AcConfig, AcGenerator};
+use earlybird_synthgen::lanl::{LanlConfig, LanlGenerator, CHALLENGE_SCHEDULE};
 use std::path::PathBuf;
 
 /// Every experiment this binary runs.
@@ -55,6 +56,18 @@ struct Args {
     json_dir: Option<PathBuf>,
     /// The experiments named; empty means all.
     wanted: Vec<&'static str>,
+}
+
+/// The generated worlds a selection of experiments reads, as `(lanl, ac)`;
+/// an empty selection runs everything. `table1` prints the static
+/// challenge schedule and `evasion` synthesizes its own beacons, so
+/// neither needs a world.
+fn worlds_needed(wanted: &[&str]) -> (bool, bool) {
+    let any = |group: &[&str]| wanted.is_empty() || group.iter().any(|e| wanted.contains(e));
+    (
+        any(&["table2", "table3", "fig2", "fig3", "fig4"]),
+        any(&["fig5", "fig6a", "fig6b", "fig6c", "fig7", "fig8", "regression"]),
+    )
 }
 
 /// Parses the arguments after the program name. An experiment may be
@@ -99,14 +112,11 @@ fn main() {
         }
     };
 
-    let lanl_needed =
-        ["table1", "table2", "table3", "fig2", "fig3", "fig4"].iter().any(|e| want(e));
+    let (lanl_needed, ac_needed) = worlds_needed(&wanted);
     if want("evasion") {
         let rows = evasion();
         dump("evasion", &rows);
     }
-    let ac_needed =
-        ["fig5", "fig6a", "fig6b", "fig6c", "fig7", "fig8", "regression"].iter().any(|e| want(e));
 
     if want("table1") {
         table1();
@@ -114,8 +124,8 @@ fn main() {
 
     if lanl_needed {
         eprintln!("[experiments] generating LANL dataset...");
-        let challenge =
-            if small { earlybird_bench::lanl_world() } else { earlybird_bench::lanl_world_full() };
+        let config = if small { LanlConfig::small() } else { LanlConfig::new(7) };
+        let challenge = LanlGenerator::new(config).generate();
         eprintln!(
             "[experiments] {} DNS queries / {} days",
             challenge.dataset.total_queries(),
@@ -145,8 +155,8 @@ fn main() {
 
     if ac_needed {
         eprintln!("[experiments] generating AC dataset...");
-        let world =
-            if small { earlybird_bench::ac_world() } else { earlybird_bench::ac_world_full() };
+        let config = if small { AcConfig::small() } else { AcConfig::new(11) };
+        let world = AcGenerator::new(config).generate();
         eprintln!(
             "[experiments] {} proxy records / {} days",
             world.dataset.total_records(),
@@ -558,5 +568,20 @@ mod tests {
             assert!(err.contains("unknown experiment"), "{bad:?}: {err}");
         }
         assert_eq!(parse(&["--json"]), Err("--json needs a directory".into()));
+    }
+
+    #[test]
+    fn only_experiments_that_read_a_world_generate_it() {
+        assert_eq!(worlds_needed(&[]), (true, true));
+        assert_eq!(worlds_needed(&["table1"]), (false, false));
+        assert_eq!(worlds_needed(&["evasion"]), (false, false));
+        assert_eq!(worlds_needed(&["table1", "table3"]), (true, false));
+        assert_eq!(worlds_needed(&["fig6b", "evasion"]), (false, true));
+        for name in EXPERIMENTS {
+            let needs_one = !matches!(name, "table1" | "evasion");
+            let (lanl, ac) = worlds_needed(&[name]);
+            assert_eq!(lanl || ac, needs_one, "{name}");
+            assert!(!(lanl && ac), "{name} reads one world");
+        }
     }
 }

@@ -22,8 +22,8 @@
 //! 3. **Instrumentation must not change results.** Nothing in this crate
 //!    feeds back into detection; a disabled registry
 //!    ([`MetricsRegistry::disabled`]) additionally skips the clock reads
-//!    in [`Span`]s so the uninstrumented baseline in `perf_smoke` is
-//!    honest.
+//!    in [`Span`]s so the uninstrumented baseline of the benchmark's
+//!    `obs.overhead_pct` is honest.
 //!
 //! Spans: [`MetricsRegistry::span`] / [`StageTimer::start`] time one
 //! operation into a fixed-bucket wall-time histogram and, past a
