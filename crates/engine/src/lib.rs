@@ -36,9 +36,9 @@
 //! * For a long-running service, the [`Persistence`] facade drives a
 //!   manifest-managed [`StoreDir`] behind one [`SnapshotPolicy`]:
 //!   automatic full-vs-segment selection, sync or background commits awaited
-//!   through a [`CommitHandle`], automatic chain folding on a
-//!   [`CompactionTrigger`] (whole-chain [`compact_store`] or bounded
-//!   [`compact_store_tiered`]), retention GC past
+//!   through a [`CommitHandle`], whole-chain folding once a
+//!   [`CompactionTrigger`] fires (or on demand through
+//!   [`Persistence::compact`]), retention GC past
 //!   [`RetentionPolicy::retain_days`], and O(current state) restore via
 //!   [`Persistence::restore`] no matter how long the service ran.
 //!   Storage is pluggable through the [`ObjectStore`] trait —
@@ -100,6 +100,6 @@ pub use earlybird_store::{
     RetentionPolicy, S3LiteBackend, StoreDir, StoreError, StoreResult,
 };
 pub use ingest::{DayIngest, DayState, IngestSource};
-pub use persist::{compact_store, compact_store_tiered, EngineSnapshot};
+pub use persist::EngineSnapshot;
 pub use persistence::{CommitHandle, CommitMode, CommitOutcome, Persistence, SnapshotPolicy};
 pub use report::{CcCandidate, DayReport, InvestigationReport, StageCounters, TrainingReport};

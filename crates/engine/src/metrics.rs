@@ -84,10 +84,6 @@ pub(crate) struct EngineMetrics {
     /// (`checkpoint_stall_micros`), since this is exactly the pause an
     /// always-on deployment watches.
     pub(crate) checkpoint_stall: StageTimer,
-    /// Chain blocks replayed by the most recent compaction pass
-    /// (`compaction_replay_segments`) — bounded by `1 + K` under a tiered
-    /// trigger.
-    pub(crate) compaction_replay: Gauge,
     /// Size of the raw-domain, folded-domain, user-agent and path tables,
     /// set at each day finish and once after a restore.
     pub(crate) raw_table: InternerShape,
@@ -166,11 +162,6 @@ impl EngineMetrics {
             checkpoint_stall: registry.timer(
                 "checkpoint_stall_micros",
                 "Wall time ingestion is excluded while a snapshot freezes",
-                &extra,
-            ),
-            compaction_replay: registry.gauge(
-                "compaction_replay_segments",
-                "Chain blocks replayed by the most recent compaction pass",
                 &extra,
             ),
             records: registry.counter(

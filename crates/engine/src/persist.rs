@@ -1,4 +1,4 @@
-//! Durable checkpoint/restore of the engine's full mutable state.
+//! The engine's state codec: freeze, encode and restore.
 //!
 //! The paper's detector only works because it accumulates months of history
 //! — new-domain profiles, rare-UA host counts, per-day contact indexes,
@@ -26,9 +26,10 @@
 //!   synchronous checkpoint of the quiesced engine would have written.
 //!
 //! Most callers drive both halves through the [`crate::Persistence`]
-//! facade, which owns the [`StoreDir`], a [`crate::SnapshotPolicy`], and
-//! (optionally) the background commit worker. Raw byte streams without a
-//! managed directory — fixtures, pipes, in-memory buffers — write through
+//! facade, the lifecycle module: it owns the [`crate::StoreDir`], a
+//! [`crate::SnapshotPolicy`], the (optional) background commit worker and
+//! the compaction pass. Raw byte streams without a managed directory —
+//! fixtures, pipes, in-memory buffers — write through
 //! [`Engine::freeze`] + [`EngineSnapshot::write_to`] and read back through
 //! [`EngineBuilder::restore_stream`] /
 //! [`EngineBuilder::restore_stream_with_domains`].
@@ -62,17 +63,6 @@
 //!
 //! [`Persistence::restore`]: crate::Persistence::restore
 //!
-//! # Compaction
-//!
-//! [`compact_store`] folds a whole `full + N segments` chain back into a
-//! single full block; [`compact_store_tiered`] folds only the oldest `K`
-//! segments, bounding the pass's replay work by `K` instead of the chain
-//! length (the `compaction_replay_segments` gauge records the bound). A
-//! pass is a restore into a scratch engine (`stage="compact_replay"`) plus
-//! a full re-freeze and encode (`stage="compact_encode"`) plus the store
-//! commit; replayed days are already in wire order, so the encode is pure
-//! emission.
-//!
 //! # Crash recovery
 //!
 //! Restoring and re-pushing the day that was in flight when the process
@@ -98,8 +88,8 @@ use earlybird_logmodel::{
 };
 use earlybird_pipeline::{DomainHistory, UaHistory};
 use earlybird_store::{
-    sections, BlockKind, BlockReader, BlockWriter, CheckpointMeta, CompactionReport, Decoder,
-    Encoder, SectionTag, StoreDir, StoreError, StoreResult, FORMAT_VERSION,
+    sections, BlockKind, BlockReader, BlockWriter, CheckpointMeta, Decoder, Encoder, SectionTag,
+    StoreError, StoreResult, FORMAT_VERSION,
 };
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
@@ -613,104 +603,6 @@ impl EngineSnapshot {
             retained_days: self.products.len(),
         })
     }
-}
-
-/// Folds a [`StoreDir`]'s `full + N segments` chain back into a single
-/// full block, applying the directory's retention policy.
-///
-/// The pass never touches live engine state: the chain is restored into a
-/// *scratch* engine (semantics come entirely from the snapshot, so any
-/// builder would do), contact indexes older than
-/// [`earlybird_store::RetentionPolicy::retain_days`] are pruned — their
-/// counter reports stay, making the new full block the source of truth for
-/// evicted days — and the re-snapshotted state is committed through
-/// [`StoreDir::commit_full`]'s atomic manifest swap. A crash at any point
-/// leaves either the old chain or the new block, never a torn store;
-/// leftover objects are quarantined by the next [`StoreDir::open`], and
-/// superseded blocks whose best-effort deletion fails are counted in
-/// [`CompactionReport::gc_failures`] rather than silently leaked.
-///
-/// An engine restored from the compacted store continues bit-identically
-/// to one restored from the original chain (see the `lifecycle`
-/// integration suite).
-///
-/// # Errors
-///
-/// Typed [`StoreError`]s from the chain replay or the commit; compacting
-/// an empty directory is [`StoreError::Corrupt`].
-pub fn compact_store(dir: &mut StoreDir) -> StoreResult<CompactionReport> {
-    compact_prefix(dir, None, None)
-}
-
-/// Tiered variant of [`compact_store`]: folds only the oldest
-/// `fold_segments` segments (clamped to the chain) into the full block,
-/// leaving newer segments in place. The pass replays at most
-/// `1 + fold_segments` blocks regardless of chain length — bounded,
-/// predictable work for an always-on daily cycle — at the cost of needing
-/// more passes to fully flatten a long chain. The partial fold commits
-/// through [`StoreDir::commit_fold`]'s atomic manifest swap, so a crash at
-/// any point still leaves either the old chain or the new one.
-///
-/// Retention pruning only sees days carried by the replayed prefix; days
-/// newer than the fold boundary are pruned by later passes once the
-/// boundary moves past them (restore applies the engine-side retention
-/// window regardless).
-///
-/// # Errors
-///
-/// As for [`compact_store`].
-pub fn compact_store_tiered(
-    dir: &mut StoreDir,
-    fold_segments: usize,
-) -> StoreResult<CompactionReport> {
-    compact_prefix(dir, Some(fold_segments), None)
-}
-
-pub(crate) fn compact_prefix(
-    dir: &mut StoreDir,
-    fold: Option<usize>,
-    metrics: Option<&EngineMetrics>,
-) -> StoreResult<CompactionReport> {
-    let _compact_span = metrics.map(|m| m.compact.start());
-    if dir.is_empty() {
-        return Err(StoreError::corrupt("cannot compact an empty store: no full snapshot yet"));
-    }
-    let total = dir.segment_count();
-    let fold = fold.map_or(total, |k| k.max(1).min(total));
-    let replayed = 1 + fold;
-    let bytes_before = dir.chain_bytes();
-    let gc_count_before = dir.gc_failures();
-    let gc_names_before = dir.gc_failed_objects().len();
-    let replay_span = metrics.map(|m| m.compact_replay.start());
-    let mut scratch =
-        EngineBuilder::lanl().restore_impl(None, &mut dir.reader_prefix(replayed)?)?;
-    let days_pruned = match dir.config().retention.retain_days {
-        Some(keep) => scratch.prune_retained(keep),
-        None => 0,
-    };
-    drop(replay_span);
-    let mut pending = dir.begin(BlockKind::Full)?;
-    let encode_span = metrics.map(|m| m.compact_encode.start());
-    let meta = scratch.freeze().write_to(&mut pending)?;
-    drop(encode_span);
-    if fold == total {
-        dir.commit_full(pending, &meta)?;
-    } else {
-        dir.commit_fold(pending, &meta, fold)?;
-    }
-    if let Some(m) = metrics {
-        m.compaction_replay.set(replayed as i64);
-    }
-    Ok(CompactionReport {
-        segments_folded: fold,
-        segments_replayed: replayed,
-        bytes_before,
-        bytes_after: meta.bytes,
-        days_pruned,
-        gc_failures: dir.gc_failures() - gc_count_before,
-        gc_failed_objects: dir.gc_failed_objects()[gc_names_before..].to_vec(),
-        full: meta,
-    })
 }
 
 impl EngineBuilder {

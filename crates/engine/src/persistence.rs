@@ -12,9 +12,9 @@
 //!    inline ([`CommitMode::Sync`]) or on the handle's background worker
 //!    thread ([`CommitMode::Background`]), where ingestion continues
 //!    while the bytes travel;
-//! 3. if the store's compaction trigger has fired, the chain is folded —
-//!    whole-chain, or only its oldest `K` segments when the trigger's
-//!    `fold_segments` is set.
+//! 3. if the store's compaction trigger has fired, the whole chain is
+//!    folded back into one full block — the same pass
+//!    [`Persistence::compact`] runs on demand.
 //!
 //! Every commit returns a [`CommitHandle`]; [`CommitHandle::wait`] blocks
 //! until the bytes are durable and yields the [`CommitOutcome`] — this is
@@ -34,11 +34,28 @@
 //! poison: the freshly committed block is already durable and the old
 //! chain remains valid, so the error is reported on the handle and the
 //! cycle may simply continue.
+//!
+//! # Compaction
+//!
+//! A pass restores the whole `full + N segments` chain into a *scratch*
+//! engine (`stage="compact_replay"`) — live engine state is never touched
+//! — prunes contact indexes past the store's
+//! [`crate::RetentionPolicy::retain_days`] (their counter reports stay,
+//! making the new full block the source of truth for evicted days),
+//! re-freezes and encodes one full block (`stage="compact_encode"`;
+//! replayed days are already in wire order, so the encode is pure
+//! emission), and commits it through [`StoreDir::commit_full`]'s atomic
+//! manifest swap. A crash at any point leaves either the old chain or the
+//! new block; leftovers are quarantined by the next [`StoreDir::open`],
+//! and superseded blocks whose best-effort deletion fails are counted in
+//! [`CompactionReport::gc_failures`]. An engine restored from the
+//! compacted store continues bit-identically to one restored from the
+//! original chain (see the `lifecycle` integration suite).
 
 use crate::builder::EngineBuilder;
 use crate::core_loop::Engine;
 use crate::metrics::EngineMetrics;
-use crate::persist::{compact_prefix, EngineSnapshot};
+use crate::persist::EngineSnapshot;
 use earlybird_logmodel::DomainInterner;
 use earlybird_store::{
     BlockKind, CheckpointMeta, CompactionReport, StoreDir, StoreError, StoreResult,
@@ -286,17 +303,18 @@ impl Persistence {
     }
 
     /// Runs one compaction pass right now (regardless of the trigger),
-    /// folding as many segments as the trigger's `fold_segments` allows.
+    /// folding the whole chain into a single full block (see the module
+    /// docs).
     ///
     /// # Errors
     ///
-    /// As for [`crate::compact_store`]; an explicit pass does *not* poison the
-    /// handle on failure (the chain stays valid).
+    /// Typed [`StoreError`]s from the chain replay or the commit;
+    /// compacting an empty store is [`StoreError::Corrupt`]. An explicit
+    /// pass does *not* poison the handle on failure (the chain stays
+    /// valid).
     pub fn compact(&self) -> StoreResult<CompactionReport> {
         let metrics = self.shared.lock_state().metrics.clone();
-        let mut dir = self.shared.lock_store();
-        let fold = dir.config().compaction.fold_segments;
-        compact_prefix(&mut dir, fold, metrics.as_ref())
+        compact(&mut self.shared.lock_store(), metrics.as_ref())
     }
 
     /// The store's manifest generation — the durable acknowledgement
@@ -414,12 +432,45 @@ fn run_commit(shared: &Shared, snapshot: &EngineSnapshot) -> StoreResult<CommitO
         }
     };
     let compaction = if dir.compaction_due() {
-        let fold = dir.config().compaction.fold_segments;
-        Some(compact_prefix(&mut dir, fold, Some(snapshot.metrics()))?)
+        Some(compact(&mut dir, Some(snapshot.metrics()))?)
     } else {
         None
     };
     Ok(CommitOutcome { block, compaction, generation: dir.generation() })
+}
+
+/// One whole-chain compaction pass (see the module docs), applying the
+/// store's retention policy.
+fn compact(dir: &mut StoreDir, metrics: Option<&EngineMetrics>) -> StoreResult<CompactionReport> {
+    let _compact_span = metrics.map(|m| m.compact.start());
+    if dir.is_empty() {
+        return Err(StoreError::corrupt("cannot compact an empty store: no full snapshot yet"));
+    }
+    let segments_folded = dir.segment_count();
+    let bytes_before = dir.chain_bytes();
+    let gc_count_before = dir.gc_failures();
+    let gc_names_before = dir.gc_failed_objects().len();
+    let replay_span = metrics.map(|m| m.compact_replay.start());
+    let mut scratch = EngineBuilder::lanl().restore_impl(None, &mut dir.reader()?)?;
+    let days_pruned = match dir.config().retention.retain_days {
+        Some(keep) => scratch.prune_retained(keep),
+        None => 0,
+    };
+    drop(replay_span);
+    let mut pending = dir.begin(BlockKind::Full)?;
+    let encode_span = metrics.map(|m| m.compact_encode.start());
+    let meta = scratch.freeze().write_to(&mut pending)?;
+    drop(encode_span);
+    dir.commit_full(pending, &meta)?;
+    Ok(CompactionReport {
+        segments_folded,
+        bytes_before,
+        bytes_after: meta.bytes,
+        days_pruned,
+        gc_failures: dir.gc_failures() - gc_count_before,
+        gc_failed_objects: dir.gc_failed_objects()[gc_names_before..].to_vec(),
+        full: meta,
+    })
 }
 
 #[cfg(test)]

@@ -17,15 +17,18 @@
 //! [`HostId`]s per source address (real deployments would substitute the
 //! DHCP-resolved identity downstream, exactly like the AC pipeline does).
 //!
-//! Parsing is streaming-first: [`parse_dns_lines`] / [`parse_proxy_lines`]
-//! walk any `&str` line iterator and yield bounded [`ParsedChunk`]s, so a
-//! multi-gigabyte feed never has to be materialized as records at once.
-//! Lines are borrowed, fields are sub-slices, and every domain / UA / path
-//! string is interned at parse time — no per-line `String` is allocated on
-//! the happy path (only error messages allocate). Parallel front-ends can
-//! instead parse disjoint line spans with [`parse_dns_line_unassigned`] on
-//! workers and restore deterministic host numbering afterwards with
-//! [`HostMapper::assign`].
+//! Parsing is streaming-first: a line consumer filters each raw line
+//! through [`payload_line`] (the one skip rule for blanks, `#` comments and
+//! trailing `\r`), then hands bounded spans of payload lines to
+//! [`parse_dns_span`] / [`parse_proxy_span`], which append to a reusable
+//! [`ParsedChunk`] — so a multi-gigabyte feed never has to be materialized
+//! as records at once. Lines are borrowed, fields are sub-slices, and every
+//! domain / UA / path string is interned at parse time — no per-line
+//! `String` is allocated on the happy path (only error messages allocate).
+//! DNS spans parse without host assignment; deterministic host numbering
+//! is restored afterwards with [`HostMapper::assign`]. The per-line
+//! [`parse_dns_line`] / [`parse_proxy_line`] are the reference grammar the
+//! span parsers must agree with.
 
 use crate::dns::{DnsQuery, DnsRecordType};
 use crate::hash::FastMap;
@@ -479,8 +482,8 @@ pub fn format_proxy_line(
     )
 }
 
-/// One parsed chunk of a streamed log: up to the configured number of
-/// records, plus `(1-based line number, error)` pairs for the bad lines in
+/// One parsed chunk of a streamed log: the records of one span of lines,
+/// plus `(1-based line number, error)` pairs for the bad lines in
 /// the chunk's span (real log feeds always contain some).
 #[derive(Clone, Debug)]
 pub struct ParsedChunk<T> {
@@ -498,11 +501,6 @@ impl<T> Default for ParsedChunk<T> {
 }
 
 impl<T> ParsedChunk<T> {
-    /// Whether the chunk carries neither records nor errors.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty() && self.errors.is_empty()
-    }
-
     /// Empties the chunk while keeping its allocations, so ingest loops can
     /// reuse one buffer per worker across spans instead of reallocating.
     pub fn clear(&mut self) {
@@ -518,115 +516,6 @@ impl<T> ParsedChunk<T> {
 pub fn payload_line(line: &str) -> Option<&str> {
     let line = line.trim_end_matches('\r');
     (!line.is_empty() && !line.starts_with('#')).then_some(line)
-}
-
-/// Streams chunks of parsed records out of a line iterator; see
-/// [`parse_dns_lines`] / [`parse_proxy_lines`].
-pub struct LineChunks<I, F> {
-    lines: I,
-    lineno: usize,
-    chunk_records: usize,
-    parse: F,
-}
-
-impl<'l, T, I, F> Iterator for LineChunks<I, F>
-where
-    I: Iterator<Item = &'l str>,
-    F: FnMut(&'l str) -> Result<T, ParseLogError>,
-{
-    type Item = ParsedChunk<T>;
-
-    fn next(&mut self) -> Option<ParsedChunk<T>> {
-        let mut chunk = ParsedChunk { records: Vec::new(), errors: Vec::new() };
-        while chunk.records.len() < self.chunk_records {
-            let Some(line) = self.lines.next() else { break };
-            self.lineno += 1;
-            let Some(line) = payload_line(line) else { continue };
-            match (self.parse)(line) {
-                Ok(record) => chunk.records.push(record),
-                Err(e) => chunk.errors.push((self.lineno, e)),
-            }
-        }
-        (!chunk.is_empty()).then_some(chunk)
-    }
-}
-
-/// Streams a DNS log as [`ParsedChunk`]s of at most `chunk_records`
-/// queries, skipping empty lines and `#` comments. Lines are borrowed and
-/// names are interned at parse time, so memory stays bounded by the chunk
-/// size regardless of feed length.
-///
-/// # Panics
-///
-/// Panics if `chunk_records` is zero.
-pub fn parse_dns_lines<'r, 'l: 'r, I: IntoIterator<Item = &'l str>>(
-    lines: I,
-    chunk_records: usize,
-    domains: &'r DomainInterner,
-    hosts: &'r mut HostMapper,
-) -> LineChunks<I::IntoIter, impl FnMut(&'l str) -> Result<DnsQuery, ParseLogError> + 'r> {
-    assert!(chunk_records > 0, "chunk size must be positive");
-    LineChunks {
-        lines: lines.into_iter(),
-        lineno: 0,
-        chunk_records,
-        parse: move |line| parse_dns_line(line, domains, hosts),
-    }
-}
-
-/// Streams a proxy log as [`ParsedChunk`]s of at most `chunk_records`
-/// records, with the same skip/error semantics as [`parse_dns_lines`].
-///
-/// # Panics
-///
-/// Panics if `chunk_records` is zero.
-pub fn parse_proxy_lines<'r, 'l: 'r, I: IntoIterator<Item = &'l str>>(
-    lines: I,
-    chunk_records: usize,
-    domains: &'r DomainInterner,
-    uas: &'r UaInterner,
-    paths: &'r PathInterner,
-) -> LineChunks<I::IntoIter, impl FnMut(&'l str) -> Result<ProxyRecord, ParseLogError> + 'r> {
-    assert!(chunk_records > 0, "chunk size must be positive");
-    LineChunks {
-        lines: lines.into_iter(),
-        lineno: 0,
-        chunk_records,
-        parse: move |line| parse_proxy_line(line, domains, uas, paths),
-    }
-}
-
-/// Parses a batch of DNS lines (a collect over [`parse_dns_lines`]);
-/// returns the queries plus `(line number, error)` pairs for bad lines.
-pub fn parse_dns_log(
-    text: &str,
-    domains: &DomainInterner,
-    hosts: &mut HostMapper,
-) -> (Vec<DnsQuery>, Vec<(usize, ParseLogError)>) {
-    let mut out = Vec::new();
-    let mut errors = Vec::new();
-    for chunk in parse_dns_lines(text.lines(), 4096, domains, hosts) {
-        out.extend(chunk.records);
-        errors.extend(chunk.errors);
-    }
-    (out, errors)
-}
-
-/// Parses a batch of proxy lines with the same skip/error semantics as
-/// [`parse_dns_log`].
-pub fn parse_proxy_log(
-    text: &str,
-    domains: &DomainInterner,
-    uas: &UaInterner,
-    paths: &PathInterner,
-) -> (Vec<ProxyRecord>, Vec<(usize, ParseLogError)>) {
-    let mut out = Vec::new();
-    let mut errors = Vec::new();
-    for chunk in parse_proxy_lines(text.lines(), 4096, domains, uas, paths) {
-        out.extend(chunk.records);
-        errors.extend(chunk.errors);
-    }
-    (out, errors)
 }
 
 #[cfg(test)]
@@ -717,37 +606,6 @@ mod tests {
         let paths = PathInterner::new();
         let line = "5\t2000\t10.0.0.9\tx.org\t9.9.9.9\tGET\t200\t/\t-\t-";
         assert_eq!(parse_proxy_line(line, &domains, &uas, &paths).unwrap_err().field, 1);
-    }
-
-    #[test]
-    fn batch_parsing_skips_comments_and_collects_errors() {
-        let domains = DomainInterner::new();
-        let mut hosts = HostMapper::new();
-        let text = "# header\n1\t10.0.0.1\ta.org\tA\t-\n\nbadline\n2\t10.0.0.1\tb.org\tA\t-\n";
-        let (queries, errors) = parse_dns_log(text, &domains, &mut hosts);
-        assert_eq!(queries.len(), 2);
-        assert_eq!(errors.len(), 1);
-        assert_eq!(errors[0].0, 4, "1-based line number of the bad line");
-    }
-
-    #[test]
-    fn chunk_iterator_bounds_chunks_and_keeps_line_numbers() {
-        let domains = DomainInterner::new();
-        let mut hosts = HostMapper::new();
-        let mut text = String::from("# header\n");
-        for i in 0..7 {
-            text.push_str(&format!("{i}\t10.0.0.{i}\td{i}.org\tA\t-\n"));
-            if i == 3 {
-                text.push_str("corrupt line\n");
-            }
-        }
-        let chunks: Vec<_> = parse_dns_lines(text.lines(), 3, &domains, &mut hosts).collect();
-        assert_eq!(chunks.len(), 3, "7 records in chunks of 3");
-        assert_eq!(chunks.iter().map(|c| c.records.len()).collect::<Vec<_>>(), vec![3, 3, 1]);
-        let errors: Vec<usize> =
-            chunks.iter().flat_map(|c| c.errors.iter().map(|(l, _)| *l)).collect();
-        assert_eq!(errors, vec![6], "corrupt line sits after the header + records 0..=3");
-        assert_eq!(hosts.len(), 7);
     }
 
     #[test]
@@ -847,16 +705,5 @@ mod tests {
             (d1.len(), u1.len(), p1.len()),
             "same interning outcome either way"
         );
-    }
-
-    #[test]
-    fn batch_proxy_parsing_works_with_crlf() {
-        let domains = DomainInterner::new();
-        let uas = UaInterner::new();
-        let paths = PathInterner::new();
-        let text = "5\t0\t10.0.0.9\tx.org\t9.9.9.9\tGET\t200\t/\t-\t-\r\n";
-        let (records, errors) = parse_proxy_log(text, &domains, &uas, &paths);
-        assert_eq!(records.len(), 1);
-        assert!(errors.is_empty());
     }
 }

@@ -40,9 +40,8 @@ pub mod scan;
 pub mod time;
 
 pub use codec::{
-    format_dns_line, format_proxy_line, parse_dns_line, parse_dns_line_unassigned, parse_dns_lines,
-    parse_dns_log, parse_dns_span, parse_proxy_line, parse_proxy_lines, parse_proxy_log,
-    parse_proxy_span, payload_line, HostMapper, LineChunks, ParseLogError, ParsedChunk,
+    format_dns_line, format_proxy_line, parse_dns_line, parse_dns_line_unassigned, parse_dns_span,
+    parse_proxy_line, parse_proxy_span, payload_line, HostMapper, ParseLogError, ParsedChunk,
 };
 pub use dataset::{
     DatasetMeta, DhcpLease, DhcpLog, DnsDataset, DnsDayLog, ProxyDataset, ProxyDayLog,

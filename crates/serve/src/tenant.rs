@@ -249,7 +249,8 @@ impl Tenant {
 
     /// Every tenant runs the always-on policy: auto full/segment, commits
     /// on the facade's background worker (the finish path still awaits
-    /// durability before acking), compaction tier per the store trigger.
+    /// durability before acking), whole-chain compaction when the store's
+    /// trigger fires.
     fn policy() -> SnapshotPolicy {
         SnapshotPolicy::default().background()
     }

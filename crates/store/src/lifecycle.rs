@@ -40,15 +40,13 @@
 //!
 //! Compaction and retention *policy* lives here ([`LifecycleConfig`]); the
 //! pass itself needs an engine to replay the chain, so it lives in
-//! `earlybird-engine` (`compact_store` / `compact_store_tiered`): restore
-//! the chain — or, tiered, only the old full block plus the
-//! [`CompactionTrigger::fold_segments`] oldest segments — into a scratch
-//! engine, optionally prune contact indexes past
+//! `earlybird-engine` (`Persistence::compact`, also run by a commit once
+//! the [`CompactionTrigger`] fires): restore the whole chain into a
+//! scratch engine, optionally prune contact indexes past
 //! [`RetentionPolicy::retain_days`] (their counters stay in the full block
 //! — the full block is the source of truth for evicted days), write one
-//! new full block, and atomically swap the manifest via
-//! [`StoreDir::commit_full`] (whole chain) or [`StoreDir::commit_fold`]
-//! (prefix only, tail segments kept in place).
+//! new full block, and atomically swap the manifest to it via
+//! [`StoreDir::commit_full`].
 
 use crate::backend::{
     FaultInjector, FaultedStore, LocalFsBackend, MemBackend, ObjectStore, ObjectUpload,
@@ -73,34 +71,27 @@ pub const MANIFEST_VERSION: u16 = 1;
 
 /// When the segment chain is folded back into a single full block.
 ///
-/// A trigger fires when *any* configured bound is exceeded; with both
-/// bounds `None` compaction never runs automatically (it can still be
-/// invoked explicitly).
+/// The trigger fires once the chain holds more than `max_segments`
+/// segments, and the pass then folds the whole chain; with `None`
+/// compaction never runs automatically (it can still be invoked
+/// explicitly).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompactionTrigger {
     /// Compact once the chain holds more than this many segments.
     pub max_segments: Option<usize>,
-    /// Compact once the segments' total size exceeds this many bytes.
-    pub max_segment_bytes: Option<u64>,
-    /// Fold at most this many of the *oldest* segments per pass (tiered
-    /// compaction): each pass replays `1 + K` blocks into the scratch
-    /// engine instead of the whole chain, bounding pause-adjacent work by
-    /// K rather than by uptime. `None` folds the entire chain in one pass.
-    pub fold_segments: Option<usize>,
 }
 
 impl Default for CompactionTrigger {
-    /// Compact past 32 segments — roughly a month of daily cycles — and
-    /// fold the whole chain when it fires.
+    /// Compact past 32 segments — roughly a month of daily cycles.
     fn default() -> Self {
-        CompactionTrigger { max_segments: Some(32), max_segment_bytes: None, fold_segments: None }
+        CompactionTrigger { max_segments: Some(32) }
     }
 }
 
 impl CompactionTrigger {
     /// A trigger that never fires (explicit-compaction-only stores).
     pub fn disabled() -> Self {
-        CompactionTrigger { max_segments: None, max_segment_bytes: None, fold_segments: None }
+        CompactionTrigger { max_segments: None }
     }
 }
 
@@ -114,7 +105,8 @@ impl CompactionTrigger {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RetentionPolicy {
     /// Keep only the newest N days' contact indexes through a compaction;
-    /// `None` keeps every retained index.
+    /// `None` keeps every retained index. Must be at least 1: a store
+    /// constructor refuses `Some(0)`, which would prune every index.
     pub retain_days: Option<usize>,
 }
 
@@ -129,19 +121,25 @@ pub struct LifecycleConfig {
     pub retention: RetentionPolicy,
 }
 
+/// Refuses a configuration the engine itself would reject: a zero
+/// retention window would drop every retained contact index at the next
+/// compaction.
+fn validate_config(cfg: &LifecycleConfig) -> StoreResult<()> {
+    if cfg.retention.retain_days == Some(0) {
+        return Err(StoreError::corrupt("retain_days must be at least 1"));
+    }
+    Ok(())
+}
+
 /// Outcome of one compaction pass (produced by the engine crate's
-/// `compact_store` / `compact_store_tiered`).
+/// `Persistence::compact`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompactionReport {
     /// Segments folded into the new full block.
     pub segments_folded: usize,
-    /// Chain blocks replayed into the scratch engine during the pass
-    /// (the old full block plus the folded segments) — bounded by
-    /// `1 + K` under [`CompactionTrigger::fold_segments`].
-    pub segments_replayed: usize,
     /// Chain bytes before the pass (full + segments).
     pub bytes_before: u64,
-    /// Bytes of the full block after the pass (tail segments excluded).
+    /// Bytes of the new full block — the whole chain after the pass.
     pub bytes_after: u64,
     /// Retained contact indexes pruned by the retention policy.
     pub days_pruned: usize,
@@ -291,16 +289,6 @@ impl PendingBlock {
     }
 }
 
-/// How a commit splices its block into the manifest: replace the whole
-/// chain (full checkpoint / whole-chain compaction), replace only the old
-/// full plus the `K` oldest segments (tiered fold), or append (segment).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CommitShape {
-    Full,
-    Segment,
-    Fold(usize),
-}
-
 // -- metrics ----------------------------------------------------------------
 
 /// Cached metric handles for one store, labeled by backend kind (plus any
@@ -371,7 +359,7 @@ impl StoreMetrics {
 ///
 /// The storage medium is pluggable: [`StoreDir::create`] / [`StoreDir::open`]
 /// keep the original local-directory signatures (via
-/// [`LocalFsBackend`]), and the `_with` constructors accept any
+/// [`LocalFsBackend`]), and the `_boxed` constructors accept any boxed
 /// [`ObjectStore`] — in-memory, the S3-style simulation, or a real
 /// object-store adapter.
 #[derive(Debug)]
@@ -387,7 +375,7 @@ pub struct StoreDir {
 
 impl StoreDir {
     /// Creates a fresh store on a local directory (parents included) with
-    /// an empty chain — shorthand for [`StoreDir::create_with`] over a
+    /// an empty chain — shorthand for [`StoreDir::create_boxed`] over a
     /// [`LocalFsBackend`].
     ///
     /// # Errors
@@ -395,32 +383,23 @@ impl StoreDir {
     /// [`StoreError::Io`] on filesystem failures; a directory that already
     /// holds a `MANIFEST` is refused as [`StoreError::Corrupt`] — use
     /// [`StoreDir::open`] (or [`StoreDir::open_or_create`]) for those.
+    /// An invalid `cfg` (a zero [`RetentionPolicy::retain_days`]) is
+    /// [`StoreError::Corrupt`] too.
     pub fn create(root: impl Into<PathBuf>, cfg: LifecycleConfig) -> StoreResult<Self> {
-        Self::create_with(LocalFsBackend::new(root)?, cfg)
+        Self::create_boxed(Box::new(LocalFsBackend::new(root)?), cfg)
     }
 
-    /// Creates a fresh store on any backend with an empty chain.
+    /// Creates a fresh store with an empty chain on any backend, boxed —
+    /// the shape [`ObjectStore::scope`] hands out, so per-tenant stores
+    /// can be created under a shared backend.
     ///
     /// # Errors
     ///
     /// As for [`StoreDir::create`], plus [`StoreError::ManifestConflict`]
     /// when a concurrent writer creates the store first (conditional
     /// backends).
-    pub fn create_with(
-        backend: impl ObjectStore + 'static,
-        cfg: LifecycleConfig,
-    ) -> StoreResult<Self> {
-        Self::create_boxed(Box::new(backend), cfg)
-    }
-
-    /// [`StoreDir::create_with`] for an already-boxed backend — the shape
-    /// [`ObjectStore::scope`] hands out, so per-tenant stores can be
-    /// created under a shared backend.
-    ///
-    /// # Errors
-    ///
-    /// As for [`StoreDir::create_with`].
     pub fn create_boxed(backend: Box<dyn ObjectStore>, cfg: LifecycleConfig) -> StoreResult<Self> {
+        validate_config(&cfg)?;
         if backend.read_manifest()?.is_some() {
             return Err(StoreError::corrupt(format!(
                 "{} already holds a store (open it instead of creating over it)",
@@ -441,17 +420,19 @@ impl StoreDir {
     }
 
     /// Opens an existing store on a local directory — shorthand for
-    /// [`StoreDir::open_with`] over a [`LocalFsBackend`]. Byte-compatible
+    /// [`StoreDir::open_boxed`] over a [`LocalFsBackend`]. Byte-compatible
     /// with directories written before the backend split.
     ///
     /// # Errors
     ///
-    /// As for [`StoreDir::open_with`].
+    /// As for [`StoreDir::open_boxed`].
     pub fn open(root: impl Into<PathBuf>, cfg: LifecycleConfig) -> StoreResult<Self> {
-        Self::open_with(LocalFsBackend::new(root)?, cfg)
+        Self::open_boxed(Box::new(LocalFsBackend::new(root)?), cfg)
     }
 
-    /// Opens an existing store on any backend: reads and validates the
+    /// Opens an existing store on any backend, boxed — the shape
+    /// [`ObjectStore::scope`] hands out, so per-tenant stores can be
+    /// reopened under a shared backend. Reads and validates the
     /// `MANIFEST` (magic, version, CRC, entry ordering), verifies every
     /// referenced chain object exists with its recorded length, and sweeps
     /// orphaned objects — leftover `*.tmp`s and `*.ebstore` blocks no
@@ -467,22 +448,10 @@ impl StoreDir {
     /// manifest, and for manifest-referenced objects that are missing or
     /// damaged (a broken chain is surfaced, never silently repaired). A
     /// store that needs a quarantine sweep but refuses writes fails up
-    /// front as [`StoreError::ReadOnlyStore`].
-    pub fn open_with(
-        backend: impl ObjectStore + 'static,
-        cfg: LifecycleConfig,
-    ) -> StoreResult<Self> {
-        Self::open_boxed(Box::new(backend), cfg)
-    }
-
-    /// [`StoreDir::open_with`] for an already-boxed backend — the shape
-    /// [`ObjectStore::scope`] hands out, so per-tenant stores can be
-    /// reopened under a shared backend.
-    ///
-    /// # Errors
-    ///
-    /// As for [`StoreDir::open_with`].
+    /// front as [`StoreError::ReadOnlyStore`]. An invalid `cfg` (a zero
+    /// [`RetentionPolicy::retain_days`]) is [`StoreError::Corrupt`].
     pub fn open_boxed(backend: Box<dyn ObjectStore>, cfg: LifecycleConfig) -> StoreResult<Self> {
+        validate_config(&cfg)?;
         let Some(manifest_bytes) = backend.read_manifest()? else {
             return Err(StoreError::corrupt(format!(
                 "{} has no MANIFEST: not a store",
@@ -512,28 +481,16 @@ impl StoreDir {
     ///
     /// As for [`StoreDir::open`] / [`StoreDir::create`].
     pub fn open_or_create(root: impl Into<PathBuf>, cfg: LifecycleConfig) -> StoreResult<Self> {
-        Self::open_or_create_with(LocalFsBackend::new(root)?, cfg)
+        Self::open_or_create_boxed(Box::new(LocalFsBackend::new(root)?), cfg)
     }
 
-    /// [`StoreDir::open_or_create`] for any backend.
+    /// [`StoreDir::open_or_create`] for any boxed backend — the idiomatic
+    /// entry point for a per-tenant store under a shared, scoped
+    /// [`ObjectStore`].
     ///
     /// # Errors
     ///
-    /// As for [`StoreDir::open_with`] / [`StoreDir::create_with`].
-    pub fn open_or_create_with(
-        backend: impl ObjectStore + 'static,
-        cfg: LifecycleConfig,
-    ) -> StoreResult<Self> {
-        Self::open_or_create_boxed(Box::new(backend), cfg)
-    }
-
-    /// [`StoreDir::open_or_create_with`] for an already-boxed backend —
-    /// the idiomatic entry point for a per-tenant store under a shared,
-    /// scoped [`ObjectStore`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`StoreDir::open_with`] / [`StoreDir::create_with`].
+    /// As for [`StoreDir::open_boxed`] / [`StoreDir::create_boxed`].
     pub fn open_or_create_boxed(
         backend: Box<dyn ObjectStore>,
         cfg: LifecycleConfig,
@@ -577,11 +534,6 @@ impl StoreDir {
         self.manifest.entries.len().saturating_sub(1)
     }
 
-    /// Total bytes of the chain's segments.
-    pub fn segment_bytes(&self) -> u64 {
-        self.manifest.entries.iter().skip(1).map(|e| e.bytes).sum()
-    }
-
     /// Total bytes of the whole chain (full block + segments).
     pub fn chain_bytes(&self) -> u64 {
         self.manifest.entries.iter().map(|e| e.bytes).sum()
@@ -589,9 +541,7 @@ impl StoreDir {
 
     /// Whether the configured [`CompactionTrigger`] has fired.
     pub fn compaction_due(&self) -> bool {
-        let t = &self.cfg.compaction;
-        t.max_segments.is_some_and(|n| self.segment_count() > n)
-            || t.max_segment_bytes.is_some_and(|b| self.segment_bytes() > b)
+        self.cfg.compaction.max_segments.is_some_and(|n| self.segment_count() > n)
     }
 
     /// Objects moved into quarantine by [`StoreDir::open`] (paths for the
@@ -646,20 +596,7 @@ impl StoreDir {
     /// [`StoreError::Io`] if a chain object cannot be opened (surfaced
     /// lazily per object while reading).
     pub fn reader(&self) -> StoreResult<ChainReader<'_>> {
-        self.reader_prefix(self.manifest.entries.len())
-    }
-
-    /// A reader over only the first `blocks` chain objects in manifest
-    /// order — the replay input of a tiered compaction pass, which folds
-    /// the old full block plus the oldest K segments and leaves the tail
-    /// untouched.
-    ///
-    /// # Errors
-    ///
-    /// As for [`StoreDir::reader`].
-    pub fn reader_prefix(&self, blocks: usize) -> StoreResult<ChainReader<'_>> {
-        let names: Vec<String> =
-            self.manifest.entries.iter().take(blocks).map(|e| e.name.clone()).collect();
+        let names: Vec<String> = self.manifest.entries.iter().map(|e| e.name.clone()).collect();
         Ok(ChainReader {
             backend: self.backend.as_ref(),
             names: names.into_iter(),
@@ -710,33 +647,7 @@ impl StoreDir {
     /// [`StoreError::ManifestConflict`] on a lost multi-writer race)
     /// otherwise.
     pub fn commit_full(&mut self, pending: PendingBlock, meta: &CheckpointMeta) -> StoreResult<()> {
-        self.commit(pending, meta, CommitShape::Full)
-    }
-
-    /// Commits a tiered-compaction fold: the pending **full** block —
-    /// written from a scratch engine that replayed the old full block plus
-    /// the oldest `folded` segments — atomically replaces exactly that
-    /// prefix of the chain, keeping the newer tail segments in place. The
-    /// replaced prefix is then deleted best-effort, like any commit.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] when `pending` is not a full block, `meta`
-    /// disagrees with it, or the chain holds fewer than `folded` segments;
-    /// backend errors otherwise.
-    pub fn commit_fold(
-        &mut self,
-        pending: PendingBlock,
-        meta: &CheckpointMeta,
-        folded: usize,
-    ) -> StoreResult<()> {
-        if self.is_empty() || folded > self.segment_count() {
-            return Err(StoreError::corrupt(format!(
-                "fold commit claims {folded} segments but the chain holds {}",
-                self.segment_count()
-            )));
-        }
-        self.commit(pending, meta, CommitShape::Fold(folded))
+        self.commit(pending, meta, BlockKind::Full)
     }
 
     /// Commits a day segment: the pending object is finalized as
@@ -753,19 +664,18 @@ impl StoreDir {
         pending: PendingBlock,
         meta: &CheckpointMeta,
     ) -> StoreResult<()> {
-        self.commit(pending, meta, CommitShape::Segment)
+        self.commit(pending, meta, BlockKind::DaySegment)
     }
 
+    /// Splices a sealed block into the manifest: a full block replaces
+    /// the whole chain (first checkpoint or compaction), a segment is
+    /// appended.
     fn commit(
         &mut self,
         pending: PendingBlock,
         meta: &CheckpointMeta,
-        shape: CommitShape,
+        expect: BlockKind,
     ) -> StoreResult<()> {
-        let expect = match shape {
-            CommitShape::Full | CommitShape::Fold(_) => BlockKind::Full,
-            CommitShape::Segment => BlockKind::DaySegment,
-        };
         let _commit_span = self.metrics.as_ref().map(|m| m.commit.start());
         if pending.kind != expect || meta.kind != expect {
             return Err(StoreError::corrupt(format!(
@@ -806,24 +716,11 @@ impl StoreDir {
         let mut next = self.manifest.clone();
         next.generation = generation;
         let entry = ManifestEntry { kind, name, bytes: meta.bytes, crc: meta.checksum };
-        let replaced: Vec<String> = match shape {
-            CommitShape::Full => {
-                let old = next.entries.drain(..).map(|e| e.name).collect();
-                next.entries.push(entry);
-                old
-            }
-            CommitShape::Fold(folded) => {
-                // Replace the old full block plus the `folded` oldest
-                // segments; the tail keeps its order behind the new full.
-                let old = next.entries.drain(..folded + 1).map(|e| e.name).collect();
-                next.entries.insert(0, entry);
-                old
-            }
-            CommitShape::Segment => {
-                next.entries.push(entry);
-                Vec::new()
-            }
+        let replaced: Vec<String> = match kind {
+            BlockKind::Full => next.entries.drain(..).map(|e| e.name).collect(),
+            BlockKind::DaySegment => Vec::new(),
         };
+        next.entries.push(entry);
         {
             let _swap_span = self.metrics.as_ref().map(|m| m.swap.start());
             self.backend.swap_manifest(
@@ -1092,22 +989,18 @@ mod tests {
         fs::remove_dir_all(&root).unwrap();
 
         assert!(matches!(
-            StoreDir::open_with(MemBackend::new(), LifecycleConfig::default()),
+            StoreDir::open_boxed(Box::new(MemBackend::new()), LifecycleConfig::default()),
             Err(StoreError::Corrupt { .. })
         ));
     }
 
     #[test]
-    fn compaction_trigger_fires_on_either_bound() {
+    fn compaction_trigger_fires_past_max_segments() {
         let root = tmp_root("trigger");
         let mut dir = StoreDir::create(
             &root,
             LifecycleConfig {
-                compaction: CompactionTrigger {
-                    max_segments: Some(2),
-                    max_segment_bytes: Some(1_000_000),
-                    fold_segments: None,
-                },
+                compaction: CompactionTrigger { max_segments: Some(2) },
                 retention: RetentionPolicy::default(),
             },
         )
@@ -1129,10 +1022,27 @@ mod tests {
             });
         }
         assert!(dir.compaction_due(), "3 segments > max 2");
-        dir.manifest.entries.truncate(2);
-        assert!(!dir.compaction_due());
-        dir.manifest.entries[1].bytes = 2_000_000;
-        assert!(dir.compaction_due(), "byte bound exceeded");
+        dir.manifest.entries.truncate(3);
+        assert!(!dir.compaction_due(), "2 segments is not past max 2");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn zero_retention_window_is_refused_at_create_and_open() {
+        let root = tmp_root("retain-zero");
+        let zero = LifecycleConfig {
+            retention: RetentionPolicy { retain_days: Some(0) },
+            ..LifecycleConfig::default()
+        };
+        assert!(matches!(StoreDir::create(&root, zero), Err(StoreError::Corrupt { .. })));
+        assert!(
+            matches!(StoreDir::open_or_create(&root, zero), Err(StoreError::Corrupt { .. })),
+            "the refusal comes before any manifest is written"
+        );
+        StoreDir::create(&root, LifecycleConfig::default()).unwrap();
+        assert!(matches!(StoreDir::open(&root, zero), Err(StoreError::Corrupt { .. })));
+        let one = LifecycleConfig { retention: RetentionPolicy { retain_days: Some(1) }, ..zero };
+        StoreDir::open(&root, one).expect("a one-day window is valid");
         fs::remove_dir_all(&root).unwrap();
     }
 }

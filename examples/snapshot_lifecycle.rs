@@ -1,5 +1,5 @@
 //! The snapshot lifecycle manager: a daily cycle against a manifest-driven
-//! [`StoreDir`] with automatic tiered compaction and retention GC, driven
+//! [`StoreDir`] with automatic compaction and retention GC, driven
 //! through the [`Persistence`] facade.
 //!
 //! The shape of a long-running deployment:
@@ -9,10 +9,9 @@
 //!    `Persistence::new` wraps it with a `SnapshotPolicy`;
 //! 2. after each day's `ingest_day`, `Persistence::commit` writes a full
 //!    block (first run) or an O(day) segment — and when the configured
-//!    `CompactionTrigger` fires, folds the `fold_segments` **oldest**
-//!    segments into the full block (replay bounded by the tier, not the
-//!    chain length), pruning contact indexes past `retain_days` (their
-//!    counters stay: the full block is the source of truth);
+//!    `CompactionTrigger` fires, folds the whole chain back into one full
+//!    block, pruning contact indexes past `retain_days` (their counters
+//!    stay: the full block is the source of truth);
 //! 3. on restart, `StoreDir::open` validates the manifest, quarantines any
 //!    crash residue, and `Persistence::restore` replays the chain in
 //!    O(current state) — however long the service has been running — with
@@ -42,17 +41,12 @@ fn main() {
     let root = std::env::temp_dir().join("earlybird-example-store");
     let _ = std::fs::remove_dir_all(&root);
 
-    // Fold the two oldest segments whenever the chain exceeds 4 segments
-    // (tiered: each pass replays at most full + 2, however long the chain
-    // grew); keep the newest 2 days investigable through a compaction
+    // Fold the whole chain into one full block whenever it exceeds 4
+    // segments; keep the newest 2 days investigable through a compaction
     // (older days keep their counters in the full block, only their
     // contact indexes drop).
     let lifecycle = LifecycleConfig {
-        compaction: CompactionTrigger {
-            max_segments: Some(4),
-            max_segment_bytes: None,
-            fold_segments: Some(2),
-        },
+        compaction: CompactionTrigger { max_segments: Some(4) },
         retention: RetentionPolicy { retain_days: Some(2) },
     };
 
@@ -102,13 +96,8 @@ fn main() {
             }
             if let Some(c) = outcome.compaction {
                 println!(
-                    "        tiered compaction: {} segments folded ({} blocks replayed), \
-                     {} -> {} bytes, {} indexes pruned",
-                    c.segments_folded,
-                    c.segments_replayed,
-                    c.bytes_before,
-                    c.bytes_after,
-                    c.days_pruned
+                    "        compaction: {} segments folded, {} -> {} bytes, {} indexes pruned",
+                    c.segments_folded, c.bytes_before, c.bytes_after, c.days_pruned
                 );
             }
         }
@@ -123,7 +112,8 @@ fn main() {
         dir.entries().len(),
         dir.quarantined().len()
     );
-    assert!(dir.entries().len() <= 6, "compaction keeps the chain bounded regardless of uptime");
+    // A full block plus at most `max_segments` segments.
+    assert!(dir.entries().len() <= 5, "compaction keeps the chain bounded regardless of uptime");
     let sink = CollectingSink::new();
     let restarted_alerts = sink.handle();
     let store = Persistence::new(dir, SnapshotPolicy::default());
@@ -159,7 +149,7 @@ fn main() {
 
     drop(store);
     let _ = std::fs::remove_dir_all(&root);
-    println!("snapshot lifecycle OK: tiered compaction + retention GC verified");
+    println!("snapshot lifecycle OK: compaction + retention GC verified");
 
     // ---- Backends: the identical cycle over an S3-style object store. ---
     // `S3LiteBackend` keeps the protocol shape of a real bucket: blocks
@@ -169,7 +159,8 @@ fn main() {
     // clobbering the chain. A real S3/GCS client drops into this adapter.
     let service = S3LiteBackend::new();
     {
-        let dir = StoreDir::create_with(service.clone(), lifecycle).expect("create object store");
+        let dir = StoreDir::create_boxed(Box::new(service.clone()), lifecycle)
+            .expect("create object store");
         let store = Persistence::new(dir, SnapshotPolicy::default());
         let mut engine = EngineBuilder::lanl()
             .auto_investigate(true)
@@ -186,7 +177,8 @@ fn main() {
         }
         // The "process" dies here; only the service handle survives.
     }
-    let dir = StoreDir::open_with(service.clone(), lifecycle).expect("reopen object store");
+    let dir =
+        StoreDir::open_boxed(Box::new(service.clone()), lifecycle).expect("reopen object store");
     let store = Persistence::new(dir, SnapshotPolicy::default());
     let engine = store
         .restore(EngineBuilder::lanl().auto_investigate(true).sink(CollectingSink::new()))

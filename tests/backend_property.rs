@@ -138,14 +138,14 @@ fn concurrent_store_dirs_surface_a_typed_manifest_conflict() {
     let cfg = LifecycleConfig::default();
 
     // Writer A creates the store and persists day 0.
-    let dir_a = StoreDir::create_with(service.clone(), cfg).expect("create");
+    let dir_a = StoreDir::create_boxed(Box::new(service.clone()), cfg).expect("create");
     let store_a = Persistence::new(dir_a, SnapshotPolicy::default());
     let mut engine_a = engine_for(&domains);
     engine_a.ingest_day(DayBatch::Dns(&synthetic_day(&domains, 0)));
     store_a.commit(&engine_a).expect("freeze").wait().expect("A persists day 0");
 
     // Writer B opens the same store at the same generation.
-    let dir_b = StoreDir::open_with(service.clone(), cfg).expect("B opens");
+    let dir_b = StoreDir::open_boxed(Box::new(service.clone()), cfg).expect("B opens");
     let store_b = Persistence::new(dir_b, SnapshotPolicy::default());
     let mut engine_b = store_b.restore(EngineBuilder::lanl()).expect("B restores");
     assert_eq!(store_a.generation(), store_b.generation());
@@ -167,7 +167,7 @@ fn concurrent_store_dirs_surface_a_typed_manifest_conflict() {
 
     // The chain is exactly A's — bytes included; B reopens, restores, and
     // sees A's days.
-    let fresh = StoreDir::open_with(service.clone(), cfg).expect("reopen");
+    let fresh = StoreDir::open_boxed(Box::new(service.clone()), cfg).expect("reopen");
     assert_eq!(fresh.generation(), store_a.generation());
     let restored = Persistence::new(fresh, SnapshotPolicy::default())
         .restore(EngineBuilder::lanl())

@@ -265,11 +265,7 @@ fn enterprise_proxy_compacted_store_restores_bit_identically() {
 fn daily_cycle_compacts_on_trigger_and_stays_equivalent() {
     let challenge = LanlGenerator::new(LanlConfig::tiny()).generate();
     let cfg = LifecycleConfig {
-        compaction: CompactionTrigger {
-            max_segments: Some(3),
-            max_segment_bytes: None,
-            fold_segments: None,
-        },
+        compaction: CompactionTrigger { max_segments: Some(3) },
         retention: RetentionPolicy::default(),
     };
 

@@ -19,9 +19,9 @@
 mod support;
 
 use earlybird::engine::{
-    compact_store, compact_store_tiered, CompactionTrigger, DayBatch, Engine, EngineBuilder,
-    FaultInjector, LifecycleConfig, Persistence, RetentionPolicy, S3LiteBackend, SnapshotPolicy,
-    StageCounters, StoreDir, StoreError,
+    CompactionTrigger, DayBatch, Engine, EngineBuilder, FaultInjector, LifecycleConfig,
+    Persistence, RetentionPolicy, S3LiteBackend, SnapshotPolicy, StageCounters, StoreDir,
+    StoreError,
 };
 use earlybird::logmodel::Day;
 use earlybird::synthgen::lanl::{LanlChallenge, LanlConfig, LanlGenerator};
@@ -100,11 +100,7 @@ fn crash_at_every_op_of_the_daily_cycle_loses_no_acked_day() {
     let boot = challenge.dataset.meta.bootstrap_days as usize;
     let days = &challenge.dataset.days[..boot + 6];
     let cfg = LifecycleConfig {
-        compaction: CompactionTrigger {
-            max_segments: Some(2),
-            max_segment_bytes: None,
-            fold_segments: None,
-        },
+        compaction: CompactionTrigger { max_segments: Some(2) },
         retention: RetentionPolicy { retain_days: Some(3) },
     };
 
@@ -189,11 +185,7 @@ fn crash_at_every_op_of_background_commits_loses_no_acked_day() {
     let boot = challenge.dataset.meta.bootstrap_days as usize;
     let days = &challenge.dataset.days[..boot + 5];
     let cfg = LifecycleConfig {
-        compaction: CompactionTrigger {
-            max_segments: Some(2),
-            max_segment_bytes: None,
-            fold_segments: None,
-        },
+        compaction: CompactionTrigger { max_segments: Some(2) },
         retention: RetentionPolicy { retain_days: Some(3) },
     };
 
@@ -272,7 +264,7 @@ fn crash_at_every_op_of_background_commits_loses_no_acked_day() {
 }
 
 /// Compaction in isolation, on every backend: build a stable chain once,
-/// then crash an explicit `compact_store` at every op. Afterwards the
+/// then crash an explicit `Persistence::compact` at every op. Afterwards the
 /// store must hold either the old chain or the new block — never a torn
 /// store — with all days intact, and a later un-faulted compaction must
 /// succeed.
@@ -312,7 +304,8 @@ fn crash_at_every_op_of_compaction_leaves_old_or_new_chain() {
             let injector = FaultInjector::new();
             dir.set_fault_injector(injector.clone());
             injector.arm(fault_at);
-            let outcome = compact_store(&mut dir);
+            let store = Persistence::new(dir, SnapshotPolicy::default());
+            let outcome = store.compact();
             let crashed = outcome.is_err();
             match &outcome {
                 Err(e) => assert!(
@@ -328,7 +321,7 @@ fn crash_at_every_op_of_compaction_leaves_old_or_new_chain() {
                 ),
                 Ok(_) => {}
             }
-            drop(dir);
+            drop(store);
 
             let context = format!("{} compaction fault at op {fault_at}", backend.name());
             let restored = assert_no_acked_loss(&backend, cfg, &acked, &reference, &context);
@@ -336,15 +329,20 @@ fn crash_at_every_op_of_compaction_leaves_old_or_new_chain() {
 
             // Old chain or new block, never something in between — and the
             // recovered store always accepts a clean compaction.
-            let mut dir = backend.open(cfg).expect("reopen");
-            let entries = dir.entries().len();
+            let store =
+                Persistence::new(backend.open(cfg).expect("reopen"), SnapshotPolicy::default());
+            let entries = store.store().entries().len();
             assert!(
                 entries == entries_before || entries == 1,
                 "{context}: chain must be the old one ({entries_before} entries) or the \
                  compacted one (1 entry), found {entries}"
             );
-            let report = compact_store(&mut dir).expect("clean compaction after recovery");
-            assert_eq!(dir.entries().len(), 1, "{context}: recovered store compacts fully");
+            let report = store.compact().expect("clean compaction after recovery");
+            assert_eq!(
+                store.store().entries().len(),
+                1,
+                "{context}: recovered store compacts fully"
+            );
             assert!(report.bytes_after > 0);
             backend.cleanup();
 
@@ -353,98 +351,6 @@ fn crash_at_every_op_of_compaction_leaves_old_or_new_chain() {
                     fault_at >= 5,
                     "compaction has several mutation points, covered {fault_at}"
                 );
-                break;
-            }
-        }
-        master.cleanup();
-    }
-}
-
-/// The tiered variant: crash a bounded `compact_store_tiered(_, 2)` pass
-/// at every op. The store must afterwards hold either the old chain or
-/// the partially-folded one (`entries_before - 2`: the full plus the two
-/// oldest segments replaced by one new full) — never a torn store — the
-/// pass must replay at most `1 + fold` blocks, and every acked day must
-/// survive on all three backends.
-#[test]
-fn crash_at_every_op_of_tiered_compaction_leaves_old_or_folded_chain() {
-    const FOLD: usize = 2;
-    let challenge = challenge();
-    let reference = reference_counters(&challenge);
-    let boot = challenge.dataset.meta.bootstrap_days as usize;
-    let split = boot + 4;
-    let cfg = LifecycleConfig {
-        compaction: CompactionTrigger::disabled(),
-        retention: RetentionPolicy { retain_days: Some(2) },
-    };
-
-    for template in Backend::matrix("crash-tiered-master") {
-        let master = template.fresh();
-        {
-            let dir = master.create(cfg).expect("create store");
-            let store = Persistence::new(dir, SnapshotPolicy::default());
-            let mut engine = engine_for(&challenge);
-            for day in &challenge.dataset.days[..split] {
-                engine.ingest_day(DayBatch::Dns(day));
-                store.commit(&engine).expect("freeze").wait().expect("daily persist");
-            }
-            assert!(store.store().segment_count() > FOLD, "a tail must survive the fold");
-        }
-        let acked: BTreeSet<Day> = (0..split as u32).map(Day::new).collect();
-
-        for fault_at in 0u64.. {
-            let backend = master.fork_copy("crash-tiered");
-            let mut dir = backend.open(cfg).expect("open the copied chain");
-            let entries_before = dir.entries().len();
-            let injector = FaultInjector::new();
-            dir.set_fault_injector(injector.clone());
-            injector.arm(fault_at);
-            let outcome = compact_store_tiered(&mut dir, FOLD);
-            let crashed = outcome.is_err();
-            match &outcome {
-                Err(e) => assert!(
-                    matches!(e, StoreError::Io(_)),
-                    "fault {fault_at}: unexpected error {e}"
-                ),
-                Ok(report) => {
-                    assert!(
-                        report.segments_replayed <= 1 + FOLD,
-                        "fault {fault_at}: tiered pass replayed {} blocks, bound is {}",
-                        report.segments_replayed,
-                        1 + FOLD
-                    );
-                    assert_eq!(report.segments_folded, FOLD, "fault {fault_at}");
-                    if injector.crashed() {
-                        assert!(
-                            report.gc_failures > 0,
-                            "fault {fault_at}: fault fired without an error or a GC count"
-                        );
-                    }
-                }
-            }
-            drop(dir);
-
-            let context = format!("{} tiered fault at op {fault_at}", backend.name());
-            let restored = assert_no_acked_loss(&backend, cfg, &acked, &reference, &context);
-            drop(restored);
-
-            // Old chain or partially-folded chain, never something torn —
-            // and the recovered store still accepts a clean tiered pass.
-            let mut dir = backend.open(cfg).expect("reopen");
-            let entries = dir.entries().len();
-            assert!(
-                entries == entries_before || entries == entries_before - FOLD,
-                "{context}: chain must be the old one ({entries_before} entries) or the \
-                 folded one ({} entries), found {entries}",
-                entries_before - FOLD
-            );
-            let report = compact_store_tiered(&mut dir, FOLD).expect("clean fold after recovery");
-            assert!(report.segments_replayed <= 1 + FOLD, "{context}: bounded replay");
-            assert_eq!(dir.entries().len(), entries - FOLD, "{context}: fold shortens the chain");
-            backend.cleanup();
-
-            if !crashed && !injector.crashed() {
-                assert!(fault_at >= 5, "tiered compaction has several ops, covered {fault_at}");
                 break;
             }
         }
@@ -518,7 +424,7 @@ fn s3lite_aborted_multipart_upload_stays_invisible_and_is_reaped() {
     };
     // A small part size so even tiny test blocks span several parts.
     let service = S3LiteBackend::with_part_size(512);
-    let dir = StoreDir::create_with(service.clone(), cfg).expect("create store");
+    let dir = StoreDir::create_boxed(Box::new(service.clone()), cfg).expect("create store");
     let store = Persistence::new(dir, SnapshotPolicy::default());
 
     let mut engine = engine_for(&challenge);
@@ -545,7 +451,7 @@ fn s3lite_aborted_multipart_upload_stays_invisible_and_is_reaped() {
 
     // The aborted upload lingers in staging, invisible to the store.
     assert_eq!(service.staged_uploads(), 1, "aborted multipart upload stays staged");
-    let dir = StoreDir::open_with(service.clone(), cfg).expect("reopen");
+    let dir = StoreDir::open_boxed(Box::new(service.clone()), cfg).expect("reopen");
     assert_eq!(dir.entries().len(), committed, "chain is exactly the old one");
     assert!(dir.quarantined().is_empty(), "staging residue is not in the live namespace");
     let reopened = Persistence::new(dir, SnapshotPolicy::default());
@@ -557,7 +463,7 @@ fn s3lite_aborted_multipart_upload_stays_invisible_and_is_reaped() {
     // then continues cleanly (at-least-once: re-push the in-flight day).
     assert_eq!(service.abort_stale_uploads(), 1);
     assert_eq!(service.staged_uploads(), 0);
-    let dir = StoreDir::open_with(service.clone(), cfg).expect("reopen after reaping");
+    let dir = StoreDir::open_boxed(Box::new(service.clone()), cfg).expect("reopen after reaping");
     let store = Persistence::new(dir, SnapshotPolicy::default());
     let mut engine = store.restore(EngineBuilder::lanl()).expect("restores");
     engine.ingest_day(DayBatch::Dns(day));
@@ -599,7 +505,8 @@ fn gc_delete_failures_are_counted_not_fatal() {
             let injector = FaultInjector::new();
             dir.set_fault_injector(injector.clone());
             injector.arm(fault_at);
-            match compact_store(&mut dir) {
+            let store = Persistence::new(dir, SnapshotPolicy::default());
+            match store.compact() {
                 Err(_) => {
                     backend.cleanup();
                     continue; // crash before the commit; not the case under test
@@ -615,7 +522,7 @@ fn gc_delete_failures_are_counted_not_fatal() {
                         "{}: every superseded object's failed delete is counted",
                         backend.name()
                     );
-                    assert_eq!(dir.gc_failures(), superseded as u64);
+                    assert_eq!(store.store().gc_failures(), superseded as u64);
                     assert_eq!(
                         report.gc_failed_objects.len(),
                         superseded,
@@ -623,7 +530,7 @@ fn gc_delete_failures_are_counted_not_fatal() {
                         backend.name(),
                         report.gc_failed_objects
                     );
-                    drop(dir);
+                    drop(store);
                     // The leaked objects are exactly what the next open
                     // quarantines (quarantine keys embed the original
                     // object name); the compacted chain restores fine.

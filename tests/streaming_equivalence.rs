@@ -238,7 +238,7 @@ fn checkpoint_under_one_worker_count_restores_under_another() {
     let reference_reports: Vec<DayReport> =
         days.iter().map(|day| stream(&mut reference, day)).collect();
 
-    let dir = StoreDir::create_with(MemBackend::new(), LifecycleConfig::default())
+    let dir = StoreDir::create_boxed(Box::new(MemBackend::new()), LifecycleConfig::default())
         .expect("create mem store");
     let store = Persistence::new(dir, SnapshotPolicy::default());
     let (mut before, before_alerts) = engine_for(domains, meta, 3, 64);
@@ -409,7 +409,7 @@ fn proxy_checkpoint_under_one_worker_count_restores_under_another() {
     let reference_reports: Vec<DayReport> =
         days.iter().map(|day| stream(&mut reference, day)).collect();
 
-    let dir = StoreDir::create_with(MemBackend::new(), LifecycleConfig::default())
+    let dir = StoreDir::create_boxed(Box::new(MemBackend::new()), LifecycleConfig::default())
         .expect("create mem store");
     let store = Persistence::new(dir, SnapshotPolicy::default());
     let sink = CollectingSink::new();
@@ -474,6 +474,7 @@ fn line_pushes_match_record_pushes() {
     assert!(ingest.push_lines(&block1).is_empty());
     let errors = ingest.push_lines(&block2);
     assert_eq!(errors.len(), 1, "exactly the corrupt line fails");
+    assert_eq!(errors[0].0, third + 1, "1-based line number of the bad line within its block");
     assert!(ingest.push_lines(&block3).is_empty());
     assert_eq!(ingest.records_pushed(), queries.len());
     assert_eq!(ingest.parse_errors(), 1);

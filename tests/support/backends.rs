@@ -113,8 +113,8 @@ impl Backend {
     pub fn create(&self, cfg: LifecycleConfig) -> StoreResult<StoreDir> {
         match self {
             Backend::LocalFs(root) => StoreDir::create(root, cfg),
-            Backend::Mem(handle) => StoreDir::create_with(handle.clone(), cfg),
-            Backend::S3Lite(handle) => StoreDir::create_with(handle.clone(), cfg),
+            Backend::Mem(handle) => StoreDir::create_boxed(Box::new(handle.clone()), cfg),
+            Backend::S3Lite(handle) => StoreDir::create_boxed(Box::new(handle.clone()), cfg),
         }
     }
 
@@ -122,8 +122,8 @@ impl Backend {
     pub fn open(&self, cfg: LifecycleConfig) -> StoreResult<StoreDir> {
         match self {
             Backend::LocalFs(root) => StoreDir::open(root, cfg),
-            Backend::Mem(handle) => StoreDir::open_with(handle.clone(), cfg),
-            Backend::S3Lite(handle) => StoreDir::open_with(handle.clone(), cfg),
+            Backend::Mem(handle) => StoreDir::open_boxed(Box::new(handle.clone()), cfg),
+            Backend::S3Lite(handle) => StoreDir::open_boxed(Box::new(handle.clone()), cfg),
         }
     }
 
