@@ -382,16 +382,30 @@ impl Engine {
         lock_encodings(&self.product_encodings).remove(&day);
     }
 
-    /// Evicts the oldest retained contact indexes until at most `keep`
-    /// remain (their counters-only reports stay). Returns how many days
-    /// were pruned — the retention-GC step of store compaction.
-    pub(crate) fn prune_retained(&mut self, keep: usize) -> usize {
+    /// Evicts the oldest retained contact indexes (the dominant memory
+    /// cost) until at most `keep` remain, if a window is set; their
+    /// counters-only reports stay. Returns how many days were pruned. The
+    /// one retention step: live days, restored blocks and store compaction
+    /// all end in it.
+    pub(crate) fn prune_retained(&mut self, keep: Option<usize>) -> usize {
+        let Some(keep) = keep else { return 0 };
         let mut pruned = 0;
         while self.products.len() > keep {
             self.products.pop_first();
             pruned += 1;
         }
         pruned
+    }
+
+    /// Registers an operation day: its counters-only report arms the
+    /// duplicate-day replay guard, its product is retained (dropping any
+    /// memoized encoding of the day), and the retention window applies.
+    fn register_day(&mut self, report: &DayReport, product: DayProduct) {
+        let day = report.day;
+        self.reports.insert(day, Self::counters_only(report));
+        self.products.insert(day, Arc::new(product));
+        self.invalidate_product_encoding(day);
+        self.prune_retained(self.cfg.retain_days);
     }
 
     fn detector(&self) -> CcDetector {
@@ -480,14 +494,7 @@ impl Engine {
                 // allows post-mortem rescoring via `Engine::cc_scores`
                 // once the fault is addressed. No alerts were emitted.
                 report.stages.wall_micros = started.elapsed().as_micros() as u64;
-                self.reports.insert(day, Self::counters_only(&report));
-                self.products.insert(day, Arc::new(product));
-                self.invalidate_product_encoding(day);
-                if let Some(limit) = self.cfg.retain_days {
-                    while self.products.len() > limit {
-                        self.products.pop_first();
-                    }
-                }
+                self.register_day(&report, product);
                 return Err(e);
             }
         };
@@ -563,18 +570,7 @@ impl Engine {
         report.cc_candidates = candidates;
         report.alerts = alerts;
         report.stages.wall_micros = started.elapsed().as_micros() as u64;
-
-        self.reports.insert(day, Self::counters_only(&report));
-        self.products.insert(day, Arc::new(product));
-        self.invalidate_product_encoding(day);
-        // Retention window: evict the oldest contact indexes (the dominant
-        // memory cost) once past the configured bound; their counters-only
-        // reports remain.
-        if let Some(limit) = self.cfg.retain_days {
-            while self.products.len() > limit {
-                self.products.pop_first();
-            }
-        }
+        self.register_day(&report, product);
         Ok(report)
     }
 

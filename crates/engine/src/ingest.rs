@@ -15,11 +15,13 @@
 //! the only parallel mechanism ingest has. Parsing, proxy normalization and
 //! chunk reduction run in parallel and take no lock: every per-name
 //! decision they need is plain data written beforehand by a sequential
-//! step with `&mut Engine`. The sequential steps, in arrival order, are
-//! host-id assignment for raw DNS lines, name admission (internal and
-//! IP-literal verdicts for names interned since the last span), the fold
-//! warm-up (first-fold interning of folded names, in record order), and
-//! the in-order absorb of each chunk. That order makes every result —
+//! step with `&mut Engine`. Line parsers share one reader per interner and
+//! only look up. The sequential steps, in arrival order, are interning
+//! the parsers' misses and assigning host ids for raw DNS lines, both
+//! span by span in shard order, name admission (internal and IP-literal
+//! verdicts for names interned since the last span), the fold warm-up
+//! (first-fold interning of folded names, in record order), and the
+//! in-order absorb of each chunk. That order makes every result —
 //! alerts, counters, candidate ordering, sink sequence, and every
 //! checkpoint byte but the recorded worker count — independent of how the
 //! day was chunked and of the worker count.
@@ -29,7 +31,7 @@ use crate::core_loop::Engine;
 use crate::report::{DayReport, StageCounters};
 use earlybird_core::{DayAccum, DayOutcome};
 use earlybird_logmodel::{
-    parse_dns_span, parse_proxy_span, payload_line, Day, DhcpLog, DnsQuery, ParseLogError,
+    lookup_dns_span, lookup_proxy_span, payload_line, Day, DhcpLog, DnsQuery, ParseLogError,
     ParsedChunk, ProxyRecord,
 };
 use earlybird_obs::Span;
@@ -282,9 +284,10 @@ impl DayIngest<'_, '_> {
 
     /// Pushes a block of raw log lines in the tab-separated interchange
     /// format of `earlybird_logmodel::codec` (empty lines and `#` comments
-    /// are skipped). Lines are parsed on the worker pool with parse-time
-    /// interning — no per-line `String` allocation — and the parsed records
-    /// flow through the same chunked reduce path as record pushes.
+    /// are skipped). Lines are parsed on the worker pool — no per-line
+    /// `String` allocation — and the names they did not find are interned
+    /// afterwards in line order; the parsed records then flow through the
+    /// same chunked reduce path as record pushes.
     ///
     /// Returns this block's parse failures as `(1-based line number within
     /// the block, error)`; they are also tallied in the day report's
@@ -306,19 +309,21 @@ impl DayIngest<'_, '_> {
                 let shards =
                     shard_spans(&lines, engine.cfg.parallelism, engine.cfg.ingest_chunk_records);
                 // Each shard is parsed as one span into a pooled scratch
-                // buffer: interner misses batch-resolve once per span, and
-                // the record vectors keep their capacity across pushes.
+                // buffer whose record vectors keep their capacity across
+                // pushes. Workers share one reader and only look up.
                 let mut chunks = engine.scratch.take_dns(shards.len());
                 let parse_span = engine.metrics.parse.start();
-                {
-                    let domains = engine.pipeline.raw_interner();
+                let domains = engine.pipeline.raw_interner();
+                let misses = {
+                    let reader = domains.reader();
                     parse_shards(&shards, &mut chunks, |shard, chunk| {
-                        parse_dns_span(shard.iter().copied(), domains, chunk);
-                    });
-                }
-                // Host ids depend on first-seen order: assign sequentially,
-                // span by span in shard order.
-                for chunk in &mut chunks {
+                        lookup_dns_span(shard.iter().copied(), &reader, chunk)
+                    })
+                };
+                // Symbols and host ids both number by first sight: intern
+                // the misses, then assign hosts, span by span in shard order.
+                for (chunk, misses) in chunks.iter_mut().zip(misses) {
+                    misses.intern_dns(self.engine.pipeline.raw_interner(), chunk);
                     self.engine.line_hosts.assign(&mut chunk.records);
                     errors.append(&mut chunk.errors);
                 }
@@ -336,14 +341,17 @@ impl DayIngest<'_, '_> {
                     shard_spans(&lines, engine.cfg.parallelism, engine.cfg.ingest_chunk_records);
                 let mut chunks = engine.scratch.take_proxy(shards.len());
                 let parse_span = engine.metrics.parse.start();
-                {
-                    let domains = engine.pipeline.raw_interner();
-                    let (uas, paths) = (&engine.uas, &engine.paths);
+                let (domains, uas, paths) =
+                    (engine.pipeline.raw_interner(), &engine.uas, &engine.paths);
+                let misses = {
+                    let readers = (domains.reader(), uas.reader(), paths.reader());
                     parse_shards(&shards, &mut chunks, |shard, chunk| {
-                        parse_proxy_span(shard.iter().copied(), domains, uas, paths, chunk);
-                    });
-                }
-                for chunk in &mut chunks {
+                        let (domains, uas, paths) = &readers;
+                        lookup_proxy_span(shard.iter().copied(), domains, uas, paths, chunk)
+                    })
+                };
+                for (chunk, misses) in chunks.iter_mut().zip(misses) {
+                    misses.intern_proxy(domains, uas, paths, chunk);
                     errors.append(&mut chunk.errors);
                 }
                 parse_span.finish();
@@ -520,18 +528,16 @@ fn map_shards<T: Sync, R: Send>(shards: &[&[T]], f: impl Fn(&[T]) -> R + Sync) -
 }
 
 /// Runs `f` over `(shard, scratch-buffer)` pairs on scoped threads (one
-/// buffer per shard, mutated in place); a single pair runs inline.
-fn parse_shards<T: Sync, B: Send>(
+/// buffer per shard, mutated in place), returning its results in shard
+/// order; a single pair runs inline.
+fn parse_shards<T: Sync, B: Send, R: Send>(
     shards: &[&[T]],
     bufs: &mut [B],
-    f: impl Fn(&[T], &mut B) + Sync,
-) {
+    f: impl Fn(&[T], &mut B) -> R + Sync,
+) -> Vec<R> {
     debug_assert_eq!(shards.len(), bufs.len());
     if shards.len() <= 1 {
-        if let (Some(&shard), Some(buf)) = (shards.first(), bufs.first_mut()) {
-            f(shard, buf);
-        }
-        return;
+        return shards.iter().zip(bufs).map(|(&shard, buf)| f(shard, buf)).collect();
     }
     std::thread::scope(|scope| {
         let f = &f;
@@ -540,10 +546,8 @@ fn parse_shards<T: Sync, B: Send>(
             .zip(bufs.iter_mut())
             .map(|(&shard, buf)| scope.spawn(move || f(shard, buf)))
             .collect();
-        for h in handles {
-            h.join().expect("ingest parse worker panicked");
-        }
-    });
+        handles.into_iter().map(|h| h.join().expect("ingest parse worker panicked")).collect()
+    })
 }
 
 #[cfg(test)]

@@ -18,17 +18,13 @@ use std::sync::Arc;
 pub(crate) struct InternerShape {
     symbols: Gauge,
     bytes: Gauge,
-    publications: Counter,
 }
 
 impl InternerShape {
-    /// Brings the series up to the table's current state. The counter
-    /// mirrors the table's own monotone publication count, so it is
-    /// advanced by whatever it is behind.
+    /// Brings the series up to the table's current state.
     pub(crate) fn record<T>(&self, table: &TypedInterner<T>) {
         self.symbols.set(table.len() as i64);
         self.bytes.set(table.byte_len() as i64);
-        self.publications.add(table.publications().saturating_sub(self.publications.get()));
     }
 }
 
@@ -65,8 +61,7 @@ pub(crate) struct EngineMetrics {
     pub(crate) checkpoint: StageTimer,
     /// One snapshot-stream restore.
     pub(crate) restore: StageTimer,
-    /// Per restored block: the four interner tables plus the host map
-    /// (and, once per restore, their reader-snapshot publication).
+    /// Per restored block: the four interner tables plus the host map.
     pub(crate) restore_interners: StageTimer,
     /// Per restored block: destination and user-agent history logs.
     pub(crate) restore_history: StageTimer,
@@ -128,11 +123,6 @@ impl EngineMetrics {
                 bytes: registry.gauge(
                     "engine_interner_bytes",
                     "Bytes an interner table holds: string bytes, offsets and hash index",
-                    &l,
-                ),
-                publications: registry.counter(
-                    "engine_interner_publications_total",
-                    "Reader-snapshot publications of an interner table (each copies the table)",
                     &l,
                 ),
             }

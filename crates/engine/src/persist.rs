@@ -55,9 +55,8 @@
 //! Restore rebuilds rather than replays where it can: each retained day
 //! decodes straight into the sorted columns a live `DayIndex` holds (one
 //! representation, so a restored day is indistinguishable from — and
-//! re-encodes exactly like — a live one), and the four interners publish
-//! their wait-free reader snapshots once, after the last block, instead of
-//! at every growth step of every block. The
+//! re-encodes exactly like — a live one), and each interner section is one
+//! bulk append into the interner's one table. The
 //! `engine_stage_micros{stage="restore_interners"|"restore_history"|"restore_products"}`
 //! spans say where a restore's time went.
 //!
@@ -433,11 +432,7 @@ impl Engine {
         d.finish()?;
         // Enforce the retention window across blocks exactly like live
         // ingestion does.
-        if let Some(limit) = self.cfg.retain_days {
-            while self.products.len() > limit {
-                self.products.pop_first();
-            }
-        }
+        self.prune_retained(self.cfg.retain_days);
         Ok(())
     }
 }
@@ -727,16 +722,6 @@ impl EngineBuilder {
             block.finish()?;
         }
 
-        // One reader-snapshot publication per interner for the whole
-        // chain, caller-shared interners included: the first day's chunks
-        // hit the wait-free path for every restored string.
-        {
-            let _span = engine.metrics.restore_interners.start();
-            engine.pipeline.raw_interner().publish();
-            engine.pipeline.folded_interner().publish();
-            engine.uas.publish();
-            engine.paths.publish();
-        }
         engine.record_interner_shape();
 
         // SOC seed symbols were interned at original build time, so they

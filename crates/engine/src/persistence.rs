@@ -452,10 +452,7 @@ fn compact(dir: &mut StoreDir, metrics: Option<&EngineMetrics>) -> StoreResult<C
     let gc_names_before = dir.gc_failed_objects().len();
     let replay_span = metrics.map(|m| m.compact_replay.start());
     let mut scratch = EngineBuilder::lanl().restore_impl(None, &mut dir.reader()?)?;
-    let days_pruned = match dir.config().retention.retain_days {
-        Some(keep) => scratch.prune_retained(keep),
-        None => 0,
-    };
+    let days_pruned = scratch.prune_retained(dir.config().retention.retain_days);
     drop(replay_span);
     let mut pending = dir.begin(BlockKind::Full)?;
     let encode_span = metrics.map(|m| m.compact_encode.start());

@@ -25,15 +25,23 @@
 //! as records at once. Lines are borrowed, fields are sub-slices, and every
 //! domain / UA / path string is interned at parse time — no per-line
 //! `String` is allocated on the happy path (only error messages allocate).
-//! DNS spans parse without host assignment; deterministic host numbering
-//! is restored afterwards with [`HostMapper::assign`]. The per-line
-//! [`parse_dns_line`] / [`parse_proxy_line`] are the reference grammar the
-//! span parsers must agree with.
+//! Each span parser is a lookup half ([`lookup_dns_span`] /
+//! [`lookup_proxy_span`]), which parallel workers run against a shared
+//! [`InternerReader`] and which never writes, and an intern half
+//! ([`SpanMisses`]) that a sequential step runs span by span, so symbol
+//! numbering follows line order for any worker count. DNS spans parse
+//! without host assignment; deterministic host numbering is restored
+//! afterwards with [`HostMapper::assign`]. The per-line [`parse_dns_line`] /
+//! [`parse_proxy_line`] are the reference grammar — records, errors and
+//! numbering — the span parsers must agree with.
 
 use crate::dns::{DnsQuery, DnsRecordType};
 use crate::hash::FastMap;
 use crate::http::{HttpMethod, HttpStatus, ProxyRecord};
-use crate::intern::{DomainInterner, DomainSym, PathInterner, PathSym, UaInterner, UaSym};
+use crate::intern::{
+    DomainInterner, DomainSym, DomainTag, InternerReader, PathInterner, PathSym, PathTag, Symbol,
+    TypedInterner, UaInterner, UaTag,
+};
 use crate::ip::Ipv4;
 use crate::scan;
 use crate::time::{Timestamp, TzOffset};
@@ -167,9 +175,8 @@ pub fn parse_dns_line(
 }
 
 /// Parses one DNS log line without assigning a source host: `src` is left
-/// as a placeholder and `src_ip` carries the identity. Parallel parsers use
-/// this on workers (interning is thread-safe) and then run
-/// [`HostMapper::assign`] sequentially so host numbering stays
+/// as a placeholder and `src_ip` carries the identity, for
+/// [`HostMapper::assign`] to fill sequentially so host numbering stays
 /// deterministic.
 ///
 /// # Errors
@@ -185,8 +192,7 @@ pub fn parse_dns_line_unassigned(
 
 /// Splits and validates one DNS line without touching an interner: the
 /// returned query carries a placeholder `qname` and the borrowed name rides
-/// alongside. Shared by the per-line parsers and the span parser (which
-/// batches interning).
+/// alongside. Shared by the per-line parsers and the span parser.
 #[inline]
 fn dns_fields(line: &str) -> Result<(DnsQuery, &str), ParseLogError> {
     let fields: [&str; 5] = scan::split_exact(line, b'\t')
@@ -216,35 +222,95 @@ fn dns_fields(line: &str) -> Result<(DnsQuery, &str), ParseLogError> {
     ))
 }
 
-/// A placeholder symbol slot awaiting batch interning: which record (from
-/// the span's base) needs which miss string's symbol.
-struct Patch {
+/// The record field a deferred miss fills.
+#[derive(Clone, Copy, Debug)]
+enum Field {
+    Domain,
+    Referer,
+    UserAgent,
+    Path,
+}
+
+/// One string a span's lookup half did not find: which record (counted
+/// from the span's first) and which of its fields wait for the symbol.
+#[derive(Debug)]
+struct Miss<'l> {
     record: u32,
-    miss: u32,
+    field: Field,
+    s: &'l str,
 }
 
-/// Collects reader misses per interner and patches the records afterwards
-/// with one `intern_batch` call per interner.
-struct MissBuffer<'l> {
-    strings: Vec<&'l str>,
-    patches: Vec<Patch>,
+/// The strings a span's lookup half did not find, per interner and in line
+/// order — a destination before its referer — so that interning them in
+/// that order numbers symbols exactly as the per-line parsers would.
+/// Produced by [`lookup_dns_span`] / [`lookup_proxy_span`] and consumed by
+/// the matching intern half, [`SpanMisses::intern_dns`] /
+/// [`SpanMisses::intern_proxy`].
+#[derive(Debug, Default)]
+pub struct SpanMisses<'l> {
+    base: usize,
+    domains: Vec<Miss<'l>>,
+    uas: Vec<Miss<'l>>,
+    paths: Vec<Miss<'l>>,
 }
 
-impl<'l> MissBuffer<'l> {
-    fn new() -> Self {
-        MissBuffer { strings: Vec::new(), patches: Vec::new() }
+impl<'l> SpanMisses<'l> {
+    /// Looks `s` up, or defers it into `misses` for the record at `record`;
+    /// a deferred field holds a placeholder until the intern half fills it.
+    #[inline]
+    fn look_up<T>(
+        reader: &InternerReader<'_, T>,
+        misses: &mut Vec<Miss<'l>>,
+        record: usize,
+        field: Field,
+        s: &'l str,
+    ) -> Symbol<T> {
+        reader.get(s).unwrap_or_else(|| {
+            let record = u32::try_from(record).expect("span too large");
+            misses.push(Miss { record, field, s });
+            Symbol::from_raw(u32::MAX)
+        })
     }
 
-    /// Records that `record` (index relative to the span base) needs the
-    /// symbol of `s`; returns the placeholder raw value.
-    #[inline]
-    fn defer(&mut self, record: usize, s: &'l str) -> u32 {
-        self.patches.push(Patch {
-            record: u32::try_from(record).expect("span too large"),
-            miss: u32::try_from(self.strings.len()).expect("span too large"),
+    /// Interns `misses` in order under one write lock and hands each symbol
+    /// to the field that waits for it.
+    fn intern<T, R>(
+        interner: &TypedInterner<T>,
+        misses: &[Miss<'_>],
+        records: &mut [R],
+        fill: impl Fn(&mut R, Field, Symbol<T>),
+    ) {
+        let strs: Vec<&str> = misses.iter().map(|m| m.s).collect();
+        for (miss, sym) in misses.iter().zip(interner.intern_batch(&strs)) {
+            fill(&mut records[miss.record as usize], miss.field, sym);
+        }
+    }
+
+    /// The intern half of [`parse_dns_span`]: interns the misses of a
+    /// [`lookup_dns_span`] call into `domains` and fills them into the
+    /// records that call appended to `out`. Call it once no thread holds
+    /// a reader of `domains` (see [`InternerReader`]).
+    pub fn intern_dns(self, domains: &DomainInterner, out: &mut ParsedChunk<DnsQuery>) {
+        let records = &mut out.records[self.base..];
+        Self::intern(domains, &self.domains, records, |q, _, sym| q.qname = sym);
+    }
+
+    /// The intern half of [`parse_proxy_span`], as
+    /// [`SpanMisses::intern_dns`] is of [`parse_dns_span`].
+    pub fn intern_proxy(
+        self,
+        domains: &DomainInterner,
+        uas: &UaInterner,
+        paths: &PathInterner,
+        out: &mut ParsedChunk<ProxyRecord>,
+    ) {
+        let records = &mut out.records[self.base..];
+        Self::intern(domains, &self.domains, records, |r, field, sym| match field {
+            Field::Referer => r.referer = Some(sym),
+            _ => r.domain = sym,
         });
-        self.strings.push(s);
-        u32::MAX
+        Self::intern(uas, &self.uas, records, |r, _, sym| r.user_agent = Some(sym));
+        Self::intern(paths, &self.paths, records, |r, _, sym| r.url_path = sym);
     }
 }
 
@@ -252,40 +318,43 @@ impl<'l> MissBuffer<'l> {
 /// appending `(lineno, error)` pairs for bad lines. Lines must already have
 /// passed [`payload_line`]; `lineno` values are carried through untouched.
 ///
-/// This is the batch front-end for parallel workers: domain lookups go
-/// through a lock-free [`InternerReader`](crate::intern::InternerReader)
-/// snapshot, misses are buffered per span and resolved with a single
-/// write-lock acquisition at the end, and records append to the caller's
-/// reusable buffer — no per-record allocation and no per-record lock.
-/// Produces exactly the records and errors of [`parse_dns_line_unassigned`]
-/// per line (symbol *numbering* can differ across worker interleavings,
-/// as it always could with parallel interning).
+/// Records append to the caller's reusable buffer — no per-record
+/// allocation and no per-record lock. Produces exactly the records and
+/// errors of [`parse_dns_line_unassigned`] per line, symbol numbering
+/// included. It is [`lookup_dns_span`] followed by
+/// [`SpanMisses::intern_dns`]; parallel workers run the lookup half over a
+/// shared reader and leave the intern half to a sequential step.
 pub fn parse_dns_span<'l>(
     lines: impl IntoIterator<Item = (usize, &'l str)>,
     domains: &DomainInterner,
     out: &mut ParsedChunk<DnsQuery>,
 ) {
-    let reader = domains.reader();
-    let base = out.records.len();
-    let mut misses = MissBuffer::new();
+    let misses = lookup_dns_span(lines, &domains.reader(), out);
+    misses.intern_dns(domains, out);
+}
+
+/// The lookup half of [`parse_dns_span`]: parses the span against a shared
+/// reader, which it never writes through, and returns the names it did not
+/// find. Until [`SpanMisses::intern_dns`] runs, their records hold a
+/// placeholder `qname`.
+pub fn lookup_dns_span<'l>(
+    lines: impl IntoIterator<Item = (usize, &'l str)>,
+    domains: &InternerReader<'_, DomainTag>,
+    out: &mut ParsedChunk<DnsQuery>,
+) -> SpanMisses<'l> {
+    let mut misses = SpanMisses { base: out.records.len(), ..SpanMisses::default() };
     for (lineno, line) in lines {
         match dns_fields(line) {
             Ok((mut query, qname)) => {
-                query.qname = match reader.get(qname) {
-                    Some(sym) => sym,
-                    None => DomainSym::from_raw(misses.defer(out.records.len() - base, qname)),
-                };
+                let idx = out.records.len() - misses.base;
+                query.qname =
+                    SpanMisses::look_up(domains, &mut misses.domains, idx, Field::Domain, qname);
                 out.records.push(query);
             }
             Err(e) => out.errors.push((lineno, e)),
         }
     }
-    if !misses.strings.is_empty() {
-        let syms = domains.intern_batch(&misses.strings);
-        for patch in &misses.patches {
-            out.records[base + patch.record as usize].qname = syms[patch.miss as usize];
-        }
-    }
+    misses
 }
 
 /// Serializes a DNS query back to the interchange format (the inverse of
@@ -385,9 +454,9 @@ fn proxy_fields(line: &str) -> Result<(ProxyRecord, ProxyStrs<'_>), ParseLogErro
 }
 
 /// Parses a span of pre-filtered payload proxy lines into `out.records`
-/// with the same snapshot-reader / batched-miss interning discipline as
-/// [`parse_dns_span`], across all three interners (domains serve both the
-/// destination and the referer field).
+/// exactly as [`parse_dns_span`] does DNS lines, across all three
+/// interners (domains serve both the destination and the referer field):
+/// [`lookup_proxy_span`] followed by [`SpanMisses::intern_proxy`].
 pub fn parse_proxy_span<'l>(
     lines: impl IntoIterator<Item = (usize, &'l str)>,
     domains: &DomainInterner,
@@ -395,69 +464,40 @@ pub fn parse_proxy_span<'l>(
     paths: &PathInterner,
     out: &mut ParsedChunk<ProxyRecord>,
 ) {
-    let domain_reader = domains.reader();
-    let ua_reader = uas.reader();
-    let path_reader = paths.reader();
-    let base = out.records.len();
-    // The destination and referer fields share the domain interner; their
-    // misses go into ONE buffer in per-record field order (destination
-    // before referer) so single-worker symbol numbering matches the
-    // sequential per-line parser exactly.
-    let mut domain_misses = MissBuffer::new();
-    let mut referer_patches: Vec<Patch> = Vec::new();
-    let mut ua_misses = MissBuffer::new();
-    let mut path_misses = MissBuffer::new();
+    let misses = lookup_proxy_span(lines, &domains.reader(), &uas.reader(), &paths.reader(), out);
+    misses.intern_proxy(domains, uas, paths, out);
+}
+
+/// The lookup half of [`parse_proxy_span`], as [`lookup_dns_span`] is of
+/// [`parse_dns_span`].
+pub fn lookup_proxy_span<'l>(
+    lines: impl IntoIterator<Item = (usize, &'l str)>,
+    domains: &InternerReader<'_, DomainTag>,
+    uas: &InternerReader<'_, UaTag>,
+    paths: &InternerReader<'_, PathTag>,
+    out: &mut ParsedChunk<ProxyRecord>,
+) -> SpanMisses<'l> {
+    let mut m = SpanMisses { base: out.records.len(), ..SpanMisses::default() };
     for (lineno, line) in lines {
         match proxy_fields(line) {
             Ok((mut record, strs)) => {
-                let idx = out.records.len() - base;
-                record.domain = match domain_reader.get(strs.domain) {
-                    Some(sym) => sym,
-                    None => DomainSym::from_raw(domain_misses.defer(idx, strs.domain)),
-                };
-                record.url_path = match path_reader.get(strs.path) {
-                    Some(sym) => sym,
-                    None => PathSym::from_raw(path_misses.defer(idx, strs.path)),
-                };
-                record.user_agent = strs.ua.map(|ua| match ua_reader.get(ua) {
-                    Some(sym) => sym,
-                    None => UaSym::from_raw(ua_misses.defer(idx, ua)),
-                });
-                record.referer = strs.referer.map(|r| match domain_reader.get(r) {
-                    Some(sym) => sym,
-                    None => {
-                        let raw = domain_misses.defer(idx, r);
-                        referer_patches.push(domain_misses.patches.pop().expect("just deferred"));
-                        DomainSym::from_raw(raw)
-                    }
-                });
+                let idx = out.records.len() - m.base;
+                record.domain =
+                    SpanMisses::look_up(domains, &mut m.domains, idx, Field::Domain, strs.domain);
+                record.url_path =
+                    SpanMisses::look_up(paths, &mut m.paths, idx, Field::Path, strs.path);
+                record.user_agent = strs
+                    .ua
+                    .map(|ua| SpanMisses::look_up(uas, &mut m.uas, idx, Field::UserAgent, ua));
+                record.referer = strs
+                    .referer
+                    .map(|r| SpanMisses::look_up(domains, &mut m.domains, idx, Field::Referer, r));
                 out.records.push(record);
             }
             Err(e) => out.errors.push((lineno, e)),
         }
     }
-    // One write-lock acquisition per interner.
-    if !domain_misses.strings.is_empty() {
-        let syms = domains.intern_batch(&domain_misses.strings);
-        for patch in &domain_misses.patches {
-            out.records[base + patch.record as usize].domain = syms[patch.miss as usize];
-        }
-        for patch in &referer_patches {
-            out.records[base + patch.record as usize].referer = Some(syms[patch.miss as usize]);
-        }
-    }
-    if !ua_misses.strings.is_empty() {
-        let syms = uas.intern_batch(&ua_misses.strings);
-        for patch in &ua_misses.patches {
-            out.records[base + patch.record as usize].user_agent = Some(syms[patch.miss as usize]);
-        }
-    }
-    if !path_misses.strings.is_empty() {
-        let syms = paths.intern_batch(&path_misses.strings);
-        for patch in &path_misses.patches {
-            out.records[base + patch.record as usize].url_path = syms[patch.miss as usize];
-        }
-    }
+    m
 }
 
 /// Serializes a proxy record back to the interchange format.
@@ -654,10 +694,9 @@ mod tests {
         );
         assert_eq!(chunk.records, seq_records);
         assert_eq!(chunk.errors, seq_errors);
-        assert_eq!(span_domains.len(), seq_domains.len());
+        assert_eq!(span_domains.tail(0), seq_domains.tail(0), "per-line numbering");
 
-        // A second span over the same lines reuses the now-published or
-        // batch-resolved symbols identically.
+        // A second span over the same lines finds every name.
         let mut chunk2 = ParsedChunk::default();
         parse_dns_span(
             lines.iter().copied().enumerate().map(|(i, l)| (i + 1, l)),
@@ -665,6 +704,32 @@ mod tests {
             &mut chunk2,
         );
         assert_eq!(chunk2.records, seq_records);
+
+        // Two spans' lookup halves into one buffer under one reader, then
+        // their intern halves in span order, give the same again.
+        let halves_domains = DomainInterner::new();
+        let mut halves = ParsedChunk::default();
+        let (first, second) = lines.split_at(2);
+        let misses = {
+            let reader = halves_domains.reader();
+            let first = lookup_dns_span(
+                first.iter().copied().zip(1..).map(|(l, i)| (i, l)),
+                &reader,
+                &mut halves,
+            );
+            let second = lookup_dns_span(
+                second.iter().copied().zip(3..).map(|(l, i)| (i, l)),
+                &reader,
+                &mut halves,
+            );
+            [first, second]
+        };
+        for m in misses {
+            m.intern_dns(&halves_domains, &mut halves);
+        }
+        assert_eq!(halves.records, seq_records);
+        assert_eq!(halves.errors, seq_errors);
+        assert_eq!(halves_domains.tail(0), seq_domains.tail(0));
     }
 
     #[test]
@@ -700,10 +765,22 @@ mod tests {
         );
         assert_eq!(chunk.records, seq_records);
         assert_eq!(chunk.errors, seq_errors);
-        assert_eq!(
-            (d2.len(), u2.len(), p2.len()),
-            (d1.len(), u1.len(), p1.len()),
-            "same interning outcome either way"
-        );
+        let tables = |d: &DomainInterner, u: &UaInterner, p: &PathInterner| {
+            (d.tail(0), u.tail(0), p.tail(0))
+        };
+        assert_eq!(tables(&d2, &u2, &p2), tables(&d1, &u1, &p1), "per-line numbering");
+
+        // The lookup half, then the intern half, is the span parser.
+        let (d3, u3, p3) = (DomainInterner::new(), UaInterner::new(), PathInterner::new());
+        let mut halves = ParsedChunk::default();
+        let numbered = lines.iter().copied().enumerate().map(|(i, l)| (i + 1, l));
+        let misses =
+            lookup_proxy_span(numbered, &d3.reader(), &u3.reader(), &p3.reader(), &mut halves);
+        assert!(halves.records.iter().all(|r| r.domain.raw() == u32::MAX), "nothing interned yet");
+        assert_eq!(d3.len() + u3.len() + p3.len(), 0, "the lookup half never writes");
+        misses.intern_proxy(&d3, &u3, &p3, &mut halves);
+        assert_eq!(halves.records, seq_records);
+        assert_eq!(halves.errors, seq_errors);
+        assert_eq!(tables(&d3, &u3, &p3), tables(&d1, &u1, &p1));
     }
 }

@@ -35,13 +35,13 @@ pub mod host;
 pub mod http;
 pub mod intern;
 pub mod ip;
-pub mod published;
 pub mod scan;
 pub mod time;
 
 pub use codec::{
-    format_dns_line, format_proxy_line, parse_dns_line, parse_dns_line_unassigned, parse_dns_span,
-    parse_proxy_line, parse_proxy_span, payload_line, HostMapper, ParseLogError, ParsedChunk,
+    format_dns_line, format_proxy_line, lookup_dns_span, lookup_proxy_span, parse_dns_line,
+    parse_dns_line_unassigned, parse_dns_span, parse_proxy_line, parse_proxy_span, payload_line,
+    HostMapper, ParseLogError, ParsedChunk, SpanMisses,
 };
 pub use dataset::{
     DatasetMeta, DhcpLease, DhcpLog, DnsDataset, DnsDayLog, ProxyDataset, ProxyDayLog,
@@ -56,5 +56,4 @@ pub use intern::{
     Symbol, TypedInterner, UaInterner, UaSym, UaTag,
 };
 pub use ip::{Ipv4, ParseIpv4Error, Subnet16, Subnet24};
-pub use published::Published;
 pub use time::{Day, Timestamp, TzOffset, SECONDS_PER_DAY};

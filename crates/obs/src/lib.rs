@@ -13,8 +13,7 @@
 //!    callers cache once at construction; an increment is a relaxed
 //!    `fetch_add` with no lock, no hash lookup, no allocation.
 //! 2. **Readers never stop writers.** The registry publishes its entry
-//!    list as an immutable snapshot behind an `RwLock<Arc<_>>` (the same
-//!    published-snapshot discipline as the interner's read path):
+//!    list as an immutable snapshot behind an `RwLock<Arc<_>>`:
 //!    registration — the only mutation — swaps a new list in, while
 //!    [`MetricsRegistry::snapshot`] and
 //!    [`MetricsRegistry::render_prometheus`] read whichever list is

@@ -21,8 +21,8 @@ use earlybird_logmodel::{
     TypedInterner,
 };
 use earlybird_pipeline::{
-    DayIndex, DnsReductionCounts, DomainHistory, EdgeHttp, EdgeKey, Grouped, NormalizationCounts,
-    ProxyReductionCounts, UaHistory,
+    DayIndex, DnsReductionCounts, EdgeHttp, EdgeKey, Grouped, NormalizationCounts,
+    ProxyReductionCounts,
 };
 use earlybird_timing::{AutomationDetector, DistanceMetric};
 
@@ -73,15 +73,8 @@ pub fn read_interner_into<T>(
 
 // -- host mapper ------------------------------------------------------------
 
-/// Writes the host-id assignments from id `start` onward.
-pub fn write_host_mapper(e: &mut Encoder, hosts: &HostMapper, start: usize) {
-    let ips = hosts.snapshot_ips();
-    let tail = ips.get(start..).unwrap_or(&[]);
-    write_host_mapper_tail(e, start, tail);
-}
-
-/// Writes a host-mapper tail captured earlier by a frozen snapshot —
-/// byte-identical to [`write_host_mapper`] over the same state.
+/// Writes the host-id assignments from id `start` onward, `tail` being the
+/// addresses of hosts `start..` as a frozen snapshot captured them.
 pub fn write_host_mapper_tail(e: &mut Encoder, start: usize, tail: &[Ipv4]) {
     e.usizev(start);
     e.usizev(tail.len());
@@ -113,15 +106,8 @@ pub fn read_host_mapper_into(d: &mut Decoder<'_>, hosts: &mut HostMapper) -> Sto
 // -- histories --------------------------------------------------------------
 
 /// Writes the destination-history insertion log from `start` onward, plus
-/// the absolute ingested-day counter.
-pub fn write_domain_history(e: &mut Encoder, history: &DomainHistory, start: usize) {
-    let order = history.ordered();
-    let tail = order.get(start..).unwrap_or(&[]);
-    write_domain_history_tail(e, start, tail, history.days_ingested());
-}
-
-/// Writes a destination-history tail captured earlier by a frozen snapshot
-/// — byte-identical to [`write_domain_history`] over the same state.
+/// the absolute ingested-day counter, `tail` being the log's entries
+/// `start..` as a frozen snapshot captured them.
 pub fn write_domain_history_tail(
     e: &mut Encoder,
     start: usize,
@@ -148,15 +134,8 @@ pub fn read_domain_history(d: &mut Decoder<'_>) -> StoreResult<(usize, Vec<Domai
     Ok((start, syms, days))
 }
 
-/// Writes the user-agent history pair log from `start` onward.
-pub fn write_ua_history(e: &mut Encoder, history: &UaHistory, start: usize) {
-    let log = history.pair_log();
-    let tail = log.get(start..).unwrap_or(&[]);
-    write_ua_history_tail(e, history.rare_threshold(), start, tail);
-}
-
-/// Writes a user-agent history tail captured earlier by a frozen snapshot
-/// — byte-identical to [`write_ua_history`] over the same state.
+/// Writes the user-agent history pair log from `start` onward, `tail`
+/// being the log's pairs `start..` as a frozen snapshot captured them.
 pub fn write_ua_history_tail(
     e: &mut Encoder,
     rare_threshold: usize,
@@ -677,7 +656,7 @@ mod tests {
             hosts.host_for(Ipv4::new(10, 0, 0, b));
         }
         let mut e = Encoder::new();
-        write_host_mapper(&mut e, &hosts, 0);
+        write_host_mapper_tail(&mut e, 0, &hosts.snapshot_ips());
         let bytes = e.into_bytes();
         let mut restored = HostMapper::new();
         let mut d = Decoder::new(&bytes, "hosts");

@@ -11,8 +11,8 @@ use earlybird::engine::{
     MemBackend, Persistence, SnapshotPolicy, StoreDir,
 };
 use earlybird::logmodel::{
-    format_dns_line, DatasetMeta, Day, DnsDayLog, DnsQuery, DnsRecordType, HostId, HostKind, Ipv4,
-    ProxyDayLog, Timestamp,
+    format_dns_line, parse_dns_line_unassigned, parse_proxy_line, DatasetMeta, Day, DnsDayLog,
+    DnsQuery, DnsRecordType, HostId, HostKind, Ipv4, ProxyDayLog, Timestamp,
 };
 use earlybird::synthgen::ac::{AcConfig, AcGenerator, AcWorld};
 use earlybird::synthgen::lanl::{LanlConfig, LanlGenerator};
@@ -530,6 +530,117 @@ fn one_record_and_one_line_chunks_match_batch() {
     let line_report = ingest.finish();
     assert_reports_equal(&line_report, &batch_report, "1-line chunks");
     assert_eq!(line_alerts.snapshot(), batch_alerts.snapshot());
+}
+
+/// Three blocks of 1,200 DNS lines for day 0, a third of them naming a
+/// never-seen domain and the rest drawn from a small popular set, so the
+/// first block's shards all miss the same popular names at once.
+fn churn_dns_blocks() -> Vec<String> {
+    (0..3u64)
+        .map(|b| {
+            (0..1_200u64)
+                .map(|i| {
+                    let name = if i % 3 == 0 {
+                        format!("f{b}-{i}.fresh.example")
+                    } else {
+                        format!("r{}.pop.example", i % 97)
+                    };
+                    format!("{}\t10.0.0.{}\t{name}\tA\t-\n", b * 20_000 + i * 13, 1 + i % 50)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Three blocks of 1,200 proxy lines for day 1 with the same mix in every
+/// interned field: destinations, paths, user agents and referers.
+fn churn_proxy_blocks() -> Vec<String> {
+    (0..3u64)
+        .map(|b| {
+            (0..1_200u64)
+                .map(|i| {
+                    let domain = if i % 4 == 0 {
+                        format!("p{b}-{i}.fresh.example")
+                    } else {
+                        format!("r{}.pop.example", i % 89)
+                    };
+                    let path =
+                        if i % 5 == 0 { format!("/fresh/{b}/{i}") } else { format!("/s/{}", i % 31) };
+                    let ua = match i {
+                        _ if i % 11 == 0 => "-".to_owned(),
+                        _ if i % 7 == 0 => format!("Agent/{b}.{i}"),
+                        _ => format!("Mozilla/{}", i % 13),
+                    };
+                    let referer =
+                        if i % 3 == 0 { format!("ref{}.example", i % 17) } else { "-".to_owned() };
+                    format!(
+                        "{}\t0\t10.9.0.{}\t{domain}\t93.184.{}.1\tGET\t200\t{path}\t{ua}\t{referer}\n",
+                        86_400 + b * 20_000 + i * 13,
+                        1 + i % 50,
+                        i % 200
+                    )
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Line pushes into interners the engine fills itself: every miss is
+/// interned in line order, as the per-line parser would, whatever the
+/// worker count — so symbol numbering, and with it every checkpoint byte,
+/// is the same on every run.
+#[test]
+fn line_push_numbering_is_deterministic() {
+    let (dns_blocks, proxy_blocks) = (churn_dns_blocks(), churn_proxy_blocks());
+    let mut dhcp = earlybird::logmodel::DhcpLog::new();
+    for k in 1..=50u8 {
+        dhcp.add(earlybird::logmodel::DhcpLease {
+            ip: Ipv4::new(10, 9, 0, k),
+            host: HostId::new(u32::from(k)),
+            start: Timestamp::from_secs(86_400),
+            end: Timestamp::from_secs(2 * 86_400),
+        });
+    }
+    let meta = DatasetMeta { total_days: 2, ..meta_for(64) };
+
+    let reference_domains = earlybird::logmodel::DomainInterner::new();
+    let reference_uas = earlybird::logmodel::UaInterner::new();
+    let reference_paths = earlybird::logmodel::PathInterner::new();
+    for line in dns_blocks.iter().flat_map(|block| block.lines()) {
+        parse_dns_line_unassigned(line, &reference_domains).expect("valid DNS line");
+    }
+    for line in proxy_blocks.iter().flat_map(|block| block.lines()) {
+        parse_proxy_line(line, &reference_domains, &reference_uas, &reference_paths)
+            .expect("valid proxy line");
+    }
+
+    let run = || {
+        let domains = Arc::new(earlybird::logmodel::DomainInterner::new());
+        let uas = Arc::new(earlybird::logmodel::UaInterner::new());
+        let paths = Arc::new(earlybird::logmodel::PathInterner::new());
+        let mut engine = EngineBuilder::lanl()
+            .parallelism(4)
+            .parallel_threshold(1)
+            .ingest_chunk_records(16)
+            .proxy_interners(Arc::clone(&uas), Arc::clone(&paths))
+            .build(Arc::clone(&domains), meta.clone())
+            .expect("valid config");
+        let mut ingest = engine.begin_day(Day::new(0), IngestSource::Dns);
+        for block in &dns_blocks {
+            assert!(ingest.push_lines(block).is_empty());
+        }
+        ingest.finish();
+        let mut ingest = engine.begin_day(Day::new(1), IngestSource::Proxy { dhcp: &dhcp });
+        for block in &proxy_blocks {
+            assert!(ingest.push_lines(block).is_empty());
+        }
+        assert!(ingest.finish().stages.records_in > 0);
+        assert_eq!(domains.tail(0), reference_domains.tail(0), "raw domain numbering");
+        assert_eq!(uas.tail(0), reference_uas.tail(0), "user-agent numbering");
+        assert_eq!(paths.tail(0), reference_paths.tail(0), "path numbering");
+        checkpoint_bytes(&engine)
+    };
+    assert_eq!(run(), run(), "two runs over the same lines freeze to the same bytes");
 }
 
 /// Interleaved DNS and proxy days on one engine, each streamed in
