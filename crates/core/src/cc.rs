@@ -84,11 +84,6 @@ impl CcDetector {
         )
     }
 
-    /// The automation detector in use.
-    pub fn automation(&self) -> &AutomationDetector {
-        &self.automation
-    }
-
     /// The scoring model in use.
     pub fn model(&self) -> &CcModel {
         &self.model

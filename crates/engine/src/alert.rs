@@ -64,7 +64,15 @@ pub trait AlertSink {
     fn emit(&mut self, alert: &Alert);
 }
 
-/// Shared handle to the alerts gathered by a [`CollectingSink`].
+/// Shared handle to the alerts gathered by a [`CollectingSink`] — also
+/// the service's per-tenant alert log.
+///
+/// Alerts are appended in engine delivery order, which is globally
+/// sequence-ordered (sequence numbers are allocated under the sink lock),
+/// so cursor reads are a binary search. After a restart a fresh collector
+/// starts empty while the engine's sequence counter resumes from the
+/// snapshot — so cursors held by clients stay monotone across restarts;
+/// they simply see no replayed alerts for days that were already durable.
 #[derive(Clone, Debug, Default)]
 pub struct CollectedAlerts {
     store: Arc<Mutex<Vec<Alert>>>,
@@ -74,6 +82,21 @@ impl CollectedAlerts {
     /// A snapshot of all alerts collected so far, in delivery order.
     pub fn snapshot(&self) -> Vec<Alert> {
         self.store.lock().expect("alert store poisoned").clone()
+    }
+
+    /// All alerts with `sequence >= since`, in sequence order.
+    pub fn since(&self, since: u64) -> Vec<Alert> {
+        let log = self.store.lock().expect("alert store poisoned");
+        let start = log.partition_point(|a| a.sequence < since);
+        log[start..].to_vec()
+    }
+
+    /// One past the highest sequence collected (`0` when empty): the
+    /// cursor a client should pass to [`CollectedAlerts::since`] to read
+    /// only alerts emitted after this call.
+    pub fn next_sequence(&self) -> u64 {
+        let log = self.store.lock().expect("alert store poisoned");
+        log.last().map_or(0, |a| a.sequence + 1)
     }
 
     /// Number of alerts collected so far.
@@ -109,72 +132,6 @@ impl CollectingSink {
 impl AlertSink for CollectingSink {
     fn emit(&mut self, alert: &Alert) {
         self.store.lock().expect("alert store poisoned").push(alert.clone());
-    }
-}
-
-/// Shared, queryable handle over the alerts emitted through an
-/// [`AlertLogSink`] — the service-facing alert store.
-///
-/// Alerts are appended in engine delivery order, which is globally
-/// sequence-ordered (sequence numbers are allocated under the sink lock),
-/// so cursor reads are a binary search. After a restart the log starts
-/// empty while the engine's sequence counter resumes from the snapshot —
-/// so cursors held by clients stay monotone across restarts; they simply
-/// see no replayed alerts for days that were already durable.
-#[derive(Clone, Debug, Default)]
-pub struct AlertLog {
-    store: Arc<Mutex<Vec<Alert>>>,
-}
-
-impl AlertLog {
-    /// All alerts with `sequence >= since`, in sequence order.
-    pub fn since(&self, since: u64) -> Vec<Alert> {
-        let log = self.store.lock().expect("alert log poisoned");
-        let start = log.partition_point(|a| a.sequence < since);
-        log[start..].to_vec()
-    }
-
-    /// One past the highest sequence in the log (`0` when empty): the
-    /// cursor a client should pass to [`AlertLog::since`] to read only
-    /// alerts emitted after this call.
-    pub fn next_sequence(&self) -> u64 {
-        let log = self.store.lock().expect("alert log poisoned");
-        log.last().map_or(0, |a| a.sequence + 1)
-    }
-
-    /// Number of alerts in the log.
-    pub fn len(&self) -> usize {
-        self.store.lock().expect("alert log poisoned").len()
-    }
-
-    /// Whether the log holds no alert.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// An in-memory sink backing an [`AlertLog`] query handle; the handle stays
-/// valid after the sink moves into the engine.
-#[derive(Debug, Default)]
-pub struct AlertLogSink {
-    store: Arc<Mutex<Vec<Alert>>>,
-}
-
-impl AlertLogSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The shared query handle.
-    pub fn log(&self) -> AlertLog {
-        AlertLog { store: Arc::clone(&self.store) }
-    }
-}
-
-impl AlertSink for AlertLogSink {
-    fn emit(&mut self, alert: &Alert) {
-        self.store.lock().expect("alert log poisoned").push(alert.clone());
     }
 }
 
@@ -311,8 +268,8 @@ mod tests {
 
     #[test]
     fn alert_log_cursor_reads_are_half_open() {
-        let sink = AlertLogSink::new();
-        let log = sink.log();
+        let sink = CollectingSink::new();
+        let log = sink.handle();
         assert_eq!(log.next_sequence(), 0, "empty log starts the cursor at 0");
         let mut sink: Box<dyn AlertSink> = Box::new(sink);
         for s in [2u64, 5, 9] {

@@ -155,21 +155,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Replaces the beacon detector.
-    pub fn automation(mut self, automation: AutomationDetector) -> Self {
-        self.cfg.automation = automation;
-        self
-    }
-
     /// Replaces the C&C scoring model.
     pub fn cc_model(mut self, model: CcModel) -> Self {
         self.cfg.cc_model = model;
-        self
-    }
-
-    /// Replaces the similarity scorer.
-    pub fn sim_scorer(mut self, sim: SimScorer) -> Self {
-        self.cfg.sim = sim;
         self
     }
 

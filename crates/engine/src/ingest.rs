@@ -316,7 +316,7 @@ impl DayIngest<'_, '_> {
                 let domains = engine.pipeline.raw_interner();
                 let misses = {
                     let reader = domains.reader();
-                    parse_shards(&shards, &mut chunks, |shard, chunk| {
+                    map_shards(shards.iter().zip(chunks.iter_mut()), |(shard, chunk)| {
                         lookup_dns_span(shard.iter().copied(), &reader, chunk)
                     })
                 };
@@ -345,7 +345,7 @@ impl DayIngest<'_, '_> {
                     (engine.pipeline.raw_interner(), &engine.uas, &engine.paths);
                 let misses = {
                     let readers = (domains.reader(), uas.reader(), paths.reader());
-                    parse_shards(&shards, &mut chunks, |shard, chunk| {
+                    map_shards(shards.iter().zip(chunks.iter_mut()), |(shard, chunk)| {
                         let (domains, uas, paths) = &readers;
                         lookup_proxy_span(shard.iter().copied(), domains, uas, paths, chunk)
                     })
@@ -448,7 +448,7 @@ fn reduce_dns_spans(engine: &mut Engine, accum: &mut DayAccum, spans: &[&[DnsQue
     let engine = &*engine;
     let chunk_span = engine.metrics.reduce_chunk.start();
     let reductions =
-        map_shards(spans, |span| engine.pipeline.reduce_dns_records(span, &engine.meta));
+        map_shards(spans.iter(), |span| engine.pipeline.reduce_dns_records(span, &engine.meta));
     chunk_span.finish();
     let _absorb_span = engine.metrics.reduce_absorb.start();
     for chunk in reductions {
@@ -469,7 +469,8 @@ fn reduce_proxy_spans(
     let _reduce_span = begin_reduce(engine, accum, spans);
     let normalize_span = engine.metrics.reduce_normalize.start();
     let shared = &*engine;
-    let normalized = map_shards(spans, |span| shared.pipeline.normalize_proxy_records(span, dhcp));
+    let normalized =
+        map_shards(spans.iter(), |span| shared.pipeline.normalize_proxy_records(span, dhcp));
     for (_, counts) in &normalized {
         accum.merge_norm(counts);
     }
@@ -480,10 +481,10 @@ fn reduce_proxy_spans(
     }
     names_span.finish();
     let engine = &*engine;
-    let norm_spans: Vec<&[ProxyRecord]> = normalized.iter().map(|(r, _)| r.as_slice()).collect();
     let chunk_span = engine.metrics.reduce_chunk.start();
-    let reductions =
-        map_shards(&norm_spans, |span| engine.pipeline.reduce_proxy_records(span, &engine.meta));
+    let reductions = map_shards(normalized.iter(), |(records, _)| {
+        engine.pipeline.reduce_proxy_records(records, &engine.meta)
+    });
     chunk_span.finish();
     let _absorb_span = engine.metrics.reduce_absorb.start();
     for chunk in reductions {
@@ -514,39 +515,20 @@ fn shard_spans<T>(items: &[T], workers: usize, chunk_records: usize) -> Vec<&[T]
     items.chunks(items.len().div_ceil(shards)).collect()
 }
 
-/// Maps `f` over the shards on scoped threads, preserving shard order; a
-/// single shard runs inline.
-fn map_shards<T: Sync, R: Send>(shards: &[&[T]], f: impl Fn(&[T]) -> R + Sync) -> Vec<R> {
-    if shards.len() <= 1 {
-        return shards.iter().map(|shard| f(shard)).collect();
-    }
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = shards.iter().map(|&shard| scope.spawn(move || f(shard))).collect();
-        handles.into_iter().map(|h| h.join().expect("ingest worker panicked")).collect()
-    })
-}
-
-/// Runs `f` over `(shard, scratch-buffer)` pairs on scoped threads (one
-/// buffer per shard, mutated in place), returning its results in shard
-/// order; a single pair runs inline.
-fn parse_shards<T: Sync, B: Send, R: Send>(
-    shards: &[&[T]],
-    bufs: &mut [B],
-    f: impl Fn(&[T], &mut B) -> R + Sync,
+/// Maps `f` over the items — shards, or `(shard, scratch buffer)` pairs —
+/// on scoped threads, one per item, preserving item order; a single item
+/// runs inline.
+fn map_shards<I: Send, R: Send>(
+    items: impl ExactSizeIterator<Item = I>,
+    f: impl Fn(I) -> R + Sync,
 ) -> Vec<R> {
-    debug_assert_eq!(shards.len(), bufs.len());
-    if shards.len() <= 1 {
-        return shards.iter().zip(bufs).map(|(&shard, buf)| f(shard, buf)).collect();
+    if items.len() <= 1 {
+        return items.map(f).collect();
     }
     std::thread::scope(|scope| {
         let f = &f;
-        let handles: Vec<_> = shards
-            .iter()
-            .zip(bufs.iter_mut())
-            .map(|(&shard, buf)| scope.spawn(move || f(shard, buf)))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("ingest parse worker panicked")).collect()
+        let handles: Vec<_> = items.map(|item| scope.spawn(move || f(item))).collect();
+        handles.into_iter().map(|h| h.join().expect("ingest worker panicked")).collect()
     })
 }
 
@@ -572,7 +554,7 @@ mod tests {
     fn map_shards_preserves_order() {
         let items: Vec<u32> = (0..64).collect();
         let shards = shard_spans(&items, 4, 4);
-        let sums = map_shards(&shards, |s| s.iter().sum::<u32>());
+        let sums = map_shards(shards.iter(), |s| s.iter().sum::<u32>());
         let expected: Vec<u32> = shards.iter().map(|s| s.iter().sum()).collect();
         assert_eq!(sums, expected);
     }

@@ -42,10 +42,9 @@
 //!   [`RetentionPolicy::retain_days`], and O(current state) restore via
 //!   [`Persistence::restore`] no matter how long the service ran.
 //!   Storage is pluggable through the [`ObjectStore`] trait —
-//!   [`LocalFsBackend`] (byte-compatible with pre-trait directories),
-//!   [`MemBackend`], or the S3-style [`S3LiteBackend`] with multipart
-//!   staging and a conditional manifest swap. Raw byte streams without a
-//!   managed directory read back through
+//!   [`LocalFsBackend`] (byte-compatible with pre-trait directories) or
+//!   [`MemBackend`] (in-process, with a conditional manifest swap). Raw
+//!   byte streams without a managed directory read back through
 //!   [`EngineBuilder::restore_stream`].
 //! * Observability rides along the whole cycle: per-stage wall-time
 //!   histograms (`engine_stage_micros{stage=parse|reduce|profile|cc|bp|
@@ -87,8 +86,8 @@ mod report;
 mod train;
 
 pub use alert::{
-    Alert, AlertLog, AlertLogSink, AlertSink, CallbackSink, CollectedAlerts, CollectingSink,
-    JsonLinesSink, Verdict, WriteErrors,
+    Alert, AlertSink, CallbackSink, CollectedAlerts, CollectingSink, JsonLinesSink, Verdict,
+    WriteErrors,
 };
 pub use batch::DayBatch;
 pub use builder::{EngineBuilder, EngineConfig, EngineError};
@@ -97,7 +96,7 @@ pub use earlybird_obs::{MetricsRegistry, MetricsSnapshot};
 pub use earlybird_store::{
     validate_scope_name, BlockKind, CheckpointMeta, CompactionReport, CompactionTrigger,
     FaultInjector, FaultedStore, LifecycleConfig, LocalFsBackend, MemBackend, ObjectStore,
-    RetentionPolicy, S3LiteBackend, StoreDir, StoreError, StoreResult,
+    RetentionPolicy, StoreDir, StoreError, StoreResult,
 };
 pub use ingest::{DayIngest, DayState, IngestSource};
 pub use persist::EngineSnapshot;

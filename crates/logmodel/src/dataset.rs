@@ -35,11 +35,6 @@ impl DatasetMeta {
         self.host_kinds.get(host.index() as usize).copied().unwrap_or(HostKind::Workstation)
     }
 
-    /// First day of the operation (post-bootstrap) period.
-    pub fn first_operation_day(&self) -> Day {
-        Day::new(self.bootstrap_days)
-    }
-
     /// Days in the operation period.
     pub fn operation_days(&self) -> impl Iterator<Item = Day> {
         Day::new(self.bootstrap_days).range_to(Day::new(self.total_days))

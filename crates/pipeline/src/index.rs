@@ -472,12 +472,6 @@ impl DayIndexBuilder {
         }
     }
 
-    /// Number of `(host, new-domain)` edges tracked so far — the builder's
-    /// dominant memory cost, useful for monitoring long streams.
-    pub fn tracked_edge_count(&self) -> usize {
-        self.edge_series.len()
-    }
-
     /// Applies the unpopularity threshold and seals the day into the
     /// immutable [`DayIndex`].
     pub fn finalize(self) -> DayIndex {

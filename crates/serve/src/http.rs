@@ -6,7 +6,7 @@
 //! `Connection: close` negotiation — so the whole wire layer stays
 //! auditable and dependency-free.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Maximum bytes of request line + headers before the request is refused.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -226,13 +226,16 @@ fn malformed(msg: &str) -> ReadError {
 }
 
 /// Reads one CRLF- (or LF-) terminated line; `None` on EOF at a line
-/// boundary with nothing read.
+/// boundary with nothing read. The read itself is bounded by what is left
+/// of the head budget, so a peer that never sends a newline costs at most
+/// [`MAX_HEAD_BYTES`] + 1 buffered bytes.
 fn read_line<R: BufRead>(
     input: &mut R,
     head_bytes: &mut usize,
 ) -> Result<Option<String>, ReadError> {
     let mut raw = Vec::new();
-    let n = input.read_until(b'\n', &mut raw)?;
+    let budget = (MAX_HEAD_BYTES + 1).saturating_sub(*head_bytes) as u64;
+    let n = input.by_ref().take(budget).read_until(b'\n', &mut raw)?;
     if n == 0 {
         return Ok(None);
     }
@@ -344,6 +347,28 @@ mod tests {
             parse("POST /x HTTP/1.1\r\nContent-Length: 9999\r\n\r\n"),
             Err(ReadError::TooLarge(_))
         ));
+    }
+
+    /// Serves `b'a'` without end, counting what it hands out.
+    struct Endless {
+        served: usize,
+    }
+
+    impl Read for Endless {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            buf.fill(b'a');
+            self.served += buf.len();
+            Ok(buf.len())
+        }
+    }
+
+    #[test]
+    fn a_head_without_newlines_is_refused_after_a_bounded_read() {
+        // The cap keeps a regression from hanging the suite.
+        let mut input = io::BufReader::new(Endless { served: 0 }.take(64 << 20));
+        assert!(matches!(read_request(&mut input, 1024), Err(ReadError::TooLarge(_))));
+        let served = input.get_ref().get_ref().served;
+        assert!(served <= 2 * MAX_HEAD_BYTES + 8192, "consumed {served} bytes");
     }
 
     #[test]

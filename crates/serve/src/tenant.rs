@@ -13,7 +13,7 @@
 //!   releases every tenant lock and awaits the commit handle — both
 //!   queries *and further ingest* proceed while the day's bytes hit
 //!   storage, which is the slow part of sealing a day.
-//! * Alert reads go through the lock-free-shared [`AlertLog`] handle and
+//! * Alert reads go through the shared [`CollectedAlerts`] handle and
 //!   never touch the engine locks at all.
 //!
 //! ## Durability contract
@@ -29,8 +29,8 @@
 use crate::error::ServeError;
 use crate::wire::{AlertsPage, FinishAck, InvestigateRequest, SpanAck, TenantSpec, TenantSummary};
 use earlybird_engine::{
-    AlertLog, AlertLogSink, DayState, Engine, EngineBuilder, IngestSource, InvestigationReport,
-    LifecycleConfig, Persistence, SnapshotPolicy, StoreDir,
+    CollectedAlerts, CollectingSink, DayState, Engine, EngineBuilder, IngestSource,
+    InvestigationReport, LifecycleConfig, Persistence, SnapshotPolicy, StoreDir,
 };
 use earlybird_logmodel::Day;
 use earlybird_obs::{Counter, Gauge, MetricsRegistry, StageTimer};
@@ -142,7 +142,7 @@ pub struct Tenant {
     name: String,
     core: RwLock<TenantCore>,
     persistence: Persistence,
-    alerts: AlertLog,
+    alerts: CollectedAlerts,
     limits: TenantLimits,
     inflight_spans: AtomicUsize,
     open_bytes: AtomicUsize,
@@ -180,8 +180,8 @@ impl Tenant {
         registry: &Arc<MetricsRegistry>,
     ) -> Result<Tenant, ServeError> {
         let meta = spec.dataset_meta()?;
-        let sink = AlertLogSink::new();
-        let alerts = sink.log();
+        let sink = CollectingSink::new();
+        let alerts = sink.handle();
         let engine = spec
             .builder()
             .sink(sink)
@@ -236,8 +236,8 @@ impl Tenant {
         // Attach before the restore reads so the cold start's chain gets
         // fetched under the store's `get` span.
         dir.attach_metrics(registry, &[("tenant", name)]);
-        let sink = AlertLogSink::new();
-        let alerts = sink.log();
+        let sink = CollectingSink::new();
+        let alerts = sink.handle();
         let persistence = Persistence::new(dir, Self::policy());
         let builder = EngineBuilder::lanl()
             .sink(sink)
@@ -259,7 +259,7 @@ impl Tenant {
         name: &str,
         engine: Engine,
         persistence: Persistence,
-        alerts: AlertLog,
+        alerts: CollectedAlerts,
         limits: TenantLimits,
         registry: &MetricsRegistry,
     ) -> Tenant {

@@ -11,16 +11,12 @@
 //!   `MANIFEST`, the same `quarantine/` sweep.
 //! * [`MemBackend`] — an in-process store for fast tests and fault
 //!   injection; clones share the same state, so a "reopened" store sees
-//!   exactly what the "crashed" one committed.
-//! * [`S3LiteBackend`] — an S3-style simulation: uploads are staged as
-//!   multipart parts and become visible only at finalize (complete), the
-//!   manifest swap is a *conditional put* on the generation counter, and
-//!   abandoned uploads linger in the staging area until
-//!   [`S3LiteBackend::abort_stale_uploads`] (the moral equivalent of a
-//!   bucket lifecycle rule) reaps them. A real S3/GCS client drops into
-//!   this adapter shape: `CreateMultipartUpload` / `UploadPart` /
-//!   `CompleteMultipartUpload` for [`ObjectStore::put_atomic`], and
-//!   `If-Match`-style conditional writes for [`ObjectStore::swap_manifest`].
+//!   exactly what the "crashed" one committed. Its manifest swap is a
+//!   *conditional put* on the generation counter and its finalize is
+//!   create-only — the shape a real S3/GCS adapter takes behind this
+//!   trait: `If-Match`-style conditional writes for
+//!   [`ObjectStore::swap_manifest`] and a multipart upload completed at
+//!   [`ObjectUpload::finalize`] for [`ObjectStore::put_atomic`].
 //!
 //! # The contract
 //!
@@ -28,10 +24,10 @@
 //!
 //! 1. **`put_atomic` is visible-or-absent.** Bytes written through the
 //!    returned [`ObjectUpload`] are staged (a `*.tmp` file, a buffered
-//!    blob, multipart parts); the object appears under its final name only
-//!    when [`ObjectUpload::finalize`] returns `Ok`. A crash or drop before
+//!    blob); the object appears under its final name only when
+//!    [`ObjectUpload::finalize`] returns `Ok`. A crash or drop before
 //!    that leaves at most staging residue, never a half-visible object.
-//!    On the conditional backends finalize is also *create-only*: a name
+//!    On the conditional backend finalize is also *create-only*: a name
 //!    that already holds an object means another writer won the race for
 //!    this generation, refused with a typed
 //!    [`StoreError::ObjectConflict`] instead of clobbering the winner's
@@ -42,8 +38,8 @@
 //!    loses with a typed [`StoreError::ManifestConflict`] instead of
 //!    silently clobbering the chain. `LocalFsBackend` relies on
 //!    rename-atomicity and a single-writer-per-directory deployment (POSIX
-//!    rename cannot compare-and-swap); `MemBackend` and `S3LiteBackend`
-//!    enforce the condition.
+//!    rename cannot compare-and-swap); `MemBackend` enforces the
+//!    condition.
 //! 3. **`list`/`get`/`delete`/`quarantine`** operate on the live namespace
 //!    only; quarantined objects move to a separate namespace and never
 //!    reappear in `list`.
@@ -52,7 +48,7 @@
 //! [`FaultedStore`] accounts every mutating operation against a
 //! [`FaultInjector`] and fails the N-th (and, like a dead process, every
 //! one after it) — so the kill-at-every-mutation durability sweeps run
-//! unchanged against all three backends.
+//! unchanged against both backends.
 
 use crate::error::{StoreError, StoreResult};
 use std::collections::BTreeMap;
@@ -70,7 +66,7 @@ pub const MANIFEST_NAME: &str = "MANIFEST";
 const QUARANTINE_PREFIX: &str = "quarantine/";
 
 /// Namespace component scoped (per-tenant) stores live under: a directory
-/// for [`LocalFsBackend`], a key prefix for the in-memory backends.
+/// for [`LocalFsBackend`], a key prefix for [`MemBackend`].
 const SCOPE_PREFIX: &str = "tenants/";
 
 // -- the trait --------------------------------------------------------------
@@ -90,9 +86,8 @@ pub struct ObjectInfo {
 /// Bytes written through [`Write`] are staged; the object becomes visible
 /// under its final name only when [`ObjectUpload::finalize`] returns `Ok`.
 /// Dropping the handle abandons the upload: the object never appears, and
-/// any staging residue (a temp file, staged multipart parts) is the next
-/// open's quarantine/GC problem — exactly like a process that died
-/// mid-upload.
+/// any staging residue (a temp file) is the next open's quarantine/GC
+/// problem — exactly like a process that died mid-upload.
 pub trait ObjectUpload: Write + Send + fmt::Debug {
     /// Bytes staged so far (written through this handle).
     fn bytes_staged(&self) -> u64;
@@ -117,8 +112,8 @@ pub trait ObjectUpload: Write + Send + fmt::Debug {
 /// [`crate::lifecycle::StoreDir`] that spawned it is still usable for
 /// reads.
 pub trait ObjectStore: fmt::Debug + Send {
-    /// Short static identifier (`"localfs"`, `"mem"`, `"s3lite"`) for
-    /// error contexts and test matrices.
+    /// Short static identifier (`"localfs"`, `"mem"`) for error contexts
+    /// and test matrices.
     fn kind(&self) -> &'static str;
 
     /// Human-readable location for error messages (a path, a bucket, ...).
@@ -498,7 +493,7 @@ impl ObjectUpload for LocalFsUpload {
     }
 }
 
-// -- shared in-memory plumbing ----------------------------------------------
+// -- in-memory backend ------------------------------------------------------
 
 /// `Read` over shared immutable bytes (what `get` hands out so a reader
 /// outlives the backend lock).
@@ -526,123 +521,24 @@ fn lock_state<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn missing(name: &str, kind: &str) -> StoreError {
+fn missing(name: &str) -> StoreError {
     StoreError::Io(io::Error::new(
         io::ErrorKind::NotFound,
-        format!("object {name:?} not found in {kind} store"),
+        format!("object {name:?} not found in mem store"),
     ))
 }
 
-/// The map-shaped service state the in-memory backends share: live
-/// objects, the quarantine namespace, and the generation-tagged manifests
-/// (one per scope — the root store's lives under the empty prefix). One
-/// implementation of the get/list/delete/quarantine/manifest semantics
-/// that [`MemBackend`] and [`S3LiteBackend`] both defer to, so the two can
-/// never silently diverge. Scoped handles carry a key prefix
-/// (`tenants/<name>/`, nested as needed) into every call; keys inside a
-/// scope are flat, so prefix membership is unambiguous.
+/// [`MemBackend`]'s shared state: live objects, the quarantine namespace,
+/// and the generation-tagged manifests (one per scope — the root store's
+/// lives under the empty prefix). Keys carry the owning handle's scope
+/// prefix (`tenants/<name>/`, nested as needed); keys inside a scope are
+/// flat, so prefix membership is unambiguous.
 #[derive(Clone, Debug, Default)]
 struct ObjectMap {
     objects: BTreeMap<String, Arc<Vec<u8>>>,
     quarantine: BTreeMap<String, Arc<Vec<u8>>>,
     manifests: BTreeMap<String, (u64, Vec<u8>)>,
 }
-
-impl ObjectMap {
-    fn get(&self, prefix: &str, name: &str, kind: &str) -> StoreResult<Box<dyn Read + Send>> {
-        let key = format!("{prefix}{name}");
-        let bytes = self.objects.get(&key).ok_or_else(|| missing(name, kind))?;
-        Ok(Box::new(SharedBytes(io::Cursor::new(ArcBytes(Arc::clone(bytes))))))
-    }
-
-    fn list(&self, prefix: &str) -> Vec<ObjectInfo> {
-        self.objects
-            .iter()
-            .filter_map(|(key, bytes)| {
-                let name = key.strip_prefix(prefix)?;
-                // Deeper keys belong to child scopes, not this namespace.
-                if name.contains('/') {
-                    return None;
-                }
-                Some(ObjectInfo { name: name.to_string(), bytes: bytes.len() as u64 })
-            })
-            .collect()
-    }
-
-    fn delete(&mut self, prefix: &str, name: &str, kind: &str) -> StoreResult<()> {
-        let key = format!("{prefix}{name}");
-        self.objects.remove(&key).map(|_| ()).ok_or_else(|| missing(name, kind))
-    }
-
-    fn quarantine(&mut self, prefix: &str, name: &str, kind: &str) -> StoreResult<String> {
-        let bytes =
-            self.objects.remove(&format!("{prefix}{name}")).ok_or_else(|| missing(name, kind))?;
-        let mut key = format!("{prefix}{QUARANTINE_PREFIX}{name}");
-        let mut suffix = 0u32;
-        while self.quarantine.contains_key(&key) {
-            suffix += 1;
-            key = format!("{prefix}{QUARANTINE_PREFIX}{name}.{suffix}");
-        }
-        self.quarantine.insert(key.clone(), bytes);
-        Ok(key)
-    }
-
-    fn read_manifest(&self, prefix: &str) -> Option<Vec<u8>> {
-        self.manifests.get(prefix).map(|(_, bytes)| bytes.clone())
-    }
-
-    fn swap_manifest(
-        &mut self,
-        prefix: &str,
-        expected: Option<u64>,
-        next: u64,
-        bytes: &[u8],
-    ) -> StoreResult<()> {
-        let found = self.manifests.get(prefix).map(|(g, _)| *g);
-        if found != expected {
-            return Err(StoreError::ManifestConflict { expected, found });
-        }
-        self.manifests.insert(prefix.to_string(), (next, bytes.to_vec()));
-        Ok(())
-    }
-
-    /// Create-only commit of a finished upload: a name that already holds
-    /// an object means another writer won the race for this generation —
-    /// refused typed, never clobbered.
-    fn insert_new(&mut self, key: String, bytes: Vec<u8>) -> StoreResult<()> {
-        if self.objects.contains_key(&key) {
-            let name = key.rsplit('/').next().unwrap_or(&key).to_string();
-            return Err(StoreError::ObjectConflict { name });
-        }
-        self.objects.insert(key, Arc::new(bytes));
-        Ok(())
-    }
-
-    /// Scope names directly under `prefix` whose store holds a manifest.
-    fn scopes(&self, prefix: &str) -> Vec<String> {
-        let base = format!("{prefix}{SCOPE_PREFIX}");
-        self.manifests
-            .keys()
-            .filter_map(|key| {
-                let rest = key.strip_prefix(&base)?;
-                let name = rest.strip_suffix('/')?;
-                // Exactly one path segment: deeper keys are nested scopes.
-                if name.is_empty() || name.contains('/') {
-                    return None;
-                }
-                Some(name.to_string())
-            })
-            .collect()
-    }
-}
-
-/// Key prefix of the child scope `name` under `prefix`.
-fn child_prefix(prefix: &str, name: &str) -> StoreResult<String> {
-    validate_scope_name(name)?;
-    Ok(format!("{prefix}{SCOPE_PREFIX}{name}/"))
-}
-
-// -- in-memory backend ------------------------------------------------------
 
 /// An in-process [`ObjectStore`] for fast tests and fault injection.
 ///
@@ -673,6 +569,10 @@ impl MemBackend {
         let map = lock_state(&self.state).clone();
         MemBackend { state: Arc::new(Mutex::new(map)), prefix: self.prefix.clone() }
     }
+
+    fn key(&self, name: &str) -> String {
+        format!("{}{name}", self.prefix)
+    }
 }
 
 impl ObjectStore for MemBackend {
@@ -692,44 +592,90 @@ impl ObjectStore for MemBackend {
         validate_name(name)?;
         Ok(Box::new(MemUpload {
             state: Arc::clone(&self.state),
-            key: format!("{}{name}", self.prefix),
+            key: self.key(name),
             buf: Vec::new(),
         }))
     }
 
     fn get(&self, name: &str) -> StoreResult<Box<dyn Read + Send>> {
-        lock_state(&self.state).get(&self.prefix, name, self.kind())
+        let state = lock_state(&self.state);
+        let bytes = state.objects.get(&self.key(name)).ok_or_else(|| missing(name))?;
+        Ok(Box::new(SharedBytes(io::Cursor::new(ArcBytes(Arc::clone(bytes))))))
     }
 
     fn list(&self) -> StoreResult<Vec<ObjectInfo>> {
-        Ok(lock_state(&self.state).list(&self.prefix))
+        let state = lock_state(&self.state);
+        Ok(state
+            .objects
+            .iter()
+            .filter_map(|(key, bytes)| {
+                let name = key.strip_prefix(&self.prefix)?;
+                // Deeper keys belong to child scopes, not this namespace.
+                if name.contains('/') {
+                    return None;
+                }
+                Some(ObjectInfo { name: name.to_string(), bytes: bytes.len() as u64 })
+            })
+            .collect())
     }
 
     fn delete(&self, name: &str) -> StoreResult<()> {
-        lock_state(&self.state).delete(&self.prefix, name, self.kind())
+        lock_state(&self.state)
+            .objects
+            .remove(&self.key(name))
+            .map(|_| ())
+            .ok_or_else(|| missing(name))
     }
 
     fn quarantine(&self, name: &str) -> StoreResult<String> {
-        lock_state(&self.state).quarantine(&self.prefix, name, self.kind())
+        let mut state = lock_state(&self.state);
+        let bytes = state.objects.remove(&self.key(name)).ok_or_else(|| missing(name))?;
+        let mut key = format!("{}{QUARANTINE_PREFIX}{name}", self.prefix);
+        let mut suffix = 0u32;
+        while state.quarantine.contains_key(&key) {
+            suffix += 1;
+            key = format!("{}{QUARANTINE_PREFIX}{name}.{suffix}", self.prefix);
+        }
+        state.quarantine.insert(key.clone(), bytes);
+        Ok(key)
     }
 
     fn read_manifest(&self) -> StoreResult<Option<Vec<u8>>> {
-        Ok(lock_state(&self.state).read_manifest(&self.prefix))
+        Ok(lock_state(&self.state).manifests.get(&self.prefix).map(|(_, bytes)| bytes.clone()))
     }
 
     fn swap_manifest(&self, expected: Option<u64>, next: u64, bytes: &[u8]) -> StoreResult<()> {
-        lock_state(&self.state).swap_manifest(&self.prefix, expected, next, bytes)
+        let mut state = lock_state(&self.state);
+        let found = state.manifests.get(&self.prefix).map(|(g, _)| *g);
+        if found != expected {
+            return Err(StoreError::ManifestConflict { expected, found });
+        }
+        state.manifests.insert(self.prefix.clone(), (next, bytes.to_vec()));
+        Ok(())
     }
 
     fn scope(&self, name: &str) -> StoreResult<Box<dyn ObjectStore>> {
+        validate_scope_name(name)?;
         Ok(Box::new(MemBackend {
             state: Arc::clone(&self.state),
-            prefix: child_prefix(&self.prefix, name)?,
+            prefix: format!("{}{SCOPE_PREFIX}{name}/", self.prefix),
         }))
     }
 
     fn scopes(&self) -> StoreResult<Vec<String>> {
-        Ok(lock_state(&self.state).scopes(&self.prefix))
+        let base = format!("{}{SCOPE_PREFIX}", self.prefix);
+        Ok(lock_state(&self.state)
+            .manifests
+            .keys()
+            .filter_map(|key| {
+                let name = key.strip_prefix(&base)?.strip_suffix('/')?;
+                // Exactly one path segment: deeper keys are nested scopes.
+                if name.is_empty() || name.contains('/') {
+                    return None;
+                }
+                Some(name.to_string())
+            })
+            .collect())
     }
 }
 
@@ -758,240 +704,17 @@ impl ObjectUpload for MemUpload {
         self.buf.len() as u64
     }
 
+    /// Create-only: a name that already holds an object means another
+    /// writer won the race for this generation — refused typed, never
+    /// clobbered.
     fn finalize(self: Box<Self>) -> StoreResult<()> {
-        lock_state(&self.state).insert_new(self.key, self.buf)
-    }
-}
-
-// -- S3-style backend -------------------------------------------------------
-
-#[derive(Debug)]
-struct StagedUpload {
-    key: String,
-    parts: Vec<Vec<u8>>,
-}
-
-#[derive(Debug, Default)]
-struct S3State {
-    map: ObjectMap,
-    uploads: BTreeMap<u64, StagedUpload>,
-    next_upload: u64,
-}
-
-/// An S3-style [`ObjectStore`] simulation: multipart uploads staged
-/// server-side, finalize-or-abort visibility, and a conditional manifest
-/// swap on the generation counter.
-///
-/// The simulation keeps the *protocol shape* of a real object store while
-/// staying in memory: [`ObjectStore::put_atomic`] opens a multipart
-/// upload, each `part_size` bytes become one staged part
-/// (`UploadPart`), and [`ObjectUpload::finalize`] completes the upload —
-/// only then does the object appear. A handle dropped mid-upload (a dead
-/// process) leaves its parts in the staging area, invisible to
-/// [`ObjectStore::list`], until [`S3LiteBackend::abort_stale_uploads`]
-/// reaps them — the same hygiene a bucket lifecycle rule provides in
-/// production. [`ObjectStore::swap_manifest`] is a conditional put: a
-/// stale expected generation is refused with
-/// [`StoreError::ManifestConflict`], which is what makes multi-writer
-/// deployments safe.
-///
-/// Clones share the simulated service (like [`MemBackend`]); use
-/// [`S3LiteBackend::fork`] for an independent deep copy.
-#[derive(Clone, Debug)]
-pub struct S3LiteBackend {
-    state: Arc<Mutex<S3State>>,
-    part_size: usize,
-    /// Key prefix of this handle's scope (empty for the root namespace).
-    prefix: String,
-}
-
-impl S3LiteBackend {
-    /// Part size used by [`S3LiteBackend::new`] (real S3 enforces a 5 MiB
-    /// minimum; the simulation uses a small size so test blocks actually
-    /// exercise multi-part paths).
-    pub const DEFAULT_PART_SIZE: usize = 64 * 1024;
-
-    /// A fresh simulated service with the default part size.
-    pub fn new() -> Self {
-        Self::with_part_size(Self::DEFAULT_PART_SIZE)
-    }
-
-    /// A fresh simulated service splitting uploads every `part_size`
-    /// bytes (clamped to at least 1).
-    pub fn with_part_size(part_size: usize) -> Self {
-        S3LiteBackend {
-            state: Arc::new(Mutex::new(S3State::default())),
-            part_size: part_size.max(1),
-            prefix: String::new(),
+        let mut state = lock_state(&self.state);
+        if state.objects.contains_key(&self.key) {
+            let name = self.key.rsplit('/').next().unwrap_or(&self.key).to_string();
+            return Err(StoreError::ObjectConflict { name });
         }
-    }
-
-    /// A deep copy with its own independent service state (unlike
-    /// [`Clone`], which shares). Child scopes are copied too; the fork
-    /// views the same scope as `self`.
-    pub fn fork(&self) -> Self {
-        let s = lock_state(&self.state);
-        S3LiteBackend {
-            state: Arc::new(Mutex::new(S3State {
-                map: s.map.clone(),
-                uploads: BTreeMap::new(),
-                next_upload: s.next_upload,
-            })),
-            part_size: self.part_size,
-            prefix: self.prefix.clone(),
-        }
-    }
-
-    /// Multipart uploads currently staged (opened but neither completed
-    /// nor aborted) — crash residue in a real bucket.
-    pub fn staged_uploads(&self) -> usize {
-        lock_state(&self.state).uploads.len()
-    }
-
-    /// Aborts every staged multipart upload (the bucket-lifecycle-rule
-    /// cleanup), returning how many were reaped.
-    pub fn abort_stale_uploads(&self) -> usize {
-        let mut s = lock_state(&self.state);
-        let n = s.uploads.len();
-        s.uploads.clear();
-        n
-    }
-}
-
-impl Default for S3LiteBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ObjectStore for S3LiteBackend {
-    fn kind(&self) -> &'static str {
-        "s3lite"
-    }
-
-    fn describe(&self) -> String {
-        if self.prefix.is_empty() {
-            self.kind().to_string()
-        } else {
-            format!("{}:{}", self.kind(), self.prefix)
-        }
-    }
-
-    fn put_atomic(&self, name: &str) -> StoreResult<Box<dyn ObjectUpload>> {
-        validate_name(name)?;
-        let mut s = lock_state(&self.state);
-        let upload_id = s.next_upload;
-        s.next_upload += 1;
-        let key = format!("{}{name}", self.prefix);
-        s.uploads.insert(upload_id, StagedUpload { key, parts: Vec::new() });
-        Ok(Box::new(S3Upload {
-            state: Arc::clone(&self.state),
-            upload_id,
-            part_size: self.part_size,
-            buf: Vec::new(),
-            staged: 0,
-        }))
-    }
-
-    fn get(&self, name: &str) -> StoreResult<Box<dyn Read + Send>> {
-        lock_state(&self.state).map.get(&self.prefix, name, self.kind())
-    }
-
-    fn list(&self) -> StoreResult<Vec<ObjectInfo>> {
-        Ok(lock_state(&self.state).map.list(&self.prefix))
-    }
-
-    fn delete(&self, name: &str) -> StoreResult<()> {
-        lock_state(&self.state).map.delete(&self.prefix, name, self.kind())
-    }
-
-    fn quarantine(&self, name: &str) -> StoreResult<String> {
-        lock_state(&self.state).map.quarantine(&self.prefix, name, self.kind())
-    }
-
-    fn read_manifest(&self) -> StoreResult<Option<Vec<u8>>> {
-        Ok(lock_state(&self.state).map.read_manifest(&self.prefix))
-    }
-
-    fn swap_manifest(&self, expected: Option<u64>, next: u64, bytes: &[u8]) -> StoreResult<()> {
-        lock_state(&self.state).map.swap_manifest(&self.prefix, expected, next, bytes)
-    }
-
-    fn scope(&self, name: &str) -> StoreResult<Box<dyn ObjectStore>> {
-        Ok(Box::new(S3LiteBackend {
-            state: Arc::clone(&self.state),
-            part_size: self.part_size,
-            prefix: child_prefix(&self.prefix, name)?,
-        }))
-    }
-
-    fn scopes(&self) -> StoreResult<Vec<String>> {
-        Ok(lock_state(&self.state).map.scopes(&self.prefix))
-    }
-}
-
-/// One multipart upload session: bytes buffer client-side until a full
-/// part is ready, each part is staged with the service, and finalize
-/// completes the upload (concatenating parts into the visible object).
-#[derive(Debug)]
-struct S3Upload {
-    state: Arc<Mutex<S3State>>,
-    upload_id: u64,
-    part_size: usize,
-    buf: Vec<u8>,
-    staged: u64,
-}
-
-impl S3Upload {
-    fn stage_part(&mut self, part: Vec<u8>) -> io::Result<()> {
-        let mut s = lock_state(&self.state);
-        let upload = s.uploads.get_mut(&self.upload_id).ok_or_else(|| {
-            io::Error::other(format!("multipart upload {} was aborted", self.upload_id))
-        })?;
-        upload.parts.push(part);
+        state.objects.insert(self.key, Arc::new(self.buf));
         Ok(())
-    }
-}
-
-impl Write for S3Upload {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.buf.extend_from_slice(buf);
-        self.staged += buf.len() as u64;
-        while self.buf.len() >= self.part_size {
-            let rest = self.buf.split_off(self.part_size);
-            let part = std::mem::replace(&mut self.buf, rest);
-            self.stage_part(part)?;
-        }
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl ObjectUpload for S3Upload {
-    fn bytes_staged(&self) -> u64 {
-        self.staged
-    }
-
-    fn finalize(mut self: Box<Self>) -> StoreResult<()> {
-        if !self.buf.is_empty() {
-            let tail = std::mem::take(&mut self.buf);
-            self.stage_part(tail)?;
-        }
-        let mut s = lock_state(&self.state);
-        let upload = s.uploads.remove(&self.upload_id).ok_or_else(|| {
-            StoreError::Io(io::Error::other(format!(
-                "multipart upload {} was aborted before completion",
-                self.upload_id
-            )))
-        })?;
-        let mut whole = Vec::with_capacity(upload.parts.iter().map(Vec::len).sum());
-        for part in upload.parts {
-            whole.extend_from_slice(&part);
-        }
-        s.map.insert_new(upload.key, whole)
     }
 }
 
@@ -1203,11 +926,7 @@ mod tests {
         let root = std::env::temp_dir()
             .join(format!("earlybird-backend-unit-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
-        vec![
-            Box::new(LocalFsBackend::new(&root).unwrap()),
-            Box::new(MemBackend::new()),
-            Box::new(S3LiteBackend::with_part_size(7)),
-        ]
+        vec![Box::new(LocalFsBackend::new(&root).unwrap()), Box::new(MemBackend::new())]
     }
 
     #[test]
@@ -1265,75 +984,45 @@ mod tests {
 
     #[test]
     fn conditional_manifest_swap_enforces_generations() {
-        for backend in
-            [Box::new(MemBackend::new()) as Box<dyn ObjectStore>, Box::new(S3LiteBackend::new())]
-        {
-            let kind = backend.kind();
-            assert_eq!(backend.read_manifest().unwrap(), None, "{kind}");
-            // Creating over nothing requires expected = None.
-            assert!(matches!(
-                backend.swap_manifest(Some(0), 1, b"m1"),
-                Err(StoreError::ManifestConflict { expected: Some(0), found: None })
-            ));
-            backend.swap_manifest(None, 0, b"m0").unwrap();
-            // Creating twice loses.
-            assert!(matches!(
-                backend.swap_manifest(None, 0, b"m0'"),
-                Err(StoreError::ManifestConflict { expected: None, found: Some(0) })
-            ));
-            backend.swap_manifest(Some(0), 1, b"m1").unwrap();
-            // A writer that still believes generation 0 loses.
-            assert!(matches!(
-                backend.swap_manifest(Some(0), 2, b"stale"),
-                Err(StoreError::ManifestConflict { expected: Some(0), found: Some(1) })
-            ));
-            assert_eq!(backend.read_manifest().unwrap().as_deref(), Some(&b"m1"[..]), "{kind}");
-        }
-    }
-
-    #[test]
-    fn s3lite_stages_multipart_and_reaps_aborted_uploads() {
-        let backend = S3LiteBackend::with_part_size(4);
-        let mut up = backend.put_atomic("part.ebstore").unwrap();
-        up.write_all(b"0123456789").unwrap(); // 2 full parts staged, 2 bytes buffered
-        assert_eq!(backend.staged_uploads(), 1);
-        drop(up); // dead process: parts linger in staging
-        assert_eq!(backend.staged_uploads(), 1, "aborted upload stays staged");
-        assert!(backend.get("part.ebstore").is_err(), "never became visible");
-        assert_eq!(backend.abort_stale_uploads(), 1, "lifecycle rule reaps it");
-        assert_eq!(backend.staged_uploads(), 0);
-
-        // A finalized upload spanning several parts is byte-exact.
-        let mut up = backend.put_atomic("part.ebstore").unwrap();
-        up.write_all(b"0123456789").unwrap();
-        up.finalize().unwrap();
-        let mut back = Vec::new();
-        backend.get("part.ebstore").unwrap().read_to_end(&mut back).unwrap();
-        assert_eq!(back, b"0123456789");
+        let backend = MemBackend::new();
+        assert_eq!(backend.read_manifest().unwrap(), None);
+        // Creating over nothing requires expected = None.
+        assert!(matches!(
+            backend.swap_manifest(Some(0), 1, b"m1"),
+            Err(StoreError::ManifestConflict { expected: Some(0), found: None })
+        ));
+        backend.swap_manifest(None, 0, b"m0").unwrap();
+        // Creating twice loses.
+        assert!(matches!(
+            backend.swap_manifest(None, 0, b"m0'"),
+            Err(StoreError::ManifestConflict { expected: None, found: Some(0) })
+        ));
+        backend.swap_manifest(Some(0), 1, b"m1").unwrap();
+        // A writer that still believes generation 0 loses.
+        assert!(matches!(
+            backend.swap_manifest(Some(0), 2, b"stale"),
+            Err(StoreError::ManifestConflict { expected: Some(0), found: Some(1) })
+        ));
+        assert_eq!(backend.read_manifest().unwrap().as_deref(), Some(&b"m1"[..]));
     }
 
     #[test]
     fn finalize_is_create_only_and_never_clobbers_a_committed_object() {
-        for backend in [
-            Box::new(MemBackend::new()) as Box<dyn ObjectStore>,
-            Box::new(S3LiteBackend::with_part_size(4)),
-        ] {
-            let kind = backend.kind();
-            // Two racing uploads to the same generation-derived name, with
-            // *different* bytes so a clobber would be visible.
-            let mut winner = backend.put_atomic("seg-000002.ebstore").unwrap();
-            let mut loser = backend.put_atomic("seg-000002.ebstore").unwrap();
-            winner.write_all(b"winner bytes").unwrap();
-            loser.write_all(b"loser bytes, longer").unwrap();
-            winner.finalize().unwrap();
-            let err = loser.finalize().expect_err("the raced finalize must be refused");
-            assert!(matches!(err, StoreError::ObjectConflict { .. }), "{kind}: {err}");
+        let backend = MemBackend::new();
+        // Two racing uploads to the same generation-derived name, with
+        // *different* bytes so a clobber would be visible.
+        let mut winner = backend.put_atomic("seg-000002.ebstore").unwrap();
+        let mut loser = backend.put_atomic("seg-000002.ebstore").unwrap();
+        winner.write_all(b"winner bytes").unwrap();
+        loser.write_all(b"loser bytes, longer").unwrap();
+        winner.finalize().unwrap();
+        let err = loser.finalize().expect_err("the raced finalize must be refused");
+        assert!(matches!(err, StoreError::ObjectConflict { .. }), "{err}");
 
-            // The winner's committed bytes are untouched.
-            let mut back = Vec::new();
-            backend.get("seg-000002.ebstore").unwrap().read_to_end(&mut back).unwrap();
-            assert_eq!(back, b"winner bytes", "{kind}: winner's object intact");
-        }
+        // The winner's committed bytes are untouched.
+        let mut back = Vec::new();
+        backend.get("seg-000002.ebstore").unwrap().read_to_end(&mut back).unwrap();
+        assert_eq!(back, b"winner bytes", "winner's object intact");
     }
 
     #[test]

@@ -21,12 +21,11 @@
 //!   refactors.
 //! * [`backend`] — the storage service boundary: every durable operation
 //!   flows through the [`ObjectStore`] trait (staged visible-or-absent
-//!   uploads, conditional manifest swap, quarantine), with three shipped
+//!   uploads, conditional manifest swap, quarantine), with two shipped
 //!   backends — [`LocalFsBackend`] (tmp+fsync+rename, byte-compatible
-//!   with pre-trait stores), [`MemBackend`] (fast tests), and
-//!   [`S3LiteBackend`] (S3-style multipart staging + conditional put, the
-//!   adapter shape a real S3/GCS client drops into) — plus the
-//!   backend-level [`FaultedStore`] crash harness.
+//!   with pre-trait stores) and [`MemBackend`] (conditional put and
+//!   create-only finalize; fast tests and the daemon's `--backend mem`) —
+//!   plus the backend-level [`FaultedStore`] crash harness.
 //! * [`lifecycle`] — the snapshot *store* layer: a [`StoreDir`] owning
 //!   a CRC-protected, atomically-swapped `MANIFEST` over the
 //!   `full + N segments` chain, with crash-safe commits, orphan
@@ -56,7 +55,7 @@ pub mod sections;
 
 pub use backend::{
     validate_scope_name, FaultInjector, FaultedStore, LocalFsBackend, MemBackend, ObjectInfo,
-    ObjectStore, ObjectUpload, S3LiteBackend,
+    ObjectStore, ObjectUpload,
 };
 pub use codec::{crc32, Decoder, Encoder};
 pub use error::{StoreError, StoreResult};

@@ -22,7 +22,7 @@
 //! terms of the [`ObjectStore`] contract (see [`crate::backend`]):
 //!
 //! 1. stage the new object through [`ObjectStore::put_atomic`] (a tmp
-//!    file, a buffered blob, multipart parts — the backend's business);
+//!    file or a buffered blob — the backend's business);
 //! 2. finalize it, making it visible under its final name;
 //! 3. swap the manifest via [`ObjectStore::swap_manifest`] — atomic, and
 //!    conditional on the generation where the backend supports it;
@@ -260,8 +260,7 @@ impl Manifest {
 /// visible only when committed through [`StoreDir::commit_full`] /
 /// [`StoreDir::commit_segment`]. Dropping it uncommitted abandons the
 /// upload — at most staging residue remains, which the next
-/// [`StoreDir::open`] quarantines (or, for multipart backends, the
-/// staging-area reaper collects).
+/// [`StoreDir::open`] quarantines.
 #[derive(Debug)]
 pub struct PendingBlock {
     kind: BlockKind,
@@ -360,8 +359,7 @@ impl StoreMetrics {
 /// The storage medium is pluggable: [`StoreDir::create`] / [`StoreDir::open`]
 /// keep the original local-directory signatures (via
 /// [`LocalFsBackend`]), and the `_boxed` constructors accept any boxed
-/// [`ObjectStore`] — in-memory, the S3-style simulation, or a real
-/// object-store adapter.
+/// [`ObjectStore`] — in-memory, or a real object-store adapter.
 #[derive(Debug)]
 pub struct StoreDir {
     backend: Box<dyn ObjectStore>,
@@ -965,17 +963,10 @@ mod tests {
 
     #[test]
     fn create_then_open_roundtrips_on_every_backend() {
-        let backends: Vec<Box<dyn Fn() -> Box<dyn ObjectStore>>> = vec![
-            Box::new(|| Box::new(MemBackend::new())),
-            Box::new(|| Box::new(crate::backend::S3LiteBackend::new())),
-        ];
-        for fresh in backends {
-            let backend = fresh();
-            let kind = backend.kind();
-            let dir = StoreDir::create_boxed(backend, LifecycleConfig::default()).unwrap();
-            assert!(dir.is_empty(), "{kind}");
-            assert_eq!(dir.generation(), 0, "{kind}");
-        }
+        let dir = StoreDir::create_boxed(Box::new(MemBackend::new()), LifecycleConfig::default())
+            .unwrap();
+        assert!(dir.is_empty());
+        assert_eq!(dir.generation(), 0);
     }
 
     #[test]

@@ -4,26 +4,25 @@
 //! everything acked durable survives the restart.
 //!
 //! The storage medium comes from `EARLYBIRD_BACKEND` (`localfs` when
-//! unset, or `mem` / `s3lite`), so the CI backend matrix drives the same
+//! unset, or `mem`), so the CI backend matrix drives the same
 //! flow over every shipped [`ObjectStore`] implementation.
 //!
 //! Run with: `cargo run --release --example serve_client`
 
-use earlybird::engine::{LocalFsBackend, MemBackend, ObjectStore, S3LiteBackend};
+use earlybird::engine::{LocalFsBackend, MemBackend, ObjectStore};
 use earlybird::logmodel::{format_dns_line, DomainInterner};
 use earlybird::serve::{InvestigateRequest, ServeClient, Server, ServerConfig, TenantSpec};
 use earlybird::synthgen::lanl::{LanlConfig, LanlGenerator};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// The root store for one daemon incarnation. The handle-based backends
-/// return another handle on the same shared state, so "restarting the
+/// The root store for one daemon incarnation. The in-memory backend
+/// returns another handle on the same shared state, so "restarting the
 /// daemon" means opening a new box over what the previous one committed —
 /// exactly what reopening a directory does for `localfs`.
 enum Root {
     LocalFs(PathBuf),
     Mem(MemBackend),
-    S3Lite(S3LiteBackend),
 }
 
 impl Root {
@@ -38,8 +37,7 @@ impl Root {
                 Root::LocalFs(root)
             }
             "mem" => Root::Mem(MemBackend::new()),
-            "s3lite" => Root::S3Lite(S3LiteBackend::new()),
-            other => panic!("EARLYBIRD_BACKEND={other:?} (expected localfs, mem, or s3lite)"),
+            other => panic!("EARLYBIRD_BACKEND={other:?} (expected localfs or mem)"),
         }
     }
 
@@ -47,7 +45,6 @@ impl Root {
         match self {
             Root::LocalFs(_) => "localfs",
             Root::Mem(_) => "mem",
-            Root::S3Lite(_) => "s3lite",
         }
     }
 
@@ -55,7 +52,6 @@ impl Root {
         match self {
             Root::LocalFs(root) => Box::new(LocalFsBackend::new(root).expect("open root")),
             Root::Mem(handle) => Box::new(handle.clone()),
-            Root::S3Lite(handle) => Box::new(handle.clone()),
         }
     }
 

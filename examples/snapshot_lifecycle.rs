@@ -18,16 +18,14 @@
 //!    bit-identical continuation.
 //!
 //! The storage medium is pluggable: the same lifecycle runs over a local
-//! directory (`StoreDir::open_or_create`), an in-memory store
-//! (`MemBackend`), or an S3-style object store with multipart uploads and
-//! a conditional manifest swap (`S3LiteBackend`) — the final section
-//! drives the identical daily cycle against the S3 simulation.
+//! directory (`StoreDir::open_or_create`, shown here) or an in-memory
+//! store (`MemBackend` through `StoreDir::open_or_create_boxed`).
 //!
 //! Run with: `cargo run --release --example snapshot_lifecycle`
 
 use earlybird::engine::{
     CollectingSink, CompactionTrigger, DayBatch, EngineBuilder, LifecycleConfig, Persistence,
-    RetentionPolicy, S3LiteBackend, SnapshotPolicy, StoreDir,
+    RetentionPolicy, SnapshotPolicy, StoreDir,
 };
 use earlybird::logmodel::Day;
 use earlybird::store::BlockKind;
@@ -150,46 +148,4 @@ fn main() {
     drop(store);
     let _ = std::fs::remove_dir_all(&root);
     println!("snapshot lifecycle OK: compaction + retention GC verified");
-
-    // ---- Backends: the identical cycle over an S3-style object store. ---
-    // `S3LiteBackend` keeps the protocol shape of a real bucket: blocks
-    // upload as multipart parts and become visible only at completion,
-    // and the MANIFEST swap is a conditional put on the generation — a
-    // concurrent writer loses with a typed ManifestConflict instead of
-    // clobbering the chain. A real S3/GCS client drops into this adapter.
-    let service = S3LiteBackend::new();
-    {
-        let dir = StoreDir::create_boxed(Box::new(service.clone()), lifecycle)
-            .expect("create object store");
-        let store = Persistence::new(dir, SnapshotPolicy::default());
-        let mut engine = EngineBuilder::lanl()
-            .auto_investigate(true)
-            .sink(CollectingSink::new())
-            .build(Arc::clone(&dataset.domains), dataset.meta.clone())
-            .expect("valid config");
-        for day in &dataset.days[..split] {
-            engine.ingest_day(DayBatch::Dns(day));
-            store
-                .commit(&engine)
-                .expect("freeze")
-                .wait()
-                .expect("daily persist to the object store");
-        }
-        // The "process" dies here; only the service handle survives.
-    }
-    let dir =
-        StoreDir::open_boxed(Box::new(service.clone()), lifecycle).expect("reopen object store");
-    let store = Persistence::new(dir, SnapshotPolicy::default());
-    let engine = store
-        .restore(EngineBuilder::lanl().auto_investigate(true).sink(CollectingSink::new()))
-        .expect("object-store chain restores");
-    println!(
-        "s3lite: generation {}, {} chain objects, {} staged uploads, {} days restored",
-        store.generation(),
-        store.store().entries().len(),
-        service.staged_uploads(),
-        engine.reports().count(),
-    );
-    assert_eq!(engine.reports().count(), split, "same chain, different medium");
-    println!("storage backends OK: localfs and s3lite drive the same lifecycle");
 }

@@ -1,10 +1,10 @@
 //! Property tests for the object-store backends: visible-or-absent
-//! uploads across arbitrary payloads and multipart part sizes, and the
-//! conditional manifest swap refusing stale generations under arbitrary
-//! concurrent-writer interleavings.
+//! uploads across arbitrary payloads, and the conditional manifest swap
+//! refusing stale generations under arbitrary concurrent-writer
+//! interleavings.
 
 use earlybird::engine::{
-    DayBatch, EngineBuilder, LifecycleConfig, MemBackend, ObjectStore, Persistence, S3LiteBackend,
+    DayBatch, EngineBuilder, LifecycleConfig, LocalFsBackend, MemBackend, ObjectStore, Persistence,
     SnapshotPolicy, StoreDir, StoreError,
 };
 use earlybird::logmodel::{
@@ -18,18 +18,18 @@ use std::sync::Arc;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The satellite property: `S3LiteBackend::swap_manifest` refuses a
-    /// stale generation under *any* interleaving of two writers. The
-    /// schedule drives which writer attempts each step; a writer whose
-    /// cached view matches the store's real generation must win, any
-    /// other must lose with a [`StoreError::ManifestConflict`] that
-    /// reports the store's actual generation — after which the loser
-    /// refreshes its view (a reopen) and may win later.
+    /// `MemBackend::swap_manifest` refuses a stale generation under *any*
+    /// interleaving of two writers. The schedule drives which writer
+    /// attempts each step; a writer whose cached view matches the store's
+    /// real generation must win, any other must lose with a
+    /// [`StoreError::ManifestConflict`] that reports the store's actual
+    /// generation — after which the loser refreshes its view (a reopen)
+    /// and may win later.
     #[test]
-    fn s3lite_swap_manifest_refuses_stale_generations(
+    fn swap_manifest_refuses_stale_generations(
         schedule in proptest::collection::vec(0usize..2, 1..32),
     ) {
-        let service = S3LiteBackend::new();
+        let service = MemBackend::new();
         service.swap_manifest(None, 0, b"gen0").unwrap();
 
         let mut truth = 0u64; // the store's real generation
@@ -60,21 +60,21 @@ proptest! {
         prop_assert!(service.read_manifest().unwrap().is_some());
     }
 
-    /// Visible-or-absent over arbitrary payloads and part sizes: an
-    /// abandoned upload never surfaces, a finalized one round-trips
-    /// byte-exactly — including payloads landing exactly on, one short
-    /// of, and one past a multipart part boundary.
+    /// Visible-or-absent over arbitrary payloads: an abandoned upload
+    /// never surfaces, a finalized one round-trips byte-exactly.
     #[test]
     fn uploads_are_visible_or_absent_for_any_payload(
-        part_size in 1usize..48,
         len in 0usize..200,
         seed in proptest::num::u8::ANY,
         abandon in proptest::bool::ANY,
     ) {
         let payload: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect();
+        let root = std::env::temp_dir()
+            .join(format!("earlybird-backend-property-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
         let backends: Vec<Box<dyn ObjectStore>> = vec![
             Box::new(MemBackend::new()),
-            Box::new(S3LiteBackend::with_part_size(part_size)),
+            Box::new(LocalFsBackend::new(&root).unwrap()),
         ];
         for backend in backends {
             let mut upload = backend.put_atomic("obj.ebstore").unwrap();
@@ -86,7 +86,14 @@ proptest! {
                     backend.get("obj.ebstore").is_err(),
                     "{}: abandoned upload must stay invisible", backend.kind()
                 );
-                prop_assert!(backend.list().unwrap().is_empty());
+                // LocalFs leaves its `*.tmp` staging file for the next
+                // open's quarantine sweep; nothing else may be listed.
+                let localfs = backend.kind() == "localfs";
+                let listed = backend.list().unwrap();
+                prop_assert!(
+                    listed.iter().all(|o| localfs && o.name.ends_with(".tmp")),
+                    "{}: only staging residue may be listed; got {:?}", backend.kind(), listed
+                );
             } else {
                 upload.finalize().unwrap();
                 let mut back = Vec::new();
@@ -94,6 +101,7 @@ proptest! {
                 prop_assert_eq!(&back, &payload, "{}: byte-exact roundtrip", backend.kind());
             }
         }
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
 
@@ -117,7 +125,7 @@ fn synthetic_day(domains: &DomainInterner, day: u32) -> DnsDayLog {
     DnsDayLog { day: Day::new(day), queries }
 }
 
-/// Two engines driving the same S3-style store: the writer that commits
+/// Two engines driving the same conditional store: the writer that commits
 /// second loses with a typed [`StoreError::ManifestConflict`] — the chain
 /// is the winner's, never an interleaving of both.
 #[test]
@@ -134,7 +142,7 @@ fn concurrent_store_dirs_surface_a_typed_manifest_conflict() {
         EngineBuilder::lanl().build(Arc::clone(domains), meta.clone()).expect("valid config")
     };
 
-    let service = S3LiteBackend::new();
+    let service = MemBackend::new();
     let cfg = LifecycleConfig::default();
 
     // Writer A creates the store and persists day 0.

@@ -5,7 +5,7 @@
 //! [`ObjectStore`] backend): for the LANL DNS and enterprise proxy
 //! suites, an engine restored from a **compacted** store produces
 //! bit-identical reports/alerts to one restored from the uncompacted
-//! `full + N segments` chain — on `{localfs, mem, s3lite}` alike;
+//! `full + N segments` chain — on `{localfs, mem}` alike;
 //! `StoreDir::open` quarantines crash residue; stale (backwards) day
 //! segments are refused with a typed error; a read-only local store is a
 //! typed, actionable error; and the local backend stays byte-compatible

@@ -2,13 +2,13 @@
 //! backend mutation point of the daily persist cycle — staged uploads,
 //! finalizes, manifest swaps, GC deletions — and prove `StoreDir::open`
 //! always recovers a valid chain with no acknowledged day lost, on every
-//! [`ObjectStore`] backend (`{localfs, mem, s3lite}`).
+//! [`ObjectStore`] backend (`{localfs, mem}`).
 //!
 //! The [`FaultInjector`] counts backend mutations through a
 //! `FaultedStore` wrapper and fails the N-th (and, like a dead process,
 //! every one after it). The suites below enumerate N from 0 upward until
 //! a run completes with no fault fired, so every mutation point in the
-//! schedule is killed exactly once — the same sweep against all three
+//! schedule is killed exactly once — the same sweep against both
 //! backends, which is exactly what moving fault injection off the
 //! filesystem and onto the backend boundary buys.
 
@@ -20,8 +20,7 @@ mod support;
 
 use earlybird::engine::{
     CompactionTrigger, DayBatch, Engine, EngineBuilder, FaultInjector, LifecycleConfig,
-    Persistence, RetentionPolicy, S3LiteBackend, SnapshotPolicy, StageCounters, StoreDir,
-    StoreError,
+    Persistence, RetentionPolicy, SnapshotPolicy, StageCounters, StoreError,
 };
 use earlybird::logmodel::Day;
 use earlybird::synthgen::lanl::{LanlChallenge, LanlConfig, LanlGenerator};
@@ -361,8 +360,7 @@ fn crash_at_every_op_of_compaction_leaves_old_or_new_chain() {
 /// An abandoned pending block (crash between `begin` and commit) never
 /// becomes part of the chain on any backend. What residue it leaves is the
 /// backend's business: a torn `.tmp` file quarantined at the next open
-/// (localfs), nothing service-side (mem stages client-side), or a staged
-/// multipart upload awaiting the reaper (s3lite).
+/// (localfs), or nothing at all (mem stages client-side).
 #[test]
 fn abandoned_pending_blocks_are_quarantined() {
     let challenge = challenge();
@@ -393,8 +391,8 @@ fn abandoned_pending_blocks_are_quarantined() {
 
         let dir = backend.open(cfg).expect("reopen");
         let expected_quarantined = match &backend {
-            Backend::LocalFs(_) => 1,                  // the torn .tmp file
-            Backend::Mem(_) | Backend::S3Lite(_) => 0, // staging is invisible
+            Backend::LocalFs(_) => 1, // the torn .tmp file
+            Backend::Mem(_) => 0,     // staging is invisible
         };
         assert_eq!(
             dir.quarantined().len(),
@@ -408,67 +406,6 @@ fn abandoned_pending_blocks_are_quarantined() {
         assert_eq!(restored.reports().count(), split);
         backend.cleanup();
     }
-}
-
-/// The s3lite acceptance case: a crash mid-multipart-upload leaves parts
-/// in the staging area — never a visible object — the chain stays exactly
-/// old-or-new, and the staging-area reaper (the bucket-lifecycle-rule
-/// stand-in) clears the residue.
-#[test]
-fn s3lite_aborted_multipart_upload_stays_invisible_and_is_reaped() {
-    let challenge = challenge();
-    let boot = challenge.dataset.meta.bootstrap_days as usize;
-    let cfg = LifecycleConfig {
-        compaction: CompactionTrigger::disabled(),
-        retention: RetentionPolicy::default(),
-    };
-    // A small part size so even tiny test blocks span several parts.
-    let service = S3LiteBackend::with_part_size(512);
-    let dir = StoreDir::create_boxed(Box::new(service.clone()), cfg).expect("create store");
-    let store = Persistence::new(dir, SnapshotPolicy::default());
-
-    let mut engine = engine_for(&challenge);
-    for day in &challenge.dataset.days[..boot + 2] {
-        engine.ingest_day(DayBatch::Dns(day));
-        store.commit(&engine).expect("freeze").wait().expect("daily persist");
-    }
-    let committed = store.store().entries().len();
-    assert_eq!(service.staged_uploads(), 0, "clean cycles leave no staged uploads");
-
-    // Kill the next day's persist at the finalize: by then the upload's
-    // parts are staged with the service, but completion never happens.
-    let injector = FaultInjector::new();
-    store.store().set_fault_injector(injector.clone());
-    injector.arm(2); // begin = 0, buffered write = 1, finalize = 2
-    let day = &challenge.dataset.days[boot + 2];
-    engine.ingest_day(DayBatch::Dns(day));
-    let err =
-        store.commit(&engine).and_then(|handle| handle.wait()).expect_err("finalize must crash");
-    assert!(matches!(err, StoreError::Io(_)), "{err}");
-    assert!(injector.crashed());
-    drop(store);
-    drop(engine);
-
-    // The aborted upload lingers in staging, invisible to the store.
-    assert_eq!(service.staged_uploads(), 1, "aborted multipart upload stays staged");
-    let dir = StoreDir::open_boxed(Box::new(service.clone()), cfg).expect("reopen");
-    assert_eq!(dir.entries().len(), committed, "chain is exactly the old one");
-    assert!(dir.quarantined().is_empty(), "staging residue is not in the live namespace");
-    let reopened = Persistence::new(dir, SnapshotPolicy::default());
-    let restored = reopened.restore(EngineBuilder::lanl()).expect("chain restores");
-    assert_eq!(restored.reports().count(), boot + 2, "every acked day survives");
-    drop(reopened);
-
-    // The lifecycle-rule reaper clears the staging area; the daily cycle
-    // then continues cleanly (at-least-once: re-push the in-flight day).
-    assert_eq!(service.abort_stale_uploads(), 1);
-    assert_eq!(service.staged_uploads(), 0);
-    let dir = StoreDir::open_boxed(Box::new(service.clone()), cfg).expect("reopen after reaping");
-    let store = Persistence::new(dir, SnapshotPolicy::default());
-    let mut engine = store.restore(EngineBuilder::lanl()).expect("restores");
-    engine.ingest_day(DayBatch::Dns(day));
-    store.commit(&engine).expect("freeze").wait().expect("cycle continues after recovery");
-    assert_eq!(store.store().entries().len(), committed + 1);
 }
 
 /// The GC-failure satellite, deterministically: walk the fault point

@@ -75,7 +75,7 @@ fn day_text(day: u32, domains: &Arc<DomainInterner>) -> String {
 
 /// Kill the store at every mutation point of the service schedule; after
 /// each crash, restart over the surviving state and check the ack
-/// contract — `{localfs, mem, s3lite}`.
+/// contract — `{localfs, mem}`.
 #[test]
 fn every_crash_point_preserves_acked_days_over_http() {
     let domains = Arc::new(DomainInterner::new());

@@ -4,7 +4,7 @@
 //! finish-commit histogram, engine stage timings, and store commit
 //! series — and `GET /metrics` must expose them in Prometheus text with
 //! values that match the work actually performed. Runs as the
-//! `{localfs, mem, s3lite}` backend matrix, and cross-checks that the
+//! `{localfs, mem}` backend matrix, and cross-checks that the
 //! instrumented service produces reports bit-identical to an
 //! uninstrumented library engine.
 

@@ -1,33 +1,29 @@
 //! Shared backend harness for the lifecycle and crash-injection suites:
 //! one fixture type that can create, reopen, and deep-copy a snapshot
 //! store on every shipped [`ObjectStore`] backend, so the same invariants
-//! run as a `{localfs, mem, s3lite}` matrix.
+//! run as a `{localfs, mem}` matrix.
 //!
 //! CI sets `EARLYBIRD_BACKEND` to pin one backend per matrix job; unset
 //! (or `all`) runs every backend in-process.
 
-use earlybird::engine::{
-    LifecycleConfig, LocalFsBackend, MemBackend, ObjectStore, S3LiteBackend, StoreDir,
-};
+use earlybird::engine::{LifecycleConfig, LocalFsBackend, MemBackend, ObjectStore, StoreDir};
 use earlybird::store::StoreResult;
 use std::io::Write as _;
 use std::path::PathBuf;
 
 /// One concrete store location a test can create, crash, and reopen.
-/// For the shared-state backends the harness keeps the service handle, so
+/// For the in-memory backend the harness keeps the shared handle, so
 /// a reopened store sees exactly what the "crashed" one committed — the
 /// in-memory equivalent of a directory surviving a dead process.
 pub enum Backend {
     /// A directory under the system temp dir.
     LocalFs(PathBuf),
-    /// A shared in-memory service.
+    /// A shared in-memory store.
     Mem(MemBackend),
-    /// The simulated S3 service (multipart staging + conditional swap).
-    S3Lite(S3LiteBackend),
 }
 
 impl Backend {
-    /// The backends selected for this run: all three, or the single one
+    /// The backends selected for this run: both, or the single one
     /// named by `EARLYBIRD_BACKEND` (CI matrix).
     pub fn matrix(tag: &str) -> Vec<Backend> {
         let selected = std::env::var("EARLYBIRD_BACKEND").unwrap_or_else(|_| "all".into());
@@ -38,12 +34,9 @@ impl Backend {
         if matches!(selected.as_str(), "all" | "mem") {
             out.push(Backend::Mem(MemBackend::new()));
         }
-        if matches!(selected.as_str(), "all" | "s3lite") {
-            out.push(Backend::S3Lite(S3LiteBackend::new()));
-        }
         assert!(
             !out.is_empty(),
-            "EARLYBIRD_BACKEND={selected:?} selects no backend (use localfs|mem|s3lite|all)"
+            "EARLYBIRD_BACKEND={selected:?} selects no backend (use localfs|mem|all)"
         );
         out
     }
@@ -60,7 +53,6 @@ impl Backend {
         match self {
             Backend::LocalFs(_) => "localfs",
             Backend::Mem(_) => "mem",
-            Backend::S3Lite(_) => "s3lite",
         }
     }
 
@@ -73,7 +65,6 @@ impl Backend {
                 Backend::LocalFs(root.clone())
             }
             Backend::Mem(_) => Backend::Mem(MemBackend::new()),
-            Backend::S3Lite(_) => Backend::S3Lite(S3LiteBackend::new()),
         }
     }
 
@@ -89,13 +80,12 @@ impl Backend {
                 Backend::LocalFs(copy)
             }
             Backend::Mem(handle) => Backend::Mem(handle.fork()),
-            Backend::S3Lite(handle) => Backend::S3Lite(handle.fork()),
         }
     }
 
     /// The backend as a boxed root [`ObjectStore`] — what the service
-    /// daemon mounts its tenant scopes under. For the shared-state
-    /// backends the box is another handle on the same service, so a
+    /// daemon mounts its tenant scopes under. For the in-memory backend
+    /// the box is another handle on the same state, so a
     /// "restarted" daemon opened from the same [`Backend`] sees exactly
     /// what the previous one committed.
     pub fn boxed_store(&self) -> Box<dyn ObjectStore> {
@@ -105,7 +95,6 @@ impl Backend {
                 Box::new(LocalFsBackend::new(root).expect("open localfs root"))
             }
             Backend::Mem(handle) => Box::new(handle.clone()),
-            Backend::S3Lite(handle) => Box::new(handle.clone()),
         }
     }
 
@@ -114,7 +103,6 @@ impl Backend {
         match self {
             Backend::LocalFs(root) => StoreDir::create(root, cfg),
             Backend::Mem(handle) => StoreDir::create_boxed(Box::new(handle.clone()), cfg),
-            Backend::S3Lite(handle) => StoreDir::create_boxed(Box::new(handle.clone()), cfg),
         }
     }
 
@@ -123,7 +111,6 @@ impl Backend {
         match self {
             Backend::LocalFs(root) => StoreDir::open(root, cfg),
             Backend::Mem(handle) => StoreDir::open_boxed(Box::new(handle.clone()), cfg),
-            Backend::S3Lite(handle) => StoreDir::open_boxed(Box::new(handle.clone()), cfg),
         }
     }
 
@@ -132,15 +119,12 @@ impl Backend {
     pub fn plant_orphan(&self, name: &str, bytes: &[u8]) {
         match self {
             Backend::LocalFs(root) => std::fs::write(root.join(name), bytes).expect("plant file"),
-            Backend::Mem(handle) => Self::finalize_orphan(handle, name, bytes),
-            Backend::S3Lite(handle) => Self::finalize_orphan(handle, name, bytes),
+            Backend::Mem(handle) => {
+                let mut upload = handle.put_atomic(name).expect("begin orphan upload");
+                upload.write_all(bytes).expect("stage orphan");
+                upload.finalize().expect("finalize orphan");
+            }
         }
-    }
-
-    fn finalize_orphan(store: &dyn ObjectStore, name: &str, bytes: &[u8]) {
-        let mut upload = store.put_atomic(name).expect("begin orphan upload");
-        upload.write_all(bytes).expect("stage orphan");
-        upload.finalize().expect("finalize orphan");
     }
 
     /// Deletes an object out from under the manifest — simulated damage
@@ -149,11 +133,10 @@ impl Backend {
         match self {
             Backend::LocalFs(root) => std::fs::remove_file(root.join(name)).expect("remove file"),
             Backend::Mem(handle) => handle.delete(name).expect("delete object"),
-            Backend::S3Lite(handle) => handle.delete(name).expect("delete object"),
         }
     }
 
-    /// Removes any on-disk residue (no-op for the in-memory services).
+    /// Removes any on-disk residue (no-op for the in-memory store).
     pub fn cleanup(&self) {
         if let Backend::LocalFs(root) = self {
             let _ = std::fs::remove_dir_all(root);
