@@ -8,35 +8,19 @@
 //!
 //! * **Training** — [`train`] fits the C&C and domain-similarity regression
 //!   models from two weeks of labeled automated/rare domains (§IV-C, §IV-D).
-//! * **Operation** — [`daily::DailyPipeline`] normalizes, reduces, profiles
-//!   and indexes each day; [`cc::CcDetector`] finds beaconing C&C domains
-//!   (with either the enterprise regression model or the LANL two-host
-//!   heuristic); [`bp::belief_propagation`] runs Algorithm 1 in the
-//!   SOC-hints or no-hint mode and returns the labeled communities with full
-//!   per-iteration traces (the provenance shown in Fig. 4/7/8).
+//! * **Operation** — [`cc::CcDetector`] finds beaconing C&C domains in a
+//!   day's [`context::DayContext`] (with either the enterprise regression
+//!   model or the LANL two-host heuristic); [`bp::belief_propagation`] runs
+//!   Algorithm 1 in the SOC-hints or no-hint mode and returns the labeled
+//!   communities with full per-iteration traces (the provenance shown in
+//!   Fig. 4/7/8).
 //!
-//! # This crate is internal plumbing
-//!
-//! [`DailyPipeline`], [`CcDetector`] and [`belief_propagation`] are the raw
-//! building blocks of the daily cycle. Application code should not thread
-//! them together by hand: the `earlybird-engine` crate (re-exported as
-//! `earlybird::engine`) runs the whole ingest → detect → alert loop behind
-//! one validated API, parallelizes the C&C scoring pass, and delivers typed
-//! alerts. Reach for these types directly only when building new detector
-//! variants or experiments below the engine.
-//!
-//! # Example
-//!
-//! ```
-//! use earlybird_core::daily::{DailyPipeline, PipelineConfig};
-//! use earlybird_logmodel::{DatasetMeta, DomainInterner};
-//! use std::sync::Arc;
-//!
-//! let raw = Arc::new(DomainInterner::new());
-//! let meta = DatasetMeta::default();
-//! let pipeline = DailyPipeline::new(Arc::clone(&raw), PipelineConfig::enterprise(), &meta);
-//! assert_eq!(pipeline.config().fold_level, 2);
-//! ```
+//! The daily cycle that feeds them — reduce, compare against the profiles,
+//! then fold the day into them — is run by the `earlybird-engine` crate
+//! (re-exported as `earlybird::engine`), which also parallelizes the C&C
+//! scoring pass and delivers typed alerts. Reach for these types directly
+//! only when building new detector variants or experiments below the
+//! engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +28,6 @@
 pub mod bp;
 pub mod cc;
 pub mod context;
-pub mod daily;
 pub mod extract;
 pub mod similarity;
 pub mod train;
@@ -54,7 +37,6 @@ pub use bp::{
 };
 pub use cc::{automated_pairs_with, CcDetection, CcDetector, CcModel};
 pub use context::DayContext;
-pub use daily::{DailyPipeline, DayAccum, DayOutcome, DayProduct, PipelineConfig};
 pub use extract::{cc_features, min_interval_to_malicious, sim_features};
 pub use similarity::SimScorer;
 pub use train::{train_cc_model, train_sim_model, whois_defaults, CcSample, SimSample};

@@ -3,7 +3,7 @@
 use crate::alert::AlertSink;
 use crate::core_loop::Engine;
 use crate::metrics::EngineMetrics;
-use earlybird_core::{BpConfig, CcModel, PipelineConfig, SimScorer};
+use earlybird_core::{BpConfig, CcModel, SimScorer};
 use earlybird_intel::WhoisRegistry;
 use earlybird_logmodel::{DatasetMeta, DomainInterner, PathInterner, UaInterner};
 use earlybird_obs::MetricsRegistry;
@@ -50,6 +50,30 @@ impl fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+/// Reduction and profiling configuration: how names fold and when a
+/// destination or user agent counts as rare.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PipelineConfig {
+    /// Domain fold level (2 for enterprise names, 3 for anonymized LANL).
+    pub fold_level: usize,
+    /// Rare-destination unpopularity threshold (10 hosts in the paper).
+    pub unpopular_threshold: usize,
+    /// Rare-UA host threshold (10 hosts in the paper).
+    pub rare_ua_threshold: usize,
+}
+
+impl PipelineConfig {
+    /// Enterprise (AC) configuration: fold to second level.
+    pub fn enterprise() -> Self {
+        PipelineConfig { fold_level: 2, unpopular_threshold: 10, rare_ua_threshold: 10 }
+    }
+
+    /// LANL configuration: fold anonymized names to third level.
+    pub fn lanl() -> Self {
+        PipelineConfig { fold_level: 3, unpopular_threshold: 10, rare_ua_threshold: 10 }
+    }
+}
 
 /// The complete, validated engine configuration. Built via
 /// [`EngineBuilder`]; read back through [`Engine::config`].
@@ -147,12 +171,6 @@ impl EngineBuilder {
         b.cfg.pipeline = PipelineConfig::enterprise();
         b.cfg.bp = BpConfig::enterprise_default();
         b
-    }
-
-    /// Replaces the reduction / profiling configuration.
-    pub fn pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.cfg.pipeline = pipeline;
-        self
     }
 
     /// Replaces the C&C scoring model.
@@ -284,7 +302,10 @@ impl EngineBuilder {
         cfg.parallel_threshold = cfg.parallel_threshold.max(1);
         cfg.ingest_chunk_records = cfg.ingest_chunk_records.max(1);
         let metrics = Self::make_metrics(self.metrics, &self.metric_labels);
-        Ok(Engine::from_parts(self.cfg, self.sinks, raw, meta, self.uas, self.paths, metrics))
+        let mut engine =
+            Engine::new(self.cfg, self.sinks, raw, meta, self.uas, self.paths, metrics);
+        engine.reintern_soc_seeds();
+        Ok(engine)
     }
 
     /// Registers the engine's metric handles against the attached registry

@@ -6,15 +6,16 @@ use crate::builder::{EngineConfig, EngineError};
 use crate::ingest::IngestSource;
 use crate::metrics::EngineMetrics;
 use crate::report::{CcCandidate, DayReport, InvestigationReport};
-use earlybird_core::{
-    belief_propagation, CcDetector, DailyPipeline, DayContext, DayProduct, Seeds,
-};
+use earlybird_core::{belief_propagation, CcDetector, DayContext, Seeds};
 use earlybird_logmodel::{
     fold_domain, DatasetMeta, Day, DomainInterner, DomainSym, HostId, HostMapper, PathInterner,
     UaInterner,
 };
 use earlybird_obs::MetricsRegistry;
-use earlybird_pipeline::{DayIndex, DomainHistory, UaHistory};
+use earlybird_pipeline::{
+    DayIndex, DnsReductionCounts, DomainHistory, FoldTable, NameVerdicts, NormalizationCounts,
+    ProxyReductionCounts, ReductionConfig, UaHistory,
+};
 use earlybird_timing::{AutomationDetector, AutomationEvidence};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,16 +95,14 @@ impl Investigation {
     }
 }
 
-/// Memoized store encodings of sealed day products, keyed by day.
-pub(crate) type ProductEncodings = Mutex<BTreeMap<Day, Arc<Vec<u8>>>>;
-
-/// Locks the product-encoding cache, recovering a poisoned guard: the cache
-/// is insert-only memoization of immutable products, so a holder that
-/// panicked left every entry valid.
-pub(crate) fn lock_encodings(
-    cache: &ProductEncodings,
-) -> std::sync::MutexGuard<'_, BTreeMap<Day, Arc<Vec<u8>>>> {
-    cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// A retained operation day: its contact index plus the reduction
+/// counters the store persists beside it.
+#[derive(Debug)]
+pub(crate) struct DayProduct {
+    pub(crate) index: DayIndex,
+    pub(crate) dns_counts: Option<DnsReductionCounts>,
+    pub(crate) proxy_counts: Option<ProxyReductionCounts>,
+    pub(crate) norm_counts: Option<NormalizationCounts>,
 }
 
 /// The unified streaming engine: feed daily [`DayBatch`]es (or stream a day
@@ -112,7 +111,16 @@ pub(crate) fn lock_encodings(
 pub struct Engine {
     pub(crate) cfg: EngineConfig,
     pub(crate) meta: DatasetMeta,
-    pub(crate) pipeline: DailyPipeline,
+    /// Raw → folded name memo over the raw and folded domain interners.
+    pub(crate) fold: FoldTable,
+    /// Internal-namespace and IP-literal verdicts per raw name, judged
+    /// against the dataset's fixed internal suffixes.
+    pub(crate) verdicts: NameVerdicts,
+    /// The cross-day destination profile, "updated at the end of each
+    /// day" (§IV-A).
+    pub(crate) history: DomainHistory,
+    /// The cross-day user-agent profile.
+    pub(crate) ua_history: UaHistory,
     /// Retained operation-day products. `Arc`-shared so a frozen
     /// `EngineSnapshot` can carry the same immutable products a background
     /// checkpoint serializes while ingestion keeps inserting new days.
@@ -139,14 +147,6 @@ pub struct Engine {
     pub(crate) line_hosts: HostMapper,
     /// Pooled parse buffers for the raw-line ingest path (transient).
     pub(crate) scratch: crate::ingest::ScratchPool,
-    /// Memoized store encodings of sealed day products, keyed by day. A
-    /// product is immutable once inserted, so its bytes are computed on
-    /// first checkpoint and spliced verbatim into every later block;
-    /// entries are dropped when a day's product is replaced or evicted.
-    /// Behind a lock because checkpoints run on `&self`, and `Arc`-shared
-    /// so frozen snapshots populate the same cache from their background
-    /// write (insert-only for immutable products, so the race is benign).
-    pub(crate) product_encodings: Arc<ProductEncodings>,
     /// Cached handles into the attached metrics registry (see
     /// [`crate::EngineBuilder::metrics`]); pure side-band observability,
     /// never persisted, never consulted by detection.
@@ -163,8 +163,11 @@ impl std::fmt::Debug for Engine {
 }
 
 impl Engine {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
+    /// An engine with empty state: no days, empty histories and a fresh
+    /// folded namespace. Builds and restores both start here; SOC seeds
+    /// are interned by the caller once the folded namespace holds what it
+    /// should (see [`Engine::reintern_soc_seeds`]).
+    pub(crate) fn new(
         cfg: EngineConfig,
         sinks: Vec<Box<dyn AlertSink + Send>>,
         raw: Arc<DomainInterner>,
@@ -173,50 +176,14 @@ impl Engine {
         paths: Option<Arc<PathInterner>>,
         metrics: EngineMetrics,
     ) -> Self {
-        let pipeline = DailyPipeline::new(raw, cfg.pipeline, &meta);
-        let soc_seed_syms = cfg.soc_seed_domains.iter().map(|n| pipeline.intern_seed(n)).collect();
         let sinks = sinks.into_iter().enumerate().collect();
         Engine {
+            fold: FoldTable::new(raw, cfg.pipeline.fold_level),
+            verdicts: NameVerdicts::new(ReductionConfig::from_meta(&meta)),
+            history: DomainHistory::new(),
+            ua_history: UaHistory::new(cfg.pipeline.rare_ua_threshold),
             cfg,
             meta,
-            pipeline,
-            products: BTreeMap::new(),
-            reports: BTreeMap::new(),
-            sinks: Mutex::new(sinks),
-            sequence: AtomicU64::new(0),
-            sink_errors: Mutex::new(Vec::new()),
-            persist_cursor: Mutex::new(crate::persist::PersistCursor::default()),
-            soc_seed_syms,
-            uas: uas.unwrap_or_default(),
-            paths: paths.unwrap_or_default(),
-            line_hosts: HostMapper::new(),
-            scratch: crate::ingest::ScratchPool::default(),
-            product_encodings: Arc::default(),
-            metrics,
-        }
-    }
-
-    /// Rebuilds an engine from restored state — the snapshot-restore
-    /// constructor used by `EngineBuilder::restore_stream`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_restored(
-        cfg: EngineConfig,
-        sinks: Vec<Box<dyn AlertSink + Send>>,
-        meta: DatasetMeta,
-        pipeline: DailyPipeline,
-        uas: Arc<UaInterner>,
-        paths: Arc<PathInterner>,
-        line_hosts: HostMapper,
-        metrics: EngineMetrics,
-    ) -> Self {
-        // SOC seed symbols are re-interned *after* the snapshot contents
-        // are applied (`Engine::reintern_soc_seeds`): interning into the
-        // still-empty folded namespace here would shift restored numbering.
-        let sinks = sinks.into_iter().enumerate().collect();
-        Engine {
-            cfg,
-            meta,
-            pipeline,
             products: BTreeMap::new(),
             reports: BTreeMap::new(),
             sinks: Mutex::new(sinks),
@@ -224,13 +191,20 @@ impl Engine {
             sink_errors: Mutex::new(Vec::new()),
             persist_cursor: Mutex::new(crate::persist::PersistCursor::default()),
             soc_seed_syms: Vec::new(),
-            uas,
-            paths,
-            line_hosts,
+            uas: uas.unwrap_or_default(),
+            paths: paths.unwrap_or_default(),
+            line_hosts: HostMapper::new(),
             scratch: crate::ingest::ScratchPool::default(),
-            product_encodings: Arc::default(),
             metrics,
         }
+    }
+
+    /// Re-interns the configured SOC seed names into the folded namespace:
+    /// once at build, and after a restore has applied its last block
+    /// (interning earlier would shift the restored numbering).
+    pub(crate) fn reintern_soc_seeds(&mut self) {
+        self.soc_seed_syms =
+            self.cfg.soc_seed_domains.iter().map(|n| self.fold.intern_folded(n)).collect();
     }
 
     // -- accessors ---------------------------------------------------------
@@ -313,32 +287,43 @@ impl Engine {
 
     /// The detector-facing context of a retained operation day.
     pub fn context(&self, day: Day) -> Option<DayContext<'_>> {
-        self.products.get(&day).map(|p| p.context(self.cfg.whois.as_ref(), self.cfg.whois_defaults))
+        self.products.get(&day).map(|p| self.context_of(p))
+    }
+
+    /// The detector-facing context of a sealed day's product.
+    pub(crate) fn context_of<'a>(&'a self, product: &'a DayProduct) -> DayContext<'a> {
+        DayContext {
+            day: product.index.day(),
+            index: &product.index,
+            folded: self.fold.folded_interner(),
+            whois: self.cfg.whois.as_ref(),
+            whois_defaults: self.cfg.whois_defaults,
+        }
     }
 
     /// The folded-name interner shared with every retained day.
     pub fn folded(&self) -> &Arc<DomainInterner> {
-        self.pipeline.folded_interner()
+        self.fold.folded_interner()
     }
 
     /// Resolves a folded domain symbol to its name.
     pub fn resolve(&self, domain: DomainSym) -> String {
-        self.pipeline.folded_interner().resolve(domain)
+        self.fold.folded_interner().resolve(domain)
     }
 
     /// Interns a domain name into the folded namespace (for seeds).
     pub fn intern_domain(&self, name: &str) -> DomainSym {
-        self.pipeline.intern_seed(name)
+        self.fold.intern_folded(name)
     }
 
     /// The cross-day destination history (profiles).
     pub fn history(&self) -> &DomainHistory {
-        self.pipeline.history()
+        &self.history
     }
 
     /// The cross-day user-agent history.
     pub fn ua_history(&self) -> &UaHistory {
-        self.pipeline.ua_history()
+        &self.ua_history
     }
 
     /// The `(DomAge, DomValidity)` defaults currently in force.
@@ -375,13 +360,6 @@ impl Engine {
         &self.products
     }
 
-    /// Drops the memoized store encoding for `day`, if any. Must be called
-    /// whenever a day's product is (re)inserted so a later checkpoint never
-    /// splices stale bytes.
-    pub(crate) fn invalidate_product_encoding(&mut self, day: Day) {
-        lock_encodings(&self.product_encodings).remove(&day);
-    }
-
     /// Evicts the oldest retained contact indexes (the dominant memory
     /// cost) until at most `keep` remain, if a window is set; their
     /// counters-only reports stay. Returns how many days were pruned. The
@@ -398,13 +376,12 @@ impl Engine {
     }
 
     /// Registers an operation day: its counters-only report arms the
-    /// duplicate-day replay guard, its product is retained (dropping any
-    /// memoized encoding of the day), and the retention window applies.
+    /// duplicate-day replay guard, its product is retained, and the
+    /// retention window applies.
     fn register_day(&mut self, report: &DayReport, product: DayProduct) {
         let day = report.day;
         self.reports.insert(day, Self::counters_only(report));
         self.products.insert(day, Arc::new(product));
-        self.invalidate_product_encoding(day);
         self.prune_retained(self.cfg.retain_days);
     }
 
@@ -459,9 +436,9 @@ impl Engine {
         }
     }
 
-    /// The detection half of the daily cycle, shared by every ingest path:
-    /// C&C scoring over the day's rare domains, alerting, optional
-    /// belief-propagation expansion, and retention.
+    /// The detection half of the daily cycle, run on every sealed
+    /// operation day: C&C scoring over the day's rare domains, alerting,
+    /// optional belief-propagation expansion, and retention.
     pub(crate) fn run_detection_tail(
         &mut self,
         mut report: DayReport,
@@ -469,10 +446,6 @@ impl Engine {
         started: Instant,
     ) -> Result<DayReport, EngineError> {
         let day = report.day;
-        report.dns_counts = product.dns_counts;
-        report.proxy_counts = product.proxy_counts;
-        report.norm_counts = product.norm_counts;
-        self.fill_reduction_counters(&mut report);
         report.stages.new_destinations = product.index.new_count();
         report.stages.rare_destinations = product.index.rare_count();
 
@@ -480,14 +453,13 @@ impl Engine {
         let detector = self.detector();
         let scored = {
             let _cc_span = self.metrics.cc.start();
-            let ctx = product.context(self.cfg.whois.as_ref(), self.cfg.whois_defaults);
-            self.score_rare_domains(&ctx, &detector)
+            self.score_rare_domains(&self.context_of(&product), &detector)
         };
         let candidates = match scored {
             Ok(candidates) => candidates,
             Err(e) => {
                 // The day's contributions are already folded into the
-                // cross-day histories (finish_day runs before this tail),
+                // cross-day histories (the seal runs before this tail),
                 // so the engine must still register the day: the stored
                 // report arms the duplicate-day replay guard (a re-push
                 // cannot double-count the profiles) and the retained index
@@ -498,7 +470,7 @@ impl Engine {
                 return Err(e);
             }
         };
-        let ctx = product.context(self.cfg.whois.as_ref(), self.cfg.whois_defaults);
+        let ctx = self.context_of(&product);
         report.stages.automated_domains = candidates.len();
         report.stages.cc_detections = candidates.iter().filter(|c| c.detected).count();
 
@@ -577,8 +549,8 @@ impl Engine {
     /// Refreshes the `engine_interner_*` series from the four tables — at
     /// each day finish and once after a restore, the moments they change.
     pub(crate) fn record_interner_shape(&self) {
-        self.metrics.raw_table.record(self.pipeline.raw_interner());
-        self.metrics.folded_table.record(self.pipeline.folded_interner());
+        self.metrics.raw_table.record(self.fold.raw_interner());
+        self.metrics.folded_table.record(self.fold.folded_interner());
         self.metrics.ua_table.record(&self.uas);
         self.metrics.path_table.record(&self.paths);
     }
@@ -613,7 +585,7 @@ impl Engine {
         investigation: Investigation,
     ) -> Result<InvestigationReport, EngineError> {
         let product = self.products.get(&day).ok_or(EngineError::UnknownDay(day))?;
-        let ctx = product.context(self.cfg.whois.as_ref(), self.cfg.whois_defaults);
+        let ctx = self.context_of(product);
         let detector = self.detector();
 
         // In no-hint mode the seeds are the day's own C&C detections;
@@ -687,8 +659,7 @@ impl Engine {
     /// [`EngineError::UnknownDay`] when the day is not retained.
     pub fn cc_scores(&self, day: Day) -> Result<Vec<CcCandidate>, EngineError> {
         let product = self.products.get(&day).ok_or(EngineError::UnknownDay(day))?;
-        let ctx = product.context(self.cfg.whois.as_ref(), self.cfg.whois_defaults);
-        self.score_rare_domains(&ctx, &self.detector())
+        self.score_rare_domains(&self.context_of(product), &self.detector())
     }
 
     /// All automated `(host, domain, evidence)` pairs among a retained
@@ -1114,15 +1085,66 @@ mod tests {
     }
 
     #[test]
+    fn campaign_domains_are_rare_on_their_day() {
+        let challenge = LanlGenerator::new(LanlConfig::tiny()).generate();
+        let (engine, _, _) = engine_over_tiny(1);
+        for campaign in &challenge.campaigns {
+            let index = engine.day_index(campaign.day).expect("campaign day retained");
+            for name in campaign.answer_domains() {
+                let sym = engine.folded().get(name).expect("campaign domain indexed");
+                assert!(index.is_rare(sym), "{name} must be rare on its campaign day");
+            }
+        }
+    }
+
+    #[test]
+    fn seed_interning_folds() {
+        let (engine, _, _) = engine_over_tiny(1);
+        let a = engine.intern_domain("deep.sub.rainbow.c3");
+        let b = engine.intern_domain("sub.rainbow.c3");
+        assert_eq!(a, b, "seeds fold to the engine's level");
+    }
+
+    #[test]
+    fn a_name_interned_after_admission_is_judged_on_the_next_push() {
+        use earlybird_logmodel::{DnsQuery, DnsRecordType, HostKind, Ipv4, Timestamp};
+
+        let raw = Arc::new(DomainInterner::new());
+        let meta = DatasetMeta {
+            n_hosts: 2,
+            host_kinds: vec![HostKind::Workstation; 2],
+            internal_suffixes: vec![".corp.local".into()],
+            bootstrap_days: 1,
+            total_days: 2,
+        };
+        let query = |name: &str| DnsQuery {
+            ts: Timestamp::from_secs(5),
+            src: HostId::new(0),
+            src_ip: Ipv4::new(10, 0, 0, 1),
+            qname: raw.intern(name),
+            qtype: DnsRecordType::A,
+            answer: Some(Ipv4::new(93, 1, 2, 3)),
+        };
+        let mut engine = EngineBuilder::enterprise().build(Arc::clone(&raw), meta).unwrap();
+        let mut ingest = engine.begin_day(Day::new(0), IngestSource::Dns);
+        ingest.push_dns_records(&[query("www.nbc.com"), query("mail.corp.local")]);
+        // Interned into the caller-shared interner between pushes.
+        ingest.push_dns_records(&[query("wiki.corp.local"), query("cdn.evil.ru")]);
+        let report = ingest.finish();
+        assert!(report.bootstrap);
+        let counts = report.dns_counts.expect("a DNS day");
+        assert_eq!(counts.domains_all, 3, "nbc.com, corp.local, evil.ru");
+        assert_eq!(counts.domains_after_internal_filter, 2, "both corp.local names dropped");
+        let history: Vec<String> =
+            engine.history().ordered().iter().map(|&d| engine.resolve(d)).collect();
+        assert_eq!(history.len(), 2);
+        assert!(history.iter().all(|name| name != "corp.local"), "{history:?}");
+    }
+
+    #[test]
     fn builder_rejects_invalid_config() {
         let raw = Arc::new(DomainInterner::new());
-        let bad = EngineBuilder::lanl()
-            .pipeline(earlybird_core::PipelineConfig {
-                fold_level: 0,
-                unpopular_threshold: 10,
-                rare_ua_threshold: 10,
-            })
-            .build(raw, DatasetMeta::default());
-        assert!(bad.is_err());
+        let bad = EngineBuilder::lanl().retain_days(0).build(raw, DatasetMeta::default());
+        assert!(matches!(bad, Err(EngineError::InvalidConfig(_))));
     }
 }

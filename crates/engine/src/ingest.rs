@@ -11,30 +11,40 @@
 //! alerting, belief propagation). `Engine::ingest_day` pushes a parsed day
 //! as one span.
 //!
-//! Each pushed span is split across the engine's `parallelism(n)` workers,
-//! the only parallel mechanism ingest has. Parsing, proxy normalization and
-//! chunk reduction run in parallel and take no lock: every per-name
-//! decision they need is plain data written beforehand by a sequential
-//! step with `&mut Engine`. Line parsers share one reader per interner and
-//! only look up. The sequential steps, in arrival order, are interning
-//! the parsers' misses and assigning host ids for raw DNS lines, both
-//! span by span in shard order, name admission (internal and IP-literal
-//! verdicts for names interned since the last span), the fold warm-up
-//! (first-fold interning of folded names, in record order), and the
-//! in-order absorb of each chunk. That order makes every result —
-//! alerts, counters, candidate ordering, sink sequence, and every
-//! checkpoint byte but the recorded worker count — independent of how the
-//! day was chunked and of the worker count.
+//! The engine runs every step of the day cycle itself, over its own fold
+//! table, name verdicts and histories. Each pushed span is split across
+//! the engine's `parallelism(n)` workers, the only parallel mechanism
+//! ingest has. Parsing, proxy normalization and chunk reduction run in
+//! parallel and take no lock: every per-name decision they need is plain
+//! data written beforehand by a sequential step with `&mut Engine`. Line
+//! parsers share one reader per interner and only look up. The sequential
+//! steps, in arrival order, are interning the parsers' misses and
+//! assigning host ids for raw DNS lines, both span by span in shard order,
+//! name admission (internal and IP-literal verdicts for names interned
+//! since the last span), the fold warm-up (first-fold interning of folded
+//! names, in record order), and the in-order absorb of each chunk. That
+//! order makes every result — alerts, counters, candidate ordering, sink
+//! sequence, and every checkpoint byte but the recorded worker count —
+//! independent of how the day was chunked and of the worker count.
+//!
+//! [`DayIngest::finish`] seals the day: the index is finalized and only
+//! then are the day's destinations and user agents folded into the
+//! cross-day histories ("updated at the end of each day", §IV-A), so an
+//! operation day is compared against the profiles as they stood before it.
 
 use crate::builder::EngineError;
-use crate::core_loop::Engine;
+use crate::core_loop::{DayProduct, Engine};
 use crate::report::{DayReport, StageCounters};
-use earlybird_core::{DayAccum, DayOutcome};
 use earlybird_logmodel::{
-    lookup_dns_span, lookup_proxy_span, payload_line, Day, DhcpLog, DnsQuery, ParseLogError,
-    ParsedChunk, ProxyRecord,
+    lookup_dns_span, lookup_proxy_span, payload_line, Day, DhcpLog, DnsQuery, DomainSym, HostId,
+    ParseLogError, ParsedChunk, ProxyRecord, UaSym,
 };
 use earlybird_obs::Span;
+use earlybird_pipeline::{
+    normalize_proxy_chunk, reduce_dns_chunk, reduce_proxy_chunk, ChunkReduction, DayIndex,
+    DayIndexBuilder, DayReducer, NormalizationCounts,
+};
+use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -117,6 +127,20 @@ impl IngestSource<'_> {
     }
 }
 
+/// In-flight state of one streamed day: reduction counters, the
+/// incremental index builder (operation days only), and the deferred
+/// user-agent update applied at the seal.
+#[derive(Debug)]
+struct DayAccum {
+    /// Raw records pushed so far (pre-normalization for proxy days).
+    raw_records: usize,
+    reducer: DayReducer,
+    /// `None` on a bootstrap day, which only feeds the profiles.
+    builder: Option<DayIndexBuilder>,
+    ua_pairs: HashSet<(UaSym, HostId)>,
+    norm: NormalizationCounts,
+}
+
 /// Push handle for one streaming day; created by [`Engine::begin_day`].
 ///
 /// Records may be pushed in chunks of any size and (across parallel
@@ -163,7 +187,7 @@ impl DayState {
 
     /// Raw records pushed so far.
     pub fn records_pushed(&self) -> usize {
-        self.accum.as_ref().map_or(0, DayAccum::records_in)
+        self.accum.as_ref().map_or(0, |accum| accum.raw_records)
     }
 
     /// Parse errors accumulated by [`DayIngest::push_lines`] so far.
@@ -182,15 +206,17 @@ impl Engine {
         // must not double-count the cross-day popularity profiles (which
         // would silently push rare destinations over the unpopularity
         // threshold). Replays accumulate nothing.
-        let accum = if self.reports.contains_key(&day) {
-            None
-        } else {
+        let accum = (!self.reports.contains_key(&day)).then(|| {
             let bootstrap = day.index() < self.bootstrap_days();
-            Some(match source {
-                IngestSource::Dns => self.pipeline.begin_dns_day(day, bootstrap),
-                IngestSource::Proxy { .. } => self.pipeline.begin_proxy_day(day, bootstrap),
-            })
-        };
+            DayAccum {
+                raw_records: 0,
+                reducer: DayReducer::new(),
+                builder: (!bootstrap)
+                    .then(|| DayIndexBuilder::new(day, self.cfg.pipeline.unpopular_threshold)),
+                ua_pairs: HashSet::new(),
+                norm: NormalizationCounts::default(),
+            }
+        });
         let state = DayState { day, dns: source.is_dns(), accum, parse_errors: 0, started };
         DayIngest { engine: self, source, state }
     }
@@ -313,7 +339,7 @@ impl DayIngest<'_, '_> {
                 // pushes. Workers share one reader and only look up.
                 let mut chunks = engine.scratch.take_dns(shards.len());
                 let parse_span = engine.metrics.parse.start();
-                let domains = engine.pipeline.raw_interner();
+                let domains = engine.fold.raw_interner();
                 let misses = {
                     let reader = domains.reader();
                     map_shards(shards.iter().zip(chunks.iter_mut()), |(shard, chunk)| {
@@ -323,7 +349,7 @@ impl DayIngest<'_, '_> {
                 // Symbols and host ids both number by first sight: intern
                 // the misses, then assign hosts, span by span in shard order.
                 for (chunk, misses) in chunks.iter_mut().zip(misses) {
-                    misses.intern_dns(self.engine.pipeline.raw_interner(), chunk);
+                    misses.intern_dns(self.engine.fold.raw_interner(), chunk);
                     self.engine.line_hosts.assign(&mut chunk.records);
                     errors.append(&mut chunk.errors);
                 }
@@ -342,7 +368,7 @@ impl DayIngest<'_, '_> {
                 let mut chunks = engine.scratch.take_proxy(shards.len());
                 let parse_span = engine.metrics.parse.start();
                 let (domains, uas, paths) =
-                    (engine.pipeline.raw_interner(), &engine.uas, &engine.paths);
+                    (engine.fold.raw_interner(), &engine.uas, &engine.paths);
                 let misses = {
                     let readers = (domains.reader(), uas.reader(), paths.reader());
                     map_shards(shards.iter().zip(chunks.iter_mut()), |(shard, chunk)| {
@@ -397,7 +423,7 @@ impl DayIngest<'_, '_> {
     /// alerts, belief propagation — was skipped.
     pub fn try_finish(self) -> Result<DayReport, EngineError> {
         let DayIngest { engine, state, .. } = self;
-        let DayState { day, accum, parse_errors, started, .. } = state;
+        let DayState { day, dns, accum, parse_errors, started } = state;
         let Some(accum) = accum else {
             let mut replay =
                 engine.reports.get(&day).cloned().expect("duplicate day must have a stored report");
@@ -406,31 +432,85 @@ impl DayIngest<'_, '_> {
         };
         let mut report = DayReport {
             day,
-            bootstrap: accum.bootstrap(),
+            bootstrap: accum.builder.is_none(),
             stages: StageCounters {
-                records_in: accum.records_in(),
+                records_in: accum.raw_records,
                 parse_errors,
                 ..StageCounters::default()
             },
+            dns_counts: dns.then(|| accum.reducer.dns_counts()),
+            proxy_counts: (!dns).then(|| accum.reducer.proxy_counts()),
+            norm_counts: (!dns).then_some(accum.norm),
             ..DayReport::default()
         };
-        let outcome = {
+        engine.fill_reduction_counters(&mut report);
+        let index = {
             let _profile_span = engine.metrics.profile.start();
-            engine.pipeline.finish_day(accum)
+            engine.seal_day(accum)
         };
         engine.record_interner_shape();
-        match outcome {
-            DayOutcome::Bootstrap { dns_counts, proxy_counts, norm_counts } => {
-                report.dns_counts = dns_counts;
-                report.proxy_counts = proxy_counts;
-                report.norm_counts = norm_counts;
-                engine.fill_reduction_counters(&mut report);
-                report.stages.wall_micros = started.elapsed().as_micros() as u64;
-                engine.reports.insert(day, Engine::counters_only(&report));
-                Ok(report)
+        let Some(index) = index else {
+            report.stages.wall_micros = started.elapsed().as_micros() as u64;
+            engine.reports.insert(day, Engine::counters_only(&report));
+            return Ok(report);
+        };
+        let product = DayProduct {
+            index,
+            dns_counts: report.dns_counts,
+            proxy_counts: report.proxy_counts,
+            norm_counts: report.norm_counts,
+        };
+        engine.run_detection_tail(report, product, started)
+    }
+}
+
+impl Engine {
+    /// Merges a reduced chunk into the day: counters and surviving domains
+    /// into the reducer, `(UA, host)` observations into the deferred
+    /// user-agent update, and contacts into the index builder (operation
+    /// days only). Chunks must be absorbed in push order for deterministic
+    /// counters; the index itself is order-independent.
+    fn absorb_chunk(&self, accum: &mut DayAccum, chunk: ChunkReduction) {
+        accum.reducer.push_chunk(&chunk);
+        for c in &chunk.contacts {
+            if let Some(ua) = c.http.and_then(|h| h.ua) {
+                accum.ua_pairs.insert((ua, c.host));
             }
-            DayOutcome::Operation(product) => engine.run_detection_tail(report, *product, started),
         }
+        if let Some(builder) = &mut accum.builder {
+            builder.push_contacts(&chunk.contacts, &self.history, Some(&self.ua_history));
+        }
+    }
+
+    /// Seals a streamed day: finalizes the index (operation days), then —
+    /// and only then — folds the day's destinations and user agents into
+    /// the cross-day histories. Returns the index, or `None` for a
+    /// bootstrap day.
+    fn seal_day(&mut self, accum: DayAccum) -> Option<DayIndex> {
+        let DayAccum { reducer, builder, ua_pairs, .. } = accum;
+        // The histories' insertion logs are checkpointed verbatim, so fold
+        // each day's additions in sorted order: set semantics are unchanged
+        // and snapshot bytes become run-to-run deterministic.
+        let index = match builder {
+            Some(builder) => {
+                let index = builder.finalize();
+                self.history.update_domains(index.domains());
+                Some(index)
+            }
+            None => {
+                // A bootstrap day's destinations are exactly the domains
+                // that survived every reduction filter.
+                let mut domains: Vec<DomainSym> =
+                    reducer.domains_after_server().iter().copied().collect();
+                domains.sort_unstable();
+                self.history.update_domains(domains);
+                None
+            }
+        };
+        let mut pairs: Vec<(UaSym, HostId)> = ua_pairs.into_iter().collect();
+        pairs.sort_unstable();
+        self.ua_history.update_pairs(pairs);
+        index
     }
 }
 
@@ -441,18 +521,19 @@ impl DayIngest<'_, '_> {
 fn reduce_dns_spans(engine: &mut Engine, accum: &mut DayAccum, spans: &[&[DnsQuery]]) {
     let _reduce_span = begin_reduce(engine, accum, spans);
     let names_span = engine.metrics.reduce_names.start();
-    for span in spans {
-        engine.pipeline.warm_dns_folds(span);
+    for q in spans.iter().flat_map(|span| span.iter()) {
+        engine.fold.fold(q.qname);
     }
     names_span.finish();
     let engine = &*engine;
     let chunk_span = engine.metrics.reduce_chunk.start();
-    let reductions =
-        map_shards(spans.iter(), |span| engine.pipeline.reduce_dns_records(span, &engine.meta));
+    let reductions = map_shards(spans.iter(), |span| {
+        reduce_dns_chunk(span, &engine.meta, &engine.fold, &engine.verdicts)
+    });
     chunk_span.finish();
     let _absorb_span = engine.metrics.reduce_absorb.start();
     for chunk in reductions {
-        engine.pipeline.absorb_chunk(accum, chunk);
+        engine.absorb_chunk(accum, chunk);
     }
 }
 
@@ -470,25 +551,25 @@ fn reduce_proxy_spans(
     let normalize_span = engine.metrics.reduce_normalize.start();
     let shared = &*engine;
     let normalized =
-        map_shards(spans.iter(), |span| shared.pipeline.normalize_proxy_records(span, dhcp));
+        map_shards(spans.iter(), |span| normalize_proxy_chunk(span, dhcp, &shared.verdicts));
     for (_, counts) in &normalized {
-        accum.merge_norm(counts);
+        accum.norm.merge(counts);
     }
     normalize_span.finish();
     let names_span = engine.metrics.reduce_names.start();
-    for (records, _) in &normalized {
-        engine.pipeline.warm_proxy_folds(records);
+    for r in normalized.iter().flat_map(|(records, _)| records) {
+        engine.fold.fold(r.domain);
     }
     names_span.finish();
     let engine = &*engine;
     let chunk_span = engine.metrics.reduce_chunk.start();
     let reductions = map_shards(normalized.iter(), |(records, _)| {
-        engine.pipeline.reduce_proxy_records(records, &engine.meta)
+        reduce_proxy_chunk(records, &engine.meta, &engine.fold, &engine.verdicts)
     });
     chunk_span.finish();
     let _absorb_span = engine.metrics.reduce_absorb.start();
     for chunk in reductions {
-        engine.pipeline.absorb_chunk(accum, chunk);
+        engine.absorb_chunk(accum, chunk);
     }
 }
 
@@ -496,11 +577,11 @@ fn reduce_proxy_spans(
 /// admits every name interned since the last push.
 fn begin_reduce<T>(engine: &mut Engine, accum: &mut DayAccum, spans: &[&[T]]) -> Span {
     let records: usize = spans.iter().map(|span| span.len()).sum();
-    accum.count_raw_records(records);
+    accum.raw_records += records;
     engine.metrics.records.add(records as u64);
     let reduce_span = engine.metrics.reduce.start();
     let _names_span = engine.metrics.reduce_names.start();
-    engine.pipeline.admit_names();
+    engine.verdicts.admit(engine.fold.raw_interner());
     reduce_span
 }
 

@@ -90,7 +90,7 @@ pub use alert::{
     WriteErrors,
 };
 pub use batch::DayBatch;
-pub use builder::{EngineBuilder, EngineConfig, EngineError};
+pub use builder::{EngineBuilder, EngineConfig, EngineError, PipelineConfig};
 pub use core_loop::{Engine, Investigation, SeedSpec};
 pub use earlybird_obs::{MetricsRegistry, MetricsSnapshot};
 pub use earlybird_store::{

@@ -76,16 +76,12 @@
 //! them affects results. Alert sinks are external resources and likewise
 //! come from the builder.
 
-use crate::builder::{validate_config, EngineBuilder, EngineConfig};
-use crate::core_loop::{lock_encodings, Engine, ProductEncodings};
+use crate::builder::{validate_config, EngineBuilder, EngineConfig, PipelineConfig};
+use crate::core_loop::{DayProduct, Engine};
 use crate::metrics::EngineMetrics;
 use crate::report::{DayReport, StageCounters};
-use earlybird_core::{BpConfig, CcModel, DailyPipeline, DayProduct, PipelineConfig, SimScorer};
-use earlybird_logmodel::{
-    Day, DomainInterner, DomainSym, HostId, HostMapper, Ipv4, PathInterner, StrArena, UaInterner,
-    UaSym,
-};
-use earlybird_pipeline::{DomainHistory, UaHistory};
+use earlybird_core::{BpConfig, CcModel, SimScorer};
+use earlybird_logmodel::{Day, DomainInterner, DomainSym, HostId, Ipv4, StrArena, UaSym};
 use earlybird_store::{
     sections, BlockKind, BlockReader, BlockWriter, CheckpointMeta, Decoder, Encoder, SectionTag,
     StoreError, StoreResult, FORMAT_VERSION,
@@ -120,13 +116,13 @@ impl Engine {
 
     fn current_cursor(&self) -> PersistCursor {
         PersistCursor {
-            raw: self.pipeline.raw_interner().len(),
-            folded: self.pipeline.folded_interner().len(),
+            raw: self.fold.raw_interner().len(),
+            folded: self.fold.folded_interner().len(),
             uas: self.uas.len(),
             paths: self.paths.len(),
             hosts: self.line_hosts.len(),
-            history: self.pipeline.history().ordered().len(),
-            ua_pairs: self.pipeline.ua_history().pair_log().len(),
+            history: self.history.ordered().len(),
+            ua_pairs: self.ua_history.pair_log().len(),
             days: self.reports.keys().copied().collect(),
         }
     }
@@ -204,21 +200,21 @@ impl Engine {
         } else {
             (None, None)
         };
-        let raw = (cursor.raw, self.pipeline.raw_interner().tail(cursor.raw));
-        let folded = (cursor.folded, self.pipeline.folded_interner().tail(cursor.folded));
+        let raw = (cursor.raw, self.fold.raw_interner().tail(cursor.raw));
+        let folded = (cursor.folded, self.fold.folded_interner().tail(cursor.folded));
         let uas = (cursor.uas, self.uas.tail(cursor.uas));
         let paths = (cursor.paths, self.paths.tail(cursor.paths));
         let mut ips = self.line_hosts.snapshot_ips();
         let hosts = (cursor.hosts, ips.split_off(cursor.hosts.min(ips.len())));
-        let order = self.pipeline.history().ordered();
+        let order = self.history.ordered();
         let history = (
             cursor.history,
             order.get(cursor.history..).unwrap_or(&[]).to_vec(),
-            self.pipeline.history().days_ingested(),
+            self.history.days_ingested(),
         );
-        let log = self.pipeline.ua_history().pair_log();
+        let log = self.ua_history.pair_log();
         let ua_history = (
-            self.pipeline.ua_history().rare_threshold(),
+            self.ua_history.rare_threshold(),
             cursor.ua_pairs,
             log.get(cursor.ua_pairs..).unwrap_or(&[]).to_vec(),
         );
@@ -228,18 +224,12 @@ impl Engine {
             .filter(|(d, _)| !cursor.days.contains(d))
             .map(|(_, r)| r.clone())
             .collect();
-        let products: Vec<(Day, Arc<DayProduct>)> = self
+        let products: Vec<Arc<DayProduct>> = self
             .products
             .iter()
             .filter(|(d, _)| !cursor.days.contains(d))
-            .map(|(d, p)| (*d, Arc::clone(p)))
+            .map(|(_, p)| Arc::clone(p))
             .collect();
-        {
-            // Prune memoized encodings of evicted days while the engine is
-            // quiesced; snapshot writers only ever insert.
-            let mut cache = lock_encodings(&self.product_encodings);
-            cache.retain(|d, _| self.products.contains_key(d));
-        }
         let next = PersistCursor {
             raw: raw.0 + raw.1.len(),
             folded: folded.0 + folded.1.len(),
@@ -263,7 +253,6 @@ impl Engine {
             ua_history,
             reports,
             products,
-            encodings: Arc::clone(&self.product_encodings),
             sequence: self.sequence.load(Ordering::SeqCst),
             metrics: self.metrics.clone(),
         };
@@ -317,8 +306,8 @@ impl Engine {
         let _span = self.metrics.restore_interners.start();
         let payload = block.section(SectionTag::Interners)?;
         let mut d = Decoder::new(&payload, SectionTag::Interners.name());
-        sections::read_interner_into(&mut d, self.pipeline.raw_interner(), "raw domain")?;
-        sections::read_interner_into(&mut d, self.pipeline.folded_interner(), "folded domain")?;
+        sections::read_interner_into(&mut d, self.fold.raw_interner(), "raw domain")?;
+        sections::read_interner_into(&mut d, self.fold.folded_interner(), "folded domain")?;
         sections::read_interner_into(&mut d, &self.uas, "user-agent")?;
         sections::read_interner_into(&mut d, &self.paths, "path")?;
         d.finish()?;
@@ -337,18 +326,18 @@ impl Engine {
         let payload = block.section(SectionTag::History)?;
         let mut d = Decoder::new(&payload, SectionTag::History.name());
         let (start, domains, days_ingested) = sections::read_domain_history(&mut d)?;
-        if start != self.pipeline.history().ordered().len() {
+        if start != self.history.ordered().len() {
             return Err(StoreError::corrupt(format!(
                 "history delta starts at {start}, engine holds {}",
-                self.pipeline.history().ordered().len()
+                self.history.ordered().len()
             )));
         }
         // Both logs skip an entry they already hold, so a delta that
         // repeats one would restore "successfully" with a log shorter than
         // the chain's watermarks: every entry must have landed.
         let expected = start + domains.len();
-        self.pipeline.restore_history_delta(domains, days_ingested);
-        if self.pipeline.history().ordered().len() != expected {
+        self.history.restore_extend(domains, days_ingested);
+        if self.history.ordered().len() != expected {
             return Err(StoreError::corrupt(format!(
                 "section `{}`: destination-history delta repeats a domain",
                 SectionTag::History.name()
@@ -361,15 +350,15 @@ impl Engine {
                 self.cfg.pipeline.rare_ua_threshold
             )));
         }
-        if start != self.pipeline.ua_history().pair_log().len() {
+        if start != self.ua_history.pair_log().len() {
             return Err(StoreError::corrupt(format!(
                 "user-agent history delta starts at {start}, engine holds {}",
-                self.pipeline.ua_history().pair_log().len()
+                self.ua_history.pair_log().len()
             )));
         }
         let expected = start + pairs.len();
-        self.pipeline.restore_ua_delta(pairs);
-        if self.pipeline.ua_history().pair_log().len() != expected {
+        self.ua_history.update_pairs(pairs);
+        if self.ua_history.pair_log().len() != expected {
             return Err(StoreError::corrupt(format!(
                 "section `{}`: user-agent history delta repeats a (user agent, host) pair",
                 SectionTag::History.name()
@@ -416,15 +405,7 @@ impl Engine {
             let norm_counts = sections::read_opt_norm_counts(&mut d)?;
             let index = sections::read_day_index(&mut d)?;
             let day = index.day();
-            let product = DayProduct {
-                day,
-                index,
-                folded: Arc::clone(self.pipeline.folded_interner()),
-                dns_counts,
-                proxy_counts,
-                norm_counts,
-            };
-            self.invalidate_product_encoding(day);
+            let product = DayProduct { index, dns_counts, proxy_counts, norm_counts };
             if self.products.insert(day, Arc::new(product)).is_some() {
                 return Err(StoreError::corrupt(format!("duplicate retained index for {day}")));
             }
@@ -444,11 +425,8 @@ impl Engine {
 /// background thread (`EngineSnapshot: Send`) and serialize while
 /// ingestion continues. Freezing is cheap: interner and history tails are
 /// flat copies of what was appended since the last block (a day's names
-/// are kilobytes), retained day indexes ride as
-/// `Arc<DayProduct>` clones of the engine's own immutable products, and
-/// the memoized product-encoding cache is *shared* with the live engine,
-/// so a day's index is encoded at most once across every snapshot that
-/// ships it.
+/// are kilobytes), and retained day indexes ride as `Arc<DayProduct>`
+/// clones of the engine's own immutable products.
 ///
 /// [`EngineSnapshot::write_to`] produces bytes identical to what a
 /// synchronous checkpoint of the quiesced engine would have written —
@@ -470,10 +448,7 @@ pub struct EngineSnapshot {
     /// `(rare_threshold, start, tail)` of the user-agent pair log.
     ua_history: (usize, usize, Vec<(UaSym, HostId)>),
     reports: Vec<DayReport>,
-    products: Vec<(Day, Arc<DayProduct>)>,
-    /// The live engine's memoized product encodings (insert-only from
-    /// writers; pruned under the freeze critical section).
-    encodings: Arc<ProductEncodings>,
+    products: Vec<Arc<DayProduct>>,
     sequence: u64,
     metrics: EngineMetrics,
 }
@@ -561,25 +536,16 @@ impl EngineSnapshot {
         }
         block.section(SectionTag::Reports, e)?;
 
+        // Products encode straight into the section: under `Persistence` a
+        // sealed day ships in one block only (segments carry the days not
+        // yet persisted), so no later block could reuse its bytes.
         let mut e = Encoder::new();
         e.usizev(self.products.len());
-        {
-            // Day products are immutable once retained, so their encoding
-            // is computed by the first snapshot that ships them and spliced
-            // verbatim into every later block that does. Eviction pruning
-            // happens at freeze time; here the cache only grows.
-            let mut cache = lock_encodings(&self.encodings);
-            for (day, product) in &self.products {
-                let bytes = cache.entry(*day).or_insert_with(|| {
-                    let mut pe = Encoder::new();
-                    sections::write_opt_dns_counts(&mut pe, product.dns_counts.as_ref());
-                    sections::write_opt_proxy_counts(&mut pe, product.proxy_counts.as_ref());
-                    sections::write_opt_norm_counts(&mut pe, product.norm_counts.as_ref());
-                    sections::write_day_index(&mut pe, &product.index);
-                    Arc::new(pe.into_bytes())
-                });
-                e.raw(bytes);
-            }
+        for product in &self.products {
+            sections::write_opt_dns_counts(&mut e, product.dns_counts.as_ref());
+            sections::write_opt_proxy_counts(&mut e, product.proxy_counts.as_ref());
+            sections::write_opt_norm_counts(&mut e, product.norm_counts.as_ref());
+            sections::write_day_index(&mut e, &product.index);
         }
         block.section(SectionTag::Products, e)?;
 
@@ -685,30 +651,14 @@ impl EngineBuilder {
         let meta = sections::read_dataset_meta(&mut d)?;
         d.finish()?;
 
-        // Empty histories plus either fresh interners or caller-shared
-        // ones (whose contents the snapshot sections verify): the first
-        // block's sections are deltas from zero, applied through the same
-        // path as any later segment. The pipeline is assembled *before*
-        // SOC seeds are re-interned, so the folded interner is only ever
-        // extended by snapshot contents.
-        let pipeline = DailyPipeline::from_restored(
-            raw.unwrap_or_else(|| Arc::new(DomainInterner::new())),
-            Arc::new(DomainInterner::new()),
-            cfg.pipeline,
-            &meta,
-            DomainHistory::new(),
-            UaHistory::new(cfg.pipeline.rare_ua_threshold),
-        );
-        let mut engine = Engine::from_restored(
-            cfg,
-            sinks,
-            meta,
-            pipeline,
-            uas.unwrap_or_else(|| Arc::new(UaInterner::new())),
-            paths.unwrap_or_else(|| Arc::new(PathInterner::new())),
-            HostMapper::new(),
-            metrics,
-        );
+        // Empty state over either fresh interners or caller-shared ones
+        // (whose contents the snapshot sections verify): the first block's
+        // sections are deltas from zero, applied through the same path as
+        // any later segment. SOC seeds are re-interned only after the last
+        // block, so the folded interner is only ever extended by snapshot
+        // contents.
+        let raw = raw.unwrap_or_default();
+        let mut engine = Engine::new(cfg, sinks, raw, meta, uas, paths, metrics);
         engine.apply_state_sections(&mut block)?;
         block.finish()?;
 
@@ -925,15 +875,4 @@ fn read_day_report(d: &mut Decoder<'_>) -> StoreResult<DayReport> {
         alerts: Vec::new(),
         outcome: None,
     })
-}
-
-// -- engine helpers ----------------------------------------------------------
-
-impl Engine {
-    /// Re-interns the configured SOC seed names into the (restored) folded
-    /// namespace; see [`EngineBuilder::restore_stream`].
-    pub(crate) fn reintern_soc_seeds(&mut self) {
-        self.soc_seed_syms =
-            self.cfg.soc_seed_domains.iter().map(|n| self.pipeline.intern_seed(n)).collect();
-    }
 }

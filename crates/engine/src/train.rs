@@ -41,9 +41,9 @@ impl Engine {
         // the whole ingested window.
         let mut known_whois = Vec::new();
         if let Some(whois) = &self.config().whois {
-            for (&day, product) in self.operation_products() {
+            for &day in self.operation_products().keys() {
                 for (domain, _) in automated_domains(self, day) {
-                    let name = product.folded.resolve(domain);
+                    let name = self.resolve(domain);
                     if let WhoisAnswer::Known { age_days, validity_days } = whois.lookup(&name, day)
                     {
                         known_whois.push((age_days, validity_days));
@@ -66,7 +66,7 @@ impl Engine {
 
             for &(domain, auto_hosts) in &autos {
                 let features = cc_features(&ctx, domain, auto_hosts);
-                let name = product.folded.resolve(domain);
+                let name = self.resolve(domain);
                 let reported = vt.is_reported(&name, train_end);
                 cc_samples.push(CcSample { features, reported });
             }
@@ -77,7 +77,7 @@ impl Engine {
             let mut confirmed: BTreeSet<DomainSym> = BTreeSet::new();
             let mut hosts = BTreeSet::new();
             for &(domain, _) in &autos {
-                let name = product.folded.resolve(domain);
+                let name = self.resolve(domain);
                 if vt.is_reported(&name, train_end) {
                     confirmed.insert(domain);
                     if let Some(hs) = product.index.hosts_of(domain) {
@@ -96,7 +96,7 @@ impl Engine {
                         continue;
                     }
                     let features = sim_features(&ctx, d, &confirmed);
-                    let name = product.folded.resolve(d);
+                    let name = self.resolve(d);
                     let reported = vt.is_reported(&name, train_end);
                     sim_samples.push(SimSample { features, reported });
                 }

@@ -37,30 +37,8 @@ impl FoldTable {
     ///
     /// Panics if `level` is zero.
     pub fn new(raw: Arc<DomainInterner>, level: usize) -> Self {
-        Self::from_interners(raw, Arc::new(DomainInterner::new()), level)
-    }
-
-    /// Reassembles a fold table from restored interners (the persistence
-    /// hook used by `earlybird-store`). The memo starts empty and is
-    /// refilled by the next warm pass; because `folded` already holds every
-    /// folded name in its original numbering, re-folding reproduces
-    /// identical symbols.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is zero.
-    pub fn from_interners(
-        raw: Arc<DomainInterner>,
-        folded: Arc<DomainInterner>,
-        level: usize,
-    ) -> Self {
         assert!(level > 0, "fold level must be positive");
-        FoldTable { raw, folded, level, memo: Vec::new() }
-    }
-
-    /// The fold level (2 for enterprise data, 3 for anonymized LANL names).
-    pub fn level(&self) -> usize {
-        self.level
+        FoldTable { raw, folded: Arc::new(DomainInterner::new()), level, memo: Vec::new() }
     }
 
     /// Folds a raw symbol, minting its folded symbol on first sight.
@@ -102,11 +80,6 @@ impl FoldTable {
     pub fn raw_interner(&self) -> &Arc<DomainInterner> {
         &self.raw
     }
-
-    /// Resolves a *folded* symbol to its name.
-    pub fn folded_name(&self, sym: DomainSym) -> String {
-        self.folded.resolve(sym)
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +98,7 @@ mod tests {
         let fc = t.fold(c);
         assert_eq!(fa, fb, "same second-level entity");
         assert_ne!(fa, fc);
-        assert_eq!(t.folded_name(fa), "nbc.com");
+        assert_eq!(t.folded_interner().resolve(fa), "nbc.com");
         assert_eq!(t.fold(a), fa, "memoized");
         assert_eq!(t.folded_interner().len(), 2, "a repeat fold mints nothing");
     }
@@ -163,7 +136,7 @@ mod tests {
         let a = raw.intern("x.sub.rainbow.c3");
         let mut t = FoldTable::new(Arc::clone(&raw), 3);
         let fa = t.fold(a);
-        assert_eq!(t.folded_name(fa), "sub.rainbow.c3");
+        assert_eq!(t.folded_interner().resolve(fa), "sub.rainbow.c3");
     }
 
     #[test]
@@ -184,8 +157,13 @@ mod tests {
         let syms: Vec<_> = ["x.b.com", "y.a.com", "z.b.com"].map(|n| raw.intern(n)).into();
         let mut live = FoldTable::new(Arc::clone(&raw), 2);
         let folds: Vec<_> = syms.iter().map(|&s| live.fold(s)).collect();
-        let mut restored =
-            FoldTable::from_interners(Arc::clone(&raw), Arc::clone(live.folded_interner()), 2);
+        // Restore builds an empty table, then interns the live folded names
+        // into it in their original order.
+        let mut restored = FoldTable::new(Arc::clone(&raw), 2);
+        for sym in 0..live.folded_interner().len() as u32 {
+            let name = live.folded_interner().resolve(DomainSym::from_raw(sym));
+            restored.folded_interner().intern(&name);
+        }
         assert_eq!(restored.folded(syms[0]), None, "the memo is not restored");
         // Any order: every folded name already holds its number.
         for (&s, &f) in syms.iter().zip(&folds).rev() {

@@ -285,11 +285,6 @@ impl DayReducer {
         &self.domains_after_server
     }
 
-    /// Records pushed so far.
-    pub fn records(&self) -> usize {
-        self.records
-    }
-
     /// The day's DNS counters (valid when DNS chunks were pushed).
     pub fn dns_counts(&self) -> DnsReductionCounts {
         DnsReductionCounts {
@@ -562,9 +557,15 @@ mod tests {
         assert_eq!(counts.domains_after_internal_filter, 2);
         let contacts = reduced.contacts;
         assert_eq!(contacts.len(), 2);
-        let evil = contacts.iter().find(|c| fold.folded_name(c.domain) == "evil.ru").unwrap();
+        let evil = contacts
+            .iter()
+            .find(|c| fold.folded_interner().resolve(c.domain) == "evil.ru")
+            .unwrap();
         assert!(!evil.http.unwrap().referer_present);
-        let nbc = contacts.iter().find(|c| fold.folded_name(c.domain) == "nbc.com").unwrap();
+        let nbc = contacts
+            .iter()
+            .find(|c| fold.folded_interner().resolve(c.domain) == "nbc.com")
+            .unwrap();
         assert!(nbc.http.unwrap().referer_present);
         let survivors: Vec<_> = contacts.iter().map(|c| c.domain).collect();
         assert!(survivors.iter().all(|d| reducer.domains_after_server().contains(d)));

@@ -365,7 +365,9 @@ impl Tenant {
     /// Seals `day`: runs the detection tail, commits the day to the
     /// tenant's store, and only then returns the report. Finishing an
     /// already-ingested day replays its stored counters (`duplicate`)
-    /// without touching the store.
+    /// without writing to the store, once every commit already queued has
+    /// resolved; if one failed, the replay is refused like the original
+    /// finish was.
     ///
     /// # Errors
     ///
@@ -397,6 +399,10 @@ impl Tenant {
             report
         };
         if report.duplicate {
+            // The replayed day is durable only if the finish that sealed it
+            // committed. A failed commit poisons the handle (and left the
+            // day in memory alone); one still in flight is waited for.
+            self.persistence.drain().map_err(|e| ServeError::from_store(&e))?;
             let generation = self.persistence.generation();
             return Ok(FinishAck { report, generation, durable: true });
         }

@@ -32,7 +32,7 @@
 //! | [`intel`] | `earlybird-intel` | WHOIS / VirusTotal / IOC / ground-truth simulators |
 //! | [`pipeline`] | `earlybird-pipeline` | normalization, reduction, histories, rare sieve, day index |
 //! | [`synthgen`] | `earlybird-synthgen` | LANL & AC dataset generators with injected campaigns |
-//! | [`core`] | `earlybird-core` | C&C detector, Algorithm 1 belief propagation, daily pipeline (internal plumbing behind [`engine`]) |
+//! | [`core`] | `earlybird-core` | C&C detector and Algorithm 1 belief propagation (building blocks the [`engine`]'s daily cycle calls) |
 //! | [`eval`] | `earlybird-eval` | harnesses regenerating every table and figure of the paper |
 //!
 //! # Quickstart

@@ -26,10 +26,17 @@ fn dns_pipeline_invariants_hold_over_a_month() {
     let mut engine = lanl_engine(&challenge);
 
     let mut prev_history = 0usize;
-    for day_log in &challenge.dataset.days {
+    for (i, day_log) in challenge.dataset.days.iter().enumerate() {
         let report = engine.ingest_day(DayBatch::Dns(day_log));
         let counts = report.dns_counts.expect("DNS batches carry DNS counts");
+        assert_eq!(counts.records_all, day_log.queries.len());
         assert!(counts.records_a_only <= counts.records_all);
+        assert!(counts.domains_all >= counts.domains_after_internal_filter);
+        assert!(counts.domains_after_internal_filter >= counts.domains_after_server_filter);
+        assert_eq!(engine.history().days_ingested() as usize, i + 1, "one profile update a day");
+        if i + 1 == challenge.dataset.meta.bootstrap_days as usize {
+            assert!(engine.history().len() > 50, "history populated by the bootstrap");
+        }
         if !report.bootstrap {
             let index = engine.day_index(day_log.day).expect("operation day retained");
             // Rare domains are a subset of post-reduction domains.
@@ -50,6 +57,10 @@ fn dns_pipeline_invariants_hold_over_a_month() {
                         "bipartite maps inconsistent"
                     );
                 }
+            }
+            // The day's rares join the history at the seal.
+            for dom in index.rare_domains() {
+                assert!(!engine.history().is_new(dom));
             }
         }
         // The history only grows.
