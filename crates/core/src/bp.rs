@@ -128,14 +128,6 @@ impl BpOutcome {
     pub fn detected(&self) -> impl Iterator<Item = &ScoredDomain> {
         self.labeled.iter().filter(|d| d.reason != LabelReason::Seed)
     }
-
-    /// Detected domains ordered by descending score ("an ordered list of
-    /// suspicious domains presented to SOC").
-    pub fn detected_by_suspiciousness(&self) -> Vec<ScoredDomain> {
-        let mut v: Vec<ScoredDomain> = self.detected().copied().collect();
-        v.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("scores are finite"));
-        v
-    }
 }
 
 /// Runs Algorithm 1.
@@ -401,19 +393,6 @@ mod tests {
             belief_propagation(&ctx, None, &sim, &Seeds::default(), &BpConfig::lanl_default());
         assert!(out.labeled.is_empty());
         assert!(out.compromised_hosts.is_empty());
-    }
-
-    #[test]
-    fn detected_by_suspiciousness_is_sorted() {
-        let mut w = fig4_world();
-        let index = w.index();
-        let ctx = ctx(&index, &w.folded);
-        let cc = CcDetector::lanl_default();
-        let sim = SimScorer::lanl_default();
-        let seeds = Seeds::from_hosts([HostId::new(1)]);
-        let out = belief_propagation(&ctx, Some(&cc), &sim, &seeds, &BpConfig::lanl_default());
-        let ranked = out.detected_by_suspiciousness();
-        assert!(ranked.windows(2).all(|w| w[0].score >= w[1].score));
     }
 
     #[test]

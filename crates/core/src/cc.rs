@@ -164,15 +164,6 @@ impl CcDetector {
         out.sort_by(|a, b| b.score.partial_cmp(&a.score).expect("scores are finite"));
         out
     }
-
-    /// All automated (host, domain) pairs among the day's rare domains —
-    /// the population Table II counts.
-    pub fn automated_pairs(
-        &self,
-        ctx: &DayContext<'_>,
-    ) -> Vec<(HostId, DomainSym, AutomationEvidence)> {
-        automated_pairs_with(ctx.index, &self.automation)
-    }
 }
 
 /// All automated `(host, domain, evidence)` pairs among a day's rare
@@ -286,7 +277,7 @@ mod tests {
         let ctx = ctx(&index, &w.folded);
         let det = CcDetector::lanl_default();
         assert!(det.evaluate(&ctx, w.folded.get("web.c3").unwrap()).is_none());
-        assert!(det.automated_pairs(&ctx).is_empty());
+        assert!(automated_pairs_with(ctx.index, &det.automation).is_empty());
     }
 
     #[test]
@@ -341,6 +332,6 @@ mod tests {
         // Single automated host *is* enough in regression mode if the score
         // clears the bar — verified by the pair count being non-empty while
         // the evaluation stays threshold-driven.
-        assert_eq!(det.automated_pairs(&ctx).len(), 1);
+        assert_eq!(automated_pairs_with(ctx.index, &det.automation).len(), 1);
     }
 }

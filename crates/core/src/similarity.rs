@@ -9,7 +9,7 @@
 //!   threshold `T_s = 0.25`.
 
 use crate::context::DayContext;
-use crate::extract::{min_interval_to_malicious, sim_features};
+use crate::extract::sim_features;
 use earlybird_features::{AdditiveScorer, FeatureScaler, IpProximity, RegressionModel};
 use earlybird_logmodel::DomainSym;
 use std::collections::BTreeSet;
@@ -89,25 +89,12 @@ impl SimScorer {
             }
         }
     }
-
-    /// Timing correlation alone (exposed for diagnostics / Fig. 4 traces).
-    pub fn is_timing_correlated(
-        &self,
-        ctx: &DayContext<'_>,
-        domain: DomainSym,
-        malicious: &BTreeSet<DomainSym>,
-    ) -> bool {
-        let window = match self {
-            SimScorer::Additive { correlation_window_secs, .. } => *correlation_window_secs as f64,
-            SimScorer::Regression { .. } => 160.0,
-        };
-        min_interval_to_malicious(ctx, domain, malicious).is_some_and(|dt| dt <= window)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::extract::min_interval_to_malicious;
     use earlybird_logmodel::{Day, DomainInterner, HostId, Ipv4, Timestamp};
     use earlybird_pipeline::{Contact, DayIndex, DomainHistory, RareSieve};
 
@@ -156,7 +143,8 @@ mod tests {
         // connectivity 2/3 + timing 1 + ip24 1 -> (0.667 + 1 + 1)/3 ≈ 0.889
         assert!(s > 0.8, "score = {s}");
         assert!(s >= scorer.threshold());
-        assert!(scorer.is_timing_correlated(&ctx, cand, &mal));
+        // Within the LANL scorer's 160 s correlation window.
+        assert!(min_interval_to_malicious(&ctx, cand, &mal).is_some_and(|dt| dt <= 160.0));
     }
 
     #[test]
@@ -203,8 +191,9 @@ mod tests {
             whois: None,
             whois_defaults: (0.0, 0.0),
         };
-        let scorer = SimScorer::lanl_default();
         let mal: BTreeSet<DomainSym> = [folded.get("mal.c3").unwrap()].into_iter().collect();
-        assert!(!scorer.is_timing_correlated(&ctx, folded.get("late.c3").unwrap(), &mal));
+        let late = folded.get("late.c3").unwrap();
+        // One second past the LANL scorer's 160 s correlation window.
+        assert!(min_interval_to_malicious(&ctx, late, &mal).is_some_and(|dt| dt > 160.0));
     }
 }

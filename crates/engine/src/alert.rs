@@ -1,10 +1,9 @@
-//! The typed alert layer: what the engine tells the SOC, and where.
+//! The typed alert layer: what the engine tells the SOC.
 
 use earlybird_core::LabelReason;
 use earlybird_logmodel::{Day, DomainSym, HostId};
 use serde::{Deserialize, Serialize};
-use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Why a domain was flagged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,153 +53,49 @@ pub struct Alert {
     pub hosts: Vec<HostId>,
 }
 
-/// A pluggable alert consumer.
+/// The engine's optional alert log: every alert the engine emits — from
+/// the daily ingest cycle and from explicit [`crate::Engine::investigate`]
+/// calls — appended in sequence order. Attach one with
+/// [`crate::EngineBuilder::alert_log`]; it is the service's per-tenant
+/// alert log. `Default` makes an empty log, and clones share it.
 ///
-/// Sinks receive every alert the engine emits — from the daily ingest cycle
-/// and from explicit [`crate::Engine::investigate`] calls — in sequence
-/// order.
-pub trait AlertSink {
-    /// Consumes one alert.
-    fn emit(&mut self, alert: &Alert);
-}
-
-/// Shared handle to the alerts gathered by a [`CollectingSink`] — also
-/// the service's per-tenant alert log.
-///
-/// Alerts are appended in engine delivery order, which is globally
-/// sequence-ordered (sequence numbers are allocated under the sink lock),
-/// so cursor reads are a binary search. After a restart a fresh collector
-/// starts empty while the engine's sequence counter resumes from the
-/// snapshot — so cursors held by clients stay monotone across restarts;
-/// they simply see no replayed alerts for days that were already durable.
+/// Sequence numbers are allocated under the log's lock, so the log is
+/// globally sequence-ordered and cursor reads are a binary search. After a
+/// restart a fresh log starts empty while the engine's sequence counter
+/// resumes from the snapshot — so cursors held by clients stay monotone
+/// across restarts; they simply see no replayed alerts for days that were
+/// already durable.
 #[derive(Clone, Debug, Default)]
 pub struct CollectedAlerts {
     store: Arc<Mutex<Vec<Alert>>>,
 }
 
 impl CollectedAlerts {
-    /// A snapshot of all alerts collected so far, in delivery order.
+    /// Locks the log for appending (the engine numbers alerts under it).
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Vec<Alert>> {
+        self.store.lock().expect("alert store poisoned")
+    }
+
+    /// A snapshot of all alerts collected so far, in sequence order.
     pub fn snapshot(&self) -> Vec<Alert> {
-        self.store.lock().expect("alert store poisoned").clone()
+        self.lock().clone()
     }
 
     /// All alerts with `sequence >= since`, in sequence order.
     pub fn since(&self, since: u64) -> Vec<Alert> {
-        let log = self.store.lock().expect("alert store poisoned");
+        let log = self.lock();
         let start = log.partition_point(|a| a.sequence < since);
         log[start..].to_vec()
     }
 
-    /// One past the highest sequence collected (`0` when empty): the
-    /// cursor a client should pass to [`CollectedAlerts::since`] to read
-    /// only alerts emitted after this call.
-    pub fn next_sequence(&self) -> u64 {
-        let log = self.store.lock().expect("alert store poisoned");
-        log.last().map_or(0, |a| a.sequence + 1)
-    }
-
     /// Number of alerts collected so far.
     pub fn len(&self) -> usize {
-        self.store.lock().expect("alert store poisoned").len()
+        self.lock().len()
     }
 
     /// Whether no alert has been collected.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// An in-memory sink; read the results through its [`CollectedAlerts`]
-/// handle (which stays valid after the sink moves into the engine).
-#[derive(Debug, Default)]
-pub struct CollectingSink {
-    store: Arc<Mutex<Vec<Alert>>>,
-}
-
-impl CollectingSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The shared handle for reading collected alerts later.
-    pub fn handle(&self) -> CollectedAlerts {
-        CollectedAlerts { store: Arc::clone(&self.store) }
-    }
-}
-
-impl AlertSink for CollectingSink {
-    fn emit(&mut self, alert: &Alert) {
-        self.store.lock().expect("alert store poisoned").push(alert.clone());
-    }
-}
-
-/// Shared counter of alerts a [`JsonLinesSink`] failed to write (full disk,
-/// closed pipe, ...). Stays valid after the sink moves into the engine.
-#[derive(Clone, Debug, Default)]
-pub struct WriteErrors {
-    count: Arc<std::sync::atomic::AtomicU64>,
-}
-
-impl WriteErrors {
-    /// Number of alerts dropped by the sink so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(std::sync::atomic::Ordering::SeqCst)
-    }
-}
-
-/// Streams each alert as one JSON object per line to any writer.
-///
-/// Write failures never panic the engine; they are counted and observable
-/// through [`JsonLinesSink::write_errors`] (and, because alert sequence
-/// numbers are gapless, detectable downstream as sequence gaps).
-pub struct JsonLinesSink<W: Write> {
-    writer: W,
-    errors: WriteErrors,
-}
-
-impl<W: Write> JsonLinesSink<W> {
-    /// Wraps `writer`.
-    pub fn new(writer: W) -> Self {
-        JsonLinesSink { writer, errors: WriteErrors::default() }
-    }
-
-    /// The shared dropped-write counter, for checking after the sink moves
-    /// into the engine.
-    pub fn write_errors(&self) -> WriteErrors {
-        self.errors.clone()
-    }
-
-    /// Unwraps the writer (e.g. to inspect an in-memory buffer).
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl<W: Write> AlertSink for JsonLinesSink<W> {
-    fn emit(&mut self, alert: &Alert) {
-        let line = serde_json::to_string(alert).expect("alerts serialize");
-        if writeln!(self.writer, "{line}").is_err() {
-            self.errors.count.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        }
-    }
-}
-
-/// Invokes a closure per alert.
-pub struct CallbackSink<F: FnMut(&Alert)> {
-    callback: F,
-}
-
-impl<F: FnMut(&Alert)> CallbackSink<F> {
-    /// Wraps `callback`.
-    pub fn new(callback: F) -> Self {
-        CallbackSink { callback }
-    }
-}
-
-impl<F: FnMut(&Alert)> AlertSink for CallbackSink<F> {
-    fn emit(&mut self, alert: &Alert) {
-        (self.callback)(alert);
     }
 }
 
@@ -226,70 +121,14 @@ mod tests {
     }
 
     #[test]
-    fn collecting_sink_preserves_order() {
-        let sink = CollectingSink::new();
-        let handle = sink.handle();
-        let mut sink: Box<dyn AlertSink> = Box::new(sink);
-        for s in 0..5 {
-            sink.emit(&alert(s));
-        }
-        let got = handle.snapshot();
-        assert_eq!(got.len(), 5);
-        assert!(got.windows(2).all(|w| w[0].sequence < w[1].sequence));
-    }
-
-    #[test]
-    fn json_lines_sink_writes_one_object_per_line() {
-        let mut sink = JsonLinesSink::new(Vec::new());
-        sink.emit(&alert(0));
-        sink.emit(&alert(1));
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.lines().all(|l| l.contains("\"x.example\"")));
-    }
-
-    #[test]
-    fn json_lines_sink_counts_write_failures() {
-        struct FailingWriter;
-        impl Write for FailingWriter {
-            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("disk full"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut sink = JsonLinesSink::new(FailingWriter);
-        let errors = sink.write_errors();
-        sink.emit(&alert(0));
-        sink.emit(&alert(1));
-        assert_eq!(errors.count(), 2, "dropped alerts are observable");
-    }
-
-    #[test]
     fn alert_log_cursor_reads_are_half_open() {
-        let sink = CollectingSink::new();
-        let log = sink.handle();
-        assert_eq!(log.next_sequence(), 0, "empty log starts the cursor at 0");
-        let mut sink: Box<dyn AlertSink> = Box::new(sink);
-        for s in [2u64, 5, 9] {
-            sink.emit(&alert(s));
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.since(0).len(), 3);
+        let log = CollectedAlerts::default();
+        assert!(log.is_empty());
+        log.clone().lock().extend([2u64, 5, 9].map(alert));
+        assert_eq!(log.len(), 3, "clones share one log");
+        assert_eq!(log.snapshot(), log.since(0));
         assert_eq!(log.since(3).iter().map(|a| a.sequence).collect::<Vec<_>>(), vec![5, 9]);
         assert_eq!(log.since(9).len(), 1, "since is inclusive");
-        assert_eq!(log.next_sequence(), 10);
-        assert!(log.since(log.next_sequence()).is_empty(), "next_sequence sees only new alerts");
-    }
-
-    #[test]
-    fn callback_sink_invokes() {
-        let mut seen = Vec::new();
-        {
-            let mut sink = CallbackSink::new(|a: &Alert| seen.push(a.sequence));
-            sink.emit(&alert(7));
-        }
-        assert_eq!(seen, vec![7]);
+        assert!(log.since(10).is_empty(), "a cursor past the last alert reads nothing");
     }
 }

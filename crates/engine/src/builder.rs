@@ -1,6 +1,6 @@
 //! Engine configuration and validated construction.
 
-use crate::alert::AlertSink;
+use crate::alert::CollectedAlerts;
 use crate::core_loop::Engine;
 use crate::metrics::EngineMetrics;
 use earlybird_core::{BpConfig, CcModel, SimScorer};
@@ -12,9 +12,8 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A typed engine failure: configuration mistakes caught by
-/// [`EngineBuilder::build`], unknown-day lookups, and runtime faults
-/// (panicking alert sinks, crashed scoring workers) that previously
-/// aborted the whole daily cycle.
+/// [`EngineBuilder::build`], unknown-day lookups, and crashed scoring
+/// workers, which previously aborted the whole daily cycle.
 #[derive(Debug)]
 pub enum EngineError {
     /// A knob failed validation; the message names it.
@@ -22,15 +21,6 @@ pub enum EngineError {
     /// The requested day is not retained by the engine (bootstrap day, or
     /// never ingested).
     UnknownDay(earlybird_logmodel::Day),
-    /// An alert sink panicked while consuming an alert. The sink has been
-    /// detached so the daily cycle (and every other sink) continues;
-    /// drain these via [`crate::Engine::take_sink_errors`].
-    SinkPanicked {
-        /// Index of the sink in attachment order.
-        sink: usize,
-        /// The panic payload, stringified.
-        message: String,
-    },
     /// A C&C scoring worker thread panicked; the day's detection pass
     /// cannot be trusted and is abandoned.
     WorkerPanicked(String),
@@ -41,9 +31,6 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::InvalidConfig(msg) => write!(f, "invalid engine config: {msg}"),
             EngineError::UnknownDay(day) => write!(f, "day {day:?} is not retained"),
-            EngineError::SinkPanicked { sink, message } => {
-                write!(f, "alert sink #{sink} panicked and was detached: {message}")
-            }
             EngineError::WorkerPanicked(msg) => write!(f, "scoring worker panicked: {msg}"),
         }
     }
@@ -125,7 +112,7 @@ pub struct EngineConfig {
 /// Builder for [`Engine`]: one place for every knob the DSN'15 loop needs.
 pub struct EngineBuilder {
     cfg: EngineConfig,
-    sinks: Vec<Box<dyn AlertSink + Send>>,
+    alert_log: Option<CollectedAlerts>,
     uas: Option<Arc<UaInterner>>,
     paths: Option<Arc<PathInterner>>,
     metrics: Option<Arc<MetricsRegistry>>,
@@ -154,7 +141,7 @@ impl EngineBuilder {
                 bootstrap_days: None,
                 retain_days: None,
             },
-            sinks: Vec::new(),
+            alert_log: None,
             uas: None,
             paths: None,
             metrics: None,
@@ -259,17 +246,17 @@ impl EngineBuilder {
         self
     }
 
-    /// Attaches an alert sink (may be called repeatedly; alerts fan out to
-    /// every sink in attachment order).
-    pub fn sink(mut self, sink: impl AlertSink + Send + 'static) -> Self {
-        self.sinks.push(Box::new(sink));
+    /// Appends every alert the engine emits to `log`, in sequence order.
+    /// Without one, alerts reach callers only through the reports.
+    pub fn alert_log(mut self, log: CollectedAlerts) -> Self {
+        self.alert_log = Some(log);
         self
     }
 
     /// Attaches a shared [`MetricsRegistry`]: per-stage timings, ingest
     /// counters, and checkpoint bandwidth flow into it as `engine_*`
     /// series. Omitted, the engine records into a private enabled registry
-    /// reachable via [`Engine::metrics`]. Like sinks, the registry is an
+    /// reachable via [`Engine::metrics`]. Like the alert log, the registry is an
     /// attachment, not configuration — it is never persisted and never
     /// affects results.
     pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
@@ -303,7 +290,7 @@ impl EngineBuilder {
         cfg.ingest_chunk_records = cfg.ingest_chunk_records.max(1);
         let metrics = Self::make_metrics(self.metrics, &self.metric_labels);
         let mut engine =
-            Engine::new(self.cfg, self.sinks, raw, meta, self.uas, self.paths, metrics);
+            Engine::new(self.cfg, self.alert_log, raw, meta, self.uas, self.paths, metrics);
         engine.reintern_soc_seeds();
         Ok(engine)
     }
@@ -325,13 +312,13 @@ impl EngineBuilder {
         self,
     ) -> (
         EngineConfig,
-        Vec<Box<dyn AlertSink + Send>>,
+        Option<CollectedAlerts>,
         Option<Arc<UaInterner>>,
         Option<Arc<PathInterner>>,
         EngineMetrics,
     ) {
         let metrics = Self::make_metrics(self.metrics, &self.metric_labels);
-        (self.cfg, self.sinks, self.uas, self.paths, metrics)
+        (self.cfg, self.alert_log, self.uas, self.paths, metrics)
     }
 }
 

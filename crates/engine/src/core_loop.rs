@@ -1,6 +1,6 @@
 //! The engine itself: state, the daily ingest cycle, and investigations.
 
-use crate::alert::{Alert, AlertSink, Verdict};
+use crate::alert::{Alert, CollectedAlerts, Verdict};
 use crate::batch::DayBatch;
 use crate::builder::{EngineConfig, EngineError};
 use crate::ingest::IngestSource;
@@ -126,13 +126,10 @@ pub struct Engine {
     /// checkpoint serializes while ingestion keeps inserting new days.
     pub(crate) products: BTreeMap<Day, Arc<DayProduct>>,
     pub(crate) reports: BTreeMap<Day, DayReport>,
-    /// Attached sinks, each tagged with its stable attachment-order id so
-    /// failures are attributed correctly even after earlier detachments.
-    pub(crate) sinks: Mutex<Vec<(usize, Box<dyn AlertSink + Send>)>>,
+    /// The attached alert log, if any (see
+    /// [`crate::EngineBuilder::alert_log`]).
+    pub(crate) alert_log: Option<CollectedAlerts>,
     pub(crate) sequence: AtomicU64,
-    /// Typed errors from sinks that panicked mid-emit and were detached;
-    /// drained by [`Engine::take_sink_errors`].
-    pub(crate) sink_errors: Mutex<Vec<EngineError>>,
     /// Watermarks of the state already persisted by `checkpoint` /
     /// `checkpoint_day` (see the `persist` module). Behind its own lock so
     /// checkpoints run on `&self`: a snapshot in flight never blocks the
@@ -169,14 +166,13 @@ impl Engine {
     /// should (see [`Engine::reintern_soc_seeds`]).
     pub(crate) fn new(
         cfg: EngineConfig,
-        sinks: Vec<Box<dyn AlertSink + Send>>,
+        alert_log: Option<CollectedAlerts>,
         raw: Arc<DomainInterner>,
         meta: DatasetMeta,
         uas: Option<Arc<UaInterner>>,
         paths: Option<Arc<PathInterner>>,
         metrics: EngineMetrics,
     ) -> Self {
-        let sinks = sinks.into_iter().enumerate().collect();
         Engine {
             fold: FoldTable::new(raw, cfg.pipeline.fold_level),
             verdicts: NameVerdicts::new(ReductionConfig::from_meta(&meta)),
@@ -186,9 +182,8 @@ impl Engine {
             meta,
             products: BTreeMap::new(),
             reports: BTreeMap::new(),
-            sinks: Mutex::new(sinks),
+            alert_log,
             sequence: AtomicU64::new(0),
-            sink_errors: Mutex::new(Vec::new()),
             persist_cursor: Mutex::new(crate::persist::PersistCursor::default()),
             soc_seed_syms: Vec::new(),
             uas: uas.unwrap_or_default(),
@@ -263,21 +258,9 @@ impl Engine {
 
     /// The sequence number the next emitted alert will carry. Survives
     /// checkpoint/restore, so alert cursors handed to consumers stay
-    /// monotone across restarts even though sinks start over empty.
+    /// monotone across restarts even though alert logs start over empty.
     pub fn next_alert_sequence(&self) -> u64 {
         self.sequence.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Drains the typed errors from alert sinks that panicked mid-emit.
-    ///
-    /// A panicking sink is detached (so one faulty sink cannot poison the
-    /// registry or abort a daily cycle) and its panic is recorded as
-    /// [`EngineError::SinkPanicked`]; the day's report counts the failures
-    /// in `stages.sink_failures`.
-    pub fn take_sink_errors(&self) -> Vec<EngineError> {
-        std::mem::take(
-            &mut *self.sink_errors.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-        )
     }
 
     /// The contact index of a retained operation day.
@@ -418,9 +401,7 @@ impl Engine {
     /// [`EngineError::WorkerPanicked`] when a C&C scoring worker dies; the
     /// day is still registered (replay-guarded, index retained for
     /// post-mortem [`Engine::cc_scores`]) but no alerts were emitted — see
-    /// [`crate::DayIngest::try_finish`]. Panicking alert *sinks* are not
-    /// an error — they are detached, counted in `stages.sink_failures`,
-    /// and reported through [`Engine::take_sink_errors`].
+    /// [`crate::DayIngest::try_finish`].
     pub fn try_ingest_day(&mut self, batch: DayBatch<'_>) -> Result<DayReport, EngineError> {
         match batch {
             DayBatch::Dns(d) => {
@@ -536,8 +517,7 @@ impl Engine {
             }
         }
 
-        report.stages.sink_failures = self.assign_and_emit(&mut alerts);
-        self.metrics.sink_failures.add(report.stages.sink_failures as u64);
+        self.assign_and_emit(&mut alerts);
         report.stages.alerts_emitted = alerts.len();
         report.cc_candidates = candidates;
         report.alerts = alerts;
@@ -707,54 +687,19 @@ impl Engine {
         }
     }
 
-    /// Assigns engine-wide sequence numbers and fans the alerts out to
-    /// every sink, preserving order. Sequence allocation happens under the
-    /// sink lock so concurrent `investigate` calls cannot interleave a
+    /// Assigns engine-wide sequence numbers and appends the alerts to the
+    /// alert log, if one is attached. Numbers are allocated under the log's
+    /// lock so concurrent `investigate` calls cannot append a
     /// later-numbered batch ahead of an earlier one.
-    ///
-    /// A sink that panics is caught, detached, and recorded as a typed
-    /// [`EngineError::SinkPanicked`] (drain via
-    /// [`Engine::take_sink_errors`]); the remaining sinks keep receiving
-    /// every alert and the daily cycle is never aborted. Returns the number
-    /// of sinks that failed during this emission.
-    fn assign_and_emit(&self, alerts: &mut [Alert]) -> usize {
-        if alerts.is_empty() {
-            return 0;
-        }
-        // A previous panic under this lock is already handled (the sink was
-        // detached), so a poisoned registry is safe to re-enter.
-        let mut sinks = self.sinks.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    fn assign_and_emit(&self, alerts: &mut [Alert]) {
+        let mut log = self.alert_log.as_ref().map(CollectedAlerts::lock);
         let start = self.sequence.fetch_add(alerts.len() as u64, Ordering::SeqCst);
-        // Failed sinks keyed by their stable attachment-order id, so the
-        // reported index stays correct even after earlier detachments
-        // shifted live positions.
-        let mut failed: Vec<(usize, String)> = Vec::new();
-        for (i, alert) in alerts.iter_mut().enumerate() {
-            alert.sequence = start + i as u64;
-            for (id, sink) in sinks.iter_mut() {
-                if failed.iter().any(|&(f, _)| f == *id) {
-                    continue;
-                }
-                let outcome =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sink.emit(alert)));
-                if let Err(payload) = outcome {
-                    failed.push((*id, panic_message(payload.as_ref())));
-                }
-            }
+        for (alert, sequence) in alerts.iter_mut().zip(start..) {
+            alert.sequence = sequence;
         }
-        let failures = failed.len();
-        if failures > 0 {
-            sinks.retain(|(id, _)| !failed.iter().any(|&(f, _)| f == *id));
-            drop(sinks);
-            let mut errors =
-                self.sink_errors.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            errors.extend(
-                failed
-                    .into_iter()
-                    .map(|(sink, message)| EngineError::SinkPanicked { sink, message }),
-            );
+        if let Some(log) = &mut log {
+            log.extend_from_slice(alerts);
         }
-        failures
     }
 
     /// Evaluates every rare domain of the day — automation evidence plus
@@ -844,21 +789,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alert::CollectingSink;
     use crate::builder::EngineBuilder;
     use earlybird_synthgen::lanl::{LanlConfig, LanlGenerator};
 
-    fn engine_over_tiny(
-        parallelism: usize,
-    ) -> (Engine, Vec<DayReport>, crate::alert::CollectedAlerts) {
+    fn engine_over_tiny(parallelism: usize) -> (Engine, Vec<DayReport>, CollectedAlerts) {
         let challenge = LanlGenerator::new(LanlConfig::tiny()).generate();
-        let sink = CollectingSink::new();
-        let handle = sink.handle();
+        let log = CollectedAlerts::default();
         let mut engine = EngineBuilder::lanl()
             .parallelism(parallelism)
             .parallel_threshold(1) // force sharding even on tiny days
             .auto_investigate(true)
-            .sink(sink)
+            .alert_log(log.clone())
             .build(Arc::clone(&challenge.dataset.domains), challenge.dataset.meta.clone())
             .unwrap();
         let reports: Vec<DayReport> = challenge
@@ -867,7 +808,7 @@ mod tests {
             .iter()
             .map(|day| engine.ingest_day(DayBatch::Dns(day)))
             .collect();
-        (engine, reports, handle)
+        (engine, reports, log)
     }
 
     #[test]
@@ -1062,12 +1003,11 @@ mod tests {
             bootstrap_days: 0,
             total_days: 1,
         };
-        let sink = CollectingSink::new();
-        let alerts = sink.handle();
+        let alerts = CollectedAlerts::default();
         let mut engine = EngineBuilder::lanl()
             .soc_seed("ioc.evil.c3")
             .auto_investigate(true)
-            .sink(sink)
+            .alert_log(alerts.clone())
             .build(Arc::clone(&domains), meta)
             .unwrap();
         let report = engine.ingest_day(DayBatch::Dns(&DnsDayLog { day: Day::new(0), queries }));

@@ -23,7 +23,7 @@
 //! name admission (internal and IP-literal verdicts for names interned
 //! since the last span), the fold warm-up (first-fold interning of folded
 //! names, in record order), and the in-order absorb of each chunk. That
-//! order makes every result — alerts, counters, candidate ordering, sink
+//! order makes every result — alerts, counters, candidate ordering, alert
 //! sequence, and every checkpoint byte but the recorded worker count —
 //! independent of how the day was chunked and of the worker count.
 //!
@@ -45,67 +45,20 @@ use earlybird_pipeline::{
     DayIndexBuilder, DayReducer, NormalizationCounts,
 };
 use std::collections::HashSet;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-/// Upper bound on pooled scratch buffers (spare capacity beyond this is
-/// dropped rather than hoarded).
-const SCRATCH_POOL_CAP: usize = 64;
 
 /// Reusable per-worker parse buffers for the raw-line ingest path.
 ///
 /// Line pushes arrive span after span for a whole day; parsing each span
-/// into freshly allocated `Vec`s made the allocator a per-span cost. The
-/// pool hands out cleared [`ParsedChunk`]s that keep their record/error
-/// capacity between spans. Purely transient state — never checkpointed.
+/// into freshly allocated `Vec`s made the allocator a per-span cost. A push
+/// takes one cleared [`ParsedChunk`] per shard, which keeps its
+/// record/error capacity between spans, and gives it back afterwards, so
+/// the pool holds at most the most shards one push used. Purely transient
+/// state — never checkpointed.
 #[derive(Debug, Default)]
 pub(crate) struct ScratchPool {
-    dns: Mutex<Vec<ParsedChunk<DnsQuery>>>,
-    proxy: Mutex<Vec<ParsedChunk<ProxyRecord>>>,
-}
-
-impl ScratchPool {
-    // A holder that panicked left a list of buffers, each either whole or
-    // about to be cleared before reuse, so the poison flag carries no
-    // information.
-    fn lock<T>(pool: &Mutex<Vec<ParsedChunk<T>>>) -> MutexGuard<'_, Vec<ParsedChunk<T>>> {
-        pool.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn take<T>(pool: &Mutex<Vec<ParsedChunk<T>>>, n: usize) -> Vec<ParsedChunk<T>> {
-        let mut pool = Self::lock(pool);
-        let keep = pool.len().saturating_sub(n);
-        let mut out: Vec<ParsedChunk<T>> = pool.drain(keep..).collect();
-        out.resize_with(n, ParsedChunk::default);
-        out
-    }
-
-    fn give<T>(pool: &Mutex<Vec<ParsedChunk<T>>>, bufs: Vec<ParsedChunk<T>>) {
-        let mut pool = Self::lock(pool);
-        for mut buf in bufs {
-            if pool.len() >= SCRATCH_POOL_CAP {
-                break;
-            }
-            buf.clear();
-            pool.push(buf);
-        }
-    }
-
-    fn take_dns(&self, n: usize) -> Vec<ParsedChunk<DnsQuery>> {
-        Self::take(&self.dns, n)
-    }
-
-    fn give_dns(&self, bufs: Vec<ParsedChunk<DnsQuery>>) {
-        Self::give(&self.dns, bufs)
-    }
-
-    fn take_proxy(&self, n: usize) -> Vec<ParsedChunk<ProxyRecord>> {
-        Self::take(&self.proxy, n)
-    }
-
-    fn give_proxy(&self, bufs: Vec<ParsedChunk<ProxyRecord>>) {
-        Self::give(&self.proxy, bufs)
-    }
+    dns: Vec<ParsedChunk<DnsQuery>>,
+    proxy: Vec<ParsedChunk<ProxyRecord>>,
 }
 
 /// Which log source a streamed day reads from.
@@ -331,13 +284,15 @@ impl DayIngest<'_, '_> {
         let mut errors: Vec<(usize, ParseLogError)> = Vec::new();
         match self.source {
             IngestSource::Dns => {
-                let engine = &*self.engine;
-                let shards =
-                    shard_spans(&lines, engine.cfg.parallelism, engine.cfg.ingest_chunk_records);
+                let cfg = &self.engine.cfg;
+                let shards = shard_spans(&lines, cfg.parallelism, cfg.ingest_chunk_records);
                 // Each shard is parsed as one span into a pooled scratch
                 // buffer whose record vectors keep their capacity across
                 // pushes. Workers share one reader and only look up.
-                let mut chunks = engine.scratch.take_dns(shards.len());
+                let pool = &mut self.engine.scratch.dns;
+                let mut chunks = pool.split_off(pool.len().saturating_sub(shards.len()));
+                chunks.resize_with(shards.len(), ParsedChunk::default);
+                let engine = &*self.engine;
                 let parse_span = engine.metrics.parse.start();
                 let domains = engine.fold.raw_interner();
                 let misses = {
@@ -359,13 +314,18 @@ impl DayIngest<'_, '_> {
                     reduce_dns_spans(self.engine, accum, &spans);
                 }
                 drop(spans);
-                self.engine.scratch.give_dns(chunks);
+                self.engine.scratch.dns.extend(chunks.into_iter().map(|mut c| {
+                    c.clear();
+                    c
+                }));
             }
             IngestSource::Proxy { dhcp } => {
+                let cfg = &self.engine.cfg;
+                let shards = shard_spans(&lines, cfg.parallelism, cfg.ingest_chunk_records);
+                let pool = &mut self.engine.scratch.proxy;
+                let mut chunks = pool.split_off(pool.len().saturating_sub(shards.len()));
+                chunks.resize_with(shards.len(), ParsedChunk::default);
                 let engine = &*self.engine;
-                let shards =
-                    shard_spans(&lines, engine.cfg.parallelism, engine.cfg.ingest_chunk_records);
-                let mut chunks = engine.scratch.take_proxy(shards.len());
                 let parse_span = engine.metrics.parse.start();
                 let (domains, uas, paths) =
                     (engine.fold.raw_interner(), &engine.uas, &engine.paths);
@@ -387,7 +347,10 @@ impl DayIngest<'_, '_> {
                     reduce_proxy_spans(self.engine, accum, &spans, dhcp);
                 }
                 drop(spans);
-                self.engine.scratch.give_proxy(chunks);
+                self.engine.scratch.proxy.extend(chunks.into_iter().map(|mut c| {
+                    c.clear();
+                    c
+                }));
             }
         }
         errors.sort_by_key(|(lineno, _)| *lineno);
@@ -399,7 +362,7 @@ impl DayIngest<'_, '_> {
     /// Seals the day: finalizes the incremental index, folds the day into
     /// the cross-day histories, and (for operation days) runs the unchanged
     /// detection tail — C&C scoring, alerting, optional belief-propagation
-    /// expansion — emitting alerts to every sink.
+    /// expansion — and appends its alerts to the alert log, if attached.
     ///
     /// # Panics
     ///
@@ -638,26 +601,5 @@ mod tests {
         let sums = map_shards(shards.iter(), |s| s.iter().sum::<u32>());
         let expected: Vec<u32> = shards.iter().map(|s| s.iter().sum()).collect();
         assert_eq!(sums, expected);
-    }
-
-    #[test]
-    fn a_panic_under_the_lock_does_not_wedge_the_scratch_pool() {
-        let pool = ScratchPool::default();
-        pool.give_dns(pool.take_dns(2));
-        let panicked = std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    let _guard = pool.dns.lock().unwrap();
-                    panic!("parse worker dies holding the scratch pool");
-                })
-                .join()
-        });
-        assert!(panicked.is_err());
-        assert!(pool.dns.is_poisoned());
-        let bufs = pool.take_dns(3);
-        assert_eq!(bufs.len(), 3);
-        assert!(bufs.iter().all(|b| b.records.is_empty() && b.errors.is_empty()));
-        pool.give_dns(bufs);
-        assert_eq!(pool.take_dns(1).len(), 1);
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! * [`EngineBuilder`] unifies the scattered knobs (pipeline configuration,
 //!   C&C model, similarity scorer, belief-propagation limits, WHOIS
-//!   registry and defaults, SOC hint seeds, parallelism, alert sinks) into
+//!   registry and defaults, SOC hint seeds, parallelism, alert log) into
 //!   one validated [`EngineConfig`].
 //! * [`Engine::begin_day`] opens a streaming [`DayIngest`] handle — the
 //!   one way a day is ingested: push raw log lines
@@ -20,8 +20,9 @@
 //!   scoring rare domains on the same workers, and returns a typed
 //!   [`DayReport`] with per-stage counters. [`DayBatch`] +
 //!   [`Engine::ingest_day`] push a whole parsed day as one span.
-//! * Typed [`Alert`]s flow through pluggable [`AlertSink`]s (collecting,
-//!   JSON-lines, callback) in a deterministic order.
+//! * Typed [`Alert`]s come back in each report, numbered in a
+//!   deterministic order, and are optionally appended to one
+//!   [`CollectedAlerts`] log ([`EngineBuilder::alert_log`]).
 //! * [`Engine::investigate`] runs belief propagation for any hint mode
 //!   (SOC hint hosts, seed domains, today's C&C detections) on any retained
 //!   day, and [`Engine::train_enterprise`] fits the §IV-C/§IV-D regression
@@ -85,10 +86,7 @@ mod persistence;
 mod report;
 mod train;
 
-pub use alert::{
-    Alert, AlertSink, CallbackSink, CollectedAlerts, CollectingSink, JsonLinesSink, Verdict,
-    WriteErrors,
-};
+pub use alert::{Alert, CollectedAlerts, Verdict};
 pub use batch::DayBatch;
 pub use builder::{EngineBuilder, EngineConfig, EngineError, PipelineConfig};
 pub use core_loop::{Engine, Investigation, SeedSpec};

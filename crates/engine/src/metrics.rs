@@ -89,8 +89,6 @@ pub(crate) struct EngineMetrics {
     pub(crate) records: Counter,
     /// Unparseable raw log lines.
     pub(crate) parse_errors: Counter,
-    /// Alerts dropped because a sink panicked and was detached.
-    pub(crate) sink_failures: Counter,
     /// Bytes of checkpoint blocks written.
     pub(crate) checkpoint_bytes: Counter,
 }
@@ -162,11 +160,6 @@ impl EngineMetrics {
             parse_errors: registry.counter(
                 "engine_parse_errors_total",
                 "Raw log lines that failed to parse",
-                &extra,
-            ),
-            sink_failures: registry.counter(
-                "engine_sink_failures_total",
-                "Alerts dropped because a sink panicked and was detached",
                 &extra,
             ),
             checkpoint_bytes: registry.counter(

@@ -5,7 +5,7 @@
 //! trained regression weights (§III-E, §IV). This module makes that state
 //! survive a process restart with **bit-identical continuation**: ingest
 //! days `1..N`, freeze and commit a snapshot, restore into a fresh engine,
-//! ingest days `N+1..M` — every report, alert, and sink sequence number
+//! ingest days `N+1..M` — every report, alert, and alert sequence number
 //! matches an uninterrupted run exactly.
 //!
 //! # Freeze, then write
@@ -73,8 +73,7 @@
 //! Machine-local performance knobs (`parallelism`, `parallel_threshold`,
 //! `ingest_chunk_records`) are deliberately *not* restored — they come from
 //! the [`EngineBuilder`] so a snapshot can move between machines; none of
-//! them affects results. Alert sinks are external resources and likewise
-//! come from the builder.
+//! them affects results.
 
 use crate::builder::{validate_config, EngineBuilder, EngineConfig, PipelineConfig};
 use crate::core_loop::{DayProduct, Engine};
@@ -576,7 +575,7 @@ impl EngineBuilder {
     /// limits, WHOIS registry and defaults, SOC seeds, bootstrap split,
     /// retention window — comes from the snapshot; setting those on the
     /// builder has no effect on restore. The builder contributes what a
-    /// snapshot cannot carry across processes: alert sinks, the
+    /// snapshot cannot carry across processes: the alert log, the
     /// machine-local performance knobs ([`EngineBuilder::parallelism`],
     /// [`EngineBuilder::parallel_threshold`],
     /// [`EngineBuilder::ingest_chunk_records`]) — none of which affects
@@ -588,7 +587,7 @@ impl EngineBuilder {
     /// domain interner of dataset-driven record pushes.
     ///
     /// The restored engine's continued operation is bit-identical to an
-    /// engine that never restarted: identical reports, alerts, and sink
+    /// engine that never restarted: identical reports, alerts, and alert
     /// sequence numbers for every subsequently ingested day.
     ///
     /// # Errors
@@ -627,7 +626,7 @@ impl EngineBuilder {
         raw: Option<Arc<DomainInterner>>,
         input: &mut R,
     ) -> Result<Engine, StoreError> {
-        let (builder_cfg, sinks, uas, paths, metrics) = self.into_parts();
+        let (builder_cfg, alert_log, uas, paths, metrics) = self.into_parts();
         let restore_span = metrics.restore.start();
 
         let Some(mut block) = BlockReader::next_block(input)? else {
@@ -658,7 +657,7 @@ impl EngineBuilder {
         // block, so the folded interner is only ever extended by snapshot
         // contents.
         let raw = raw.unwrap_or_default();
-        let mut engine = Engine::new(cfg, sinks, raw, meta, uas, paths, metrics);
+        let mut engine = Engine::new(cfg, alert_log, raw, meta, uas, paths, metrics);
         engine.apply_state_sections(&mut block)?;
         block.finish()?;
 
@@ -835,7 +834,8 @@ fn write_day_report(e: &mut Encoder, report: &DayReport) {
     e.usizev(s.bp_iterations);
     e.usizev(s.bp_labeled);
     e.usizev(s.alerts_emitted);
-    e.usizev(s.sink_failures);
+    // The retired sink-failure count: format-1 bytes must not move.
+    e.usizev(0);
     // wall_micros is deliberately not part of the format: it is wall-clock
     // measurement noise, not engine state, and persisting it would make
     // otherwise-identical states produce different snapshot bytes.
@@ -860,9 +860,10 @@ fn read_day_report(d: &mut Decoder<'_>) -> StoreResult<DayReport> {
         bp_iterations: d.usizev()?,
         bp_labeled: d.usizev()?,
         alerts_emitted: d.usizev()?,
-        sink_failures: d.usizev()?,
         wall_micros: 0,
     };
+    // The retired sink-failure count: format-1 bytes must not move.
+    d.usizev()?;
     Ok(DayReport {
         day,
         bootstrap,

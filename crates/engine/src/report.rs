@@ -34,10 +34,6 @@ pub struct StageCounters {
     pub bp_labeled: usize,
     /// Alerts emitted while ingesting the day.
     pub alerts_emitted: usize,
-    /// Alert sinks that panicked (and were detached) while this day's
-    /// alerts were delivered; the typed errors are available via
-    /// [`crate::Engine::take_sink_errors`].
-    pub sink_failures: usize,
     /// Wall-clock ingest time in microseconds.
     ///
     /// This is the one nondeterministic field: measurement, not state. It

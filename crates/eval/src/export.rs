@@ -29,16 +29,6 @@ pub fn write_json<T: Serialize>(path: impl AsRef<Path>, value: &T) -> io::Result
     fs::write(path, json)
 }
 
-/// Serializes an artifact to a JSON string (for embedding in reports).
-///
-/// # Panics
-///
-/// Panics if the value cannot be serialized (experiment artifacts always
-/// can).
-pub fn to_json_string<T: Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("experiment artifacts serialize")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,7 +42,7 @@ mod tests {
             false_negatives: 4,
             new_discoveries: 7,
         };
-        let json = to_json_string(&tally);
+        let json = serde_json::to_string_pretty(&tally).unwrap();
         let back: DetectionTally = serde_json::from_str(&json).unwrap();
         assert_eq!(back, tally);
     }
@@ -78,7 +68,7 @@ mod tests {
     #[test]
     fn evasion_rows_serialize() {
         let rows = crate::evasion::evasion_study(3, 8);
-        let json = to_json_string(&rows);
+        let json = serde_json::to_string_pretty(&rows).unwrap();
         assert!(json.contains("paper_detector"));
     }
 }

@@ -53,11 +53,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Formats a float with the given number of decimals.
-pub fn fmt_f(x: f64, decimals: usize) -> String {
-    format!("{x:.decimals$}")
-}
-
 /// Downsamples a sorted value series into `n` CDF points `(value,
 /// fraction)` suitable for plotting or printing.
 ///
@@ -104,10 +99,5 @@ mod tests {
     #[test]
     fn cdf_of_empty_is_empty() {
         assert!(cdf_points(&[], 5).is_empty());
-    }
-
-    #[test]
-    fn fmt_f_rounds() {
-        assert_eq!(fmt_f(0.98333, 2), "0.98");
     }
 }

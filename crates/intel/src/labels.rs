@@ -96,30 +96,6 @@ impl GroundTruth {
         self.classes.get(domain).copied().unwrap_or(TrueClass::Benign)
     }
 
-    /// All domains recorded malicious for `campaign`.
-    pub fn campaign_domains(&self, campaign: CampaignId) -> Vec<&str> {
-        let mut v: Vec<&str> = self
-            .classes
-            .iter()
-            .filter(|(_, c)| matches!(c, TrueClass::Malicious(id) if *id == campaign))
-            .map(|(name, _)| name.as_str())
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// All malicious domains across campaigns.
-    pub fn all_malicious(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self
-            .classes
-            .iter()
-            .filter(|(_, c)| matches!(c, TrueClass::Malicious(_)))
-            .map(|(name, _)| name.as_str())
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Number of labeled domains.
     pub fn len(&self) -> usize {
         self.classes.len()
@@ -148,17 +124,6 @@ mod tests {
         gt.set("x.org", TrueClass::Malicious(CampaignId(1)));
         gt.set("x.org", TrueClass::Benign); // must not downgrade
         assert_eq!(gt.class_of("x.org"), TrueClass::Malicious(CampaignId(1)));
-    }
-
-    #[test]
-    fn campaign_domains_filtered_and_sorted() {
-        let mut gt = GroundTruth::new();
-        gt.set("b.c3", TrueClass::Malicious(CampaignId(3)));
-        gt.set("a.c3", TrueClass::Malicious(CampaignId(3)));
-        gt.set("z.c3", TrueClass::Malicious(CampaignId(4)));
-        gt.set("s.c3", TrueClass::Suspicious);
-        assert_eq!(gt.campaign_domains(CampaignId(3)), vec!["a.c3", "b.c3"]);
-        assert_eq!(gt.all_malicious().len(), 3);
     }
 
     #[test]

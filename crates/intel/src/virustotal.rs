@@ -48,11 +48,6 @@ impl VirusTotalOracle {
         self.first_reported.contains_key(domain)
     }
 
-    /// First report day, if any.
-    pub fn first_report_day(&self, domain: &str) -> Option<Day> {
-        self.first_reported.get(domain).copied()
-    }
-
     /// Number of reported domains.
     pub fn len(&self) -> usize {
         self.first_reported.len()
@@ -84,14 +79,14 @@ mod tests {
         vt.add_report("x.info", Day::new(50));
         vt.add_report("x.info", Day::new(20));
         vt.add_report("x.info", Day::new(60));
-        assert_eq!(vt.first_report_day("x.info"), Some(Day::new(20)));
+        assert!(vt.is_reported("x.info", Day::new(20)), "the earliest report day stands");
+        assert!(!vt.is_reported("x.info", Day::new(19)));
     }
 
     #[test]
     fn unknown_domain_never_reported() {
         let vt = VirusTotalOracle::new();
         assert!(!vt.is_reported("nosuch.org", Day::new(100)));
-        assert_eq!(vt.first_report_day("nosuch.org"), None);
         assert!(vt.is_empty());
     }
 }

@@ -39,11 +39,6 @@ impl DatasetMeta {
     pub fn operation_days(&self) -> impl Iterator<Item = Day> {
         Day::new(self.bootstrap_days).range_to(Day::new(self.total_days))
     }
-
-    /// Days in the bootstrap period.
-    pub fn bootstrap_period(&self) -> impl Iterator<Item = Day> {
-        Day::new(0).range_to(Day::new(self.bootstrap_days))
-    }
 }
 
 /// One day of DNS logs.
@@ -257,7 +252,6 @@ mod tests {
             bootstrap_days: 2,
             total_days: 4,
         };
-        assert_eq!(meta.bootstrap_period().count(), 2);
         let op: Vec<Day> = meta.operation_days().collect();
         assert_eq!(op, vec![Day::new(2), Day::new(3)]);
         assert_eq!(meta.kind(HostId::new(1)), HostKind::Server);

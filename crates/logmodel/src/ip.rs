@@ -49,13 +49,6 @@ impl Ipv4 {
     pub const fn subnet16(self) -> Subnet16 {
         Subnet16(self.0 >> 16)
     }
-
-    /// Whether the address lies in RFC 1918 private space (the simulators use
-    /// 10/8 for internal hosts).
-    pub fn is_private(self) -> bool {
-        let [a, b, ..] = self.octets();
-        a == 10 || (a == 172 && (16..=31).contains(&b)) || (a == 192 && b == 168)
-    }
 }
 
 impl fmt::Debug for Ipv4 {
@@ -206,15 +199,6 @@ mod tests {
         assert_eq!(a.subnet16(), c.subnet16());
         assert_eq!(a.subnet24().to_string(), "191.146.166.0/24");
         assert_eq!(a.subnet16().to_string(), "191.146.0.0/16");
-    }
-
-    #[test]
-    fn private_space_detection() {
-        assert!(Ipv4::new(10, 1, 2, 3).is_private());
-        assert!(Ipv4::new(172, 20, 0, 1).is_private());
-        assert!(Ipv4::new(192, 168, 1, 1).is_private());
-        assert!(!Ipv4::new(8, 8, 8, 8).is_private());
-        assert!(!Ipv4::new(172, 15, 0, 1).is_private());
     }
 
     #[test]

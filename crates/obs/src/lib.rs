@@ -12,12 +12,11 @@
 //!    [`Histogram`], [`StageTimer`]) are cheap `Arc`-backed clones that
 //!    callers cache once at construction; an increment is a relaxed
 //!    `fetch_add` with no lock, no hash lookup, no allocation.
-//! 2. **Readers never stop writers.** The registry publishes its entry
-//!    list as an immutable snapshot behind an `RwLock<Arc<_>>`:
-//!    registration — the only mutation — swaps a new list in, while
-//!    [`MetricsRegistry::snapshot`] and
-//!    [`MetricsRegistry::render_prometheus`] read whichever list is
-//!    current and then load plain atomics.
+//! 2. **Readers never stop writers.** The registry keeps one
+//!    mutex-guarded map of its metrics, in `(name, labels)` order.
+//!    Registration and [`MetricsRegistry::snapshot`] /
+//!    [`MetricsRegistry::render_prometheus`] lock it; handles never do,
+//!    so a scrape can delay a registration but never an increment.
 //! 3. **Instrumentation must not change results.** Nothing in this crate
 //!    feeds back into detection; a disabled registry
 //!    ([`MetricsRegistry::disabled`]) additionally skips the clock reads

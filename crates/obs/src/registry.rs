@@ -1,10 +1,10 @@
-//! The registry: interned metric identities over lock-free cells.
+//! The registry: metric identities over lock-free cells.
 
 use crate::render::{HistogramSnapshot, MetricsSnapshot, Sample, SampleValue};
 use crate::span::{SlowOp, SlowOps, Span, StageTimer};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default wall-time bucket upper bounds in microseconds, spanning 50µs to
 /// 10s — wide enough for a parse span and a full-chain compaction alike.
@@ -130,7 +130,7 @@ impl Histogram {
 
 /// What kind of cell an entry holds.
 #[derive(Debug)]
-pub(crate) enum Cell {
+enum Cell {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicI64>),
     Histogram(Arc<HistogramCell>),
@@ -146,25 +146,15 @@ impl Cell {
     }
 }
 
-/// One registered metric: interned name, sorted labels, help text, cell.
+/// One registered metric's help text and cell; its identity is its key.
 #[derive(Debug)]
-pub(crate) struct Entry {
-    pub(crate) name: Arc<str>,
-    pub(crate) labels: Vec<(String, String)>,
-    pub(crate) help: &'static str,
-    pub(crate) cell: Cell,
+struct Entry {
+    help: &'static str,
+    cell: Cell,
 }
 
-/// A metric's identity: interned name plus the sorted label set.
-type Identity = (Arc<str>, Vec<(String, String)>);
-
-/// Registration state: the identity index plus the interned-name pool.
-/// Locked only while registering; hot paths never touch it.
-#[derive(Debug, Default)]
-struct Index {
-    by_identity: BTreeMap<Identity, usize>,
-    names: BTreeMap<String, Arc<str>>,
-}
+/// A metric's identity: name plus the sorted label set.
+type Identity = (&'static str, Vec<(String, String)>);
 
 /// The process-wide (or per-subsystem) metric registry. See the crate docs
 /// for the concurrency model; construction points are
@@ -173,10 +163,9 @@ struct Index {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     enabled: bool,
-    index: Mutex<Index>,
-    /// The published entry list: readers clone the `Arc` and walk an
-    /// immutable vector while registrations swap in extended copies.
-    published: RwLock<Arc<Vec<Arc<Entry>>>>,
+    /// Every registered metric in `(name, labels)` order. Registration and
+    /// reads lock it; handles hold their cells and never do.
+    entries: Mutex<BTreeMap<Identity, Entry>>,
     slow: Arc<SlowOps>,
 }
 
@@ -204,15 +193,9 @@ impl MetricsRegistry {
     fn with_enabled(enabled: bool) -> Self {
         MetricsRegistry {
             enabled,
-            index: Mutex::new(Index::default()),
-            published: RwLock::new(Arc::new(Vec::new())),
+            entries: Mutex::new(BTreeMap::new()),
             slow: Arc::new(SlowOps::new(SLOW_OP_CAP)),
         }
-    }
-
-    /// Whether spans time themselves (see [`MetricsRegistry::disabled`]).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Registers (or finds) a counter under `(name, labels)`.
@@ -227,7 +210,7 @@ impl MetricsRegistry {
         help: &'static str,
         labels: &[(&str, &str)],
     ) -> Counter {
-        match self.register(name, help, labels, |_| Cell::Counter(Arc::new(AtomicU64::new(0)))) {
+        match self.register(name, help, labels, || Cell::Counter(Arc::new(AtomicU64::new(0)))) {
             Cell::Counter(cell) => Counter { cell },
             other => panic!("metric {name:?} is a {}, not a counter", other.kind()),
         }
@@ -239,7 +222,7 @@ impl MetricsRegistry {
     ///
     /// As for [`MetricsRegistry::counter`].
     pub fn gauge(&self, name: &'static str, help: &'static str, labels: &[(&str, &str)]) -> Gauge {
-        match self.register(name, help, labels, |_| Cell::Gauge(Arc::new(AtomicI64::new(0)))) {
+        match self.register(name, help, labels, || Cell::Gauge(Arc::new(AtomicI64::new(0)))) {
             Cell::Gauge(cell) => Gauge { cell },
             other => panic!("metric {name:?} is a {}, not a gauge", other.kind()),
         }
@@ -259,8 +242,8 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         bounds: &[u64],
     ) -> Histogram {
-        let make = |bounds: Arc<[u64]>| Cell::Histogram(Arc::new(HistogramCell::new(bounds)));
-        match self.register(name, help, labels, move |_| make(bounds.into())) {
+        let make = || Cell::Histogram(Arc::new(HistogramCell::new(bounds.into())));
+        match self.register(name, help, labels, make) {
             Cell::Histogram(cell) => Histogram { cell },
             other => panic!("metric {name:?} is a {}, not a histogram", other.kind()),
         }
@@ -323,12 +306,12 @@ impl MetricsRegistry {
     /// between snapshots but one snapshot is not a cross-metric
     /// transaction.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let entries = self.load_published();
-        let mut samples: Vec<Sample> = entries
+        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let samples: Vec<Sample> = entries
             .iter()
-            .map(|e| Sample {
-                name: e.name.to_string(),
-                labels: e.labels.clone(),
+            .map(|((name, labels), e)| Sample {
+                name: name.to_string(),
+                labels: labels.clone(),
                 help: e.help,
                 value: match &e.cell {
                     Cell::Counter(c) => SampleValue::Counter(c.load(Ordering::Relaxed)),
@@ -337,7 +320,6 @@ impl MetricsRegistry {
                 },
             })
             .collect();
-        samples.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
         MetricsSnapshot { samples }
     }
 
@@ -347,40 +329,21 @@ impl MetricsRegistry {
         self.snapshot().render_prometheus()
     }
 
-    fn load_published(&self) -> Arc<Vec<Arc<Entry>>> {
-        Arc::clone(&self.published.read().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// The registration slow path: intern the name, look up the identity,
-    /// and (for a new identity) publish an extended entry list.
+    /// The registration slow path: find the identity, or insert a new
+    /// entry under it.
     fn register(
         &self,
         name: &'static str,
         help: &'static str,
         labels: &[(&str, &str)],
-        make: impl FnOnce(&str) -> Cell,
+        make: impl FnOnce() -> Cell,
     ) -> Cell {
         let mut labels: Vec<(String, String)> =
             labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
         labels.sort();
-        let mut index = self.index.lock().unwrap_or_else(PoisonError::into_inner);
-        let interned = Arc::clone(
-            index.names.entry(name.to_string()).or_insert_with(|| Arc::<str>::from(name)),
-        );
-        let entries = self.load_published();
-        if let Some(&pos) = index.by_identity.get(&(Arc::clone(&interned), labels.clone())) {
-            return clone_cell(&entries[pos].cell);
-        }
-        let cell = make(name);
-        let entry =
-            Arc::new(Entry { name: Arc::clone(&interned), labels: labels.clone(), help, cell });
-        let out = clone_cell(&entry.cell);
-        let mut next = Vec::with_capacity(entries.len() + 1);
-        next.extend(entries.iter().cloned());
-        next.push(entry);
-        index.by_identity.insert((interned, labels), next.len() - 1);
-        *self.published.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
-        out
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let entry = entries.entry((name, labels)).or_insert_with(|| Entry { help, cell: make() });
+        clone_cell(&entry.cell)
     }
 }
 
@@ -476,7 +439,6 @@ mod tests {
     #[test]
     fn disabled_registry_spans_are_inert_but_counters_work() {
         let reg = MetricsRegistry::disabled();
-        assert!(!reg.is_enabled());
         reg.set_slow_op_threshold_micros(0);
         {
             let _span = reg.span("cold");

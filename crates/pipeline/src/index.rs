@@ -361,11 +361,6 @@ impl DayIndex {
         Some(matching as f64 / hosts.len() as f64)
     }
 
-    /// Number of rare-domain edges (host, domain) in the day.
-    pub fn rare_edge_count(&self) -> usize {
-        self.edge_series.len()
-    }
-
     // -- columns, in the order `earlybird-store` writes them ----------------
 
     /// Per-domain host sets, by domain.
@@ -590,7 +585,7 @@ mod tests {
         assert_eq!(idx.rare_domains_of(HostId::new(1)).unwrap().len(), 2);
         assert!(idx.rare_domains_of(HostId::new(1)).unwrap().contains(&a));
         assert_eq!(idx.rare_count(), 2);
-        assert_eq!(idx.rare_edge_count(), 3);
+        assert_eq!(idx.edge_series().len(), 3);
     }
 
     #[test]
@@ -696,7 +691,7 @@ mod tests {
         assert_eq!(streamed.new_count(), batch.new_count());
         assert_eq!(streamed.rare_count(), batch.rare_count());
         assert_eq!(streamed.has_http(), batch.has_http());
-        assert_eq!(streamed.rare_edge_count(), batch.rare_edge_count());
+        assert_eq!(streamed.edge_series().len(), batch.edge_series().len());
         let mut batch_domains: Vec<DomainSym> = batch.domains().collect();
         let mut streamed_domains: Vec<DomainSym> = streamed.domains().collect();
         batch_domains.sort_unstable();
@@ -765,7 +760,7 @@ mod tests {
         assert_builder_matches_batch(&mut [], None);
         let empty = DayIndexBuilder::new(Day::new(3), 10).finalize();
         assert_eq!(empty.day(), Day::new(3));
-        assert_eq!((empty.rare_count(), empty.new_count(), empty.rare_edge_count()), (0, 0, 0));
+        assert_eq!((empty.rare_count(), empty.new_count(), empty.edge_series().len()), (0, 0, 0));
         assert!(empty.rare_domains_of(HostId::new(0)).is_none());
     }
 

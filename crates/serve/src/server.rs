@@ -25,6 +25,7 @@ use earlybird_store::{validate_scope_name, ObjectStore};
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::Duration;
@@ -272,9 +273,12 @@ fn json_ok<T: serde::Serialize>(status: u16, value: &T) -> Response {
 }
 
 fn dispatch(req: &Request, shared: &Shared, self_addr: SocketAddr) -> Response {
-    match route(req, shared, self_addr) {
-        Ok(resp) => resp,
-        Err(err) => err.to_response(),
+    // A panicking handler answers 500 instead of unwinding past the
+    // in-flight count and connection permit that shutdown waits on.
+    match std::panic::catch_unwind(AssertUnwindSafe(|| route(req, shared, self_addr))) {
+        Ok(Ok(resp)) => resp,
+        Ok(Err(err)) => err.to_response(),
+        Err(_) => ServeError::internal("request handler panicked").to_response(),
     }
 }
 

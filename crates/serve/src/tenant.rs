@@ -29,8 +29,8 @@
 use crate::error::ServeError;
 use crate::wire::{AlertsPage, FinishAck, InvestigateRequest, SpanAck, TenantSpec, TenantSummary};
 use earlybird_engine::{
-    CollectedAlerts, CollectingSink, DayState, Engine, EngineBuilder, IngestSource,
-    InvestigationReport, LifecycleConfig, Persistence, SnapshotPolicy, StoreDir,
+    CollectedAlerts, DayState, Engine, EngineBuilder, IngestSource, InvestigationReport,
+    LifecycleConfig, Persistence, SnapshotPolicy, StoreDir,
 };
 use earlybird_logmodel::Day;
 use earlybird_obs::{Counter, Gauge, MetricsRegistry, StageTimer};
@@ -180,11 +180,10 @@ impl Tenant {
         registry: &Arc<MetricsRegistry>,
     ) -> Result<Tenant, ServeError> {
         let meta = spec.dataset_meta()?;
-        let sink = CollectingSink::new();
-        let alerts = sink.handle();
+        let alerts = CollectedAlerts::default();
         let engine = spec
             .builder()
-            .sink(sink)
+            .alert_log(alerts.clone())
             .metrics(Arc::clone(registry))
             .metric_label("tenant", name)
             .build(Arc::new(earlybird_logmodel::DomainInterner::new()), meta)
@@ -236,11 +235,10 @@ impl Tenant {
         // Attach before the restore reads so the cold start's chain gets
         // fetched under the store's `get` span.
         dir.attach_metrics(registry, &[("tenant", name)]);
-        let sink = CollectingSink::new();
-        let alerts = sink.handle();
+        let alerts = CollectedAlerts::default();
         let persistence = Persistence::new(dir, Self::policy());
         let builder = EngineBuilder::lanl()
-            .sink(sink)
+            .alert_log(alerts.clone())
             .metrics(Arc::clone(registry))
             .metric_label("tenant", name);
         let engine = persistence.restore(builder).map_err(|e| ServeError::from_store(&e))?;

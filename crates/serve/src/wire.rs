@@ -79,7 +79,7 @@ impl TenantSpec {
     }
 
     /// An [`EngineBuilder`] carrying this spec's options (LANL pipeline
-    /// defaults; the caller attaches sinks and builds).
+    /// defaults; the caller attaches its alert log and builds).
     pub fn builder(&self) -> EngineBuilder {
         let mut b = EngineBuilder::lanl()
             .auto_investigate(self.auto_investigate)

@@ -754,11 +754,6 @@ impl FaultInjector {
         self.countdown.store(ops.min(i64::MAX as u64) as i64, Ordering::SeqCst);
     }
 
-    /// Disarms the injector.
-    pub fn disarm(&self) {
-        self.countdown.store(-1, Ordering::SeqCst);
-    }
-
     /// Whether the injected crash has actually failed an operation (the
     /// armed countdown may also simply outlive the run).
     pub fn crashed(&self) -> bool {
@@ -1043,7 +1038,7 @@ mod tests {
         assert!(store.get("x.ebstore").is_err());
         assert!(store.swap_manifest(Some(0), 1, b"m2").is_err());
 
-        fault.disarm();
+        fault.arm(u64::MAX);
         assert!(store.list().unwrap().is_empty(), "crashed upload never became visible");
     }
 
@@ -1130,7 +1125,7 @@ mod tests {
         // The whole simulated process is dead: root reads fail too.
         assert!(store.list().is_err());
         assert!(store.scope("other").is_err());
-        fault.disarm();
+        fault.arm(u64::MAX);
         assert!(tenant.list().unwrap().is_empty(), "crashed scoped upload never visible");
     }
 }

@@ -14,14 +14,15 @@
 //!    `CommitHandle::wait` is the durability ack;
 //! 3. on restart, `Persistence::restore` replays the chain and the
 //!    service resumes **bit-identically** — same reports, same alerts,
-//!    same sink sequence numbers — as if it had never died. Re-feeding an
+//!    same alert sequence numbers — as if it had never died. Re-feeding an
 //!    already-covered day is absorbed by the duplicate-day replay guard
 //!    (at-least-once ingestion, no double alerts).
 //!
 //! Run with: `cargo run --release --example checkpoint_restart`
 
 use earlybird::engine::{
-    CollectingSink, DayBatch, EngineBuilder, LifecycleConfig, Persistence, SnapshotPolicy, StoreDir,
+    CollectedAlerts, DayBatch, EngineBuilder, LifecycleConfig, Persistence, SnapshotPolicy,
+    StoreDir,
 };
 use earlybird::logmodel::Day;
 use earlybird::synthgen::lanl::{LanlConfig, LanlGenerator};
@@ -36,11 +37,10 @@ fn main() {
     let _ = std::fs::remove_dir_all(&root);
 
     // ---- Reference: one engine that never restarts. --------------------
-    let sink = CollectingSink::new();
-    let reference_alerts = sink.handle();
+    let reference_alerts = CollectedAlerts::default();
     let mut reference = EngineBuilder::lanl()
         .auto_investigate(true)
-        .sink(sink)
+        .alert_log(reference_alerts.clone())
         .build(Arc::clone(&dataset.domains), dataset.meta.clone())
         .expect("valid config");
     for day in &dataset.days {
@@ -53,7 +53,6 @@ fn main() {
         let store = Persistence::new(dir, SnapshotPolicy::default().background());
         let mut engine = EngineBuilder::lanl()
             .auto_investigate(true)
-            .sink(CollectingSink::new())
             .build(Arc::clone(&dataset.domains), dataset.meta.clone())
             .expect("valid config");
         for day in &dataset.days[..boot] {
@@ -91,12 +90,11 @@ fn main() {
     }
 
     // ---- Incarnation #2: cold restart from the store directory. --------
-    let sink = CollectingSink::new();
-    let restarted_alerts = sink.handle();
+    let restarted_alerts = CollectedAlerts::default();
     let dir = StoreDir::open(&root, LifecycleConfig::default()).expect("reopen store dir");
     let store = Persistence::new(dir, SnapshotPolicy::default());
     let mut engine = store
-        .restore(EngineBuilder::lanl().auto_investigate(true).sink(sink))
+        .restore(EngineBuilder::lanl().auto_investigate(true).alert_log(restarted_alerts.clone()))
         .expect("chain restores");
     println!(
         "restored: {} operation days retained, {} profiled domains",

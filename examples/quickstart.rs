@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use earlybird::engine::{CollectingSink, DayBatch, EngineBuilder};
+use earlybird::engine::{CollectedAlerts, DayBatch, EngineBuilder};
 use earlybird::logmodel::{
     DatasetMeta, Day, DnsDayLog, DnsQuery, DnsRecordType, DomainInterner, HostId, HostKind, Ipv4,
     Timestamp,
@@ -48,11 +48,10 @@ fn main() {
         bootstrap_days: 0,
         total_days: 1,
     };
-    let sink = CollectingSink::new();
-    let alerts = sink.handle();
+    let alerts = CollectedAlerts::default();
     let mut engine = EngineBuilder::lanl()
         .auto_investigate(true)
-        .sink(sink)
+        .alert_log(alerts.clone())
         .build(Arc::clone(&domains), meta)
         .expect("valid config");
 

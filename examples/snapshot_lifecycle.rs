@@ -24,7 +24,7 @@
 //! Run with: `cargo run --release --example snapshot_lifecycle`
 
 use earlybird::engine::{
-    CollectingSink, CompactionTrigger, DayBatch, EngineBuilder, LifecycleConfig, Persistence,
+    CollectedAlerts, CompactionTrigger, DayBatch, EngineBuilder, LifecycleConfig, Persistence,
     RetentionPolicy, SnapshotPolicy, StoreDir,
 };
 use earlybird::logmodel::Day;
@@ -49,11 +49,10 @@ fn main() {
     };
 
     // ---- Reference: one engine that never restarts. --------------------
-    let sink = CollectingSink::new();
-    let reference_alerts = sink.handle();
+    let reference_alerts = CollectedAlerts::default();
     let mut reference = EngineBuilder::lanl()
         .auto_investigate(true)
-        .sink(sink)
+        .alert_log(reference_alerts.clone())
         .build(Arc::clone(&dataset.domains), dataset.meta.clone())
         .expect("valid config");
     for day in &dataset.days {
@@ -66,7 +65,6 @@ fn main() {
         let store = Persistence::new(dir, SnapshotPolicy::default());
         let mut engine = EngineBuilder::lanl()
             .auto_investigate(true)
-            .sink(CollectingSink::new())
             .build(Arc::clone(&dataset.domains), dataset.meta.clone())
             .expect("valid config");
         for day in &dataset.days[..split] {
@@ -112,11 +110,10 @@ fn main() {
     );
     // A full block plus at most `max_segments` segments.
     assert!(dir.entries().len() <= 5, "compaction keeps the chain bounded regardless of uptime");
-    let sink = CollectingSink::new();
-    let restarted_alerts = sink.handle();
+    let restarted_alerts = CollectedAlerts::default();
     let store = Persistence::new(dir, SnapshotPolicy::default());
     let mut engine = store
-        .restore(EngineBuilder::lanl().auto_investigate(true).sink(sink))
+        .restore(EngineBuilder::lanl().auto_investigate(true).alert_log(restarted_alerts.clone()))
         .expect("chain restores");
     println!(
         "restored: {} days of counters, {} investigable indexes, {} profiled domains",

@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example streaming_ingest`
 
-use earlybird::engine::{CollectingSink, EngineBuilder, IngestSource};
+use earlybird::engine::{CollectedAlerts, EngineBuilder, IngestSource};
 use earlybird::logmodel::{
     format_dns_line, DatasetMeta, Day, DnsQuery, DnsRecordType, DomainInterner, HostId, HostKind,
     Ipv4, Timestamp,
@@ -55,12 +55,11 @@ fn main() {
         bootstrap_days: 0,
         total_days: 1,
     };
-    let sink = CollectingSink::new();
-    let alerts = sink.handle();
+    let alerts = CollectedAlerts::default();
     let mut engine = EngineBuilder::lanl()
         .auto_investigate(true)
         .ingest_chunk_records(64) // small chunks so even this demo fans out
-        .sink(sink)
+        .alert_log(alerts.clone())
         .build(Arc::new(DomainInterner::new()), meta)
         .expect("valid config");
 

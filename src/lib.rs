@@ -12,8 +12,8 @@
 //! The canonical public API is the unified streaming facade in
 //! [`engine`]: build one [`engine::Engine`] with
 //! [`engine::EngineBuilder`], feed it daily [`engine::DayBatch`]es from
-//! either log source, and consume typed [`engine::DayReport`]s and
-//! [`engine::Alert`]s through pluggable [`engine::AlertSink`]s. The
+//! either log source, and consume typed [`engine::DayReport`]s that carry
+//! the day's [`engine::Alert`]s. The
 //! remaining modules are the substrate the engine composes — useful for
 //! building blocks and experiments, but callers should not re-assemble the
 //! daily detection cycle by hand.

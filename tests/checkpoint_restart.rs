@@ -1,6 +1,6 @@
 //! Cold-restart equivalence of `Engine::checkpoint` / `checkpoint_day` /
 //! `EngineBuilder::restore_stream`: ingest days `1..N`, checkpoint, restore into a
-//! fresh engine, ingest days `N+1..M` — reports, alerts, and sink sequences
+//! fresh engine, ingest days `N+1..M` — reports, alerts, and alert sequences
 //! must be **bit-identical** to an uninterrupted run, on both the LANL DNS
 //! suite and the enterprise proxy suite, through both the full-snapshot and
 //! the incremental per-day segment paths.
@@ -20,7 +20,6 @@ use earlybird::logmodel::{
 use earlybird::synthgen::ac::{AcConfig, AcGenerator, AcWorld};
 use earlybird::synthgen::lanl::{LanlChallenge, LanlConfig, LanlGenerator};
 use earlybird_core::{CcModel, SimScorer};
-use earlybird_engine::CollectingSink;
 use earlybird_features::{FeatureScaler, LinearRegression, RegressionModel, CC_FEATURE_NAMES};
 use std::sync::Arc;
 
@@ -66,12 +65,11 @@ fn assert_engines_agree(restored: &Engine, reference: &Engine, context: &str) {
 }
 
 fn lanl_engine(challenge: &LanlChallenge) -> (Engine, CollectedAlerts) {
-    let sink = CollectingSink::new();
-    let handle = sink.handle();
+    let handle = CollectedAlerts::default();
     let engine = EngineBuilder::lanl()
         .soc_seed("ioc.planted.c3")
         .auto_investigate(true)
-        .sink(sink)
+        .alert_log(handle.clone())
         .build(Arc::clone(&challenge.dataset.domains), challenge.dataset.meta.clone())
         .expect("valid config");
     (engine, handle)
@@ -103,14 +101,13 @@ fn lanl_cold_restart_is_bit_identical() {
     assert_eq!(meta.days, split, "every ingested day persisted");
     assert!(meta.bytes > 0 && meta.bytes == snapshot.len() as u64);
 
-    // Cold restart: fresh process, fresh sink; only perf knobs and sinks
+    // Cold restart: fresh process, fresh alert log; only perf knobs and the alert log
     // come from the builder.
-    let sink = CollectingSink::new();
-    let restored_alerts = sink.handle();
+    let restored_alerts = CollectedAlerts::default();
     let mut restored = EngineBuilder::lanl()
         .parallelism(3)
         .parallel_threshold(1)
-        .sink(sink)
+        .alert_log(restored_alerts.clone())
         .restore_stream(&mut snapshot.as_slice())
         .expect("snapshot restores");
 
@@ -121,14 +118,14 @@ fn lanl_cold_restart_is_bit_identical() {
     }
     assert_engines_agree(&restored, &reference, "post-restart");
 
-    // The restored sink stream is exactly the uninterrupted stream's
+    // The restored alert log is exactly the uninterrupted stream's
     // suffix — sequence numbers included, because the alert counter is
     // part of the snapshot.
     let split_day = Day::new(split as u32);
     let expected_suffix: Vec<Alert> =
         ref_alerts.snapshot().into_iter().filter(|a| a.day >= split_day).collect();
     assert!(!expected_suffix.is_empty(), "suite must alert after the split");
-    assert_eq!(restored_alerts.snapshot(), expected_suffix, "sink sequence bit-identical");
+    assert_eq!(restored_alerts.snapshot(), expected_suffix, "alert sequence bit-identical");
 
     // Investigations on pre-checkpoint days replay identically too.
     for campaign in &challenge.campaigns {
@@ -183,10 +180,9 @@ fn lanl_incremental_segments_restore_equivalently() {
         );
     }
 
-    let sink = CollectingSink::new();
-    let restored_alerts = sink.handle();
+    let restored_alerts = CollectedAlerts::default();
     let mut restored = EngineBuilder::lanl()
-        .sink(sink)
+        .alert_log(restored_alerts.clone())
         .restore_stream(&mut stream.as_slice())
         .expect("full + segments restore");
 
@@ -199,17 +195,16 @@ fn lanl_incremental_segments_restore_equivalently() {
     let split_day = Day::new(split as u32);
     let expected_suffix: Vec<Alert> =
         ref_alerts.snapshot().into_iter().filter(|a| a.day >= split_day).collect();
-    assert_eq!(restored_alerts.snapshot(), expected_suffix, "segment-path sink sequence");
+    assert_eq!(restored_alerts.snapshot(), expected_suffix, "segment-path alert sequence");
 }
 
 fn ac_engine(world: &AcWorld) -> (Engine, CollectedAlerts) {
-    let sink = CollectingSink::new();
-    let handle = sink.handle();
+    let handle = CollectedAlerts::default();
     let engine = EngineBuilder::enterprise()
         .whois(world.intel.whois.clone())
         .proxy_interners(Arc::clone(&world.dataset.uas), Arc::clone(&world.dataset.paths))
         .auto_investigate(true)
-        .sink(sink)
+        .alert_log(handle.clone())
         .build(Arc::clone(&world.dataset.domains), world.dataset.meta.clone())
         .expect("valid config");
     (engine, handle)
@@ -244,11 +239,10 @@ fn enterprise_proxy_cold_restart_is_bit_identical() {
     // Restart sharing the dataset's interners: the snapshot contents are
     // verified against them, and symbols the dataset minted after the
     // checkpoint stay valid in the restored engine.
-    let sink = CollectingSink::new();
-    let restored_alerts = sink.handle();
+    let restored_alerts = CollectedAlerts::default();
     let mut restored = EngineBuilder::enterprise()
         .proxy_interners(Arc::clone(&world.dataset.uas), Arc::clone(&world.dataset.paths))
-        .sink(sink)
+        .alert_log(restored_alerts.clone())
         .restore_stream_with_domains(Arc::clone(&world.dataset.domains), &mut snapshot.as_slice())
         .expect("snapshot restores");
     assert!(restored.config().whois.is_some(), "WHOIS registry restored");
@@ -262,7 +256,7 @@ fn enterprise_proxy_cold_restart_is_bit_identical() {
     let split_day = Day::new(split as u32);
     let expected_suffix: Vec<Alert> =
         ref_alerts.snapshot().into_iter().filter(|a| a.day >= split_day).collect();
-    assert_eq!(restored_alerts.snapshot(), expected_suffix, "proxy sink sequence");
+    assert_eq!(restored_alerts.snapshot(), expected_suffix, "proxy alert sequence");
 }
 
 fn assert_last_string_readable<T>(interner: &TypedInterner<T>, what: &str) {
@@ -406,10 +400,11 @@ fn crash_recovery_replay_raises_no_double_alerts() {
         engine.freeze().write_to(&mut snapshot).unwrap();
     }
 
-    let sink = CollectingSink::new();
-    let restored_alerts = sink.handle();
-    let mut restored =
-        EngineBuilder::lanl().sink(sink).restore_stream(&mut snapshot.as_slice()).unwrap();
+    let restored_alerts = CollectedAlerts::default();
+    let mut restored = EngineBuilder::lanl()
+        .alert_log(restored_alerts.clone())
+        .restore_stream(&mut snapshot.as_slice())
+        .unwrap();
 
     // At-least-once delivery: the log replayer re-feeds the last day the
     // snapshot already covers.

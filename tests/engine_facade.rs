@@ -1,8 +1,8 @@
 //! The unified Engine facade: mixed DNS + proxy days through one engine,
-//! facade/harness consistency, and alert-sink ordering & determinism.
+//! facade/harness consistency, and alert-log ordering & determinism.
 
 use earlybird::engine::{
-    Alert, CallbackSink, CollectingSink, DayBatch, Engine, EngineBuilder, Investigation, Verdict,
+    Alert, CollectedAlerts, DayBatch, Engine, EngineBuilder, Investigation, Verdict,
 };
 use earlybird::logmodel::{
     DatasetMeta, Day, DhcpLease, DhcpLog, DnsDayLog, DnsQuery, DnsRecordType, DomainInterner,
@@ -10,7 +10,7 @@ use earlybird::logmodel::{
     Timestamp, TzOffset,
 };
 use earlybird::synthgen::lanl::{ChallengeCase, LanlConfig, LanlGenerator};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 fn mixed_meta() -> DatasetMeta {
     DatasetMeta {
@@ -88,11 +88,10 @@ fn proxy_day(domains: &DomainInterner) -> (ProxyDayLog, DhcpLog) {
 #[test]
 fn one_engine_ingests_mixed_dns_and_proxy_days() {
     let domains = Arc::new(DomainInterner::new());
-    let sink = CollectingSink::new();
-    let alerts = sink.handle();
+    let alerts = CollectedAlerts::default();
     let mut engine = EngineBuilder::lanl()
         .auto_investigate(true)
-        .sink(sink)
+        .alert_log(alerts.clone())
         .build(Arc::clone(&domains), mixed_meta())
         .expect("valid config");
 
@@ -161,41 +160,34 @@ fn hand_driven_engine_matches_harness_campaign_detections() {
     }
 }
 
-/// Alert delivery is deterministic across identical runs and identical
-/// across sinks attached to the same engine.
+/// Alert numbering is deterministic across identical runs, and the
+/// attached log holds exactly the alerts the reports returned, in order.
 #[test]
-fn alert_sinks_are_ordered_and_deterministic() {
-    let run_once = || -> (Vec<Alert>, Vec<(u64, String)>) {
+fn alert_log_is_ordered_and_deterministic() {
+    let run_once = || -> Vec<Alert> {
         let challenge = LanlGenerator::new(LanlConfig::tiny()).generate();
-        let collecting = CollectingSink::new();
-        let handle = collecting.handle();
-        let callback_log: Arc<Mutex<Vec<(u64, String)>>> = Arc::new(Mutex::new(Vec::new()));
-        let callback_store = Arc::clone(&callback_log);
+        let log = CollectedAlerts::default();
         let mut engine = EngineBuilder::lanl()
             .auto_investigate(true)
-            .sink(collecting)
-            .sink(CallbackSink::new(move |a: &Alert| {
-                callback_store.lock().unwrap().push((a.sequence, a.name.clone()));
-            }))
+            .alert_log(log.clone())
             .build(Arc::clone(&challenge.dataset.domains), challenge.dataset.meta.clone())
             .expect("valid config");
-        for day in &challenge.dataset.days {
-            engine.ingest_day(DayBatch::Dns(day));
-        }
-        let log = callback_log.lock().unwrap().clone();
-        (handle.snapshot(), log)
+        let reported: Vec<Alert> = challenge
+            .dataset
+            .days
+            .iter()
+            .flat_map(|day| engine.ingest_day(DayBatch::Dns(day)).alerts)
+            .collect();
+        assert_eq!(log.snapshot(), reported, "the log is the reports' alerts, concatenated");
+        reported
     };
 
-    let (alerts_a, callback_a) = run_once();
-    let (alerts_b, _) = run_once();
+    let alerts_a = run_once();
+    let alerts_b = run_once();
 
     assert!(!alerts_a.is_empty(), "campaign days must alert");
     // Strictly increasing sequence numbers — a total delivery order.
     assert!(alerts_a.windows(2).all(|w| w[0].sequence < w[1].sequence));
-    // Both sinks observed the identical stream.
-    let collected: Vec<(u64, String)> =
-        alerts_a.iter().map(|a| (a.sequence, a.name.clone())).collect();
-    assert_eq!(collected, callback_a);
     // Identical input produces the identical alert stream.
     assert_eq!(alerts_a, alerts_b);
 }
@@ -219,72 +211,6 @@ fn days_and_reports_iterate_in_sorted_day_order() {
     let report_days: Vec<Day> = engine.reports().map(|r| r.day).collect();
     assert!(report_days.windows(2).all(|w| w[0] < w[1]), "reports() must ascend");
     assert_eq!(report_days, days, "every scrambled day is an operation day here");
-}
-
-/// One panicking sink must not poison the registry or abort the daily
-/// cycle: it is detached with a typed `EngineError::SinkPanicked`, the
-/// surviving sinks receive every alert, and subsequent days keep flowing.
-#[test]
-fn panicking_sink_is_detached_without_aborting_the_cycle() {
-    use earlybird::engine::{AlertSink, EngineError};
-
-    struct ExplodingSink {
-        emitted: usize,
-    }
-    impl AlertSink for ExplodingSink {
-        fn emit(&mut self, alert: &Alert) {
-            self.emitted += 1;
-            if self.emitted >= 2 {
-                panic!("sink backend gone: {}", alert.name);
-            }
-        }
-    }
-
-    let challenge = LanlGenerator::new(LanlConfig::tiny()).generate();
-    let collecting = CollectingSink::new();
-    let survivors = collecting.handle();
-    let mut engine = EngineBuilder::lanl()
-        .auto_investigate(true)
-        .sink(ExplodingSink { emitted: 0 })
-        .sink(collecting)
-        .build(Arc::clone(&challenge.dataset.domains), challenge.dataset.meta.clone())
-        .expect("valid config");
-
-    // Quiet the default panic hook: the sink's panic is expected and caught.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let mut failure_days = 0;
-    for day in &challenge.dataset.days {
-        let report = engine.try_ingest_day(DayBatch::Dns(day)).expect("cycle must complete");
-        failure_days += usize::from(report.stages.sink_failures > 0);
-    }
-    std::panic::set_hook(hook);
-
-    assert_eq!(failure_days, 1, "the sink dies once and only once");
-    let errors = engine.take_sink_errors();
-    assert_eq!(errors.len(), 1);
-    assert!(
-        matches!(&errors[0], EngineError::SinkPanicked { sink: 0, message } if message.contains("sink backend gone")),
-        "{errors:?}"
-    );
-    assert!(engine.take_sink_errors().is_empty(), "errors drain once");
-
-    // The surviving sink saw the full, uninterrupted alert stream.
-    let reference = {
-        let collecting = CollectingSink::new();
-        let handle = collecting.handle();
-        let mut engine = EngineBuilder::lanl()
-            .auto_investigate(true)
-            .sink(collecting)
-            .build(Arc::clone(&challenge.dataset.domains), challenge.dataset.meta.clone())
-            .expect("valid config");
-        for day in &challenge.dataset.days {
-            engine.ingest_day(DayBatch::Dns(day));
-        }
-        handle.snapshot()
-    };
-    assert!(!reference.is_empty());
-    assert_eq!(survivors.snapshot(), reference, "survivor delivery is unaffected");
 }
 
 /// A C&C scoring-worker panic surfaces as a typed `WorkerPanicked` error —

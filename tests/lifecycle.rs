@@ -28,7 +28,7 @@ use earlybird::logmodel::{
 use earlybird::store::BlockKind;
 use earlybird::synthgen::ac::{AcConfig, AcGenerator, AcWorld};
 use earlybird::synthgen::lanl::{LanlChallenge, LanlConfig, LanlGenerator};
-use earlybird_engine::{CollectedAlerts, CollectingSink};
+use earlybird_engine::CollectedAlerts;
 use std::path::PathBuf;
 use std::sync::Arc;
 use support::Backend;
@@ -49,12 +49,11 @@ fn assert_reports_equal(restored: &DayReport, reference: &DayReport, context: &s
 }
 
 fn lanl_engine(challenge: &LanlChallenge) -> (Engine, CollectedAlerts) {
-    let sink = CollectingSink::new();
-    let handle = sink.handle();
+    let handle = CollectedAlerts::default();
     let engine = EngineBuilder::lanl()
         .soc_seed("ioc.planted.c3")
         .auto_investigate(true)
-        .sink(sink)
+        .alert_log(handle.clone())
         .build(Arc::clone(&challenge.dataset.domains), challenge.dataset.meta.clone())
         .expect("valid config");
     (engine, handle)
@@ -90,9 +89,9 @@ fn continue_lanl(
     challenge: &LanlChallenge,
     split: usize,
 ) -> (Engine, Vec<DayReport>, Vec<Alert>) {
-    let sink = CollectingSink::new();
-    let alerts = sink.handle();
-    let mut engine = store.restore(EngineBuilder::lanl().sink(sink)).expect("chain restores");
+    let alerts = CollectedAlerts::default();
+    let mut engine =
+        store.restore(EngineBuilder::lanl().alert_log(alerts.clone())).expect("chain restores");
     let reports = challenge.dataset.days[split..]
         .iter()
         .map(|day| engine.ingest_day(DayBatch::Dns(day)))
@@ -180,13 +179,12 @@ fn enterprise_proxy_compacted_store_restores_bit_identically() {
     let split = (meta.bootstrap_days + 4) as usize;
 
     let ac_engine = |world: &AcWorld| -> (Engine, CollectedAlerts) {
-        let sink = CollectingSink::new();
-        let handle = sink.handle();
+        let handle = CollectedAlerts::default();
         let engine = EngineBuilder::enterprise()
             .whois(world.intel.whois.clone())
             .proxy_interners(Arc::clone(&world.dataset.uas), Arc::clone(&world.dataset.paths))
             .auto_investigate(true)
-            .sink(sink)
+            .alert_log(handle.clone())
             .build(Arc::clone(&world.dataset.domains), world.dataset.meta.clone())
             .expect("valid config");
         (engine, handle)
@@ -215,11 +213,10 @@ fn enterprise_proxy_compacted_store_restores_bit_identically() {
         }
 
         let continue_proxy = |store: &Persistence| -> (Vec<DayReport>, Vec<Alert>) {
-            let sink = CollectingSink::new();
-            let alerts = sink.handle();
+            let alerts = CollectedAlerts::default();
             let builder = EngineBuilder::enterprise()
                 .proxy_interners(Arc::clone(&world.dataset.uas), Arc::clone(&world.dataset.paths))
-                .sink(sink);
+                .alert_log(alerts.clone());
             let mut engine = store
                 .restore_with_domains(Arc::clone(&world.dataset.domains), builder)
                 .expect("chain restores");
@@ -362,9 +359,9 @@ fn retention_gc_prunes_indexes_but_keeps_counters() {
             "{ctx}: all but the newest 2 indexes pruned"
         );
 
-        let sink = CollectingSink::new();
-        let alerts = sink.handle();
-        let mut restored = store.restore(EngineBuilder::lanl().sink(sink)).expect("restores");
+        let alerts = CollectedAlerts::default();
+        let mut restored =
+            store.restore(EngineBuilder::lanl().alert_log(alerts.clone())).expect("restores");
         assert_eq!(restored.days().count(), 2, "{ctx}: only the retention window investigable");
         assert_eq!(restored.reports().count(), split, "{ctx}: every acked day's counters survive");
         for report in restored.reports() {
@@ -418,8 +415,7 @@ fn restored_engine_continues_the_same_directory() {
         {
             let dir = backend.open(cfg).expect("reopen");
             let store = Persistence::new(dir, SnapshotPolicy::default());
-            let mut engine =
-                store.restore(EngineBuilder::lanl().sink(CollectingSink::new())).expect("restores");
+            let mut engine = store.restore(EngineBuilder::lanl()).expect("restores");
             for day in &challenge.dataset.days[first_crash..second_crash] {
                 engine.ingest_day(DayBatch::Dns(day));
                 store.commit(&engine).expect("freeze").wait().expect("daily persist");
@@ -429,9 +425,9 @@ fn restored_engine_continues_the_same_directory() {
         // finishes the stream identically to the uninterrupted reference.
         let dir = backend.open(cfg).expect("reopen");
         let store = Persistence::new(dir, SnapshotPolicy::default());
-        let sink = CollectingSink::new();
-        let alerts = sink.handle();
-        let mut engine = store.restore(EngineBuilder::lanl().sink(sink)).expect("restores");
+        let alerts = CollectedAlerts::default();
+        let mut engine =
+            store.restore(EngineBuilder::lanl().alert_log(alerts.clone())).expect("restores");
         assert_eq!(engine.reports().count(), second_crash, "all acked days restored");
         for day in &challenge.dataset.days[second_crash..] {
             engine.ingest_day(DayBatch::Dns(day));

@@ -24,7 +24,6 @@ use earlybird::engine::{
 };
 use earlybird::logmodel::Day;
 use earlybird::synthgen::lanl::{LanlChallenge, LanlConfig, LanlGenerator};
-use earlybird_engine::CollectingSink;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use support::Backend;
@@ -37,7 +36,6 @@ fn engine_for(challenge: &LanlChallenge) -> Engine {
     EngineBuilder::lanl()
         .soc_seed("ioc.planted.c3")
         .auto_investigate(true)
-        .sink(CollectingSink::new())
         .build(Arc::clone(&challenge.dataset.domains), challenge.dataset.meta.clone())
         .expect("valid config")
 }

@@ -21,14 +21,17 @@
 #[allow(dead_code)]
 mod support;
 
-use earlybird::engine::{FaultInjector, FaultedStore, IngestSource};
+use earlybird::engine::{
+    FaultInjector, FaultedStore, IngestSource, LifecycleConfig, MemBackend, ObjectStore,
+    Persistence, SnapshotPolicy, StoreDir,
+};
 use earlybird::logmodel::{
     format_dns_line, Day, DnsQuery, DnsRecordType, DomainInterner, HostId, Ipv4, Timestamp,
 };
 use earlybird::serve::{ServeClient, Server, ServerConfig, TenantSpec};
-use earlybird_engine::CollectingSink;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 use support::Backend;
 
 const N_HOSTS: u32 = 6;
@@ -82,10 +85,8 @@ fn every_crash_point_preserves_acked_days_over_http() {
     let days: Vec<(u32, String)> = (0..N_DAYS).map(|d| (d, day_text(d, &domains))).collect();
 
     // Library reference: the per-day reports an unfailing run produces.
-    let sink = CollectingSink::new();
     let mut reference = spec()
         .builder()
-        .sink(sink)
         .build(Arc::new(DomainInterner::new()), spec().dataset_meta().unwrap())
         .expect("valid spec");
     let mut ref_reports = Vec::new();
@@ -209,4 +210,52 @@ fn every_crash_point_preserves_acked_days_over_http() {
         assert!(saw_clean_run, "{context}: sweep never reached a fault-free run");
         backend.cleanup();
     }
+}
+
+/// A request whose handler panics answers `500`, and a graceful shutdown
+/// still completes: the panic must not leak the in-flight count that
+/// shutdown waits on.
+#[test]
+fn a_panicking_request_does_not_wedge_shutdown() {
+    use earlybird::core::CcModel;
+    use earlybird::features::{FeatureScaler, LinearRegression, RegressionModel};
+
+    // A stored C&C model that expects 3 features (the extractor produces
+    // 6) panics while the finish scores the day's rare domains.
+    let xs: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64, 1.0, (i % 2) as f64]).collect();
+    let fit = LinearRegression::fit_ridge(&xs, &[0.0; 8], 1e-3).unwrap();
+    let model = RegressionModel::new(&["a", "b", "c"], fit, 0.5);
+    let spec = TenantSpec::lanl(N_HOSTS, 0, N_DAYS);
+    let engine = spec
+        .builder()
+        .cc_model(CcModel::Regression { model, scaler: FeatureScaler::identity(3) })
+        .build(Arc::new(DomainInterner::new()), spec.dataset_meta().unwrap())
+        .expect("valid config");
+    let root = MemBackend::new();
+    let scope = root.scope("acme").expect("scope");
+    let dir = StoreDir::create_boxed(scope, LifecycleConfig::default()).expect("create store");
+    Persistence::new(dir, SnapshotPolicy::default())
+        .commit(&engine)
+        .and_then(|handle| handle.wait())
+        .expect("tenant committed");
+
+    let handle = Server::bind(Box::new(root), ServerConfig::default()).expect("bind").spawn();
+    let addr = handle.addr();
+    let mut client = ServeClient::new(addr);
+    client.push_span("acme", 0, &day_text(0, &Arc::new(DomainInterner::new()))).expect("push");
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let finished = client.finish_day("acme", 0);
+    std::panic::set_hook(hook);
+    let status = finished.err().and_then(|e| e.as_api().map(|e| e.status));
+    assert_eq!(status, Some(500), "the panicking finish answers 500");
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(ServeClient::new(addr).shutdown().map(|_| ()).map_err(|e| e.to_string()));
+    });
+    let shutdown = rx.recv_timeout(Duration::from_secs(20)).expect("shutdown returns within 20 s");
+    shutdown.expect("shutdown succeeds");
+    drop(client);
+    handle.join();
 }

@@ -28,7 +28,7 @@ use earlybird::serve::{
 };
 use earlybird::store::{ObjectInfo, ObjectUpload, StoreResult};
 use earlybird::synthgen::lanl::{LanlConfig, LanlGenerator};
-use earlybird_engine::CollectingSink;
+use earlybird_engine::CollectedAlerts;
 use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -127,11 +127,10 @@ fn service_matches_library_and_survives_restart() {
         .collect();
 
     // Library reference over the exact same lines.
-    let sink = CollectingSink::new();
-    let ref_alerts = sink.handle();
+    let ref_alerts = CollectedAlerts::default();
     let mut ref_engine = spec
         .builder()
-        .sink(sink)
+        .alert_log(ref_alerts.clone())
         .build(Arc::new(DomainInterner::new()), spec.dataset_meta().unwrap())
         .expect("valid spec");
     let mut ref_reports = Vec::new();
@@ -179,7 +178,7 @@ fn service_matches_library_and_survives_restart() {
                     let page = client.alerts(name, 0).expect("alerts");
                     assert_eq!(
                         page.alerts, ref_alert_slice,
-                        "{context}/{name}: service alert stream matches the library sink"
+                        "{context}/{name}: service alert stream matches the library alert log"
                     );
                 });
             }

@@ -16,7 +16,7 @@ use earlybird::logmodel::{
 };
 use earlybird::synthgen::ac::{AcConfig, AcGenerator, AcWorld};
 use earlybird::synthgen::lanl::{LanlConfig, LanlGenerator};
-use earlybird_engine::CollectingSink;
+use earlybird_engine::CollectedAlerts;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -98,14 +98,13 @@ fn engine_for(
     parallelism: usize,
     chunk_records: usize,
 ) -> (Engine, earlybird::engine::CollectedAlerts) {
-    let sink = CollectingSink::new();
-    let handle = sink.handle();
+    let handle = CollectedAlerts::default();
     let engine = EngineBuilder::lanl()
         .parallelism(parallelism)
         .parallel_threshold(1)
         .ingest_chunk_records(chunk_records)
         .auto_investigate(true)
-        .sink(sink)
+        .alert_log(handle.clone())
         .build(Arc::clone(domains), meta.clone())
         .expect("valid config");
     (engine, handle)
@@ -116,7 +115,7 @@ proptest! {
 
     /// For arbitrary chunk splits of the same day, `begin_day` + `push_dns_records`
     /// + `finish` must reproduce `ingest_day` exactly: counters, candidates,
-    /// alerts (including sink sequence order), BP outcome, and the full
+    /// alerts (including alert sequence order), BP outcome, and the full
     /// checkpoint bytes of a whole-batch engine with the same knobs.
     #[test]
     fn chunked_pushes_match_whole_batch(
@@ -249,13 +248,12 @@ fn checkpoint_under_one_worker_count_restores_under_another() {
     }
     drop(before);
 
-    let sink = CollectingSink::new();
-    let after_alerts = sink.handle();
+    let after_alerts = CollectedAlerts::default();
     let builder = EngineBuilder::lanl()
         .parallelism(1)
         .parallel_threshold(1)
         .ingest_chunk_records(64)
-        .sink(sink);
+        .alert_log(after_alerts.clone());
     let mut after =
         store.restore_with_domains(Arc::clone(domains), builder).expect("chain restores");
     for day in &days[cut + 1..] {
@@ -325,14 +323,13 @@ fn proxy_days_stream_identically() {
     let dhcp = &world.dataset.dhcp;
 
     let build = |parallelism: usize, chunk: usize| {
-        let sink = CollectingSink::new();
-        let handle = sink.handle();
+        let handle = CollectedAlerts::default();
         let engine = EngineBuilder::enterprise()
             .parallelism(parallelism)
             .parallel_threshold(1)
             .ingest_chunk_records(chunk)
             .auto_investigate(true)
-            .sink(sink)
+            .alert_log(handle.clone())
             .build(Arc::clone(&world.dataset.domains), meta.clone())
             .expect("valid config");
         (engine, handle)
@@ -386,13 +383,13 @@ fn proxy_checkpoint_under_one_worker_count_restores_under_another() {
     let last = (meta.bootstrap_days + 4).min(meta.total_days) as usize;
     let days = salted_proxy_days(&world, last);
     let cut = meta.bootstrap_days as usize;
-    let builder = |parallelism: usize, sink: CollectingSink| {
+    let builder = |parallelism: usize, log: &CollectedAlerts| {
         EngineBuilder::enterprise()
             .parallelism(parallelism)
             .parallel_threshold(1)
             .ingest_chunk_records(64)
             .auto_investigate(true)
-            .sink(sink)
+            .alert_log(log.clone())
     };
     let stream = |engine: &mut Engine, day: &ProxyDayLog| {
         let mut ingest = engine.begin_day(day.day, IngestSource::Proxy { dhcp });
@@ -402,19 +399,19 @@ fn proxy_checkpoint_under_one_worker_count_restores_under_another() {
         ingest.finish()
     };
 
-    let sink = CollectingSink::new();
-    let reference_alerts = sink.handle();
-    let mut reference =
-        builder(1, sink).build(Arc::clone(domains), meta.clone()).expect("valid config");
+    let reference_alerts = CollectedAlerts::default();
+    let mut reference = builder(1, &reference_alerts)
+        .build(Arc::clone(domains), meta.clone())
+        .expect("valid config");
     let reference_reports: Vec<DayReport> =
         days.iter().map(|day| stream(&mut reference, day)).collect();
 
     let dir = StoreDir::create_boxed(Box::new(MemBackend::new()), LifecycleConfig::default())
         .expect("create mem store");
     let store = Persistence::new(dir, SnapshotPolicy::default());
-    let sink = CollectingSink::new();
-    let before_alerts = sink.handle();
-    let mut before = builder(3, sink).build(Arc::clone(domains), meta.clone()).expect("valid");
+    let before_alerts = CollectedAlerts::default();
+    let mut before =
+        builder(3, &before_alerts).build(Arc::clone(domains), meta.clone()).expect("valid");
     let mut reports = Vec::new();
     for day in &days[..=cut] {
         reports.push(stream(&mut before, day));
@@ -422,10 +419,10 @@ fn proxy_checkpoint_under_one_worker_count_restores_under_another() {
     }
     drop(before);
 
-    let sink = CollectingSink::new();
-    let after_alerts = sink.handle();
-    let mut after =
-        store.restore_with_domains(Arc::clone(domains), builder(1, sink)).expect("chain restores");
+    let after_alerts = CollectedAlerts::default();
+    let mut after = store
+        .restore_with_domains(Arc::clone(domains), builder(1, &after_alerts))
+        .expect("chain restores");
     for day in &days[cut + 1..] {
         reports.push(stream(&mut after, day));
     }
@@ -653,14 +650,13 @@ fn interleaved_dns_and_proxy_days_stream_identically() {
     let domains = &world.dataset.domains;
 
     let build = |parallelism: usize, chunk: usize| {
-        let sink = CollectingSink::new();
-        let handle = sink.handle();
+        let handle = CollectedAlerts::default();
         let engine = EngineBuilder::enterprise()
             .parallelism(parallelism)
             .parallel_threshold(1)
             .ingest_chunk_records(chunk)
             .auto_investigate(true)
-            .sink(sink)
+            .alert_log(handle.clone())
             .build(Arc::clone(domains), meta.clone())
             .expect("valid config");
         (engine, handle)
