@@ -105,6 +105,23 @@ pub(crate) struct DayProduct {
     pub(crate) norm_counts: Option<NormalizationCounts>,
 }
 
+/// Evicts the oldest retained contact indexes (the dominant memory cost)
+/// until at most `keep` remain, if a window is set; their counters-only
+/// reports stay. Returns how many days were pruned. The one retention
+/// step: live days, restored blocks and store compaction all end in it.
+pub(crate) fn prune_oldest(
+    products: &mut BTreeMap<Day, Arc<DayProduct>>,
+    keep: Option<usize>,
+) -> usize {
+    let Some(keep) = keep else { return 0 };
+    let mut pruned = 0;
+    while products.len() > keep {
+        products.pop_first();
+        pruned += 1;
+    }
+    pruned
+}
+
 /// The unified streaming engine: feed daily [`DayBatch`]es (or stream a day
 /// chunk by chunk through [`Engine::begin_day`]), receive typed
 /// [`DayReport`]s and [`Alert`]s; see the crate docs for the full tour.
@@ -343,21 +360,6 @@ impl Engine {
         &self.products
     }
 
-    /// Evicts the oldest retained contact indexes (the dominant memory
-    /// cost) until at most `keep` remain, if a window is set; their
-    /// counters-only reports stay. Returns how many days were pruned. The
-    /// one retention step: live days, restored blocks and store compaction
-    /// all end in it.
-    pub(crate) fn prune_retained(&mut self, keep: Option<usize>) -> usize {
-        let Some(keep) = keep else { return 0 };
-        let mut pruned = 0;
-        while self.products.len() > keep {
-            self.products.pop_first();
-            pruned += 1;
-        }
-        pruned
-    }
-
     /// Registers an operation day: its counters-only report arms the
     /// duplicate-day replay guard, its product is retained, and the
     /// retention window applies.
@@ -365,7 +367,7 @@ impl Engine {
         let day = report.day;
         self.reports.insert(day, Self::counters_only(report));
         self.products.insert(day, Arc::new(product));
-        self.prune_retained(self.cfg.retain_days);
+        prune_oldest(&mut self.products, self.cfg.retain_days);
     }
 
     fn detector(&self) -> CcDetector {

@@ -69,10 +69,10 @@ pub(crate) struct EngineMetrics {
     pub(crate) restore_products: StageTimer,
     /// One store compaction pass.
     pub(crate) compact: StageTimer,
-    /// Compaction's chain replay into the scratch engine (plus retention
-    /// pruning).
-    pub(crate) compact_replay: StageTimer,
-    /// Compaction's re-freeze and encoding of the folded full block.
+    /// Compaction's fold of the chain into one full snapshot (plus
+    /// retention pruning).
+    pub(crate) compact_fold: StageTimer,
+    /// Compaction's encoding of the folded full block.
     pub(crate) compact_encode: StageTimer,
     /// The short critical section of one `Engine::freeze` — the only part
     /// of a checkpoint that excludes ingestion. Its own series
@@ -145,7 +145,7 @@ impl EngineMetrics {
             restore_history: stage("restore_history"),
             restore_products: stage("restore_products"),
             compact: stage("compact"),
-            compact_replay: stage("compact_replay"),
+            compact_fold: stage("compact_fold"),
             compact_encode: stage("compact_encode"),
             checkpoint_stall: registry.timer(
                 "checkpoint_stall_micros",

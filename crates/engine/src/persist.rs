@@ -60,6 +60,13 @@
 //! `engine_stage_micros{stage="restore_interners"|"restore_history"|"restore_products"}`
 //! spans say where a restore's time went.
 //!
+//! Compaction folds a chain without building an engine at all:
+//! `EngineSnapshot::fold_chain` appends each block's tails into flat
+//! tables, decodes the retained days, and makes every check a restore
+//! makes (the per-block ones through the same helpers), yielding the full
+//! [`EngineSnapshot`] that [`EngineSnapshot::write_to`] writes like any
+//! other.
+//!
 //! [`Persistence::restore`]: crate::Persistence::restore
 //!
 //! # Crash recovery
@@ -73,10 +80,11 @@
 //! Machine-local performance knobs (`parallelism`, `parallel_threshold`,
 //! `ingest_chunk_records`) are deliberately *not* restored — they come from
 //! the [`EngineBuilder`] so a snapshot can move between machines; none of
-//! them affects results.
+//! them affects results. Compaction copies the Config payload verbatim, so
+//! a compacted block keeps the knobs its chain was written with.
 
 use crate::builder::{validate_config, EngineBuilder, EngineConfig, PipelineConfig};
-use crate::core_loop::{DayProduct, Engine};
+use crate::core_loop::{prune_oldest, DayProduct, Engine};
 use crate::metrics::EngineMetrics;
 use crate::report::{DayReport, StageCounters};
 use earlybird_core::{BpConfig, CcModel, SimScorer};
@@ -85,7 +93,7 @@ use earlybird_store::{
     sections, BlockKind, BlockReader, BlockWriter, CheckpointMeta, Decoder, Encoder, SectionTag,
     StoreError, StoreResult, FORMAT_VERSION,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -285,15 +293,11 @@ impl Engine {
     fn apply_state_sections<R: Read>(&mut self, block: &mut BlockReader<'_, R>) -> StoreResult<()> {
         self.apply_interner_sections(block)?;
         self.apply_history_section(block)?;
-        self.apply_day_sections(block)?;
-
-        let payload = block.section(SectionTag::Sequence)?;
-        let mut d = Decoder::new(&payload, SectionTag::Sequence.name());
-        let sequence = d.varint()?;
-        d.finish()?;
-        if sequence < self.sequence.load(Ordering::SeqCst) {
-            return Err(StoreError::corrupt("alert sequence counter moved backwards"));
+        {
+            let _span = self.metrics.restore_products.start();
+            read_day_sections(block, &mut self.reports, &mut self.products, self.cfg.retain_days)?;
         }
+        let sequence = read_sequence(block, self.sequence.load(Ordering::SeqCst))?;
         self.sequence.store(sequence, Ordering::SeqCst);
         Ok(())
     }
@@ -325,96 +329,119 @@ impl Engine {
         let payload = block.section(SectionTag::History)?;
         let mut d = Decoder::new(&payload, SectionTag::History.name());
         let (start, domains, days_ingested) = sections::read_domain_history(&mut d)?;
-        if start != self.history.ordered().len() {
-            return Err(StoreError::corrupt(format!(
-                "history delta starts at {start}, engine holds {}",
-                self.history.ordered().len()
-            )));
-        }
+        check_delta_start("history", start, self.history.ordered().len())?;
         // Both logs skip an entry they already hold, so a delta that
         // repeats one would restore "successfully" with a log shorter than
         // the chain's watermarks: every entry must have landed.
         let expected = start + domains.len();
         self.history.restore_extend(domains, days_ingested);
         if self.history.ordered().len() != expected {
-            return Err(StoreError::corrupt(format!(
-                "section `{}`: destination-history delta repeats a domain",
-                SectionTag::History.name()
-            )));
+            return Err(history_repeat(DOMAIN_REPEAT));
         }
         let (threshold, start, pairs) = sections::read_ua_history(&mut d)?;
-        if threshold != self.cfg.pipeline.rare_ua_threshold {
-            return Err(StoreError::corrupt(format!(
-                "snapshot rare-UA threshold {threshold} disagrees with configuration {}",
-                self.cfg.pipeline.rare_ua_threshold
-            )));
-        }
-        if start != self.ua_history.pair_log().len() {
-            return Err(StoreError::corrupt(format!(
-                "user-agent history delta starts at {start}, engine holds {}",
-                self.ua_history.pair_log().len()
-            )));
-        }
+        check_ua_threshold(threshold, self.cfg.pipeline.rare_ua_threshold)?;
+        check_delta_start("user-agent history", start, self.ua_history.pair_log().len())?;
         let expected = start + pairs.len();
         self.ua_history.update_pairs(pairs);
         if self.ua_history.pair_log().len() != expected {
-            return Err(StoreError::corrupt(format!(
-                "section `{}`: user-agent history delta repeats a (user agent, host) pair",
-                SectionTag::History.name()
-            )));
+            return Err(history_repeat(UA_PAIR_REPEAT));
         }
         d.finish()
     }
+}
 
-    fn apply_day_sections<R: Read>(&mut self, block: &mut BlockReader<'_, R>) -> StoreResult<()> {
-        let _span = self.metrics.restore_products.start();
-        let payload = block.section(SectionTag::Reports)?;
-        let mut d = Decoder::new(&payload, SectionTag::Reports.name());
-        // Mirror of the write-side `StaleSegment` guard: a segment may only
-        // carry days beyond everything already replayed — including days
-        // earlier *in the same segment*, so an internally-descending
-        // (corrupt or hand-crafted) segment is rejected too.
-        let mut newest = self.reports.keys().next_back().copied();
-        let is_segment = block.kind() == BlockKind::DaySegment;
-        let n = d.seq_len(4)?;
-        for _ in 0..n {
-            let report = read_day_report(&mut d)?;
-            let day = report.day;
-            if is_segment {
-                if newest.is_some_and(|newest| day < newest) {
-                    return Err(StoreError::corrupt(format!(
-                        "segment persists stale {day} behind already-replayed {}",
-                        newest.expect("checked")
-                    )));
-                }
-                newest = Some(day);
-            }
-            if self.reports.insert(day, report).is_some() {
-                return Err(StoreError::corrupt(format!("duplicate report for {day}")));
-            }
-        }
-        d.finish()?;
+// -- block sections shared by restore and the chain fold ---------------------
 
-        let payload = block.section(SectionTag::Products)?;
-        let mut d = Decoder::new(&payload, SectionTag::Products.name());
-        let n = d.seq_len(4)?;
-        for _ in 0..n {
-            let dns_counts = sections::read_opt_dns_counts(&mut d)?;
-            let proxy_counts = sections::read_opt_proxy_counts(&mut d)?;
-            let norm_counts = sections::read_opt_norm_counts(&mut d)?;
-            let index = sections::read_day_index(&mut d)?;
-            let day = index.day();
-            let product = DayProduct { index, dns_counts, proxy_counts, norm_counts };
-            if self.products.insert(day, Arc::new(product)).is_some() {
-                return Err(StoreError::corrupt(format!("duplicate retained index for {day}")));
-            }
-        }
-        d.finish()?;
-        // Enforce the retention window across blocks exactly like live
-        // ingestion does.
-        self.prune_retained(self.cfg.retain_days);
-        Ok(())
+fn check_delta_start(log: &str, start: usize, held: usize) -> StoreResult<()> {
+    if start != held {
+        return Err(StoreError::corrupt(format!(
+            "{log} delta starts at {start}, engine holds {held}"
+        )));
     }
+    Ok(())
+}
+
+fn check_ua_threshold(threshold: usize, configured: usize) -> StoreResult<()> {
+    if threshold != configured {
+        return Err(StoreError::corrupt(format!(
+            "snapshot rare-UA threshold {threshold} disagrees with configuration {configured}"
+        )));
+    }
+    Ok(())
+}
+
+const DOMAIN_REPEAT: &str = "destination-history delta repeats a domain";
+const UA_PAIR_REPEAT: &str = "user-agent history delta repeats a (user agent, host) pair";
+
+fn history_repeat(what: &str) -> StoreError {
+    StoreError::corrupt(format!("section `{}`: {what}", SectionTag::History.name()))
+}
+
+/// Reads one block's Reports and Products sections into `reports` and
+/// `products`, then applies the configured retention window across blocks
+/// exactly like live ingestion does.
+fn read_day_sections<R: Read>(
+    block: &mut BlockReader<'_, R>,
+    reports: &mut BTreeMap<Day, DayReport>,
+    products: &mut BTreeMap<Day, Arc<DayProduct>>,
+    retain_days: Option<usize>,
+) -> StoreResult<()> {
+    let payload = block.section(SectionTag::Reports)?;
+    let mut d = Decoder::new(&payload, SectionTag::Reports.name());
+    // Mirror of the write-side `StaleSegment` guard: a segment may only
+    // carry days beyond everything already replayed — including days
+    // earlier *in the same segment*, so an internally-descending
+    // (corrupt or hand-crafted) segment is rejected too.
+    let mut newest = reports.keys().next_back().copied();
+    let is_segment = block.kind() == BlockKind::DaySegment;
+    let n = d.seq_len(4)?;
+    for _ in 0..n {
+        let report = read_day_report(&mut d)?;
+        let day = report.day;
+        if is_segment {
+            if newest.is_some_and(|newest| day < newest) {
+                return Err(StoreError::corrupt(format!(
+                    "segment persists stale {day} behind already-replayed {}",
+                    newest.expect("checked")
+                )));
+            }
+            newest = Some(day);
+        }
+        if reports.insert(day, report).is_some() {
+            return Err(StoreError::corrupt(format!("duplicate report for {day}")));
+        }
+    }
+    d.finish()?;
+
+    let payload = block.section(SectionTag::Products)?;
+    let mut d = Decoder::new(&payload, SectionTag::Products.name());
+    let n = d.seq_len(4)?;
+    for _ in 0..n {
+        let dns_counts = sections::read_opt_dns_counts(&mut d)?;
+        let proxy_counts = sections::read_opt_proxy_counts(&mut d)?;
+        let norm_counts = sections::read_opt_norm_counts(&mut d)?;
+        let index = sections::read_day_index(&mut d)?;
+        let day = index.day();
+        let product = DayProduct { index, dns_counts, proxy_counts, norm_counts };
+        if products.insert(day, Arc::new(product)).is_some() {
+            return Err(StoreError::corrupt(format!("duplicate retained index for {day}")));
+        }
+    }
+    d.finish()?;
+    prune_oldest(products, retain_days);
+    Ok(())
+}
+
+/// Reads one block's Sequence section, which may not fall behind `held`.
+fn read_sequence<R: Read>(block: &mut BlockReader<'_, R>, held: u64) -> StoreResult<u64> {
+    let payload = block.section(SectionTag::Sequence)?;
+    let mut d = Decoder::new(&payload, SectionTag::Sequence.name());
+    let sequence = d.varint()?;
+    d.finish()?;
+    if sequence < held {
+        return Err(StoreError::corrupt("alert sequence counter moved backwards"));
+    }
+    Ok(sequence)
 }
 
 /// An engine's persistable state, frozen at one instant by
@@ -683,6 +710,190 @@ impl EngineBuilder {
     }
 }
 
+// -- chain fold -------------------------------------------------------------
+
+/// A store chain folded into the parts of one full snapshot: each table a
+/// flat append of the blocks' tails, with none of the indexes an engine
+/// builds to serve lookups.
+struct ChainFold {
+    config_bytes: Vec<u8>,
+    meta_bytes: Vec<u8>,
+    rare_ua_threshold: usize,
+    retain_days: Option<usize>,
+    raw: StrArena,
+    folded: StrArena,
+    uas: StrArena,
+    paths: StrArena,
+    hosts: Vec<Ipv4>,
+    history: Vec<DomainSym>,
+    days_ingested: u32,
+    ua_pairs: Vec<(UaSym, HostId)>,
+    reports: BTreeMap<Day, DayReport>,
+    products: BTreeMap<Day, Arc<DayProduct>>,
+    sequence: u64,
+}
+
+impl ChainFold {
+    /// Reads the whole chain and checks it the way a restore does.
+    fn read<R: Read>(input: &mut R) -> StoreResult<Self> {
+        let Some(mut block) = BlockReader::next_block(input)? else {
+            return Err(StoreError::Truncated { context: "snapshot stream" });
+        };
+        if block.kind() != BlockKind::Full {
+            return Err(StoreError::corrupt("store stream must begin with a full snapshot"));
+        }
+        let config_bytes = block.section(SectionTag::Config)?;
+        let mut d = Decoder::new(&config_bytes, SectionTag::Config.name());
+        let cfg = read_config(&mut d)?;
+        d.finish()?;
+        validate_config(&cfg).map_err(|e| StoreError::corrupt(e.to_string()))?;
+
+        let meta_bytes = block.section(SectionTag::Meta)?;
+        let mut d = Decoder::new(&meta_bytes, SectionTag::Meta.name());
+        sections::read_dataset_meta(&mut d)?;
+        d.finish()?;
+
+        let mut fold = ChainFold {
+            config_bytes,
+            meta_bytes,
+            rare_ua_threshold: cfg.pipeline.rare_ua_threshold,
+            retain_days: cfg.retain_days,
+            raw: StrArena::default(),
+            folded: StrArena::default(),
+            uas: StrArena::default(),
+            paths: StrArena::default(),
+            hosts: Vec::new(),
+            history: Vec::new(),
+            days_ingested: 0,
+            ua_pairs: Vec::new(),
+            reports: BTreeMap::new(),
+            products: BTreeMap::new(),
+            sequence: 0,
+        };
+        fold.apply(&mut block)?;
+        block.finish()?;
+        while let Some(mut block) = BlockReader::next_block(input)? {
+            if block.kind() != BlockKind::DaySegment {
+                return Err(StoreError::corrupt(
+                    "only one full snapshot may open a store stream; found a second",
+                ));
+            }
+            fold.apply(&mut block)?;
+            block.finish()?;
+        }
+        fold.check_distinct()?;
+        Ok(fold)
+    }
+
+    /// Appends one block's state sections. Each check a restore makes per
+    /// block is made here too, except that repeats are left to
+    /// [`ChainFold::check_distinct`].
+    fn apply<R: Read>(&mut self, block: &mut BlockReader<'_, R>) -> StoreResult<()> {
+        let payload = block.section(SectionTag::Interners)?;
+        let mut d = Decoder::new(&payload, SectionTag::Interners.name());
+        sections::read_interner_onto(&mut d, &mut self.raw, "raw domain")?;
+        sections::read_interner_onto(&mut d, &mut self.folded, "folded domain")?;
+        sections::read_interner_onto(&mut d, &mut self.uas, "user-agent")?;
+        sections::read_interner_onto(&mut d, &mut self.paths, "path")?;
+        d.finish()?;
+
+        let payload = block.section(SectionTag::Hosts)?;
+        let mut d = Decoder::new(&payload, SectionTag::Hosts.name());
+        let ips = sections::read_host_tail(&mut d, self.hosts.len())?;
+        self.hosts.extend(ips);
+        d.finish()?;
+
+        let payload = block.section(SectionTag::History)?;
+        let mut d = Decoder::new(&payload, SectionTag::History.name());
+        let (start, domains, days_ingested) = sections::read_domain_history(&mut d)?;
+        check_delta_start("history", start, self.history.len())?;
+        self.history.extend(domains);
+        self.days_ingested = days_ingested;
+        let (threshold, start, pairs) = sections::read_ua_history(&mut d)?;
+        check_ua_threshold(threshold, self.rare_ua_threshold)?;
+        check_delta_start("user-agent history", start, self.ua_pairs.len())?;
+        self.ua_pairs.extend(pairs);
+        d.finish()?;
+
+        read_day_sections(block, &mut self.reports, &mut self.products, self.retain_days)?;
+        self.sequence = read_sequence(block, self.sequence)?;
+        Ok(())
+    }
+
+    /// The repeat checks a restore makes block by block, made once per
+    /// table over the whole chain.
+    fn check_distinct(&self) -> StoreResult<()> {
+        sections::check_interner_distinct(&self.raw, "raw domain")?;
+        sections::check_interner_distinct(&self.folded, "folded domain")?;
+        sections::check_interner_distinct(&self.uas, "user-agent")?;
+        sections::check_interner_distinct(&self.paths, "path")?;
+        if !all_distinct(&self.hosts) {
+            return Err(sections::host_repeat());
+        }
+        if !all_distinct(&self.history) {
+            return Err(history_repeat(DOMAIN_REPEAT));
+        }
+        if !all_distinct(&self.ua_pairs) {
+            return Err(history_repeat(UA_PAIR_REPEAT));
+        }
+        Ok(())
+    }
+}
+
+fn all_distinct<T: Copy + Ord>(items: &[T]) -> bool {
+    let mut sorted = items.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).all(|pair| pair[0] != pair[1])
+}
+
+impl EngineSnapshot {
+    /// Folds a `full + N segments` store stream into one full snapshot
+    /// without building an engine, then prunes its retained day indexes to
+    /// the newest `retain_days` (a store's retention policy). Returns the
+    /// snapshot and how many indexes that prune dropped.
+    ///
+    /// Before that prune, [`EngineSnapshot::write_to`] writes the snapshot
+    /// as exactly the bytes of a full [`Engine::freeze`] of the engine that
+    /// wrote the chain, at the state the chain holds: the Config and Meta
+    /// payloads are copied verbatim (machine-local knobs included), every
+    /// table is its blocks' tails appended in order, and days are decoded
+    /// into the columns a live day holds.
+    ///
+    /// # Errors
+    ///
+    /// Every [`StoreError`] a restore of the same chain raises, with the
+    /// same context. Repeated strings, addresses and history entries are
+    /// checked once per table after the last block, so in a chain with
+    /// more than one defect the fold may name a different one.
+    pub(crate) fn fold_chain<R: Read>(
+        input: &mut R,
+        retain_days: Option<usize>,
+    ) -> StoreResult<(EngineSnapshot, usize)> {
+        let mut fold = ChainFold::read(input)?;
+        let days_pruned = prune_oldest(&mut fold.products, retain_days);
+
+        let snapshot = EngineSnapshot {
+            kind: BlockKind::Full,
+            config_bytes: Some(fold.config_bytes),
+            meta_bytes: Some(fold.meta_bytes),
+            raw: (0, fold.raw),
+            folded: (0, fold.folded),
+            uas: (0, fold.uas),
+            paths: (0, fold.paths),
+            hosts: (0, fold.hosts),
+            history: (0, fold.history, fold.days_ingested),
+            ua_history: (fold.rare_ua_threshold, 0, fold.ua_pairs),
+            reports: fold.reports.into_values().collect(),
+            products: fold.products.into_values().collect(),
+            sequence: fold.sequence,
+            // A private registry: writing the folded block is not one of
+            // the live engine's checkpoints.
+            metrics: EngineBuilder::make_metrics(None, &[]),
+        };
+        Ok((snapshot, days_pruned))
+    }
+}
+
 // -- engine config ----------------------------------------------------------
 
 fn write_config(e: &mut Encoder, cfg: &EngineConfig) {
@@ -876,4 +1087,52 @@ fn read_day_report(d: &mut Decoder<'_>) -> StoreResult<DayReport> {
         alerts: Vec::new(),
         outcome: None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::DayBatch;
+    use earlybird_synthgen::lanl::{LanlConfig, LanlGenerator};
+
+    fn full_freeze(engine: &Engine) -> Vec<u8> {
+        let mut out = Vec::new();
+        engine.freeze().write_to(&mut out).expect("full freeze writes");
+        out
+    }
+
+    /// With a configured retention window the fold prunes after every
+    /// block, as live ingestion did, and still writes the writer's full
+    /// freeze; a store policy then prunes on top of it, exactly like
+    /// pruning the writer.
+    #[test]
+    fn fold_prunes_like_the_writer() {
+        let challenge = LanlGenerator::new(LanlConfig::tiny()).generate();
+        let mut engine = EngineBuilder::lanl()
+            .retain_days(2)
+            .build(Arc::clone(&challenge.dataset.domains), challenge.dataset.meta.clone())
+            .expect("valid config");
+        let last = challenge.dataset.meta.bootstrap_days as usize + 5;
+        let mut chain = Vec::new();
+        for (i, day) in challenge.dataset.days[..last].iter().enumerate() {
+            engine.ingest_day(DayBatch::Dns(day));
+            let snapshot = if i == 0 { engine.freeze() } else { engine.freeze_day().unwrap() };
+            snapshot.write_to(&mut chain).expect("block writes");
+        }
+        assert_eq!(engine.days().count(), 2, "the window holds two days");
+
+        let fold = |retain_days| {
+            let (snapshot, pruned) =
+                EngineSnapshot::fold_chain(&mut &chain[..], retain_days).expect("chain folds");
+            let mut out = Vec::new();
+            snapshot.write_to(&mut out).expect("fold writes");
+            (out, pruned)
+        };
+        assert!(fold(None) == (full_freeze(&engine), 0), "no store window");
+        assert!(fold(Some(5)) == (full_freeze(&engine), 0), "a wider store window");
+        let (pruned_bytes, pruned) = fold(Some(1));
+        assert_eq!(prune_oldest(&mut engine.products, Some(1)), 1);
+        assert_eq!(pruned, 1, "the store window drops one more day");
+        assert!(pruned_bytes == full_freeze(&engine), "pruned like the writer");
+    }
 }

@@ -37,18 +37,24 @@
 //!
 //! # Compaction
 //!
-//! A pass restores the whole `full + N segments` chain into a *scratch*
-//! engine (`stage="compact_replay"`) — live engine state is never touched
-//! — prunes contact indexes past the store's
+//! A pass folds the whole `full + N segments` chain block by block into
+//! one full [`crate::EngineSnapshot`] (`stage="compact_fold"`) — no
+//! engine is built, and live engine state is never touched. The fold
+//! copies the Config and Meta payloads verbatim, appends each table's
+//! tails, decodes the retained days, runs every check a restore of the
+//! chain would, and prunes contact indexes past the store's
 //! [`crate::RetentionPolicy::retain_days`] (their counter reports stay,
-//! making the new full block the source of truth for evicted days),
-//! re-freezes and encodes one full block (`stage="compact_encode"`;
-//! replayed days are already in wire order, so the encode is pure
-//! emission), and commits it through [`StoreDir::commit_full`]'s atomic
-//! manifest swap. A crash at any point leaves either the old chain or the
-//! new block; leftovers are quarantined by the next [`StoreDir::open`],
-//! and superseded blocks whose best-effort deletion fails are counted in
-//! [`CompactionReport::gc_failures`]. An engine restored from the
+//! making the new full block the source of truth for evicted days). The
+//! snapshot then encodes through the one block writer every freeze uses
+//! (`stage="compact_encode"`; decoded days are already in wire order, so
+//! the encode is pure emission), and commits through
+//! [`StoreDir::commit_full`]'s atomic manifest swap. Before pruning, the
+//! new block is byte for byte the full freeze of the engine that wrote
+//! the chain, whatever machine compacts it. A crash at any point leaves
+//! either the old chain or the new block; leftovers are quarantined by the
+//! next [`StoreDir::open`], and superseded blocks whose best-effort
+//! deletion fails are counted in [`CompactionReport::gc_failures`]. An
+//! engine restored from the
 //! compacted store continues bit-identically to one restored from the
 //! original chain (see the `lifecycle` integration suite).
 
@@ -308,7 +314,8 @@ impl Persistence {
     ///
     /// # Errors
     ///
-    /// Typed [`StoreError`]s from the chain replay or the commit;
+    /// Typed [`StoreError`]s from the chain fold (the ones a restore of
+    /// the chain raises) or the commit;
     /// compacting an empty store is [`StoreError::Corrupt`]. An explicit
     /// pass does *not* poison the handle on failure (the chain stays
     /// valid).
@@ -450,13 +457,13 @@ fn compact(dir: &mut StoreDir, metrics: Option<&EngineMetrics>) -> StoreResult<C
     let bytes_before = dir.chain_bytes();
     let gc_count_before = dir.gc_failures();
     let gc_names_before = dir.gc_failed_objects().len();
-    let replay_span = metrics.map(|m| m.compact_replay.start());
-    let mut scratch = EngineBuilder::lanl().restore_impl(None, &mut dir.reader()?)?;
-    let days_pruned = scratch.prune_retained(dir.config().retention.retain_days);
-    drop(replay_span);
+    let fold_span = metrics.map(|m| m.compact_fold.start());
+    let (snapshot, days_pruned) =
+        EngineSnapshot::fold_chain(&mut dir.reader()?, dir.config().retention.retain_days)?;
+    drop(fold_span);
     let mut pending = dir.begin(BlockKind::Full)?;
     let encode_span = metrics.map(|m| m.compact_encode.start());
-    let meta = scratch.freeze().write_to(&mut pending)?;
+    let meta = snapshot.write_to(&mut pending)?;
     drop(encode_span);
     dir.commit_full(pending, &meta)?;
     Ok(CompactionReport {

@@ -21,6 +21,7 @@
 use crate::hash::{hash_str, PrehashedState};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
@@ -154,6 +155,26 @@ impl StrArena {
         })
     }
 
+    /// Whether no string is held twice. An interner's table holds each
+    /// string once by construction; an arena assembled by appending
+    /// restored tails (store compaction) is checked through this instead.
+    ///
+    /// Sorts the strings' 64-bit hashes, which touches memory in order
+    /// where a hash set would not; only if two hashes are equal are the
+    /// strings themselves compared.
+    pub fn all_distinct(&self) -> bool {
+        let mut hashes: Vec<u64> = self.iter().map(hash_str).collect();
+        hashes.sort_unstable();
+        if hashes.windows(2).all(|pair| pair[0] != pair[1]) {
+            return true;
+        }
+        // A repeated string, or two strings sharing all 64 bits of hash:
+        // only comparing them tells which. The strings come from outside
+        // the program, so this set keeps std's keyed hasher.
+        let mut seen: HashSet<&str> = HashSet::with_capacity(self.len());
+        self.iter().all(|s| seen.insert(s))
+    }
+
     /// The offset at which string `k` starts (`k <= len`).
     fn start_of(&self, k: usize) -> u32 {
         k.checked_sub(1).map_or(0, |prev| self.ends[prev])
@@ -167,16 +188,23 @@ impl StrArena {
     /// Whether string `k` exists and equals `s` — a byte comparison against
     /// the buffer, without the `str` boundary checks slicing would add.
     #[inline]
-    fn holds(&self, k: usize, s: &str) -> bool {
+    pub fn holds(&self, k: usize, s: &str) -> bool {
         self.range(k).is_some_and(|r| self.bytes.as_bytes()[r] == *s.as_bytes())
     }
 
-    fn reserve(&mut self, strings: usize, bytes: usize) {
+    /// Reserves room for `strings` more strings of `bytes` bytes in total.
+    pub fn reserve(&mut self, strings: usize, bytes: usize) {
         self.ends.reserve(strings);
         self.bytes.reserve(bytes);
     }
 
-    fn push(&mut self, s: &str) {
+    /// Appends `s` as string `len()`. Nothing checks that it is new: that
+    /// is the interner's index's job (or [`StrArena::all_distinct`]'s).
+    ///
+    /// # Panics
+    ///
+    /// Panics once the arena would exceed 4 GiB of string bytes.
+    pub fn push(&mut self, s: &str) {
         // Invariant: offsets are `u32`, so one table holds under 4 GiB of
         // distinct names — checked before anything is appended.
         let end = u32::try_from(self.bytes.len() + s.len()).expect("interner arena exceeds 4 GiB");
@@ -677,6 +705,27 @@ mod tests {
         }
         assert_eq!(out.iter().collect::<HashSet<_>>().len(), n);
         out
+    }
+
+    #[test]
+    fn arena_appends_verifies_and_finds_repeats() {
+        let mut arena = StrArena::default();
+        for s in ["a.com", "", "🦀.rs"] {
+            arena.push(s);
+        }
+        assert!(arena.holds(2, "🦀.rs") && !arena.holds(2, "a.com") && !arena.holds(3, ""));
+        assert!(arena.all_distinct());
+        arena.push("");
+        assert!(!arena.all_distinct(), "the empty string, twice");
+
+        // Strings sharing all 64 bits of hash are told apart by comparing
+        // them; a true repeat among them is still found.
+        let mut colliding = StrArena::default();
+        let names = colliders(3);
+        names.iter().for_each(|s| colliding.push(s));
+        assert!(colliding.all_distinct());
+        colliding.push(&names[1]);
+        assert!(!colliding.all_distinct());
     }
 
     #[test]

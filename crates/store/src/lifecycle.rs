@@ -39,10 +39,10 @@
 //! one in turn.
 //!
 //! Compaction and retention *policy* lives here ([`LifecycleConfig`]); the
-//! pass itself needs an engine to replay the chain, so it lives in
-//! `earlybird-engine` (`Persistence::compact`, also run by a commit once
-//! the [`CompactionTrigger`] fires): restore the whole chain into a
-//! scratch engine, optionally prune contact indexes past
+//! pass itself needs the engine's state codec to fold the chain, so it
+//! lives in `earlybird-engine` (`Persistence::compact`, also run by a
+//! commit once the [`CompactionTrigger`] fires): fold the whole chain into
+//! one full snapshot, optionally prune contact indexes past
 //! [`RetentionPolicy::retain_days`] (their counters stay in the full block
 //! — the full block is the source of truth for evicted days), write one
 //! new full block, and atomically swap the manifest to it via

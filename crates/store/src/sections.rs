@@ -46,29 +46,73 @@ pub fn read_interner_into<T>(
     interner: &TypedInterner<T>,
     what: &str,
 ) -> StoreResult<()> {
+    // The interner copies each borrowed string exactly once (onto the end
+    // of its arena, reserved for the whole block up front), and the batch
+    // lands — or, if any string is wrong, none of it does — under a single
+    // write-lock acquisition.
+    let (start, strings) = read_interner_slice(d, interner.len(), what)?;
+    if !interner.extend_from_snapshot(start, &strings) {
+        return Err(interner_disagrees(what));
+    }
+    Ok(())
+}
+
+/// [`read_interner_into`] onto a bare arena, for folding a chain without
+/// an interner: strings below `arena.len()` are verified against it and
+/// the rest appended. Duplicates are *not* refused here — one
+/// [`check_interner_distinct`] over the finished arena does that, with the
+/// error a restore of the same chain raises.
+pub fn read_interner_onto(
+    d: &mut Decoder<'_>,
+    arena: &mut StrArena,
+    what: &str,
+) -> StoreResult<()> {
+    let (start, strings) = read_interner_slice(d, arena.len(), what)?;
+    let (known, fresh) = strings.split_at((arena.len() - start).min(strings.len()));
+    if !known.iter().enumerate().all(|(k, s)| arena.holds(start + k, s)) {
+        return Err(interner_disagrees(what));
+    }
+    arena.reserve(fresh.len(), fresh.iter().map(|s| s.len()).sum());
+    fresh.iter().for_each(|s| arena.push(s));
+    Ok(())
+}
+
+/// Reads an interner slice — its start, which may not pass the `held`
+/// strings, and its strings borrowed straight out of the payload.
+fn read_interner_slice<'a>(
+    d: &mut Decoder<'a>,
+    held: usize,
+    what: &str,
+) -> StoreResult<(usize, Vec<&'a str>)> {
     let start = d.usizev()?;
-    if start > interner.len() {
+    if start > held {
         return Err(StoreError::corrupt(format!(
-            "{what} interner delta starts at {start}, engine holds only {}",
-            interner.len()
+            "{what} interner delta starts at {start}, engine holds only {held}"
         )));
     }
     let count = d.seq_len(1)?;
-    // Borrow every string straight out of the payload: the interner copies
-    // each one exactly once (onto the end of its arena, reserved for the
-    // whole block up front), and the batch lands — or, if any string is
-    // wrong, none of it does — under a single write-lock acquisition.
-    let mut strings: Vec<&str> = Vec::with_capacity(count.min(64 * 1024));
+    let mut strings = Vec::with_capacity(count.min(64 * 1024));
     for _ in 0..count {
         strings.push(d.str_ref()?);
     }
-    if !interner.extend_from_snapshot(start, &strings) {
-        return Err(StoreError::corrupt(format!(
-            "{what} interner snapshot disagrees with existing contents \
-             (duplicate or misnumbered symbols)"
-        )));
+    Ok((start, strings))
+}
+
+/// Refuses an arena assembled by [`read_interner_onto`] that holds a
+/// string twice: an interner would have numbered it once.
+pub fn check_interner_distinct(arena: &StrArena, what: &str) -> StoreResult<()> {
+    if arena.all_distinct() {
+        Ok(())
+    } else {
+        Err(interner_disagrees(what))
     }
-    Ok(())
+}
+
+fn interner_disagrees(what: &str) -> StoreError {
+    StoreError::corrupt(format!(
+        "{what} interner snapshot disagrees with existing contents \
+         (duplicate or misnumbered symbols)"
+    ))
 }
 
 // -- host mapper ------------------------------------------------------------
@@ -85,11 +129,20 @@ pub fn write_host_mapper_tail(e: &mut Encoder, start: usize, tail: &[Ipv4]) {
 
 /// Reads a host-mapper slice and replays it onto `hosts`.
 pub fn read_host_mapper_into(d: &mut Decoder<'_>, hosts: &mut HostMapper) -> StoreResult<()> {
+    let ips = read_host_tail(d, hosts.len())?;
+    if !hosts.extend_restored(ips) {
+        return Err(host_repeat());
+    }
+    Ok(())
+}
+
+/// Reads a host-mapper slice as the addresses of hosts `held..`, refusing
+/// one that starts anywhere else.
+pub fn read_host_tail(d: &mut Decoder<'_>, held: usize) -> StoreResult<Vec<Ipv4>> {
     let start = d.usizev()?;
-    if start != hosts.len() {
+    if start != held {
         return Err(StoreError::corrupt(format!(
-            "host mapper delta starts at {start}, engine holds {}",
-            hosts.len()
+            "host mapper delta starts at {start}, engine holds {held}"
         )));
     }
     let count = d.seq_len(1)?;
@@ -97,10 +150,12 @@ pub fn read_host_mapper_into(d: &mut Decoder<'_>, hosts: &mut HostMapper) -> Sto
     for _ in 0..count {
         ips.push(Ipv4::from_bits(d.u32v()?));
     }
-    if !hosts.extend_restored(ips) {
-        return Err(StoreError::corrupt("host mapper snapshot repeats an address"));
-    }
-    Ok(())
+    Ok(ips)
+}
+
+/// The error for a host map that holds an address twice.
+pub fn host_repeat() -> StoreError {
+    StoreError::corrupt("host mapper snapshot repeats an address")
 }
 
 // -- histories --------------------------------------------------------------

@@ -29,6 +29,7 @@ use earlybird::store::BlockKind;
 use earlybird::synthgen::ac::{AcConfig, AcGenerator, AcWorld};
 use earlybird::synthgen::lanl::{LanlChallenge, LanlConfig, LanlGenerator};
 use earlybird_engine::CollectedAlerts;
+use std::io::Read as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 use support::Backend;
@@ -250,6 +251,117 @@ fn enterprise_proxy_compacted_store_restores_bit_identically() {
             ref_alerts.snapshot().into_iter().filter(|a| a.day >= split_day).collect();
         assert_eq!(chain_alerts, expected_suffix, "{ctx}: proxy chain alert suffix");
         assert_eq!(compacted_alerts, expected_suffix, "{ctx}: proxy compacted alert suffix");
+        backend.cleanup();
+    }
+}
+
+/// A store with compaction left to explicit passes, behind a synchronous
+/// handle.
+fn untriggered_store(backend: &Backend) -> Persistence {
+    let cfg = LifecycleConfig {
+        compaction: CompactionTrigger::disabled(),
+        retention: RetentionPolicy::default(),
+    };
+    Persistence::new(backend.create(cfg).expect("create store"), SnapshotPolicy::default())
+}
+
+/// Compacts `store` and asserts that the one block left is byte for byte
+/// the full freeze of `writer`, the engine that wrote the chain.
+fn assert_compacts_to_full_freeze(store: &Persistence, writer: &Engine, ctx: &str) {
+    let report = store.compact().expect("compaction succeeds");
+    let mut block = Vec::new();
+    {
+        let dir = store.store();
+        assert_eq!(dir.entries().len(), 1, "{ctx}: one full block after compaction");
+        dir.reader().expect("chain reader").read_to_end(&mut block).expect("block reads");
+    }
+    assert_eq!(report.bytes_after, block.len() as u64, "{ctx}: reported size");
+    let mut freeze = Vec::new();
+    writer.freeze().write_to(&mut freeze).expect("full freeze writes");
+    assert!(
+        block == freeze,
+        "{ctx}: compacted block ({} bytes) differs from the writer's full freeze ({} bytes)",
+        block.len(),
+        freeze.len()
+    );
+}
+
+/// Compaction folds a chain into exactly the bytes a full freeze of the
+/// engine that wrote it produces — for a LANL chain with a SOC seed, the
+/// same chain after it was compacted once and grew segments again (so
+/// its full block carries many days), and an enterprise proxy chain
+/// whose shared user-agent and path interners are non-empty.
+#[test]
+fn compacted_block_is_the_writers_full_freeze() {
+    let challenge = LanlGenerator::new(LanlConfig::tiny()).generate();
+    let world: AcWorld = AcGenerator::new(AcConfig::tiny()).generate();
+    let days = &challenge.dataset.days;
+    let split = challenge.dataset.meta.bootstrap_days as usize + 8;
+
+    for backend in Backend::matrix("fold-is-freeze") {
+        let ctx = backend.name();
+        {
+            let store = untriggered_store(&backend);
+            let (mut engine, _alerts) = lanl_engine(&challenge);
+            for day in &days[..split] {
+                engine.ingest_day(DayBatch::Dns(day));
+                store.commit(&engine).expect("freeze").wait().expect("daily persist");
+            }
+            assert_compacts_to_full_freeze(&store, &engine, &format!("{ctx}: lanl"));
+            for day in &days[split..] {
+                engine.ingest_day(DayBatch::Dns(day));
+                store.commit(&engine).expect("freeze").wait().expect("daily persist");
+            }
+            assert!(store.store().segment_count() > 1, "{ctx}: the chain grew again");
+            assert!(engine.days().count() > 10, "{ctx}: the full block carries many days");
+            assert_compacts_to_full_freeze(&store, &engine, &format!("{ctx}: lanl regrown"));
+        }
+
+        let backend = backend.fresh();
+        {
+            let store = untriggered_store(&backend);
+            let mut engine = EngineBuilder::enterprise()
+                .whois(world.intel.whois.clone())
+                .proxy_interners(Arc::clone(&world.dataset.uas), Arc::clone(&world.dataset.paths))
+                .auto_investigate(true)
+                .build(Arc::clone(&world.dataset.domains), world.dataset.meta.clone())
+                .expect("valid config");
+            let last = (world.dataset.meta.bootstrap_days + 6) as usize;
+            for day in &world.dataset.days[..last] {
+                engine.ingest_day(DayBatch::Proxy { day, dhcp: &world.dataset.dhcp });
+                store.commit(&engine).expect("freeze").wait().expect("daily persist");
+            }
+            assert!(
+                !world.dataset.uas.is_empty() && !world.dataset.paths.is_empty(),
+                "{ctx}: the user-agent and path tails carry strings"
+            );
+            assert_compacts_to_full_freeze(&store, &engine, &format!("{ctx}: proxy"));
+        }
+        backend.cleanup();
+    }
+}
+
+/// The machine-local knobs a chain was written with (`parallelism`,
+/// `parallel_threshold`, `ingest_chunk_records`) survive compaction: the
+/// compacted bytes do not depend on the machine that compacts them.
+#[test]
+fn compaction_keeps_the_writers_machine_local_knobs() {
+    let challenge = LanlGenerator::new(LanlConfig::tiny()).generate();
+    for backend in Backend::matrix("fold-knobs") {
+        let store = untriggered_store(&backend);
+        let mut engine = EngineBuilder::lanl()
+            .parallelism(3)
+            .parallel_threshold(7)
+            .ingest_chunk_records(99)
+            .build(Arc::clone(&challenge.dataset.domains), challenge.dataset.meta.clone())
+            .expect("valid config");
+        let last = challenge.dataset.meta.bootstrap_days as usize + 3;
+        for day in &challenge.dataset.days[..last] {
+            engine.ingest_day(DayBatch::Dns(day));
+            store.commit(&engine).expect("freeze").wait().expect("daily persist");
+        }
+        assert_compacts_to_full_freeze(&store, &engine, backend.name());
+        drop(store);
         backend.cleanup();
     }
 }

@@ -7,11 +7,18 @@
 //! `cargo test --test snapshot_golden regenerate_golden_snapshot -- --ignored`,
 //! and commit the new file alongside the version bump.
 
+// Each integration-test crate uses a subset of the harness; the unused
+// remainder is not a defect.
+#[path = "support/backends.rs"]
+#[allow(dead_code)]
+mod support;
+
 use earlybird::engine::{DayBatch, Engine, EngineBuilder};
 use earlybird::logmodel::{
     DatasetMeta, Day, DnsDayLog, DnsQuery, DnsRecordType, DomainInterner, HostId, HostKind, Ipv4,
     Timestamp,
 };
+use std::io::Read as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -46,10 +53,15 @@ fn day(domains: &DomainInterner, day: Day, beacon: &str) -> DnsDayLog {
     DnsDayLog { day, queries }
 }
 
-/// The deterministic fixture engine: fixed perf knobs (they are encoded in
+/// The deterministic fixture stream: fixed perf knobs (they are encoded in
 /// the config section), two hand-built days, one full block plus one
 /// segment.
 fn golden_stream() -> Vec<u8> {
+    golden_writer().1
+}
+
+/// The engine that writes the fixture stream, with the stream it wrote.
+fn golden_writer() -> (Engine, Vec<u8>) {
     let domains = Arc::new(DomainInterner::new());
     let meta = DatasetMeta {
         n_hosts: 4,
@@ -71,7 +83,7 @@ fn golden_stream() -> Vec<u8> {
     engine.freeze().write_to(&mut out).expect("full block");
     engine.ingest_day(DayBatch::Dns(&day(&domains, Day::new(1), "c2.other.example")));
     engine.freeze_day().expect("segment freezes").write_to(&mut out).expect("segment");
-    out
+    (engine, out)
 }
 
 // The golden fixture is a raw byte stream, so it reads through the
@@ -120,6 +132,30 @@ fn golden_snapshot_bytes_are_reproducible() {
         "snapshot writer output drifted from the checked-in golden file; \
          if intentional, bump FORMAT_VERSION and regenerate"
     );
+}
+
+/// The checked-in chain, committed to a store and compacted, folds into
+/// exactly the golden writer's full freeze.
+#[test]
+fn golden_chain_folds_to_its_full_freeze() {
+    let checked_in = std::fs::read(golden_path()).expect("golden fixture missing");
+    // The segment starts at the second block magic (payloads are
+    // CRC-guarded, so a stray match would fail the comparison below).
+    let split = checked_in
+        .windows(8)
+        .skip(1)
+        .position(|w| w == b"EBSTORE1")
+        .map(|at| at + 1)
+        .expect("the fixture holds two blocks");
+    let store = support::mem_store_holding(&[&checked_in[..split], &checked_in[split..]]);
+    store.compact().expect("the golden chain compacts");
+    let mut compacted = Vec::new();
+    store.store().reader().expect("reader").read_to_end(&mut compacted).expect("block reads");
+
+    let (writer, _) = golden_writer();
+    let mut freeze = Vec::new();
+    writer.freeze().write_to(&mut freeze).expect("full freeze");
+    assert_eq!(compacted, freeze, "the compacted golden chain is the writer's full freeze");
 }
 
 /// Regenerates the golden fixture (run manually after an intentional format

@@ -4,6 +4,12 @@
 //! corrupted or hand-crafted snapshots fail with a typed [`StoreError`] —
 //! never a panic, never a silent misload.
 
+// Each integration-test crate uses a subset of the harness; the unused
+// remainder is not a defect.
+#[path = "support/backends.rs"]
+#[allow(dead_code)]
+mod support;
+
 use earlybird::engine::{DayBatch, Engine, EngineBuilder, StoreError};
 use earlybird::logmodel::{
     DatasetMeta, Day, DnsDayLog, DnsQuery, DnsRecordType, DomainInterner, HostId, HostKind, Ipv4,
@@ -449,6 +455,103 @@ fn a_rejected_interner_delta_leaves_the_shared_interner_untouched() {
 
     let good = chain_with_crafted_segment(&empty_interner_deltas, &valid_history_section, &[]);
     restore_sharing(&shared, &good).expect("a retry from a good chain succeeds");
+}
+
+/// Compaction refuses every crafted chain a restore refuses, with the
+/// restore's own error, and leaves the store as it was.
+#[test]
+fn compaction_refuses_a_corrupt_chain_like_restore() {
+    let base = fixture_base();
+    let shared = Arc::new(DomainInterner::new());
+    EngineBuilder::lanl()
+        .restore_stream_with_domains(Arc::clone(&shared), &mut &base.full_block[..])
+        .expect("the full block restores");
+    let raw = shared.tail(0);
+    let held = raw.get(0).expect("the fixture interned names").to_owned();
+
+    let repeated_domain = chain_with_crafted_segment(
+        &empty_interner_deltas,
+        &|e, base| {
+            e.usizev(base.history_len);
+            e.usizev(2);
+            e.u32v(900);
+            e.u32v(900);
+            e.u32v(base.days_ingested);
+            empty_ua_delta(e);
+        },
+        &[],
+    );
+    let repeated_pair = chain_with_crafted_segment(
+        &empty_interner_deltas,
+        &|e, base| {
+            e.usizev(base.history_len);
+            e.usizev(0);
+            e.u32v(base.days_ingested);
+            e.usizev(10);
+            e.usizev(0);
+            e.usizev(2);
+            for _ in 0..2 {
+                e.u32v(3); // user agent
+                e.u32v(1); // host
+            }
+        },
+        &[],
+    );
+    let duplicate_raw = chain_with_crafted_segment(
+        &|e| {
+            e.usizev(raw.len());
+            e.usizev(2);
+            e.str("fresh.example");
+            e.str(&held);
+            (0..6).for_each(|_| e.usizev(0));
+        },
+        &valid_history_section,
+        &[],
+    );
+    let unsorted_domain_hosts = chain_with_crafted_segment(
+        &empty_interner_deltas,
+        &valid_history_section,
+        &[crafted_index(1, |e| {
+            e.usizev(2);
+            for domain in [9u32, 7] {
+                e.u32v(domain);
+                e.usizev(1);
+                e.u32v(0);
+            }
+        })],
+    );
+
+    for (chain, names) in [
+        (repeated_domain, "destination-history"),
+        (repeated_pair, "user-agent history"),
+        (duplicate_raw, "raw domain interner"),
+        (unsorted_domain_hosts, "domain_hosts"),
+    ] {
+        let restore_context = match try_restore(&chain) {
+            Err(StoreError::Corrupt { context }) => context,
+            other => panic!("{names}: restore expected Corrupt, got {other:?}"),
+        };
+        assert!(restore_context.contains(names), "restore names {names}: {restore_context}");
+
+        let (full, segment) = chain.split_at(base.full_block.len());
+        let store = support::mem_store_holding(&[full, segment]);
+        let before = {
+            let dir = store.store();
+            (dir.generation(), dir.entries().to_vec(), dir.chain_bytes())
+        };
+        match store.compact() {
+            Err(StoreError::Corrupt { context }) => {
+                assert_eq!(context, restore_context, "{names}: compaction names what restore does")
+            }
+            other => panic!("{names}: compaction expected Corrupt, got {other:?}"),
+        }
+        let dir = store.store();
+        assert_eq!(
+            (dir.generation(), dir.entries().to_vec(), dir.chain_bytes()),
+            before,
+            "{names}: a refused compaction leaves the manifest as it was"
+        );
+    }
 }
 
 /// 100k+ symbols — including empty and unicode names — survive a full

@@ -6,8 +6,11 @@
 //! CI sets `EARLYBIRD_BACKEND` to pin one backend per matrix job; unset
 //! (or `all`) runs every backend in-process.
 
-use earlybird::engine::{LifecycleConfig, LocalFsBackend, MemBackend, ObjectStore, StoreDir};
-use earlybird::store::StoreResult;
+use earlybird::engine::{
+    CompactionTrigger, LifecycleConfig, LocalFsBackend, MemBackend, ObjectStore, Persistence,
+    RetentionPolicy, SnapshotPolicy, StoreDir,
+};
+use earlybird::store::{BlockKind, CheckpointMeta, StoreResult, FORMAT_VERSION};
 use std::io::Write as _;
 use std::path::PathBuf;
 
@@ -142,6 +145,39 @@ impl Backend {
             let _ = std::fs::remove_dir_all(root);
         }
     }
+}
+
+/// A synchronous [`Persistence`] over a fresh in-memory store, compaction
+/// left to explicit passes, holding `blocks` as a writer would have
+/// committed them: the first as the full block, the rest as day segments.
+/// Puts a hand-built or checked-in stream into a managed store.
+pub fn mem_store_holding(blocks: &[&[u8]]) -> Persistence {
+    let cfg = LifecycleConfig {
+        compaction: CompactionTrigger::disabled(),
+        retention: RetentionPolicy::default(),
+    };
+    let mut dir = StoreDir::create_boxed(Box::new(MemBackend::new()), cfg).expect("create store");
+    for (i, block) in blocks.iter().enumerate() {
+        let kind = if i == 0 { BlockKind::Full } else { BlockKind::DaySegment };
+        let mut pending = dir.begin(kind).expect("begin block");
+        pending.write_all(block).expect("stage block");
+        // A block ends in its CRC-32, little-endian.
+        let crc = block[block.len() - 4..].try_into().expect("a block ends in its checksum");
+        let meta = CheckpointMeta {
+            kind,
+            format_version: FORMAT_VERSION,
+            bytes: block.len() as u64,
+            checksum: u32::from_le_bytes(crc),
+            days: 0,
+            retained_days: 0,
+        };
+        match kind {
+            BlockKind::Full => dir.commit_full(pending, &meta),
+            BlockKind::DaySegment => dir.commit_segment(pending, &meta),
+        }
+        .expect("commit block");
+    }
+    Persistence::new(dir, SnapshotPolicy::default())
 }
 
 /// Copies a directory tree (files + subdirectories) for LocalFs forks.
