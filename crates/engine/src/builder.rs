@@ -21,8 +21,9 @@ pub enum EngineError {
     /// The requested day is not retained by the engine (bootstrap day, or
     /// never ingested).
     UnknownDay(earlybird_logmodel::Day),
-    /// A C&C scoring worker thread panicked; the day's detection pass
-    /// cannot be trusted and is abandoned.
+    /// Detection panicked — C&C scoring on either path, alert building or
+    /// belief propagation. A failed day finish applied nothing and
+    /// discarded the day (see [`crate::DayIngest::try_finish`]).
     WorkerPanicked(String),
 }
 
@@ -31,7 +32,7 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::InvalidConfig(msg) => write!(f, "invalid engine config: {msg}"),
             EngineError::UnknownDay(day) => write!(f, "day {day:?} is not retained"),
-            EngineError::WorkerPanicked(msg) => write!(f, "scoring worker panicked: {msg}"),
+            EngineError::WorkerPanicked(msg) => write!(f, "detection panicked: {msg}"),
         }
     }
 }

@@ -18,9 +18,9 @@ use earlybird_pipeline::{
 };
 use earlybird_timing::{AutomationDetector, AutomationEvidence};
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Seed selection for an [`Investigation`].
 #[derive(Clone, Debug)]
@@ -345,6 +345,7 @@ impl Engine {
 
     pub(crate) fn set_whois_defaults(&mut self, defaults: (f64, f64)) {
         self.cfg.whois_defaults = defaults;
+        self.mark_config_changed();
     }
 
     pub(crate) fn set_models(
@@ -354,20 +355,11 @@ impl Engine {
     ) {
         self.cfg.cc_model = cc_model;
         self.cfg.sim = sim;
+        self.mark_config_changed();
     }
 
     pub(crate) fn operation_products(&self) -> &BTreeMap<Day, Arc<DayProduct>> {
         &self.products
-    }
-
-    /// Registers an operation day: its counters-only report arms the
-    /// duplicate-day replay guard, its product is retained, and the
-    /// retention window applies.
-    fn register_day(&mut self, report: &DayReport, product: DayProduct) {
-        let day = report.day;
-        self.reports.insert(day, Self::counters_only(report));
-        self.products.insert(day, Arc::new(product));
-        prune_oldest(&mut self.products, self.cfg.retain_days);
     }
 
     fn detector(&self) -> CcDetector {
@@ -389,8 +381,8 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if a C&C scoring worker dies; use
-    /// [`Engine::try_ingest_day`] for the typed-error path.
+    /// Panics if the detection tail fails; use [`Engine::try_ingest_day`]
+    /// for the typed-error path.
     pub fn ingest_day(&mut self, batch: DayBatch<'_>) -> DayReport {
         self.try_ingest_day(batch).unwrap_or_else(|e| panic!("daily cycle failed: {e}"))
     }
@@ -400,10 +392,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`EngineError::WorkerPanicked`] when a C&C scoring worker dies; the
-    /// day is still registered (replay-guarded, index retained for
-    /// post-mortem [`Engine::cc_scores`]) but no alerts were emitted — see
-    /// [`crate::DayIngest::try_finish`].
+    /// [`EngineError::WorkerPanicked`] when the detection tail panics; the
+    /// engine is left as it was and the day is not ingested, so it can be
+    /// fed again — see [`crate::DayIngest::try_finish`].
     pub fn try_ingest_day(&mut self, batch: DayBatch<'_>) -> Result<DayReport, EngineError> {
         match batch {
             DayBatch::Dns(d) => {
@@ -420,40 +411,25 @@ impl Engine {
     }
 
     /// The detection half of the daily cycle, run on every sealed
-    /// operation day: C&C scoring over the day's rare domains, alerting,
-    /// optional belief-propagation expansion, and retention.
+    /// operation day before anything is applied: C&C scoring, alerting
+    /// (numbered by the close) and optional belief-propagation expansion.
+    /// It reads the day's index, never the histories.
     pub(crate) fn run_detection_tail(
-        &mut self,
+        &self,
         mut report: DayReport,
-        product: DayProduct,
-        started: Instant,
-    ) -> Result<DayReport, EngineError> {
+        product: &DayProduct,
+    ) -> DayReport {
         let day = report.day;
         report.stages.new_destinations = product.index.new_count();
         report.stages.rare_destinations = product.index.rare_count();
 
         // C&C stage: score every rare domain, sharded across workers.
+        let ctx = self.context_of(product);
         let detector = self.detector();
-        let scored = {
+        let candidates = {
             let _cc_span = self.metrics.cc.start();
-            self.score_rare_domains(&self.context_of(&product), &detector)
+            self.score_rare_domains(&ctx, &detector)
         };
-        let candidates = match scored {
-            Ok(candidates) => candidates,
-            Err(e) => {
-                // The day's contributions are already folded into the
-                // cross-day histories (the seal runs before this tail),
-                // so the engine must still register the day: the stored
-                // report arms the duplicate-day replay guard (a re-push
-                // cannot double-count the profiles) and the retained index
-                // allows post-mortem rescoring via `Engine::cc_scores`
-                // once the fault is addressed. No alerts were emitted.
-                report.stages.wall_micros = started.elapsed().as_micros() as u64;
-                self.register_day(&report, product);
-                return Err(e);
-            }
-        };
-        let ctx = self.context_of(&product);
         report.stages.automated_domains = candidates.len();
         report.stages.cc_detections = candidates.iter().filter(|c| c.detected).count();
 
@@ -519,13 +495,10 @@ impl Engine {
             }
         }
 
-        self.assign_and_emit(&mut alerts);
         report.stages.alerts_emitted = alerts.len();
         report.cc_candidates = candidates;
         report.alerts = alerts;
-        report.stages.wall_micros = started.elapsed().as_micros() as u64;
-        self.register_day(&report, product);
-        Ok(report)
+        report
     }
 
     /// Refreshes the `engine_interner_*` series from the four tables — at
@@ -560,13 +533,24 @@ impl Engine {
     /// # Errors
     ///
     /// [`EngineError::UnknownDay`] when the day was never processed as an
-    /// operation day.
+    /// operation day; [`EngineError::WorkerPanicked`] when scoring or the
+    /// expansion panics (no alert is numbered then).
     pub fn investigate(
         &self,
         day: Day,
         investigation: Investigation,
     ) -> Result<InvestigationReport, EngineError> {
         let product = self.products.get(&day).ok_or(EngineError::UnknownDay(day))?;
+        catch_worker_panic(|| self.run_investigation(product, investigation))
+    }
+
+    /// The body of [`Engine::investigate`], on a retained day's product.
+    fn run_investigation(
+        &self,
+        product: &DayProduct,
+        investigation: Investigation,
+    ) -> InvestigationReport {
+        let day = product.index.day();
         let ctx = self.context_of(product);
         let detector = self.detector();
 
@@ -592,7 +576,7 @@ impl Engine {
             }
             SeedSpec::TodaysDetections => {
                 let detections: Vec<DomainSym> = self
-                    .score_rare_domains(&ctx, &detector)?
+                    .score_rare_domains(&ctx, &detector)
                     .into_iter()
                     .filter(|c| c.detected)
                     .map(|c| {
@@ -630,7 +614,7 @@ impl Engine {
             .collect();
         self.assign_and_emit(&mut alerts);
 
-        Ok(InvestigationReport { day, outcome, count_seeds: investigation.count_seeds, alerts })
+        InvestigationReport { day, outcome, count_seeds: investigation.count_seeds, alerts }
     }
 
     /// Scores every automated rare domain of a retained day with the
@@ -638,10 +622,11 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`EngineError::UnknownDay`] when the day is not retained.
+    /// [`EngineError::UnknownDay`] when the day is not retained;
+    /// [`EngineError::WorkerPanicked`] when scoring panics.
     pub fn cc_scores(&self, day: Day) -> Result<Vec<CcCandidate>, EngineError> {
         let product = self.products.get(&day).ok_or(EngineError::UnknownDay(day))?;
-        self.score_rare_domains(&self.context_of(product), &self.detector())
+        catch_worker_panic(|| self.score_rare_domains(&self.context_of(product), &self.detector()))
     }
 
     /// All automated `(host, domain, evidence)` pairs among a retained
@@ -693,7 +678,7 @@ impl Engine {
     /// alert log, if one is attached. Numbers are allocated under the log's
     /// lock so concurrent `investigate` calls cannot append a
     /// later-numbered batch ahead of an earlier one.
-    fn assign_and_emit(&self, alerts: &mut [Alert]) {
+    pub(crate) fn assign_and_emit(&self, alerts: &mut [Alert]) {
         let mut log = self.alert_log.as_ref().map(CollectedAlerts::lock);
         let start = self.sequence.fetch_add(alerts.len() as u64, Ordering::SeqCst);
         for (alert, sequence) in alerts.iter_mut().zip(start..) {
@@ -707,16 +692,9 @@ impl Engine {
     /// Evaluates every rare domain of the day — automation evidence plus
     /// model score — sharding the work across the configured thread pool.
     /// Results are deterministic: sorted by descending score, then domain.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::WorkerPanicked`] when a scoring worker dies instead
-    /// of aborting the whole daily cycle with the join panic.
-    fn score_rare_domains(
-        &self,
-        ctx: &DayContext<'_>,
-        detector: &CcDetector,
-    ) -> Result<Vec<CcCandidate>, EngineError> {
+    /// A worker's panic resumes on the calling thread with its payload;
+    /// callers type it with [`catch_worker_panic`].
+    fn score_rare_domains(&self, ctx: &DayContext<'_>, detector: &CcDetector) -> Vec<CcCandidate> {
         let domains: Vec<DomainSym> = ctx.index.rare_domains().collect();
 
         let evaluate = |domain: DomainSym| -> Option<CcCandidate> {
@@ -751,41 +729,31 @@ impl Engine {
                         })
                     })
                     .collect();
-                // Join *every* handle even after a failure: leaving a
-                // panicked scoped thread unjoined would make the scope
-                // itself re-panic on exit, bypassing the typed error path.
-                let mut all = Vec::new();
-                let mut first_panic = None;
-                for h in handles {
-                    match h.join() {
-                        Ok(shard) => all.extend(shard),
-                        Err(payload) => {
-                            first_panic.get_or_insert_with(|| panic_message(payload.as_ref()));
-                        }
-                    }
-                }
-                match first_panic {
-                    Some(message) => Err(EngineError::WorkerPanicked(message)),
-                    None => Ok(all),
-                }
-            })?
+                // The scope joins the other workers before the resumed
+                // panic leaves it.
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                    .collect()
+            })
         };
         // total_cmp keeps the ordering total even if a hostile model emits
         // NaN scores — no panic path in the sort.
         candidates.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.domain.cmp(&b.domain)));
-        Ok(candidates)
+        candidates
     }
 }
 
-/// Best-effort stringification of a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// The detection boundary: runs `f` (scoring on either path, alert
+/// building, belief propagation) and types any panic inside it as
+/// [`EngineError::WorkerPanicked`]. `f` runs on `&Engine`, so a panic
+/// leaves nothing half applied.
+pub(crate) fn catch_worker_panic<R>(f: impl FnOnce() -> R) -> Result<R, EngineError> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        let message = payload.downcast_ref::<&str>().map(|s| s.to_string());
+        let message = message.or_else(|| payload.downcast_ref::<String>().cloned());
+        EngineError::WorkerPanicked(message.unwrap_or_else(|| "non-string panic payload".into()))
+    })
 }
 
 #[cfg(test)]
@@ -1081,6 +1049,76 @@ mod tests {
             engine.history().ordered().iter().map(|&d| engine.resolve(d)).collect();
         assert_eq!(history.len(), 2);
         assert!(history.iter().all(|name| name != "corp.local"), "{history:?}");
+    }
+
+    /// A failed finish discards its day; once the fault clears (the paper
+    /// heuristic replaces a model the extractor cannot feed) the re-pushed
+    /// day and every later one match a run that had the heuristic from the
+    /// start: reports, alert sequences and full freeze bytes.
+    #[test]
+    fn a_repush_after_a_failed_finish_matches_the_uninterrupted_run() {
+        use earlybird_core::CcModel;
+        use earlybird_features::{FeatureScaler, LinearRegression, RegressionModel};
+
+        let xs: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64, 1.0, (i % 2) as f64]).collect();
+        let fit = LinearRegression::fit_ridge(&xs, &[0.0; 8], 1e-3).unwrap();
+        let model = RegressionModel::new(&["a", "b", "c"], fit, 0.5);
+        let broken = CcModel::Regression { model, scaler: FeatureScaler::identity(3) };
+        let challenge = LanlGenerator::new(LanlConfig::tiny()).generate();
+        let days = &challenge.dataset.days;
+        let first_operation = challenge.dataset.meta.bootstrap_days as usize;
+        let freeze_bytes = |engine: &Engine| {
+            let mut bytes = Vec::new();
+            engine.freeze().write_to(&mut bytes).unwrap();
+            bytes
+        };
+        for parallelism in [1, 2] {
+            let build = |model: Option<CcModel>, log: &CollectedAlerts| {
+                let builder = EngineBuilder::lanl()
+                    .parallelism(parallelism)
+                    .parallel_threshold(1)
+                    .auto_investigate(true)
+                    .alert_log(log.clone());
+                let builder = match model {
+                    Some(model) => builder.cc_model(model),
+                    None => builder,
+                };
+                builder
+                    .build(Arc::clone(&challenge.dataset.domains), challenge.dataset.meta.clone())
+                    .unwrap()
+            };
+            let (reference_log, log) = (CollectedAlerts::default(), CollectedAlerts::default());
+            let mut reference = build(None, &reference_log);
+            let mut engine = build(Some(broken.clone()), &log);
+            for day in &days[..first_operation] {
+                reference.ingest_day(DayBatch::Dns(day));
+                engine.ingest_day(DayBatch::Dns(day));
+            }
+
+            let hook = std::panic::take_hook();
+            std::panic::set_hook(Box::new(|_| {}));
+            let failed = engine.try_ingest_day(DayBatch::Dns(&days[first_operation]));
+            std::panic::set_hook(hook);
+            assert!(matches!(failed, Err(EngineError::WorkerPanicked(_))), "{failed:?}");
+            engine.set_models(reference.cfg.cc_model.clone(), reference.cfg.sim.clone());
+
+            for day in &days[first_operation..] {
+                let (got, want) = (
+                    engine.ingest_day(DayBatch::Dns(day)),
+                    reference.ingest_day(DayBatch::Dns(day)),
+                );
+                assert!(got.stages.deterministic_eq(&want.stages), "{:?} counters", day.day);
+                assert_eq!(got.cc_candidates, want.cc_candidates, "{:?}", day.day);
+                assert_eq!(got.alerts, want.alerts, "{:?} alerts and sequences", day.day);
+                assert_eq!(got.outcome, want.outcome, "{:?} expansion", day.day);
+            }
+            assert!(!reference_log.snapshot().is_empty(), "campaigns must raise alerts");
+            assert_eq!(log.snapshot(), reference_log.snapshot(), "parallelism({parallelism})");
+            assert!(
+                freeze_bytes(&engine) == freeze_bytes(&reference),
+                "parallelism({parallelism})"
+            );
+        }
     }
 
     #[test]

@@ -27,13 +27,14 @@
 //! sequence, and every checkpoint byte but the recorded worker count —
 //! independent of how the day was chunked and of the worker count.
 //!
-//! [`DayIngest::finish`] seals the day: the index is finalized and only
-//! then are the day's destinations and user agents folded into the
-//! cross-day histories ("updated at the end of each day", §IV-A), so an
-//! operation day is compared against the profiles as they stood before it.
+//! [`DayIngest::try_finish`] closes the day all or nothing: seal the index,
+//! run detection on `&Engine` behind one panic boundary, and only then fold
+//! the day into the cross-day histories ("updated at the end of each day",
+//! §IV-A) and register it. A failed finish applies nothing and discards
+//! the day, so pushing it again starts clean.
 
 use crate::builder::EngineError;
-use crate::core_loop::{DayProduct, Engine};
+use crate::core_loop::{catch_worker_panic, prune_oldest, DayProduct, Engine};
 use crate::report::{DayReport, StageCounters};
 use earlybird_logmodel::{
     lookup_dns_span, lookup_proxy_span, payload_line, Day, DhcpLog, DnsQuery, DomainSym, HostId,
@@ -45,6 +46,7 @@ use earlybird_pipeline::{
     DayIndexBuilder, DayReducer, NormalizationCounts,
 };
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Reusable per-worker parse buffers for the raw-line ingest path.
@@ -359,14 +361,14 @@ impl DayIngest<'_, '_> {
         errors
     }
 
-    /// Seals the day: finalizes the incremental index, folds the day into
-    /// the cross-day histories, and (for operation days) runs the unchanged
-    /// detection tail — C&C scoring, alerting, optional belief-propagation
-    /// expansion — and appends its alerts to the alert log, if attached.
+    /// Seals the day: finalizes the incremental index, (for operation days)
+    /// runs the detection tail — C&C scoring, alerting, optional
+    /// belief-propagation expansion — and only then folds the day into the
+    /// cross-day histories and appends its alerts to the alert log.
     ///
     /// # Panics
     ///
-    /// Panics if a C&C scoring worker dies; use [`DayIngest::try_finish`]
+    /// Panics if the detection tail fails; use [`DayIngest::try_finish`]
     /// for the typed-error path.
     pub fn finish(self) -> DayReport {
         self.try_finish().unwrap_or_else(|e| panic!("daily cycle failed: {e}"))
@@ -377,13 +379,9 @@ impl DayIngest<'_, '_> {
     ///
     /// # Errors
     ///
-    /// [`EngineError::WorkerPanicked`] when a C&C scoring worker dies. The
-    /// day's profile updates had already been applied by then, so the day
-    /// *is* registered (a re-push is absorbed by the duplicate-day replay
-    /// guard rather than double-counting the histories) and its contact
-    /// index stays retained for post-mortem rescoring via
-    /// [`Engine::cc_scores`]; only the detection tail — candidates,
-    /// alerts, belief propagation — was skipped.
+    /// [`EngineError::WorkerPanicked`] when the detection tail panics, on
+    /// either scoring path. The engine is left exactly as after the last
+    /// push and the day is discarded — neither registered nor open.
     pub fn try_finish(self) -> Result<DayReport, EngineError> {
         let DayIngest { engine, state, .. } = self;
         let DayState { day, dns, accum, parse_errors, started } = state;
@@ -407,23 +405,50 @@ impl DayIngest<'_, '_> {
             ..DayReport::default()
         };
         engine.fill_reduction_counters(&mut report);
-        let index = {
+        let (index, additions) = {
             let _profile_span = engine.metrics.profile.start();
-            engine.seal_day(accum)
+            accum.seal()
         };
         engine.record_interner_shape();
-        let Some(index) = index else {
-            report.stages.wall_micros = started.elapsed().as_micros() as u64;
-            engine.reports.insert(day, Engine::counters_only(&report));
-            return Ok(report);
-        };
-        let product = DayProduct {
+        let product = index.map(|index| DayProduct {
             index,
             dns_counts: report.dns_counts,
             proxy_counts: report.proxy_counts,
             norm_counts: report.norm_counts,
+        });
+        if let Some(product) = &product {
+            report = catch_worker_panic(|| engine.run_detection_tail(report, product))?;
+        }
+        Ok(engine.close_day(report, product, additions, started))
+    }
+}
+
+/// A sealed day's contributions to the cross-day histories, sorted and not
+/// yet applied.
+#[derive(Debug)]
+struct DayAdditions {
+    domains: Vec<DomainSym>,
+    ua_pairs: Vec<(UaSym, HostId)>,
+}
+
+impl DayAccum {
+    /// Seals a streamed day: finalizes the index (operation days) and
+    /// collects the day's history additions, applying nothing. The
+    /// histories' insertion logs are checkpointed verbatim, so additions
+    /// are sorted: snapshot bytes are run-to-run deterministic.
+    fn seal(self) -> (Option<DayIndex>, DayAdditions) {
+        let DayAccum { reducer, builder, ua_pairs, .. } = self;
+        let index = builder.map(DayIndexBuilder::finalize);
+        // A bootstrap day's destinations are exactly the domains that
+        // survived every reduction filter.
+        let mut domains: Vec<DomainSym> = match &index {
+            Some(index) => index.domains().collect(),
+            None => reducer.domains_after_server().iter().copied().collect(),
         };
-        engine.run_detection_tail(report, product, started)
+        domains.sort_unstable();
+        let mut ua_pairs: Vec<(UaSym, HostId)> = ua_pairs.into_iter().collect();
+        ua_pairs.sort_unstable();
+        (index, DayAdditions { domains, ua_pairs })
     }
 }
 
@@ -445,35 +470,30 @@ impl Engine {
         }
     }
 
-    /// Seals a streamed day: finalizes the index (operation days), then —
-    /// and only then — folds the day's destinations and user agents into
-    /// the cross-day histories. Returns the index, or `None` for a
-    /// bootstrap day.
-    fn seal_day(&mut self, accum: DayAccum) -> Option<DayIndex> {
-        let DayAccum { reducer, builder, ua_pairs, .. } = accum;
-        // The histories' insertion logs are checkpointed verbatim, so fold
-        // each day's additions in sorted order: set semantics are unchanged
-        // and snapshot bytes become run-to-run deterministic.
-        let index = match builder {
-            Some(builder) => {
-                let index = builder.finalize();
-                self.history.update_domains(index.domains());
-                Some(index)
-            }
-            None => {
-                // A bootstrap day's destinations are exactly the domains
-                // that survived every reduction filter.
-                let mut domains: Vec<DomainSym> =
-                    reducer.domains_after_server().iter().copied().collect();
-                domains.sort_unstable();
-                self.history.update_domains(domains);
-                None
-            }
-        };
-        let mut pairs: Vec<(UaSym, HostId)> = ua_pairs.into_iter().collect();
-        pairs.sort_unstable();
-        self.ua_history.update_pairs(pairs);
-        index
+    /// The one step of a finish that cannot fail, for bootstrap and
+    /// operation days alike: applies the day's history additions, numbers
+    /// its alerts, stores its counters-only report (the replay guard) and
+    /// retains its product within the window.
+    fn close_day(
+        &mut self,
+        mut report: DayReport,
+        product: Option<DayProduct>,
+        additions: DayAdditions,
+        started: Instant,
+    ) -> DayReport {
+        {
+            let _profile_span = self.metrics.profile.start();
+            self.history.update_domains(additions.domains);
+            self.ua_history.update_pairs(additions.ua_pairs);
+        }
+        self.assign_and_emit(&mut report.alerts);
+        report.stages.wall_micros = started.elapsed().as_micros() as u64;
+        self.reports.insert(report.day, Engine::counters_only(&report));
+        if let Some(product) = product {
+            self.products.insert(report.day, Arc::new(product));
+            prune_oldest(&mut self.products, self.cfg.retain_days);
+        }
+        report
     }
 }
 

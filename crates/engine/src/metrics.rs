@@ -51,7 +51,9 @@ pub(crate) struct EngineMetrics {
     pub(crate) reduce_chunk: StageTimer,
     /// Sequential in-order absorb of each chunk's contacts and counters.
     pub(crate) reduce_absorb: StageTimer,
-    /// Day finalization: index seal + profile/history fold + rare sieve.
+    /// Day finalization, observed twice per finished day: the seal (index
+    /// finalize + rare sieve) before detection, then the history fold
+    /// after it.
     pub(crate) profile: StageTimer,
     /// C&C scoring over the day's rare domains.
     pub(crate) cc: StageTimer,

@@ -111,6 +111,10 @@ pub(crate) struct PersistCursor {
     history: usize,
     ua_pairs: usize,
     days: BTreeSet<Day>,
+    /// Set by a configuration change (trained models, WHOIS defaults)
+    /// since the last full freeze; segments carry no Config section, so
+    /// the next [`Engine::freeze_day`] freezes in full instead.
+    config_changed: bool,
 }
 
 impl Engine {
@@ -119,6 +123,12 @@ impl Engine {
     /// the engine's read paths never touch it.
     fn lock_cursor(&self) -> std::sync::MutexGuard<'_, PersistCursor> {
         self.persist_cursor.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Marks the configuration as changed since the last full freeze.
+    pub(crate) fn mark_config_changed(&mut self) {
+        let cursor = self.persist_cursor.get_mut();
+        cursor.unwrap_or_else(std::sync::PoisonError::into_inner).config_changed = true;
     }
 
     fn current_cursor(&self) -> PersistCursor {
@@ -131,6 +141,7 @@ impl Engine {
             history: self.history.ordered().len(),
             ua_pairs: self.ua_history.pair_log().len(),
             days: self.reports.keys().copied().collect(),
+            config_changed: false,
         }
     }
 
@@ -169,7 +180,9 @@ impl Engine {
     /// the new days' reports and indexes; O(day), not O(history) — as a
     /// day-segment snapshot, advancing the cursor past it. Freezing with
     /// no new days ingested yields a (tiny) empty segment, which restores
-    /// as a no-op.
+    /// as a no-op. After a configuration change (a trained model, new
+    /// WHOIS defaults) it freezes in full, as [`Engine::freeze`] does: a
+    /// segment has no Config section to carry the change.
     ///
     /// # Errors
     ///
@@ -180,9 +193,13 @@ impl Engine {
     /// the cursor is untouched.
     pub fn freeze_day(&self) -> StoreResult<EngineSnapshot> {
         let mut cursor = self.lock_cursor();
-        Self::check_segment_freshness(&cursor, &self.reports)?;
-        let delta = cursor.clone();
-        let (snap, next) = self.freeze_locked(BlockKind::DaySegment, &delta);
+        let (kind, base) = if cursor.config_changed {
+            (BlockKind::Full, PersistCursor::default())
+        } else {
+            Self::check_segment_freshness(&cursor, &self.reports)?;
+            (BlockKind::DaySegment, cursor.clone())
+        };
+        let (snap, next) = self.freeze_locked(kind, &base);
         *cursor = next;
         Ok(snap)
     }
@@ -246,6 +263,7 @@ impl Engine {
             history: history.0 + history.1.len(),
             ua_pairs: ua_history.1 + ua_history.2.len(),
             days: self.reports.keys().copied().collect(),
+            config_changed: false,
         };
         let snap = EngineSnapshot {
             kind,

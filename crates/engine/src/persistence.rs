@@ -257,10 +257,12 @@ impl Persistence {
         Persistence { shared, policy, worker }
     }
 
-    /// Freezes the engine — in full while the chain is empty, otherwise
-    /// its newest day as a segment (a short critical section — ingestion
-    /// resumes immediately after), then serializes and commits the frozen
-    /// view per the policy's [`CommitMode`].
+    /// Freezes the engine — in full while the chain is empty or after a
+    /// configuration change, otherwise its newest day as a segment (a
+    /// short critical section — ingestion resumes immediately after), then
+    /// serializes and commits the frozen view per the policy's
+    /// [`CommitMode`]; a full block replaces the chain, as compaction's
+    /// does.
     /// Await the returned [`CommitHandle`] for durability.
     ///
     /// # Errors

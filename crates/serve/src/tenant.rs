@@ -372,7 +372,9 @@ impl Tenant {
     /// `404` when the day has no open ingest and was never ingested,
     /// `409` for stale days, `500` when the engine or the commit fails
     /// (the response is written only after a successful commit, so a
-    /// `500` here means the day is NOT durable).
+    /// `500` here means the day is NOT durable). A detection failure
+    /// leaves the tenant unchanged and drops the open day: a retry
+    /// answers `404` until the day's spans are pushed again.
     pub fn finish_day(&self, day: Day) -> Result<FinishAck, ServeError> {
         // One span for the whole seal: detection tail + store commit —
         // the latency a client sees between POSTing finish and holding a
@@ -383,18 +385,20 @@ impl Tenant {
             let mut core = self.write_core();
             Self::check_not_stale(&core, day)?;
             let core = &mut *core;
-            let open = core.open_days.remove(&day);
-            if open.is_none() && core.engine.report(day).is_none() {
-                return Err(ServeError::unknown_day(day.index()));
-            }
-            let (ingest, bytes) = match open {
-                Some(o) => (core.engine.resume_day(o.state, IngestSource::Dns), o.bytes),
-                None => (core.engine.begin_day(day, IngestSource::Dns), 0),
+            // The finish consumes the open day whatever its outcome, so
+            // its bytes leave the budget here.
+            let ingest = match core.open_days.remove(&day) {
+                Some(open) => {
+                    self.open_bytes.fetch_sub(open.bytes, Ordering::SeqCst);
+                    self.metrics.open_bytes.add(-(open.bytes as i64));
+                    core.engine.resume_day(open.state, IngestSource::Dns)
+                }
+                None if core.engine.report(day).is_some() => {
+                    core.engine.begin_day(day, IngestSource::Dns)
+                }
+                None => return Err(ServeError::unknown_day(day.index())),
             };
-            let report = ingest.try_finish().map_err(|e| ServeError::from_engine(&e))?;
-            self.open_bytes.fetch_sub(bytes, Ordering::SeqCst);
-            self.metrics.open_bytes.add(-(bytes as i64));
-            report
+            ingest.try_finish().map_err(|e| ServeError::from_engine(&e))?
         };
         if report.duplicate {
             // The replayed day is durable only if the finish that sealed it

@@ -12,7 +12,8 @@
 
 use earlybird::engine::IngestSource;
 use earlybird::engine::{
-    Alert, CheckpointMeta, CollectedAlerts, DayBatch, DayReport, Engine, EngineBuilder, StoreError,
+    Alert, CheckpointMeta, CollectedAlerts, CompactionTrigger, DayBatch, DayReport, Engine,
+    EngineBuilder, LifecycleConfig, MemBackend, Persistence, SnapshotPolicy, StoreDir, StoreError,
 };
 use earlybird::logmodel::{
     format_proxy_line, Day, DomainInterner, ProxyDayLog, Symbol, TypedInterner,
@@ -489,4 +490,80 @@ fn malformed_streams_are_typed_errors() {
         .restore_stream_with_domains(foreign, &mut snap.as_slice())
         .unwrap_err();
     assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+}
+
+/// An enterprise engine committing one day at a time into a managed
+/// in-memory store, through `last` (inclusive).
+fn ac_committed_through(
+    world: &AcWorld,
+    last: Day,
+    store: LifecycleConfig,
+) -> (Engine, Persistence) {
+    let (mut engine, _alerts) = ac_engine(world);
+    let dir = StoreDir::create_boxed(Box::new(MemBackend::new()), store).expect("create store");
+    let persistence = Persistence::new(dir, SnapshotPolicy::default());
+    for day in world.dataset.days.iter().take_while(|d| d.day <= last) {
+        engine.ingest_day(DayBatch::Proxy { day, dhcp: &world.dataset.dhcp });
+        persistence.commit(&engine).and_then(|h| h.wait()).expect("day committed");
+    }
+    (engine, persistence)
+}
+
+fn restore_ac(world: &AcWorld, persistence: &Persistence) -> Engine {
+    let builder = EngineBuilder::enterprise()
+        .proxy_interners(Arc::clone(&world.dataset.uas), Arc::clone(&world.dataset.paths));
+    persistence
+        .restore_with_domains(Arc::clone(&world.dataset.domains), builder)
+        .expect("store restores")
+}
+
+fn full_freeze(engine: &Engine) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    engine.freeze().write_to(&mut bytes).expect("freeze");
+    bytes
+}
+
+/// Models trained after the chain started reach the store: segments carry
+/// no Config section, so the commit after a configuration change writes a
+/// full block, and a restart runs the trained model.
+#[test]
+fn a_model_trained_mid_chain_survives_restart() {
+    let world = AcGenerator::new(AcConfig::tiny()).generate();
+    let train_end = world.config.feb_day(14);
+    let (mut engine, persistence) =
+        ac_committed_through(&world, train_end, LifecycleConfig::default());
+    engine.train_enterprise(train_end, &world.intel.vt, 0.4, 0.4).expect("tiny world trains");
+    assert!(matches!(engine.config().cc_model, CcModel::Regression { .. }));
+    persistence.commit(&engine).and_then(|h| h.wait()).expect("trained engine committed");
+
+    let restored = restore_ac(&world, &persistence);
+    assert!(
+        matches!(restored.config().cc_model, CcModel::Regression { .. }),
+        "restored model: {:?}",
+        restored.config().cc_model
+    );
+    assert_eq!(restored.whois_defaults(), engine.whois_defaults(), "trained WHOIS defaults");
+    assert!(full_freeze(&restored) == full_freeze(&engine), "restored state is the live state");
+    assert_eq!(persistence.store().segment_count(), 0, "the commit wrote a full block");
+}
+
+/// A restart by itself changes no configuration: the restored engine's
+/// next commit appends one segment rather than rewriting the chain.
+#[test]
+fn a_commit_after_restore_appends_one_segment() {
+    let world = AcGenerator::new(AcConfig::tiny()).generate();
+    let split = world.config.feb_day(2);
+    let store = LifecycleConfig {
+        compaction: CompactionTrigger { max_segments: None },
+        ..LifecycleConfig::default()
+    };
+    let (_engine, persistence) = ac_committed_through(&world, split, store);
+    let segments = persistence.store().segment_count();
+    assert!(segments > 0, "the chain has segments");
+
+    let mut restored = restore_ac(&world, &persistence);
+    let next = &world.dataset.days[split.index() as usize + 1];
+    restored.ingest_day(DayBatch::Proxy { day: next, dhcp: &world.dataset.dhcp });
+    persistence.commit(&restored).and_then(|h| h.wait()).expect("next day committed");
+    assert_eq!(persistence.store().segment_count(), segments + 1, "one segment appended");
 }

@@ -213,42 +213,66 @@ fn days_and_reports_iterate_in_sorted_day_order() {
     assert_eq!(report_days, days, "every scrambled day is an operation day here");
 }
 
-/// A C&C scoring-worker panic surfaces as a typed `WorkerPanicked` error —
-/// even when every shard dies — and the day is still registered: the
-/// replay guard stays armed (histories were already updated) and the
-/// contact index remains available for post-mortem rescoring.
+/// A finish whose detection panics — on the sequential scoring path and
+/// on the worker threads alike — is one typed `WorkerPanicked` error that
+/// applies nothing: the engine freezes to the bytes it froze to before the
+/// finish, the day is neither registered nor retained, and its history
+/// additions are not applied. Failing again on a re-push changes nothing
+/// either.
 #[test]
-fn scoring_worker_panic_is_typed_and_day_stays_replay_guarded() {
-    use earlybird::engine::EngineError;
+fn a_failed_finish_leaves_the_engine_unchanged() {
+    use earlybird::engine::{EngineError, IngestSource};
     use earlybird::features::{FeatureScaler, LinearRegression, RegressionModel};
 
+    let freeze_bytes = |engine: &Engine| {
+        let mut bytes = Vec::new();
+        engine.freeze().write_to(&mut bytes).expect("freeze");
+        bytes
+    };
     // A model whose scaler expects 3 features (the C&C extractor produces
-    // 6) panics inside the scoring workers on the first automated domain.
+    // 6) panics while scoring the first automated domain.
     let xs: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64, 1.0, (i % 2) as f64]).collect();
     let fit = LinearRegression::fit_ridge(&xs, &[0.0; 8], 1e-3).unwrap();
     let model = RegressionModel::new(&["a", "b", "c"], fit, 0.5);
-    let scaler = FeatureScaler::identity(3);
+    for parallelism in [1, 2] {
+        let domains = Arc::new(DomainInterner::new());
+        let day = dns_day(&domains);
+        let mut engine = EngineBuilder::lanl()
+            .cc_model(earlybird::core::CcModel::Regression {
+                model: model.clone(),
+                scaler: FeatureScaler::identity(3),
+            })
+            .parallelism(parallelism)
+            .parallel_threshold(1)
+            .build(Arc::clone(&domains), mixed_meta())
+            .expect("valid config");
+        let context = format!("parallelism({parallelism})");
+        let mut first_push = None;
+        for attempt in 0..2 {
+            let mut ingest = engine.begin_day(Day::new(0), IngestSource::Dns);
+            ingest.push_dns_records(&day.queries);
+            let state = ingest.suspend();
+            let before = freeze_bytes(&engine);
+            let first = first_push.get_or_insert_with(|| before.clone());
+            assert!(
+                *first == before,
+                "{context}/{attempt}: the re-push starts where the first did"
+            );
+            let history = (engine.history().len(), engine.ua_history().len());
 
-    let domains = Arc::new(DomainInterner::new());
-    let day = dns_day(&domains);
-    let mut engine = EngineBuilder::lanl()
-        .cc_model(earlybird::core::CcModel::Regression { model, scaler })
-        .parallelism(2)
-        .parallel_threshold(1)
-        .build(Arc::clone(&domains), mixed_meta())
-        .expect("valid config");
+            let hook = std::panic::take_hook();
+            std::panic::set_hook(Box::new(|_| {}));
+            let finished = engine.resume_day(state, IngestSource::Dns).try_finish();
+            std::panic::set_hook(hook);
+            let err = finished.expect_err("the 3-feature model cannot score");
+            assert!(matches!(err, EngineError::WorkerPanicked(_)), "{context}/{attempt}: {err}");
 
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let err = engine.try_ingest_day(DayBatch::Dns(&day)).unwrap_err();
-    std::panic::set_hook(hook);
-    assert!(matches!(err, EngineError::WorkerPanicked(_)), "{err}");
-
-    // The day is registered despite the failed tail.
-    assert!(engine.report(Day::new(0)).is_some(), "report stored for replay guard");
-    assert!(engine.day_index(Day::new(0)).is_some(), "index retained for post-mortem");
-    let history_len = engine.history().len();
-    let replay = engine.try_ingest_day(DayBatch::Dns(&day)).expect("replay is a no-op");
-    assert!(replay.duplicate, "re-push absorbed by the replay guard");
-    assert_eq!(engine.history().len(), history_len, "profiles not double-counted");
+            assert!(freeze_bytes(&engine) == before, "{context}/{attempt}: freeze bytes");
+            assert!(engine.report(Day::new(0)).is_none(), "{context}/{attempt}: no report");
+            assert!(engine.day_index(Day::new(0)).is_none(), "{context}/{attempt}: no product");
+            let after = (engine.history().len(), engine.ua_history().len());
+            assert_eq!(after, history, "{context}/{attempt}: histories untouched");
+            assert_eq!(engine.history().len(), 0, "{context}/{attempt}: nothing folded yet");
+        }
+    }
 }

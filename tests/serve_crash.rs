@@ -212,8 +212,11 @@ fn every_crash_point_preserves_acked_days_over_http() {
     }
 }
 
-/// A request whose handler panics answers `500`, and a graceful shutdown
-/// still completes: the panic must not leak the in-flight count that
+/// A finish whose detection panics answers `500` and leaves the tenant as
+/// it was: the open day is dropped and its bytes leave the open-bytes
+/// budget, a retried finish answers `404`, the spans can be pushed again,
+/// and nothing of the day reaches the store. A graceful shutdown still
+/// completes: a failed request must not leak the in-flight count that
 /// shutdown waits on.
 #[test]
 fn a_panicking_request_does_not_wedge_shutdown() {
@@ -239,10 +242,12 @@ fn a_panicking_request_does_not_wedge_shutdown() {
         .and_then(|handle| handle.wait())
         .expect("tenant committed");
 
-    let handle = Server::bind(Box::new(root), ServerConfig::default()).expect("bind").spawn();
+    let handle =
+        Server::bind(Box::new(root.clone()), ServerConfig::default()).expect("bind").spawn();
     let addr = handle.addr();
     let mut client = ServeClient::new(addr);
-    client.push_span("acme", 0, &day_text(0, &Arc::new(DomainInterner::new()))).expect("push");
+    let text = day_text(0, &Arc::new(DomainInterner::new()));
+    client.push_span("acme", 0, &text).expect("push");
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let finished = client.finish_day("acme", 0);
@@ -250,12 +255,31 @@ fn a_panicking_request_does_not_wedge_shutdown() {
     let status = finished.err().and_then(|e| e.as_api().map(|e| e.status));
     assert_eq!(status, Some(500), "the panicking finish answers 500");
 
+    let scrape = client.metrics().expect("scrape");
+    let open_bytes =
+        scrape.lines().find_map(|l| l.strip_prefix("serve_open_bytes{tenant=\"acme\"} "));
+    assert_eq!(open_bytes, Some("0"), "the dropped day's bytes are released");
+    let retry = client.finish_day("acme", 0).err();
+    let retry = retry.as_ref().and_then(|e| e.as_api()).map(|e| (e.status, e.code.as_str()));
+    assert_eq!(retry, Some((404, "unknown_day")), "the failed finish dropped the open day");
+    let ack = client.push_span("acme", 0, &text).expect("re-push accepted");
+    assert!(!ack.duplicate, "the re-push starts the day afresh");
+
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let _ = tx.send(ServeClient::new(addr).shutdown().map(|_| ()).map_err(|e| e.to_string()));
     });
     let shutdown = rx.recv_timeout(Duration::from_secs(20)).expect("shutdown returns within 20 s");
     shutdown.expect("shutdown succeeds");
+    drop(client);
+    handle.join();
+
+    let handle = Server::bind(Box::new(root), ServerConfig::default()).expect("rebind").spawn();
+    let mut client = ServeClient::new(handle.addr());
+    let report = client.report("acme", 0).err();
+    let status = report.as_ref().and_then(|e| e.as_api()).map(|e| e.status);
+    assert_eq!(status, Some(404), "no report of the failed day after a restart");
+    client.shutdown().expect("shutdown succeeds");
     drop(client);
     handle.join();
 }
