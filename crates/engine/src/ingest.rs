@@ -424,10 +424,11 @@ impl DayIngest<'_, '_> {
 }
 
 /// A sealed day's contributions to the cross-day histories, sorted and not
-/// yet applied.
+/// yet applied. An operation day's destinations are its index's (sorted)
+/// domains, so only a bootstrap day collects them here.
 #[derive(Debug)]
 struct DayAdditions {
-    domains: Vec<DomainSym>,
+    bootstrap_domains: Vec<DomainSym>,
     ua_pairs: Vec<(UaSym, HostId)>,
 }
 
@@ -441,14 +442,14 @@ impl DayAccum {
         let index = builder.map(DayIndexBuilder::finalize);
         // A bootstrap day's destinations are exactly the domains that
         // survived every reduction filter.
-        let mut domains: Vec<DomainSym> = match &index {
-            Some(index) => index.domains().collect(),
+        let mut bootstrap_domains: Vec<DomainSym> = match &index {
+            Some(_) => Vec::new(),
             None => reducer.domains_after_server().iter().copied().collect(),
         };
-        domains.sort_unstable();
+        bootstrap_domains.sort_unstable();
         let mut ua_pairs: Vec<(UaSym, HostId)> = ua_pairs.into_iter().collect();
         ua_pairs.sort_unstable();
-        (index, DayAdditions { domains, ua_pairs })
+        (index, DayAdditions { bootstrap_domains, ua_pairs })
     }
 }
 
@@ -483,7 +484,10 @@ impl Engine {
     ) -> DayReport {
         {
             let _profile_span = self.metrics.profile.start();
-            self.history.update_domains(additions.domains);
+            match &product {
+                Some(product) => self.history.update_domains(product.index.domains()),
+                None => self.history.update_domains(additions.bootstrap_domains),
+            }
             self.ua_history.update_pairs(additions.ua_pairs);
         }
         self.assign_and_emit(&mut report.alerts);

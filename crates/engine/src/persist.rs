@@ -113,7 +113,7 @@ pub(crate) struct PersistCursor {
     days: BTreeSet<Day>,
     /// Set by a configuration change (trained models, WHOIS defaults)
     /// since the last full freeze; segments carry no Config section, so
-    /// the next [`Engine::freeze_day`] freezes in full instead.
+    /// [`crate::Persistence::commit`] freezes in full while it is set.
     config_changed: bool,
 }
 
@@ -129,6 +129,12 @@ impl Engine {
     pub(crate) fn mark_config_changed(&mut self) {
         let cursor = self.persist_cursor.get_mut();
         cursor.unwrap_or_else(std::sync::PoisonError::into_inner).config_changed = true;
+    }
+
+    /// Whether the configuration changed since the last full freeze (or
+    /// restore): a day segment would not carry the change.
+    pub(crate) fn config_changed(&self) -> bool {
+        self.lock_cursor().config_changed
     }
 
     fn current_cursor(&self) -> PersistCursor {
@@ -180,9 +186,11 @@ impl Engine {
     /// the new days' reports and indexes; O(day), not O(history) — as a
     /// day-segment snapshot, advancing the cursor past it. Freezing with
     /// no new days ingested yields a (tiny) empty segment, which restores
-    /// as a no-op. After a configuration change (a trained model, new
-    /// WHOIS defaults) it freezes in full, as [`Engine::freeze`] does: a
-    /// segment has no Config section to carry the change.
+    /// as a no-op. A segment carries no configuration: to persist a
+    /// trained model or new WHOIS defaults, freeze in full
+    /// ([`Engine::freeze`]) and start a new stream with it — a stream
+    /// holds one full snapshot. [`crate::Persistence::commit`] does this
+    /// itself.
     ///
     /// # Errors
     ///
@@ -193,14 +201,11 @@ impl Engine {
     /// the cursor is untouched.
     pub fn freeze_day(&self) -> StoreResult<EngineSnapshot> {
         let mut cursor = self.lock_cursor();
-        let (kind, base) = if cursor.config_changed {
-            (BlockKind::Full, PersistCursor::default())
-        } else {
-            Self::check_segment_freshness(&cursor, &self.reports)?;
-            (BlockKind::DaySegment, cursor.clone())
-        };
-        let (snap, next) = self.freeze_locked(kind, &base);
-        *cursor = next;
+        Self::check_segment_freshness(&cursor, &self.reports)?;
+        let delta = cursor.clone();
+        let (snap, next) = self.freeze_locked(BlockKind::DaySegment, &delta);
+        // Only a full freeze persists the configuration.
+        *cursor = PersistCursor { config_changed: delta.config_changed, ..next };
         Ok(snap)
     }
 

@@ -6,8 +6,9 @@
 //!
 //! 1. the engine's state is frozen into an [`crate::EngineSnapshot`]
 //!    under a short critical section — a full [`Engine::freeze`] while
-//!    the chain is empty, an O(day) [`Engine::freeze_day`] segment after
-//!    that;
+//!    the chain is empty or after a configuration change (a segment
+//!    carries no configuration), an O(day) [`Engine::freeze_day`] segment
+//!    otherwise;
 //! 2. the frozen view serializes and commits through the store —
 //!    inline ([`CommitMode::Sync`]) or on the handle's background worker
 //!    thread ([`CommitMode::Background`]), where ingestion continues
@@ -275,7 +276,11 @@ impl Persistence {
         if let Some(why) = &state.poisoned {
             return Err(StoreError::PersistencePoisoned { context: why.clone() });
         }
-        let snapshot = if state.chain_started { engine.freeze_day()? } else { engine.freeze() };
+        let snapshot = if state.chain_started && !engine.config_changed() {
+            engine.freeze_day()?
+        } else {
+            engine.freeze()
+        };
         state.chain_started = true;
         state.metrics = Some(snapshot.metrics().clone());
         let cell = Arc::new(CommitCell::default());

@@ -567,3 +567,43 @@ fn a_commit_after_restore_appends_one_segment() {
     persistence.commit(&restored).and_then(|h| h.wait()).expect("next day committed");
     assert_eq!(persistence.store().segment_count(), segments + 1, "one segment appended");
 }
+
+/// A raw store stream stays restorable across a configuration change:
+/// `freeze_day` keeps appending segments (which carry no configuration),
+/// and a fresh `freeze()` is what persists the trained model.
+#[test]
+fn a_raw_stream_stays_restorable_after_a_config_change() {
+    let world = AcGenerator::new(AcConfig::tiny()).generate();
+    let train_end = world.config.feb_day(14);
+    let (mut engine, _alerts) = ac_engine(&world);
+    let mut stream = Vec::new();
+    for (i, day) in world.dataset.days.iter().take_while(|d| d.day <= train_end).enumerate() {
+        engine.ingest_day(DayBatch::Proxy { day, dhcp: &world.dataset.dhcp });
+        let snap = if i == 0 { engine.freeze() } else { engine.freeze_day().expect("segment") };
+        snap.write_to(&mut stream).expect("block written");
+    }
+    engine.train_enterprise(train_end, &world.intel.vt, 0.4, 0.4).expect("tiny world trains");
+    for day in &world.dataset.days[train_end.index() as usize + 1..][..2] {
+        engine.ingest_day(DayBatch::Proxy { day, dhcp: &world.dataset.dhcp });
+        engine.freeze_day().expect("segment").write_to(&mut stream).expect("block written");
+    }
+
+    let restore = |bytes: &[u8]| {
+        EngineBuilder::enterprise()
+            .proxy_interners(Arc::clone(&world.dataset.uas), Arc::clone(&world.dataset.paths))
+            .restore_stream_with_domains(Arc::clone(&world.dataset.domains), &mut &bytes[..])
+            .expect("stream restores")
+    };
+    let restored = restore(&stream);
+    assert_eq!(restored.days().collect::<Vec<_>>(), engine.days().collect::<Vec<_>>());
+    assert_eq!(restored.history().len(), engine.history().len(), "history");
+    assert_eq!(restored.ua_history().len(), engine.ua_history().len(), "UA history");
+    assert!(
+        !matches!(restored.config().cc_model, CcModel::Regression { .. }),
+        "segments carry no configuration"
+    );
+
+    let restarted = restore(&full_freeze(&engine));
+    assert!(matches!(restarted.config().cc_model, CcModel::Regression { .. }), "full freeze");
+    assert!(full_freeze(&restarted) == full_freeze(&engine), "a new stream holds the live state");
+}
