@@ -178,9 +178,11 @@ impl std::fmt::Debug for Engine {
 
 impl Engine {
     /// An engine with empty state: no days, empty histories and a fresh
-    /// folded namespace. Builds and restores both start here; SOC seeds
-    /// are interned by the caller once the folded namespace holds what it
-    /// should (see [`Engine::reintern_soc_seeds`]).
+    /// folded namespace. A build starts from it as it is; a restore thaws
+    /// a whole chain's tables into it, one move or bulk load per table (see
+    /// the `persist` module). Either way SOC seeds are interned by the
+    /// caller once the folded namespace holds what it should (see
+    /// [`Engine::reintern_soc_seeds`]).
     pub(crate) fn new(
         cfg: EngineConfig,
         alert_log: Option<CollectedAlerts>,
@@ -212,8 +214,8 @@ impl Engine {
     }
 
     /// Re-interns the configured SOC seed names into the folded namespace:
-    /// once at build, and after a restore has applied its last block
-    /// (interning earlier would shift the restored numbering).
+    /// once at build, and after a restore's thaw (interning earlier would
+    /// shift the restored numbering).
     pub(crate) fn reintern_soc_seeds(&mut self) {
         self.soc_seed_syms =
             self.cfg.soc_seed_domains.iter().map(|n| self.fold.intern_folded(n)).collect();

@@ -63,12 +63,13 @@ pub(crate) struct EngineMetrics {
     pub(crate) checkpoint: StageTimer,
     /// One snapshot-stream restore.
     pub(crate) restore: StageTimer,
-    /// Per restored block: the four interner tables plus the host map.
+    /// A restore's read of the chain into flat tables: framing, CRC, every
+    /// section decoded (retained days included) and checked.
+    pub(crate) restore_fold: StageTimer,
+    /// A restore's thaw of the four interner tables plus the host map.
     pub(crate) restore_interners: StageTimer,
-    /// Per restored block: destination and user-agent history logs.
+    /// A restore's thaw of the destination and user-agent histories.
     pub(crate) restore_history: StageTimer,
-    /// Per restored block: day reports and retained contact indexes.
-    pub(crate) restore_products: StageTimer,
     /// One store compaction pass.
     pub(crate) compact: StageTimer,
     /// Compaction's fold of the chain into one full snapshot (plus
@@ -143,9 +144,9 @@ impl EngineMetrics {
             bp: stage("bp"),
             checkpoint: stage("checkpoint"),
             restore: stage("restore"),
+            restore_fold: stage("restore_fold"),
             restore_interners: stage("restore_interners"),
             restore_history: stage("restore_history"),
-            restore_products: stage("restore_products"),
             compact: stage("compact"),
             compact_fold: stage("compact_fold"),
             compact_encode: stage("compact_encode"),

@@ -46,26 +46,35 @@
 //! * A day segment carries only the state added since the previous block —
 //!   interner tails, history-log tails, the new days' reports and indexes —
 //!   so a daily cycle persists O(day), not O(history).
+//!
+//! # One chain reader
+//!
+//! One function reads a stream: `ChainFold::read` walks the blocks in
+//! order, checks each one and appends its tails onto flat tables — one
+//! string arena per interner, the host addresses, both history logs —
+//! beside the decoded day reports and retained days (each decoded straight
+//! into the sorted columns a live `DayIndex` holds, so a restored day is
+//! indistinguishable from, and re-encodes exactly like, a live one). Its
+//! two callers differ only in what they do with the fold:
+//!
 //! * [`EngineBuilder::restore_stream`] (and [`Persistence::restore`] over a
-//!   managed chain) reads the full block, replays every trailing segment,
-//!   and rebuilds the engine. Restored symbol numbering is identical to
-//!   the original interners', so records produced against the original
-//!   dataset (or a deterministic regeneration of it) remain valid.
+//!   managed chain) *thaws* it into a fresh engine, once per table: an
+//!   empty interner adopts its folded arena by move and builds its index
+//!   over it, the host map and histories build their lookup sets, and the
+//!   days move in. Restored symbol numbering is identical to the original
+//!   interners', so records produced against the original dataset (or a
+//!   deterministic regeneration of it) remain valid. The
+//!   `engine_stage_micros{stage="restore_fold"|"restore_interners"|"restore_history"}`
+//!   spans say where a restore's time went.
+//! * Compaction (`EngineSnapshot::fold_chain`) checks the tables for
+//!   repeats and hands the fold, as it stands, to
+//!   [`EngineSnapshot::write_to`] as one full snapshot. No engine is built.
 //!
-//! Restore rebuilds rather than replays where it can: each retained day
-//! decodes straight into the sorted columns a live `DayIndex` holds (one
-//! representation, so a restored day is indistinguishable from — and
-//! re-encodes exactly like — a live one), and each interner section is one
-//! bulk append into the interner's one table. The
-//! `engine_stage_micros{stage="restore_interners"|"restore_history"|"restore_products"}`
-//! spans say where a restore's time went.
-//!
-//! Compaction folds a chain without building an engine at all:
-//! `EngineSnapshot::fold_chain` appends each block's tails into flat
-//! tables, decodes the retained days, and makes every check a restore
-//! makes (the per-block ones through the same helpers), yielding the full
-//! [`EngineSnapshot`] that [`EngineSnapshot::write_to`] writes like any
-//! other.
+//! A chain that compaction refuses, a restore into fresh interners refuses
+//! with the same error, and the other way round: the per-block checks are
+//! the same code, and the thaw refuses a repeated string, address or
+//! history entry with the error compaction's repeat check raises, table by
+//! table in the same order.
 //!
 //! [`Persistence::restore`]: crate::Persistence::restore
 //!
@@ -83,12 +92,17 @@
 //! them affects results. Compaction copies the Config payload verbatim, so
 //! a compacted block keeps the knobs its chain was written with.
 
+use crate::alert::CollectedAlerts;
 use crate::builder::{validate_config, EngineBuilder, EngineConfig, PipelineConfig};
 use crate::core_loop::{prune_oldest, DayProduct, Engine};
 use crate::metrics::EngineMetrics;
 use crate::report::{DayReport, StageCounters};
 use earlybird_core::{BpConfig, CcModel, SimScorer};
-use earlybird_logmodel::{Day, DomainInterner, DomainSym, HostId, Ipv4, StrArena, UaSym};
+use earlybird_logmodel::{
+    DatasetMeta, Day, DomainInterner, DomainSym, HostId, Ipv4, PathInterner, StrArena,
+    TypedInterner, UaInterner, UaSym,
+};
+use earlybird_pipeline::{DomainHistory, UaHistory};
 use earlybird_store::{
     sections, BlockKind, BlockReader, BlockWriter, CheckpointMeta, Decoder, Encoder, SectionTag,
     StoreError, StoreResult, FORMAT_VERSION,
@@ -308,163 +322,6 @@ impl Engine {
         }
         Ok(())
     }
-
-    /// Applies one block's state sections (everything after Config/Meta)
-    /// onto this engine. Each group of sections records its own
-    /// `engine_stage_micros` span, so a slow restore says which rebuild it
-    /// was spent in.
-    fn apply_state_sections<R: Read>(&mut self, block: &mut BlockReader<'_, R>) -> StoreResult<()> {
-        self.apply_interner_sections(block)?;
-        self.apply_history_section(block)?;
-        {
-            let _span = self.metrics.restore_products.start();
-            read_day_sections(block, &mut self.reports, &mut self.products, self.cfg.retain_days)?;
-        }
-        let sequence = read_sequence(block, self.sequence.load(Ordering::SeqCst))?;
-        self.sequence.store(sequence, Ordering::SeqCst);
-        Ok(())
-    }
-
-    fn apply_interner_sections<R: Read>(
-        &mut self,
-        block: &mut BlockReader<'_, R>,
-    ) -> StoreResult<()> {
-        let _span = self.metrics.restore_interners.start();
-        let payload = block.section(SectionTag::Interners)?;
-        let mut d = Decoder::new(&payload, SectionTag::Interners.name());
-        sections::read_interner_into(&mut d, self.fold.raw_interner(), "raw domain")?;
-        sections::read_interner_into(&mut d, self.fold.folded_interner(), "folded domain")?;
-        sections::read_interner_into(&mut d, &self.uas, "user-agent")?;
-        sections::read_interner_into(&mut d, &self.paths, "path")?;
-        d.finish()?;
-
-        let payload = block.section(SectionTag::Hosts)?;
-        let mut d = Decoder::new(&payload, SectionTag::Hosts.name());
-        sections::read_host_mapper_into(&mut d, &mut self.line_hosts)?;
-        d.finish()
-    }
-
-    fn apply_history_section<R: Read>(
-        &mut self,
-        block: &mut BlockReader<'_, R>,
-    ) -> StoreResult<()> {
-        let _span = self.metrics.restore_history.start();
-        let payload = block.section(SectionTag::History)?;
-        let mut d = Decoder::new(&payload, SectionTag::History.name());
-        let (start, domains, days_ingested) = sections::read_domain_history(&mut d)?;
-        check_delta_start("history", start, self.history.ordered().len())?;
-        // Both logs skip an entry they already hold, so a delta that
-        // repeats one would restore "successfully" with a log shorter than
-        // the chain's watermarks: every entry must have landed.
-        let expected = start + domains.len();
-        self.history.restore_extend(domains, days_ingested);
-        if self.history.ordered().len() != expected {
-            return Err(history_repeat(DOMAIN_REPEAT));
-        }
-        let (threshold, start, pairs) = sections::read_ua_history(&mut d)?;
-        check_ua_threshold(threshold, self.cfg.pipeline.rare_ua_threshold)?;
-        check_delta_start("user-agent history", start, self.ua_history.pair_log().len())?;
-        let expected = start + pairs.len();
-        self.ua_history.update_pairs(pairs);
-        if self.ua_history.pair_log().len() != expected {
-            return Err(history_repeat(UA_PAIR_REPEAT));
-        }
-        d.finish()
-    }
-}
-
-// -- block sections shared by restore and the chain fold ---------------------
-
-fn check_delta_start(log: &str, start: usize, held: usize) -> StoreResult<()> {
-    if start != held {
-        return Err(StoreError::corrupt(format!(
-            "{log} delta starts at {start}, engine holds {held}"
-        )));
-    }
-    Ok(())
-}
-
-fn check_ua_threshold(threshold: usize, configured: usize) -> StoreResult<()> {
-    if threshold != configured {
-        return Err(StoreError::corrupt(format!(
-            "snapshot rare-UA threshold {threshold} disagrees with configuration {configured}"
-        )));
-    }
-    Ok(())
-}
-
-const DOMAIN_REPEAT: &str = "destination-history delta repeats a domain";
-const UA_PAIR_REPEAT: &str = "user-agent history delta repeats a (user agent, host) pair";
-
-fn history_repeat(what: &str) -> StoreError {
-    StoreError::corrupt(format!("section `{}`: {what}", SectionTag::History.name()))
-}
-
-/// Reads one block's Reports and Products sections into `reports` and
-/// `products`, then applies the configured retention window across blocks
-/// exactly like live ingestion does.
-fn read_day_sections<R: Read>(
-    block: &mut BlockReader<'_, R>,
-    reports: &mut BTreeMap<Day, DayReport>,
-    products: &mut BTreeMap<Day, Arc<DayProduct>>,
-    retain_days: Option<usize>,
-) -> StoreResult<()> {
-    let payload = block.section(SectionTag::Reports)?;
-    let mut d = Decoder::new(&payload, SectionTag::Reports.name());
-    // Mirror of the write-side `StaleSegment` guard: a segment may only
-    // carry days beyond everything already replayed — including days
-    // earlier *in the same segment*, so an internally-descending
-    // (corrupt or hand-crafted) segment is rejected too.
-    let mut newest = reports.keys().next_back().copied();
-    let is_segment = block.kind() == BlockKind::DaySegment;
-    let n = d.seq_len(4)?;
-    for _ in 0..n {
-        let report = read_day_report(&mut d)?;
-        let day = report.day;
-        if is_segment {
-            if newest.is_some_and(|newest| day < newest) {
-                return Err(StoreError::corrupt(format!(
-                    "segment persists stale {day} behind already-replayed {}",
-                    newest.expect("checked")
-                )));
-            }
-            newest = Some(day);
-        }
-        if reports.insert(day, report).is_some() {
-            return Err(StoreError::corrupt(format!("duplicate report for {day}")));
-        }
-    }
-    d.finish()?;
-
-    let payload = block.section(SectionTag::Products)?;
-    let mut d = Decoder::new(&payload, SectionTag::Products.name());
-    let n = d.seq_len(4)?;
-    for _ in 0..n {
-        let dns_counts = sections::read_opt_dns_counts(&mut d)?;
-        let proxy_counts = sections::read_opt_proxy_counts(&mut d)?;
-        let norm_counts = sections::read_opt_norm_counts(&mut d)?;
-        let index = sections::read_day_index(&mut d)?;
-        let day = index.day();
-        let product = DayProduct { index, dns_counts, proxy_counts, norm_counts };
-        if products.insert(day, Arc::new(product)).is_some() {
-            return Err(StoreError::corrupt(format!("duplicate retained index for {day}")));
-        }
-    }
-    d.finish()?;
-    prune_oldest(products, retain_days);
-    Ok(())
-}
-
-/// Reads one block's Sequence section, which may not fall behind `held`.
-fn read_sequence<R: Read>(block: &mut BlockReader<'_, R>, held: u64) -> StoreResult<u64> {
-    let payload = block.section(SectionTag::Sequence)?;
-    let mut d = Decoder::new(&payload, SectionTag::Sequence.name());
-    let sequence = d.varint()?;
-    d.finish()?;
-    if sequence < held {
-        return Err(StoreError::corrupt("alert sequence counter moved backwards"));
-    }
-    Ok(sequence)
 }
 
 /// An engine's persistable state, frozen at one instant by
@@ -619,6 +476,9 @@ impl EngineBuilder {
     /// Rebuilds an engine from a raw store stream — one full snapshot
     /// block written by [`Engine::freeze`] + [`EngineSnapshot::write_to`],
     /// optionally followed by day-segment blocks ([`Engine::freeze_day`]).
+    /// The whole stream is read and checked into flat tables first, then
+    /// thawed into the engine once per table, so a defect anywhere in the
+    /// stream fails the restore before any engine state exists.
     ///
     /// All *semantic* configuration — pipeline thresholds, beacon detector,
     /// C&C and similarity models (trained or heuristic), belief-propagation
@@ -678,55 +538,21 @@ impl EngineBuilder {
     ) -> Result<Engine, StoreError> {
         let (builder_cfg, alert_log, uas, paths, metrics) = self.into_parts();
         let restore_span = metrics.restore.start();
-
-        let Some(mut block) = BlockReader::next_block(input)? else {
-            return Err(StoreError::Truncated { context: "snapshot stream" });
+        let mut fold = {
+            let _span = metrics.restore_fold.start();
+            ChainFold::read(input)?
         };
-        if block.kind() != BlockKind::Full {
-            return Err(StoreError::corrupt("store stream must begin with a full snapshot"));
-        }
-
-        let payload = block.section(SectionTag::Config)?;
-        let mut d = Decoder::new(&payload, SectionTag::Config.name());
-        let mut cfg = read_config(&mut d)?;
-        d.finish()?;
+        let cfg = &mut fold.cfg;
         cfg.parallelism = builder_cfg.parallelism.max(1);
         cfg.parallel_threshold = builder_cfg.parallel_threshold.max(1);
         cfg.ingest_chunk_records = builder_cfg.ingest_chunk_records.max(1);
-        validate_config(&cfg).map_err(|e| StoreError::corrupt(e.to_string()))?;
-
-        let payload = block.section(SectionTag::Meta)?;
-        let mut d = Decoder::new(&payload, SectionTag::Meta.name());
-        let meta = sections::read_dataset_meta(&mut d)?;
-        d.finish()?;
-
-        // Empty state over either fresh interners or caller-shared ones
-        // (whose contents the snapshot sections verify): the first block's
-        // sections are deltas from zero, applied through the same path as
-        // any later segment. SOC seeds are re-interned only after the last
-        // block, so the folded interner is only ever extended by snapshot
-        // contents.
-        let raw = raw.unwrap_or_default();
-        let mut engine = Engine::new(cfg, alert_log, raw, meta, uas, paths, metrics);
-        engine.apply_state_sections(&mut block)?;
-        block.finish()?;
-
-        while let Some(mut block) = BlockReader::next_block(input)? {
-            if block.kind() != BlockKind::DaySegment {
-                return Err(StoreError::corrupt(
-                    "only one full snapshot may open a store stream; found a second",
-                ));
-            }
-            engine.apply_state_sections(&mut block)?;
-            block.finish()?;
-        }
-
-        engine.record_interner_shape();
+        let mut engine = fold.thaw(alert_log, raw.unwrap_or_default(), uas, paths, metrics)?;
 
         // SOC seed symbols were interned at original build time, so they
         // already exist in the restored folded namespace; re-interning
         // resolves them without creating new symbols.
         engine.reintern_soc_seeds();
+        engine.record_interner_shape();
         *engine.lock_cursor() = engine.current_cursor();
         restore_span.finish();
         Ok(engine)
@@ -737,12 +563,14 @@ impl EngineBuilder {
 
 /// A store chain folded into the parts of one full snapshot: each table a
 /// flat append of the blocks' tails, with none of the indexes an engine
-/// builds to serve lookups.
+/// builds to serve lookups. Compaction writes it out as one full block;
+/// restore thaws it into an engine.
 struct ChainFold {
+    /// The Config and Meta payloads, verbatim, and what they decode to.
     config_bytes: Vec<u8>,
     meta_bytes: Vec<u8>,
-    rare_ua_threshold: usize,
-    retain_days: Option<usize>,
+    cfg: EngineConfig,
+    meta: DatasetMeta,
     raw: StrArena,
     folded: StrArena,
     uas: StrArena,
@@ -757,7 +585,10 @@ struct ChainFold {
 }
 
 impl ChainFold {
-    /// Reads the whole chain and checks it the way a restore does.
+    /// Reads the whole chain, block by block, making every per-block
+    /// check. Repeats are left to the table's whole-chain check: compaction
+    /// makes it with [`ChainFold::check_distinct`], a restore as the thaw
+    /// builds each table.
     fn read<R: Read>(input: &mut R) -> StoreResult<Self> {
         let Some(mut block) = BlockReader::next_block(input)? else {
             return Err(StoreError::Truncated { context: "snapshot stream" });
@@ -773,14 +604,14 @@ impl ChainFold {
 
         let meta_bytes = block.section(SectionTag::Meta)?;
         let mut d = Decoder::new(&meta_bytes, SectionTag::Meta.name());
-        sections::read_dataset_meta(&mut d)?;
+        let meta = sections::read_dataset_meta(&mut d)?;
         d.finish()?;
 
         let mut fold = ChainFold {
             config_bytes,
             meta_bytes,
-            rare_ua_threshold: cfg.pipeline.rare_ua_threshold,
-            retain_days: cfg.retain_days,
+            cfg,
+            meta,
             raw: StrArena::default(),
             folded: StrArena::default(),
             uas: StrArena::default(),
@@ -793,58 +624,104 @@ impl ChainFold {
             products: BTreeMap::new(),
             sequence: 0,
         };
-        fold.apply(&mut block)?;
-        block.finish()?;
-        while let Some(mut block) = BlockReader::next_block(input)? {
-            if block.kind() != BlockKind::DaySegment {
-                return Err(StoreError::corrupt(
-                    "only one full snapshot may open a store stream; found a second",
-                ));
-            }
+        loop {
             fold.apply(&mut block)?;
             block.finish()?;
+            block = match BlockReader::next_block(input)? {
+                None => return Ok(fold),
+                Some(next) if next.kind() == BlockKind::DaySegment => next,
+                Some(_) => {
+                    return Err(StoreError::corrupt(
+                        "only one full snapshot may open a store stream; found a second",
+                    ))
+                }
+            };
         }
-        fold.check_distinct()?;
-        Ok(fold)
     }
 
-    /// Appends one block's state sections. Each check a restore makes per
-    /// block is made here too, except that repeats are left to
-    /// [`ChainFold::check_distinct`].
+    /// Appends one block's state sections.
     fn apply<R: Read>(&mut self, block: &mut BlockReader<'_, R>) -> StoreResult<()> {
-        let payload = block.section(SectionTag::Interners)?;
-        let mut d = Decoder::new(&payload, SectionTag::Interners.name());
-        sections::read_interner_onto(&mut d, &mut self.raw, "raw domain")?;
-        sections::read_interner_onto(&mut d, &mut self.folded, "folded domain")?;
-        sections::read_interner_onto(&mut d, &mut self.uas, "user-agent")?;
-        sections::read_interner_onto(&mut d, &mut self.paths, "path")?;
-        d.finish()?;
-
-        let payload = block.section(SectionTag::Hosts)?;
-        let mut d = Decoder::new(&payload, SectionTag::Hosts.name());
-        let ips = sections::read_host_tail(&mut d, self.hosts.len())?;
+        read_section(block, SectionTag::Interners, |d| {
+            sections::read_interner_onto(d, &mut self.raw, "raw domain")?;
+            sections::read_interner_onto(d, &mut self.folded, "folded domain")?;
+            sections::read_interner_onto(d, &mut self.uas, "user-agent")?;
+            sections::read_interner_onto(d, &mut self.paths, "path")
+        })?;
+        let ips = read_section(block, SectionTag::Hosts, |d| {
+            sections::read_host_tail(d, self.hosts.len())
+        })?;
         self.hosts.extend(ips);
-        d.finish()?;
+        read_section(block, SectionTag::History, |d| {
+            let (start, domains, days_ingested) = sections::read_domain_history(d)?;
+            check_delta_start("history", start, self.history.len())?;
+            self.history.extend(domains);
+            self.days_ingested = days_ingested;
+            let (threshold, start, pairs) = sections::read_ua_history(d)?;
+            let configured = self.cfg.pipeline.rare_ua_threshold;
+            if threshold != configured {
+                return Err(StoreError::corrupt(format!(
+                    "snapshot rare-UA threshold {threshold} disagrees with configuration {configured}"
+                )));
+            }
+            check_delta_start("user-agent history", start, self.ua_pairs.len())?;
+            self.ua_pairs.extend(pairs);
+            Ok(())
+        })?;
 
-        let payload = block.section(SectionTag::History)?;
-        let mut d = Decoder::new(&payload, SectionTag::History.name());
-        let (start, domains, days_ingested) = sections::read_domain_history(&mut d)?;
-        check_delta_start("history", start, self.history.len())?;
-        self.history.extend(domains);
-        self.days_ingested = days_ingested;
-        let (threshold, start, pairs) = sections::read_ua_history(&mut d)?;
-        check_ua_threshold(threshold, self.rare_ua_threshold)?;
-        check_delta_start("user-agent history", start, self.ua_pairs.len())?;
-        self.ua_pairs.extend(pairs);
-        d.finish()?;
+        let is_segment = block.kind() == BlockKind::DaySegment;
+        read_section(block, SectionTag::Reports, |d| {
+            // Mirror of the write-side `StaleSegment` guard: a segment may
+            // only carry days beyond everything already read — including
+            // days earlier *in the same segment*, so an
+            // internally-descending (corrupt or hand-crafted) segment is
+            // rejected too.
+            let mut newest = self.reports.keys().next_back().copied();
+            for _ in 0..d.seq_len(4)? {
+                let report = read_day_report(d)?;
+                let day = report.day;
+                if is_segment {
+                    if newest.is_some_and(|newest| day < newest) {
+                        return Err(StoreError::corrupt(format!(
+                            "segment persists stale {day} behind already-replayed {}",
+                            newest.expect("checked")
+                        )));
+                    }
+                    newest = Some(day);
+                }
+                if self.reports.insert(day, report).is_some() {
+                    return Err(StoreError::corrupt(format!("duplicate report for {day}")));
+                }
+            }
+            Ok(())
+        })?;
+        read_section(block, SectionTag::Products, |d| {
+            for _ in 0..d.seq_len(4)? {
+                let dns_counts = sections::read_opt_dns_counts(d)?;
+                let proxy_counts = sections::read_opt_proxy_counts(d)?;
+                let norm_counts = sections::read_opt_norm_counts(d)?;
+                let index = sections::read_day_index(d)?;
+                let day = index.day();
+                let product = DayProduct { index, dns_counts, proxy_counts, norm_counts };
+                if self.products.insert(day, Arc::new(product)).is_some() {
+                    return Err(StoreError::corrupt(format!("duplicate retained index for {day}")));
+                }
+            }
+            Ok(())
+        })?;
+        // The configured retention window, across blocks, exactly like
+        // live ingestion applies it.
+        prune_oldest(&mut self.products, self.cfg.retain_days);
 
-        read_day_sections(block, &mut self.reports, &mut self.products, self.retain_days)?;
-        self.sequence = read_sequence(block, self.sequence)?;
+        let sequence = read_section(block, SectionTag::Sequence, |d| d.varint())?;
+        if sequence < self.sequence {
+            return Err(StoreError::corrupt("alert sequence counter moved backwards"));
+        }
+        self.sequence = sequence;
         Ok(())
     }
 
-    /// The repeat checks a restore makes block by block, made once per
-    /// table over the whole chain.
+    /// Refuses a table that repeats an entry, with the error the thaw
+    /// raises for it, checking the tables in the thaw's order.
     fn check_distinct(&self) -> StoreResult<()> {
         sections::check_interner_distinct(&self.raw, "raw domain")?;
         sections::check_interner_distinct(&self.folded, "folded domain")?;
@@ -861,6 +738,84 @@ impl ChainFold {
         }
         Ok(())
     }
+
+    /// Moves the folded state into a fresh engine, each table once: the
+    /// interners build their indexes over the folded strings, the host map
+    /// and the histories their lookup sets, and the days and the sequence
+    /// counter move in as they are. Each table refuses a repeat as it
+    /// builds. Empty interners and both histories adopt their folded
+    /// tables by move, so no string table or history log is held twice.
+    fn thaw(
+        self,
+        alert_log: Option<CollectedAlerts>,
+        raw: Arc<DomainInterner>,
+        uas: Option<Arc<UaInterner>>,
+        paths: Option<Arc<PathInterner>>,
+        metrics: EngineMetrics,
+    ) -> StoreResult<Engine> {
+        let mut engine = Engine::new(self.cfg, alert_log, raw, self.meta, uas, paths, metrics);
+        let span = engine.metrics.restore_interners.start();
+        thaw_interner(engine.fold.raw_interner(), self.raw, "raw domain")?;
+        thaw_interner(engine.fold.folded_interner(), self.folded, "folded domain")?;
+        thaw_interner(&engine.uas, self.uas, "user-agent")?;
+        thaw_interner(&engine.paths, self.paths, "path")?;
+        if !engine.line_hosts.extend_restored(self.hosts) {
+            return Err(sections::host_repeat());
+        }
+        drop(span);
+
+        let _span = engine.metrics.restore_history.start();
+        engine.history = DomainHistory::from_log(self.history, self.days_ingested)
+            .ok_or_else(|| history_repeat(DOMAIN_REPEAT))?;
+        let threshold = engine.cfg.pipeline.rare_ua_threshold;
+        engine.ua_history = UaHistory::from_log(threshold, self.ua_pairs)
+            .ok_or_else(|| history_repeat(UA_PAIR_REPEAT))?;
+
+        engine.reports = self.reports;
+        engine.products = self.products;
+        *engine.sequence.get_mut() = self.sequence;
+        Ok(engine)
+    }
+}
+
+/// Hands a folded table to an interner, empty or caller-shared.
+fn thaw_interner<T>(interner: &TypedInterner<T>, strings: StrArena, what: &str) -> StoreResult<()> {
+    if interner.extend_from_snapshot(strings) {
+        Ok(())
+    } else {
+        Err(sections::interner_disagrees(what))
+    }
+}
+
+/// Reads one section of `block` through `read`, which must consume it
+/// whole. The payload is dropped on return: a full block's sections are
+/// the size of the whole state, so no two of them are held at once.
+fn read_section<R: Read, T>(
+    block: &mut BlockReader<'_, R>,
+    tag: SectionTag,
+    read: impl FnOnce(&mut Decoder<'_>) -> StoreResult<T>,
+) -> StoreResult<T> {
+    let payload = block.section(tag)?;
+    let mut d = Decoder::new(&payload, tag.name());
+    let value = read(&mut d)?;
+    d.finish()?;
+    Ok(value)
+}
+
+fn check_delta_start(log: &str, start: usize, held: usize) -> StoreResult<()> {
+    if start != held {
+        return Err(StoreError::corrupt(format!(
+            "{log} delta starts at {start}, engine holds {held}"
+        )));
+    }
+    Ok(())
+}
+
+const DOMAIN_REPEAT: &str = "destination-history delta repeats a domain";
+const UA_PAIR_REPEAT: &str = "user-agent history delta repeats a (user agent, host) pair";
+
+fn history_repeat(what: &str) -> StoreError {
+    StoreError::corrupt(format!("section `{}`: {what}", SectionTag::History.name()))
 }
 
 fn all_distinct<T: Copy + Ord>(items: &[T]) -> bool {
@@ -893,6 +848,7 @@ impl EngineSnapshot {
         retain_days: Option<usize>,
     ) -> StoreResult<(EngineSnapshot, usize)> {
         let mut fold = ChainFold::read(input)?;
+        fold.check_distinct()?;
         let days_pruned = prune_oldest(&mut fold.products, retain_days);
 
         let snapshot = EngineSnapshot {
@@ -905,7 +861,7 @@ impl EngineSnapshot {
             paths: (0, fold.paths),
             hosts: (0, fold.hosts),
             history: (0, fold.history, fold.days_ingested),
-            ua_history: (fold.rare_ua_threshold, 0, fold.ua_pairs),
+            ua_history: (fold.cfg.pipeline.rare_ua_threshold, 0, fold.ua_pairs),
             reports: fold.reports.into_values().collect(),
             products: fold.products.into_values().collect(),
             sequence: fold.sequence,

@@ -288,6 +288,27 @@ impl StrTable {
         }
     }
 
+    /// A table over `strs` with the index built in one pass, or `None` if
+    /// a string repeats.
+    fn over(strs: StrArena) -> Option<StrTable> {
+        let mut index = HashMap::with_capacity_and_hasher(strs.len(), PrehashedState::default());
+        for (at, s) in strs.iter().enumerate() {
+            let at = u32::try_from(at).expect("interner full");
+            let mut key = hash_str(s);
+            loop {
+                match index.entry(key) {
+                    Entry::Occupied(slot) if strs.holds(*slot.get() as usize, s) => return None,
+                    Entry::Occupied(_) => key = key.wrapping_add(REPROBE),
+                    Entry::Vacant(slot) => {
+                        slot.insert(at);
+                        break;
+                    }
+                }
+            }
+        }
+        Some(StrTable { strs, index })
+    }
+
     fn reserve(&mut self, strings: usize, bytes: usize) {
         self.strs.reserve(strings, bytes);
         self.index.reserve(strings);
@@ -463,41 +484,43 @@ impl<T> TypedInterner<T> {
         self.read().strs.tail(start)
     }
 
-    /// Applies a restored snapshot slice beginning at symbol index
-    /// `start`, verifying that every string holds the symbol number it had
-    /// when the snapshot was written (append-only numbering is what keeps
-    /// restored symbols meaningful).
+    /// Takes a restored table — every string from symbol 0 on, as a store
+    /// chain folds it — verifying that each string holds the symbol number
+    /// it had when the snapshot was written (append-only numbering is what
+    /// keeps restored symbols meaningful).
     ///
-    /// The interner may already hold content — e.g. a dataset-shared
-    /// interner passed back to a restore — as long as it agrees with the
-    /// snapshot: indexes below the current length are *verified* against
-    /// the existing strings, indexes at or beyond it are appended and must
-    /// land on their recorded number.
+    /// An empty interner adopts `strings` by move and builds its index over
+    /// it, so the table is never held twice. One that already holds content
+    /// — a dataset-shared interner passed back to a restore — must agree
+    /// with the snapshot: strings below its length are *verified* against
+    /// the ones it holds, the rest are interned and must land on their
+    /// recorded number.
     ///
-    /// Returns `false` when `start` would leave a numbering gap, an
-    /// existing string disagrees with the snapshot, or a string is a
-    /// duplicate of one interned at a different index (either of which
-    /// would silently renumber symbols). The call is all-or-nothing: on
-    /// `false` the interner holds exactly what it held before, so a caller
-    /// that shares it keeps minting the symbols it would have.
-    ///
-    /// The whole batch runs under a single write-lock acquisition with the
-    /// arena, offsets and index reserved once up front — restore feeds
-    /// entire table sections through here, so the per-string cost is a
-    /// hash, a probe and a byte copy.
-    pub fn extend_from_snapshot<S: AsRef<str>>(&self, start: usize, strings: &[S]) -> bool {
+    /// Returns `false` when a held string disagrees with the snapshot or a
+    /// string repeats one at a different number (which would silently
+    /// renumber symbols). The call is all-or-nothing: on `false` the
+    /// interner holds exactly what it held before, so a caller that shares
+    /// it keeps minting the symbols it would have.
+    pub fn extend_from_snapshot(&self, strings: StrArena) -> bool {
         let mut table = self.write();
+        if table.strs.is_empty() {
+            return match StrTable::over(strings) {
+                Some(adopted) => {
+                    *table = adopted;
+                    true
+                }
+                None => false,
+            };
+        }
         let len = table.strs.len();
-        if start > len {
+        let known = len.min(strings.len());
+        if !strings.iter().take(known).enumerate().all(|(k, s)| table.strs.holds(k, s)) {
             return false;
         }
-        let (known, fresh) = strings.split_at((len - start).min(strings.len()));
-        if !known.iter().enumerate().all(|(k, s)| table.strs.holds(start + k, s.as_ref())) {
-            return false;
-        }
-        table.reserve(fresh.len(), fresh.iter().map(|s| s.as_ref().len()).sum());
+        let fresh = strings.iter().skip(known);
+        table.reserve(fresh.len(), strings.bytes.len() - strings.start_of(known) as usize);
         for s in fresh {
-            if !table.intern(s.as_ref()).1 {
+            if !table.intern(s).1 {
                 table.truncate(len);
                 return false;
             }
@@ -606,18 +629,61 @@ mod tests {
         assert!(a.intern_batch(&[]).is_empty());
     }
 
+    /// The strings in order, as a store chain folds a table.
+    fn arena<S: AsRef<str>>(strs: &[S]) -> StrArena {
+        let mut arena = StrArena::default();
+        strs.iter().for_each(|s| arena.push(s.as_ref()));
+        arena
+    }
+
     #[test]
     fn extend_from_snapshot_verifies_and_appends() {
         let i = DomainInterner::new();
         i.intern("a");
         i.intern("b");
-        assert!(i.extend_from_snapshot(1, &["b", "c"]), "overlap verifies, tail appends");
+        assert!(i.extend_from_snapshot(arena(&["a", "b", "c"])), "prefix verifies, rest appends");
         assert_eq!(i.len(), 3);
         assert_eq!(i.resolve(DomainSym::from_raw(2)), "c");
-        assert!(!i.extend_from_snapshot(0, &["x"]), "existing string disagrees");
-        assert!(!i.extend_from_snapshot(5, &["y"]), "start past the end is a gap");
-        assert!(!i.extend_from_snapshot(3, &["a"]), "duplicate would renumber");
+        assert!(!i.extend_from_snapshot(arena(&["x"])), "existing string disagrees");
+        assert!(!i.extend_from_snapshot(arena(&["a", "b", "c", "a"])), "duplicate would renumber");
         assert_eq!(i.len(), 3);
+    }
+
+    #[test]
+    fn an_empty_interner_adopts_the_snapshot() {
+        let names = ["", "a.com", "çà.example", "🦀.rs", "b.com"];
+        let i = DomainInterner::new();
+        assert!(i.extend_from_snapshot(arena(&names)));
+        for (k, name) in names.iter().enumerate() {
+            let sym = DomainSym::from_raw(k as u32);
+            assert_eq!(i.get(name), Some(sym), "{name:?} resolves to its position");
+            assert_eq!(i.resolve(sym), *name);
+        }
+        assert_eq!(i.intern("next.com").raw(), 5, "numbering continues densely");
+
+        // A repeat anywhere, including among strings sharing one hash.
+        let mut colliding = colliders(3);
+        colliding.push(colliding[1].clone());
+        for repeated in [arena(&["a", "b", "a"]), arena(&["", ""]), arena(&colliding)] {
+            let fresh = DomainInterner::new();
+            assert!(!fresh.extend_from_snapshot(repeated));
+            assert!(fresh.is_empty(), "a refused snapshot leaves nothing behind");
+            assert_eq!(fresh.intern("a").raw(), 0);
+        }
+    }
+
+    #[test]
+    fn a_longer_shared_interner_only_verifies() {
+        let i = DomainInterner::new();
+        for s in ["a", "b", "c", "minted.later"] {
+            i.intern(s);
+        }
+        let before = i.tail(0);
+        assert!(i.extend_from_snapshot(arena(&["a", "b"])), "the snapshot's prefix agrees");
+        assert!(i.extend_from_snapshot(StrArena::default()), "an empty table agrees");
+        assert!(!i.extend_from_snapshot(arena(&["a", "x"])), "a disagreeing string is refused");
+        assert!(!i.extend_from_snapshot(arena(&["b", "a"])), "so is a renumbering");
+        assert_eq!(i.tail(0), before, "verification never changes the interner");
     }
 
     #[test]
@@ -626,19 +692,21 @@ mod tests {
         i.intern("a");
         i.intern("b");
         let before = i.tail(0);
-        // Each batch appends fresh strings before reaching the one that
-        // fails: a duplicate of an older string, a duplicate within the
-        // batch, and a verified overlap followed by a duplicate.
-        assert!(!i.extend_from_snapshot(2, &["c", "d", "a"]));
-        assert!(!i.extend_from_snapshot(2, &["c", "d", "c"]));
-        assert!(!i.extend_from_snapshot(1, &["b", "c", "b"]));
+        // Each snapshot appends fresh strings before reaching the one that
+        // fails: a duplicate of an older string, and a duplicate within
+        // the fresh strings.
+        assert!(!i.extend_from_snapshot(arena(&["a", "b", "c", "d", "a"])));
+        assert!(!i.extend_from_snapshot(arena(&["a", "b", "c", "d", "c"])));
         assert_eq!(i.tail(0), before, "all-or-nothing: no string from a failed batch remains");
         for gone in ["c", "d"] {
             assert_eq!(i.get(gone), None);
         }
         assert_eq!(i.intern("e").raw(), 2, "the next symbol is the next dense number");
         assert_eq!(i.intern("c").raw(), 3);
-        assert!(i.extend_from_snapshot(2, &["e", "c", "d"]), "and a good batch still lands");
+        assert!(
+            i.extend_from_snapshot(arena(&["a", "b", "e", "c", "d"])),
+            "a good one still lands"
+        );
         assert_eq!(i.get("d"), Some(DomainSym::from_raw(4)));
     }
 
@@ -646,8 +714,8 @@ mod tests {
     fn a_reader_sees_everything_interned_before_it() {
         let i = DomainInterner::new();
         let names: Vec<String> = (0..500).map(|k| format!("d{k}.com")).collect();
-        assert!(i.extend_from_snapshot(0, &names[..300]));
-        assert!(i.extend_from_snapshot(300, &names[300..]));
+        assert!(i.extend_from_snapshot(arena(&names[..300])));
+        assert!(i.extend_from_snapshot(arena(&names)));
         let late = i.intern("late.com");
         let reader = i.reader();
         // Shared by reference, as parse workers share it.
@@ -751,7 +819,9 @@ mod tests {
 
         // Rolling back a failed bulk load unwinds a probe chain newest
         // first: the survivors still hit, the removed one misses.
-        assert!(!i.extend_from_snapshot(3, &[stranger.as_str(), interned[0].as_str()]));
+        let mut bulk = interned.to_vec();
+        bulk.extend([stranger.clone(), interned[0].clone()]);
+        assert!(!i.extend_from_snapshot(arena(&bulk)));
         assert_eq!(i.get(stranger), None);
         for (name, &sym) in interned.iter().zip(&syms) {
             assert_eq!(i.get(name), Some(sym));
@@ -777,7 +847,9 @@ mod tests {
         assert_eq!(i.resolve(a), "before.com");
         assert_eq!(i.intern("after.com").raw(), 1);
         assert_eq!(i.intern_batch(&["after.com", "later.com"]).len(), 2);
-        assert!(i.extend_from_snapshot(3, &["bulk.com"]));
+        let mut bulk = i.tail(0);
+        bulk.push("bulk.com");
+        assert!(i.extend_from_snapshot(bulk));
         assert_eq!(i.reader().get("bulk.com"), Some(DomainSym::from_raw(3)));
         assert_eq!(i.tail(0).len(), 4);
     }
@@ -880,16 +952,13 @@ mod tests {
             n
         }
 
-        /// Whether `extend_from_snapshot(start, batch)` must succeed, and
-        /// if so, applies it.
-        fn extend(&mut self, start: usize, batch: &[&str]) -> bool {
+        /// Whether `extend_from_snapshot(batch)` must succeed, and if so,
+        /// applies it.
+        fn extend(&mut self, batch: &[&str]) -> bool {
             let len = self.strings.len();
-            if start > len {
-                return false;
-            }
             let mut fresh = HashSet::new();
             for (k, s) in batch.iter().enumerate() {
-                let ok = match self.strings.get(start + k) {
+                let ok = match self.strings.get(k) {
                     Some(held) => held == s,
                     None => !self.numbers.contains_key(*s) && fresh.insert(*s),
                 };
@@ -897,7 +966,7 @@ mod tests {
                     return false;
                 }
             }
-            for s in batch.iter().skip(len - start) {
+            for s in batch.iter().skip(len) {
                 self.intern(s);
             }
             true
@@ -944,7 +1013,17 @@ mod tests {
                         let expected: Vec<u32> = batch.iter().map(|s| model.intern(s)).collect();
                         prop_assert_eq!(syms.iter().map(|s| s.raw()).collect::<Vec<_>>(), expected);
                     }
-                    2 => prop_assert_eq!(i.extend_from_snapshot(at, &batch), model.extend(at, &batch)),
+                    2 => {
+                        // The model's first `at` strings, then the picks:
+                        // a snapshot that verifies, appends or disagrees.
+                        let held = &model.strings[..at.min(model.strings.len())];
+                        let mut snapshot: Vec<&str> = held.iter().map(String::as_str).collect();
+                        snapshot.extend(&batch);
+                        let snapshot = arena(&snapshot);
+                        let strs: Vec<&str> = snapshot.iter().collect();
+                        let expected = model.extend(&strs);
+                        prop_assert_eq!(i.extend_from_snapshot(snapshot), expected);
+                    }
                     3 => {
                         let reader = i.reader();
                         for (s, &n) in &model.numbers {
@@ -957,9 +1036,8 @@ mod tests {
                         prop_assert_eq!(tail.iter().collect::<Vec<_>>(), expected);
                         let head = &model.strings[..at.min(model.strings.len())];
                         let rebuilt = DomainInterner::new();
-                        prop_assert!(rebuilt.extend_from_snapshot(0, head));
-                        let strs: Vec<&str> = tail.iter().collect();
-                        prop_assert!(rebuilt.extend_from_snapshot(head.len(), &strs));
+                        prop_assert!(rebuilt.extend_from_snapshot(arena(head)));
+                        prop_assert!(rebuilt.extend_from_snapshot(i.tail(0)));
                         prop_assert_eq!(rebuilt.tail(0), i.tail(0));
                     }
                 }

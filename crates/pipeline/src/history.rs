@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// Alongside the membership set, the history keeps its insertion order:
 /// appending is the only mutation, so checkpointing can persist just the
 /// tail added since the last snapshot (O(day), not O(history)) and restore
-/// by replaying the log.
+/// from the log.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct DomainHistory {
     seen: FastSet<DomainSym>,
@@ -57,20 +57,16 @@ impl DomainHistory {
         &self.order
     }
 
-    /// Replays a restored tail of the insertion log and installs the
-    /// absolute ingested-day counter (restoring is not itself an ingested
-    /// day).
-    pub fn restore_extend(
-        &mut self,
-        domains: impl IntoIterator<Item = DomainSym>,
-        days_ingested: u32,
-    ) {
-        for domain in domains {
-            if self.seen.insert(domain) {
-                self.order.push(domain);
-            }
+    /// A history restored from its insertion log and absolute ingested-day
+    /// counter (restoring is not itself an ingested day). The log becomes
+    /// the history's own, so it is never held twice. `None` if the log
+    /// repeats a domain.
+    pub fn from_log(order: Vec<DomainSym>, days_ingested: u32) -> Option<Self> {
+        let mut seen = FastSet::with_capacity_and_hasher(order.len(), Default::default());
+        if !order.iter().all(|&domain| seen.insert(domain)) {
+            return None;
         }
-        self.days_ingested = days_ingested;
+        Some(DomainHistory { seen, order, days_ingested })
     }
 
     /// Number of distinct domains ever seen.
@@ -140,10 +136,27 @@ impl UaHistory {
         }
     }
 
+    /// A history restored from its pair log. The log becomes the history's
+    /// own, so it is never held twice. `None` if the log repeats a pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rare_threshold` is zero.
+    pub fn from_log(rare_threshold: usize, pair_log: Vec<(UaSym, HostId)>) -> Option<Self> {
+        let mut history = UaHistory::new(rare_threshold);
+        for &(ua, host) in &pair_log {
+            if !history.hosts_by_ua.entry(ua).or_default().insert(host) {
+                return None;
+            }
+        }
+        history.pair_log = pair_log;
+        Some(history)
+    }
+
     /// First sightings of `(user agent, host)` pairs in insertion order —
     /// the persistence hook used by `earlybird-store` (a checkpoint records
-    /// `pair_log()[watermark..]`; restoring replays the tail through
-    /// [`UaHistory::update_pairs`]).
+    /// `pair_log()[watermark..]`; a restore rebuilds the history from the
+    /// whole log through [`UaHistory::from_log`]).
     pub fn pair_log(&self) -> &[(UaSym, HostId)] {
         &self.pair_log
     }

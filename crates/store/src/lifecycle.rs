@@ -587,7 +587,7 @@ impl StoreDir {
     // -- reading ------------------------------------------------------------
 
     /// A reader over the chain in manifest order — exactly the
-    /// `full + N segments` stream `EngineBuilder::restore_stream` replays.
+    /// `full + N segments` stream `EngineBuilder::restore_stream` reads.
     ///
     /// # Errors
     ///
@@ -805,8 +805,9 @@ impl StoreDir {
 
 // -- chain reader -----------------------------------------------------------
 
-/// Sequential [`Read`] over the manifest's chain objects, in order — feed
-/// to `EngineBuilder::restore_stream` (or use `Persistence::restore`).
+/// Sequential [`Read`] over the manifest's chain objects, in order — the
+/// one stream a restore (`EngineBuilder::restore_stream`,
+/// `Persistence::restore`) and a compaction both read.
 pub struct ChainReader<'a> {
     backend: &'a dyn ObjectStore,
     names: std::vec::IntoIter<String>,

@@ -17,8 +17,7 @@ use crate::error::{StoreError, StoreResult};
 use earlybird_features::{AdditiveScorer, FeatureScaler, Fit, RegressionModel};
 use earlybird_intel::{Registration, WhoisRegistry};
 use earlybird_logmodel::{
-    DatasetMeta, Day, DomainSym, HostId, HostKind, HostMapper, Ipv4, StrArena, Symbol, Timestamp,
-    TypedInterner,
+    DatasetMeta, Day, DomainSym, HostId, HostKind, Ipv4, StrArena, Symbol, Timestamp,
 };
 use earlybird_pipeline::{
     DayIndex, DnsReductionCounts, EdgeHttp, EdgeKey, Grouped, NormalizationCounts,
@@ -39,51 +38,18 @@ pub fn write_interner_tail(e: &mut Encoder, start: usize, tail: &StrArena) {
     }
 }
 
-/// Reads an interner slice and appends it to `interner`, verifying the
-/// start watermark and symbol numbering.
-pub fn read_interner_into<T>(
-    d: &mut Decoder<'_>,
-    interner: &TypedInterner<T>,
-    what: &str,
-) -> StoreResult<()> {
-    // The interner copies each borrowed string exactly once (onto the end
-    // of its arena, reserved for the whole block up front), and the batch
-    // lands — or, if any string is wrong, none of it does — under a single
-    // write-lock acquisition.
-    let (start, strings) = read_interner_slice(d, interner.len(), what)?;
-    if !interner.extend_from_snapshot(start, &strings) {
-        return Err(interner_disagrees(what));
-    }
-    Ok(())
-}
-
-/// [`read_interner_into`] onto a bare arena, for folding a chain without
-/// an interner: strings below `arena.len()` are verified against it and
-/// the rest appended. Duplicates are *not* refused here — one
-/// [`check_interner_distinct`] over the finished arena does that, with the
-/// error a restore of the same chain raises.
+/// Reads an interner slice onto the table a chain fold assembles: strings
+/// below `arena.len()` are verified against it and the rest appended.
+/// Repeats are *not* refused here — the interner that takes the finished
+/// arena (`TypedInterner::extend_from_snapshot`) or one
+/// [`check_interner_distinct`] over it does that, with the error
+/// [`interner_disagrees`].
 pub fn read_interner_onto(
     d: &mut Decoder<'_>,
     arena: &mut StrArena,
     what: &str,
 ) -> StoreResult<()> {
-    let (start, strings) = read_interner_slice(d, arena.len(), what)?;
-    let (known, fresh) = strings.split_at((arena.len() - start).min(strings.len()));
-    if !known.iter().enumerate().all(|(k, s)| arena.holds(start + k, s)) {
-        return Err(interner_disagrees(what));
-    }
-    arena.reserve(fresh.len(), fresh.iter().map(|s| s.len()).sum());
-    fresh.iter().for_each(|s| arena.push(s));
-    Ok(())
-}
-
-/// Reads an interner slice — its start, which may not pass the `held`
-/// strings, and its strings borrowed straight out of the payload.
-fn read_interner_slice<'a>(
-    d: &mut Decoder<'a>,
-    held: usize,
-    what: &str,
-) -> StoreResult<(usize, Vec<&'a str>)> {
+    let held = arena.len();
     let start = d.usizev()?;
     if start > held {
         return Err(StoreError::corrupt(format!(
@@ -95,7 +61,15 @@ fn read_interner_slice<'a>(
     for _ in 0..count {
         strings.push(d.str_ref()?);
     }
-    Ok((start, strings))
+    let (known, fresh) = strings.split_at((held - start).min(strings.len()));
+    if !known.iter().enumerate().all(|(k, s)| arena.holds(start + k, s)) {
+        return Err(interner_disagrees(what));
+    }
+    // Reserved exactly, block by block: a restored interner adopts this
+    // arena, capacity and all.
+    arena.reserve(fresh.len(), fresh.iter().map(|s| s.len()).sum());
+    fresh.iter().for_each(|s| arena.push(s));
+    Ok(())
 }
 
 /// Refuses an arena assembled by [`read_interner_onto`] that holds a
@@ -108,7 +82,9 @@ pub fn check_interner_distinct(arena: &StrArena, what: &str) -> StoreResult<()> 
     }
 }
 
-fn interner_disagrees(what: &str) -> StoreError {
+/// The error for a `what` interner table that repeats a string or
+/// disagrees with the strings an interner already holds.
+pub fn interner_disagrees(what: &str) -> StoreError {
     StoreError::corrupt(format!(
         "{what} interner snapshot disagrees with existing contents \
          (duplicate or misnumbered symbols)"
@@ -125,15 +101,6 @@ pub fn write_host_mapper_tail(e: &mut Encoder, start: usize, tail: &[Ipv4]) {
     for ip in tail {
         e.u32v(ip.to_bits());
     }
-}
-
-/// Reads a host-mapper slice and replays it onto `hosts`.
-pub fn read_host_mapper_into(d: &mut Decoder<'_>, hosts: &mut HostMapper) -> StoreResult<()> {
-    let ips = read_host_tail(d, hosts.len())?;
-    if !hosts.extend_restored(ips) {
-        return Err(host_repeat());
-    }
-    Ok(())
 }
 
 /// Reads a host-mapper slice as the addresses of hosts `held..`, refusing
@@ -663,6 +630,7 @@ pub fn read_whois(d: &mut Decoder<'_>) -> StoreResult<WhoisRegistry> {
 mod tests {
     use super::*;
     use crate::frame::SectionTag;
+    use earlybird_logmodel::{HostMapper, TypedInterner};
 
     #[test]
     fn interner_roundtrips_including_unicode_and_empty() {
@@ -673,11 +641,11 @@ mod tests {
         let mut e = Encoder::new();
         write_interner_tail(&mut e, 0, &i.tail(0));
         let bytes = e.into_bytes();
-        let restored = TypedInterner::<earlybird_logmodel::DomainTag>::new();
+        let mut restored = StrArena::default();
         let mut d = Decoder::new(&bytes, SectionTag::Interners.name());
-        read_interner_into(&mut d, &restored, "raw").unwrap();
+        read_interner_onto(&mut d, &mut restored, "raw").unwrap();
         d.finish().unwrap();
-        assert_eq!(restored.tail(0), i.tail(0));
+        assert_eq!(restored, i.tail(0));
     }
 
     #[test]
@@ -688,20 +656,19 @@ mod tests {
         let mut e = Encoder::new();
         write_interner_tail(&mut e, 1, &i.tail(1));
         let bytes = e.into_bytes();
-        // Applying a delta that starts at 1 onto an empty interner fails.
-        let fresh = TypedInterner::<earlybird_logmodel::DomainTag>::new();
+        // Applying a delta that starts at 1 onto an empty table fails.
+        let mut fresh = StrArena::default();
         let mut d = Decoder::new(&bytes, "interners");
         assert!(matches!(
-            read_interner_into(&mut d, &fresh, "raw"),
+            read_interner_onto(&mut d, &mut fresh, "raw"),
             Err(StoreError::Corrupt { .. })
         ));
         // Onto one holding "a" it extends cleanly.
-        let fresh = TypedInterner::<earlybird_logmodel::DomainTag>::new();
-        fresh.intern("a");
+        let mut fresh = StrArena::default();
+        fresh.push("a");
         let mut d = Decoder::new(&bytes, "interners");
-        read_interner_into(&mut d, &fresh, "raw").unwrap();
-        assert_eq!(fresh.len(), 2);
-        assert_eq!(fresh.resolve(Symbol::from_raw(1)), "b");
+        read_interner_onto(&mut d, &mut fresh, "raw").unwrap();
+        assert_eq!(fresh, i.tail(0));
     }
 
     #[test]
@@ -713,12 +680,13 @@ mod tests {
         let mut e = Encoder::new();
         write_host_mapper_tail(&mut e, 0, &hosts.snapshot_ips());
         let bytes = e.into_bytes();
-        let mut restored = HostMapper::new();
         let mut d = Decoder::new(&bytes, "hosts");
-        read_host_mapper_into(&mut d, &mut restored).unwrap();
+        let ips = read_host_tail(&mut d, 0).unwrap();
+        let mut restored = HostMapper::new();
+        assert!(restored.extend_restored(ips));
         assert_eq!(restored.snapshot_ips(), hosts.snapshot_ips());
 
-        // A duplicated address breaks sequential numbering: typed error.
+        // A duplicated address breaks sequential numbering.
         let mut e = Encoder::new();
         e.usizev(0);
         e.usizev(2);
@@ -726,11 +694,8 @@ mod tests {
         e.u32v(Ipv4::new(1, 1, 1, 1).to_bits());
         let bytes = e.into_bytes();
         let mut d = Decoder::new(&bytes, "hosts");
-        let mut fresh = HostMapper::new();
-        assert!(matches!(
-            read_host_mapper_into(&mut d, &mut fresh),
-            Err(StoreError::Corrupt { .. })
-        ));
+        let ips = read_host_tail(&mut d, 0).unwrap();
+        assert!(!HostMapper::new().extend_restored(ips));
     }
 
     #[test]

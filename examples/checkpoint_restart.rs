@@ -12,7 +12,7 @@
 //!    returns a `CommitHandle` immediately — serialization and the store
 //!    commit run behind it while the next day's ingest proceeds, and
 //!    `CommitHandle::wait` is the durability ack;
-//! 3. on restart, `Persistence::restore` replays the chain and the
+//! 3. on restart, `Persistence::restore` reads the chain back and the
 //!    service resumes **bit-identically** — same reports, same alerts,
 //!    same alert sequence numbers — as if it had never died. Re-feeding an
 //!    already-covered day is absorbed by the duplicate-day replay guard

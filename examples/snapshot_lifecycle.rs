@@ -13,7 +13,7 @@
 //!    block, pruning contact indexes past `retain_days` (their counters
 //!    stay: the full block is the source of truth);
 //! 3. on restart, `StoreDir::open` validates the manifest, quarantines any
-//!    crash residue, and `Persistence::restore` replays the chain in
+//!    crash residue, and `Persistence::restore` reads the chain back in
 //!    O(current state) — however long the service has been running — with
 //!    bit-identical continuation.
 //!

@@ -13,7 +13,7 @@ mod support;
 use earlybird::engine::{DayBatch, Engine, EngineBuilder, StoreError};
 use earlybird::logmodel::{
     DatasetMeta, Day, DnsDayLog, DnsQuery, DnsRecordType, DomainInterner, HostId, HostKind, Ipv4,
-    Symbol, Timestamp,
+    StrArena, Symbol, Timestamp,
 };
 use earlybird::pipeline::{
     Contact, DayIndex, DayIndexBuilder, DomainHistory, HttpContext, RareSieve,
@@ -48,10 +48,12 @@ proptest! {
         sections::write_interner_tail(&mut e, 0, &original.tail(0));
         let bytes = e.into_bytes();
 
-        let restored = DomainInterner::new();
+        let mut folded = StrArena::default();
         let mut d = Decoder::new(&bytes, "interners");
-        sections::read_interner_into(&mut d, &restored, "raw").unwrap();
+        sections::read_interner_onto(&mut d, &mut folded, "raw").unwrap();
         d.finish().unwrap();
+        let restored = DomainInterner::new();
+        prop_assert!(restored.extend_from_snapshot(folded));
 
         prop_assert_eq!(restored.len(), original.len());
         for (k, s) in original.tail(0).iter().enumerate() {
